@@ -230,9 +230,6 @@ class LaurentSeries:
         out = {e - a: c * inv_lead for e, c in v.items()}
         return LaurentSeries(-a, -a + width, out)
 
-    def divide(self, other: "LaurentSeries", prec: int | None = None) -> "LaurentSeries":
-        return self * other.inv(prec=prec)
-
     def sqrt_unit(self, prec: int | None = None) -> "LaurentSeries":
         """Square root with principal branch on the leading coefficient.
 
@@ -307,11 +304,6 @@ class LaurentSeries:
     def conj(self) -> "LaurentSeries":
         return self.map_coefficients(_conj)
 
-    def evaluate_coefficients(self, point: dict) -> "LaurentSeries":
-        return self.map_coefficients(
-            lambda c: c.evaluate(point) if isinstance(c, RationalFunction) else c
-        )
-
     def __str__(self):
         return format_series(self)
 
@@ -341,8 +333,27 @@ def residue(f: LaurentSeries):
 
 
 def residue_form(f: LaurentSeries, g: LaurentSeries):
-    """(f, g) = res(g df)."""
-    return residue(g * f.derivative())
+    """(f, g) = res(g df), computed as the direct sum  sum_e e f_e g_{-e}.
+
+    Only the pairs of stored coefficients f_e, g_{-e} reach the t^-1 term of
+    g df, so the product series is never formed.  The window rule is the
+    product's: g df is known below min(g.floor + df.prec, df.floor + g.prec),
+    and the residue is determined only when that bound exceeds -1; otherwise
+    WindowTooNarrow.  A vanishing residue is returned as the int 0.
+    """
+    df_floor = f.floor - 1
+    if f.floor == 0 and f.coeffs:  # the constant term drops out of df
+        df_floor = min((e for e in f.coeffs if e), default=f.prec) - 1
+    prec = min(g.floor + f.prec - 1, df_floor + g.prec)
+    if prec <= -1:
+        raise WindowTooNarrow(f"coefficient of t^-1 not determined (prec={prec})")
+    s = 0
+    for e, c in f.coeffs.items():
+        if e:
+            h = g.coeffs.get(-e)
+            if h is not None:
+                s = s + h * (c * e)
+    return s if s else 0
 
 
 def integrate(f: LaurentSeries) -> LaurentSeries:
@@ -389,19 +400,9 @@ class Derivation:
     def horizontal_part(coeffs: dict) -> "Derivation":
         return Derivation(horizontal=coeffs)
 
-    def plus_horizontal(self, coeffs: dict) -> "Derivation":
-        h = dict(self.horizontal)
-        for p, c in coeffs.items():
-            h[p] = h.get(p, 0) + c
-        return Derivation(k=self.k, series=self.series, horizontal=h)
-
     @property
     def is_vertical(self) -> bool:
         return not self.horizontal
-
-    @property
-    def has_vertical(self) -> bool:
-        return self.k is not None or self.series is not None
 
     def vertical_series(self) -> LaurentSeries:
         """The coefficient g of D_vert = g d/dt."""
@@ -531,7 +532,9 @@ def semilocal_residue_form(f: SemiLocalSeries, g: SemiLocalSeries):
 
 
 def parse_series(text: str) -> LaurentSeries:
-    """Parse 'c_k*t^k + ...; prec=N' with Gaussian-rational coefficients."""
+    """Parse 'c_k*t^k + ...; prec=N' (or 'prec=exact') with Gaussian-rational
+    coefficients; reads everything format_series writes except text it
+    truncated with '+ ...'."""
     text = text.strip()
     prec = EXACT_PREC
     if ";" in text:
@@ -539,7 +542,10 @@ def parse_series(text: str) -> LaurentSeries:
         tail = tail.strip()
         if not tail.startswith("prec="):
             raise ValueError(f"bad series suffix {tail!r}")
-        prec = int(tail[len("prec="):])
+        value = tail[len("prec="):].strip()
+        prec = EXACT_PREC if value == "exact" else int(value)
+    if text.rstrip().endswith("..."):
+        raise ValueError("series text is truncated ('+ ...'); its terms are not all known")
     terms: dict = {}
     for sign, chunk in _split_terms(text):
         if "t" in chunk:
@@ -548,11 +554,24 @@ def parse_series(text: str) -> LaurentSeries:
             exp = int(exp_txt.lstrip("^")) if exp_txt else 1
         else:
             coeff_txt, exp = chunk, 0
-        c = parse_gaussian(coeff_txt)
+        c = parse_gaussian(_unwrap_parens(coeff_txt))
         if sign < 0:
             c = -c
         terms[exp] = terms.get(exp, GaussianRational(0)) + c
     return LaurentSeries.from_terms({e: c for e, c in terms.items() if c}, prec)
+
+
+def _unwrap_parens(text: str) -> str:
+    """Drop one pair of parentheses around all of text, as format_series
+    writes them around compound coefficients such as '((1/2)i)'."""
+    if not (text.startswith("(") and text.endswith(")")):
+        return text
+    depth = 0
+    for k, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0:
+            return text[1:-1] if k == len(text) - 1 else text
+    return text
 
 
 def _split_terms(text: str):

@@ -236,8 +236,8 @@ class ExactMatrix:
                 x[col] = (-s) / m[r][col] if s else 0
             basis.append(x)
         for x in basis:
-            res = self.apply(x)
-            assert all(not v for v in res)
+            if any(self.apply(x)):
+                raise AssertionError(f"kernel certification failed: A x != 0 for x = {x}")
         return basis
 
     def inverse(self):

@@ -8,10 +8,20 @@ since the inducing character kills O.
 Normally ordered quadratic operators are lazy-by-grade: for a vector of
 bounded grade only finitely many monomials act, so the action is exact with
 no window error; a window enters only through the coefficient series of a
-derivation, and exhaustion raises instead of truncating silently.
+derivation, and exhaustion raises instead of truncating silently.  Operators
+accumulate their image into one dictionary in place.
 
 tau_hat(D_k) = -(1/2) sum_{a+b=k, a,b != 0} :e_a e_b: reproduces
 [tau_hat(D_k), f] = D_k(f) and the central term (k^3 - k)/12 delta_{k+l,0}.
+
+virasoro_bracket certifies one (k, l) pair; virasoro_sweep certifies every
+pair with |k|, |l| <= kmax and shares the work between them.  Following the
+grade decomposition of the oscillator representation (T(D_k) maps grade n to
+grade n - k; Kac and Raina, Bombay Lectures, 1987), it takes one probe vector
+v at a time, applies each T(D_m) to v once, and forms the two products
+T(D_k) T(D_l) v and T(D_l) T(D_k) v once for both orders of a pair.  Every
+vector it compares still comes from applying the operators, never from the
+bracket formula being verified.
 """
 
 from __future__ import annotations
@@ -32,6 +42,15 @@ class BasisNotQuasiSymplectic(ValueError):
     """Supplied topological basis fails the quasi-symplectic conditions."""
 
 
+def _add_term(terms: dict, key, c):
+    """terms[key] += c in place, dropping the entry when the sum is zero."""
+    s = terms.get(key, 0) + c
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
+
+
 class OscFockVector:
     """Finitely supported map from multisets of negative modes to scalars."""
 
@@ -45,11 +64,7 @@ class OscFockVector:
             key = tuple(sorted(key))
             if any(k >= 0 for k in key):
                 raise ValueError("modes must be negative integers")
-            s = self.terms.get(key, 0) + c
-            if s:
-                self.terms[key] = s
-            else:
-                self.terms.pop(key, None)
+            _add_term(self.terms, key, c)
 
     @staticmethod
     def vacuum(coeff=1):
@@ -63,11 +78,7 @@ class OscFockVector:
         out = OscFockVector()
         out.terms = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.terms.get(k, 0) + c
-            if s:
-                out.terms[k] = s
-            else:
-                out.terms.pop(k, None)
+            _add_term(out.terms, k, c)
         return out
 
     def __neg__(self):
@@ -128,20 +139,14 @@ def apply_mode(m: int, v: OscFockVector) -> OscFockVector:
         return out
     for key, c in v.terms.items():
         if m < 0:
-            kk = tuple(sorted(key + (m,)))
-            s = out.terms.get(kk, 0) + c
+            _add_term(out.terms, tuple(sorted(key + (m,))), c)
         else:
             n = key.count(-m)
             if not n:
                 continue
             lst = list(key)
             lst.remove(-m)
-            kk = tuple(lst)
-            s = out.terms.get(kk, 0) + c * m * n
-        if s:
-            out.terms[kk] = s
-        else:
-            out.terms.pop(kk, None)
+            _add_term(out.terms, tuple(lst), c * m * n)
     return out
 
 
@@ -162,7 +167,8 @@ def series_multiply(f: LaurentSeries, v: OscFockVector) -> OscFockVector:
             continue
         if e > n:
             continue  # annihilates nothing present
-        out = out + apply_mode(e, v).scale(c)
+        for key, x in apply_mode(e, v).terms.items():
+            _add_term(out.terms, key, x * c)
     return out
 
 
@@ -214,11 +220,7 @@ class QuadraticOperator:
     def __add__(self, other: "QuadraticOperator") -> "QuadraticOperator":
         w = dict(self.weights)
         for k, c in other.weights.items():
-            s = w.get(k, 0) + c
-            if s:
-                w[k] = s
-            else:
-                w.pop(k, None)
+            _add_term(w, k, c)
         return QuadraticOperator(
             w, max(self.klo, other.klo), min(self.khi, other.khi),
             self.central + other.central,
@@ -253,9 +255,9 @@ class QuadraticOperator:
         out = v.scale(self.central) if self.central else OscFockVector()
         for k, w in self.weights.items():
             for a, b, coeff in self.monomials_for_grade(k, n):
-                contrib = apply_mode(a, apply_mode(b, v))
-                if contrib:
-                    out = out + contrib.scale(coeff * w)
+                cw = coeff * w
+                for key, c in apply_mode(a, apply_mode(b, v)).terms.items():
+                    _add_term(out.terms, key, c * cw)
         return out
 
     def __repr__(self):
@@ -292,6 +294,11 @@ def operator_equal_on_grade(p: QuadraticOperator, q, max_grade: int) -> bool:
     )
 
 
+def _virasoro_central(k: int, l: int) -> Fraction:
+    """(k^3 - k)/12 delta_{k+l,0}."""
+    return Fraction(k**3 - k, 12) if k + l == 0 else Fraction(0)
+
+
 def virasoro_bracket(k: int, l: int, probe_grade: int):
     """Certified [tau_hat(D_k), tau_hat(D_l)] on all vectors of grade <=
     probe_grade; returns (operator, central scalar).
@@ -300,7 +307,7 @@ def virasoro_bracket(k: int, l: int, probe_grade: int):
     (l - k) tau_hat(D_{k+l}) + (k^3 - k)/12 delta_{k+l,0} id.
     """
     a, b = tau_hat_Dk(k), tau_hat_Dk(l)
-    central = Fraction(k**3 - k, 12) if k + l == 0 else Fraction(0)
+    central = _virasoro_central(k, l)
     candidate = tau_hat_Dk(k + l).scale(l - k).plus_central(central)
     for key in osc_basis(probe_grade):
         v = OscFockVector.basis(key)
@@ -310,6 +317,35 @@ def virasoro_bracket(k: int, l: int, probe_grade: int):
                 f"Virasoro identity failed for (k,l)=({k},{l}) on {key}"
             )
     return candidate, central
+
+
+def virasoro_sweep(kmax: int, probe_grade: int) -> list:
+    """The checks of virasoro_bracket for every (k, l) with |k|, |l| <= kmax
+    on every vector of grade <= probe_grade; returns the failing
+    (k, l, probe key) triples in sweep order, empty when all hold.
+
+    Per probe v: T(D_m) v once for each |m| <= 2 kmax; per unordered pair
+    {k, l}: T(D_k) T(D_l) v and T(D_l) T(D_k) v once, checked for (k, l)
+    and (l, k), then dropped.
+    """
+    ks = range(-kmax, kmax + 1)
+    ops = {m: tau_hat_Dk(m) for m in range(-2 * kmax, 2 * kmax + 1)}
+    failures = []
+    for key in osc_basis(probe_grade):
+        v = OscFockVector.basis(key)
+        tv = {m: op.apply(v) for m, op in ops.items()}
+        for i, k in enumerate(ks):
+            for l in ks[i:]:
+                kl = ops[k].apply(tv[l])
+                if l == k:
+                    checks = ((k, k, kl - kl),)
+                else:
+                    lk = ops[l].apply(tv[k])
+                    checks = ((k, l, kl - lk), (l, k, lk - kl))
+                for a, b, lhs in checks:
+                    if lhs != tv[a + b].scale(b - a) + v.scale(_virasoro_central(a, b)):
+                        failures.append((a, b, key))
+    return failures
 
 
 def commutator_with_multiplication(
@@ -427,9 +463,9 @@ class LiftedDerivation:
                 if not c:
                     continue
                 lo, hi = min(-i, -j), max(-i, -j)
-                contrib = apply_mode(lo, apply_mode(hi, family))
-                if contrib:
-                    out = out + contrib.scale(c * Fraction(1, 2))
+                half = c * Fraction(1, 2)
+                for key, x in apply_mode(lo, apply_mode(hi, family)).terms.items():
+                    _add_term(out.terms, key, x * half)
         return out
 
     def realize(self, family: OscFockVector) -> OscFockVector:

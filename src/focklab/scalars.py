@@ -164,7 +164,8 @@ class GaussianRational:
         if self.im < 0:
             rb = -rb
         w = GaussianRational(ra, rb)
-        assert w * w == self
+        if w * w != self:
+            raise AssertionError(f"square root certification failed: ({w})^2 != {self}")
         return w
 
     def __str__(self):

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -168,3 +172,39 @@ def test_dd_zero_on_one_forms_four_params():
         )
     assert omega.exterior_derivative().exterior_derivative().degree == 3
     assert not omega.exterior_derivative().exterior_derivative()
+
+
+# -- certification survives python -O ------------------------------------------
+
+
+def test_failed_certification_raises_under_optimize():
+    """sqrt and kernel verify their result with an explicit raise, which
+    python -O keeps (an assert would be stripped)."""
+    code = textwrap.dedent(
+        """
+        from fractions import Fraction
+        from focklab import scalars
+        from focklab.linalg import ExactMatrix
+
+        assert False, "this line runs only without -O"
+        scalars.fraction_sqrt = lambda q: Fraction(1)  # wrong roots
+        ExactMatrix.apply = lambda self, x: [1] * self.nrows  # A x != 0
+        for name, thunk in (
+            ("sqrt", lambda: scalars.GaussianRational(4).sqrt()),
+            ("kernel", lambda: ExactMatrix([[1, 1]]).kernel()),
+        ):
+            try:
+                thunk()
+                print(name, "certified")
+            except AssertionError as exc:
+                print(name, "raised:", exc)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__import__("focklab").__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["sqrt raised", "kernel raised"], lines

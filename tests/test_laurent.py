@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from focklab.laurent import (
+    EXACT_PREC,
     Derivation,
     LaurentSeries,
     NonzeroResidue,
@@ -21,6 +22,7 @@ from focklab.laurent import (
     selfadjoint_check,
     semilocal_residue_form,
 )
+from focklab.ratfunc import DifferentialField
 from focklab.scalars import GaussianRational, NotASquare
 
 F = Fraction
@@ -88,6 +90,64 @@ def test_residue_window_too_narrow():
     f = LaurentSeries(-5, -2, {-5: 1})  # window ends before exponent -1
     with pytest.raises(WindowTooNarrow):
         residue(f)
+
+
+X = DifferentialField(["x"])
+rationals = st.builds(F, st.integers(-5, 5), st.integers(1, 4))
+COEFFICIENTS = {
+    "Q": rationals,
+    "Q(i)": st.builds(GaussianRational, rationals, rationals),
+    "Q(x)": st.builds(
+        lambda a, b, c: (X.var("x") * a + b) / (X.var("x") * c + 1), rationals, rationals, rationals
+    ),
+}
+
+
+@st.composite
+def windowed_series(draw, coefficients):
+    """A series with a random window, sometimes an exact polynomial."""
+    floor = draw(st.integers(-5, 3))
+    width = draw(st.integers(0, 7))
+    terms = {}
+    if width:
+        exponents = st.integers(floor, floor + width - 1)
+        terms = draw(st.dictionaries(exponents, coefficients, max_size=width))
+    prec = EXACT_PREC if draw(st.integers(0, 4)) == 0 else floor + width
+    return LaurentSeries(floor, prec, terms)
+
+
+@st.composite
+def residue_pairs(draw):
+    coefficients = COEFFICIENTS[draw(st.sampled_from(sorted(COEFFICIENTS)))]
+    return draw(windowed_series(coefficients)), draw(windowed_series(coefficients))
+
+
+def _residue_or_narrow(fn):
+    try:
+        return fn()
+    except WindowTooNarrow:
+        return WindowTooNarrow
+
+
+@settings(max_examples=300, deadline=None)
+@given(residue_pairs())
+# product window exactly -1 (raises) and exactly 0 (determined, zero)
+@example((LaurentSeries(-1, 1, {-1: 1}), LaurentSeries(1, 1, {})))
+@example((LaurentSeries(-1, 1, {-1: 1}), LaurentSeries(2, 2, {})))
+# the constant term of f drops out of df and widens the window
+@example((LaurentSeries(0, 3, {0: 5, 2: 1}), LaurentSeries(-2, 0, {-2: 2})))
+def test_residue_form_matches_definition(pair):
+    """The direct-sum kernel against res(g * f.derivative())."""
+    f, g = pair
+    got = _residue_or_narrow(lambda: residue_form(f, g))
+    want = _residue_or_narrow(lambda: residue(g * f.derivative()))
+    if want is WindowTooNarrow:
+        assert got is WindowTooNarrow
+        return
+    assert got is not WindowTooNarrow
+    assert got == want
+    assert bool(got) == bool(want)
+    assert type(got) is type(want)
 
 
 def test_residue_antisymmetry_mod_constants():
@@ -200,6 +260,27 @@ def test_parse_and_format_roundtrip():
     again = parse_series(format_series(f))
     assert again == f
     assert parse_series("t^2; prec=5").agrees_with(t(2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(st.integers(-6, 6), COEFFICIENTS["Q(i)"], max_size=12),
+    st.one_of(st.none(), st.integers(7, 20)),
+)
+def test_format_parse_roundtrip_property(terms, prec):
+    f = LaurentSeries.polynomial(terms) if prec is None else LaurentSeries.from_terms(terms, prec)
+    again = parse_series(format_series(f))
+    assert again == f
+    assert again.prec == f.prec
+
+
+def test_parse_exact_and_truncated_series():
+    f = parse_series("t^-1 + 3*t^2; prec=exact")
+    assert f == LaurentSeries.polynomial({-1: 1, 2: 3})
+    assert parse_series(format_series(f)) == f
+    long = LaurentSeries.polynomial({e: 1 for e in range(13)})
+    with pytest.raises(ValueError, match="truncated"):
+        parse_series(format_series(long))
 
 
 def test_mul_window_bookkeeping():

@@ -1,7 +1,11 @@
+import ast
+import re
 from fractions import Fraction
 
 import pytest
 
+from focklab import oscillator
+from focklab.cli import main, run_suite
 from focklab.laurent import Derivation, LaurentSeries, PrecisionExhausted, residue_form
 from focklab.oscillator import (
     BasisNotQuasiSymplectic,
@@ -18,6 +22,7 @@ from focklab.oscillator import (
     tau_hat_D,
     tau_hat_Dk,
     virasoro_bracket,
+    virasoro_sweep,
 )
 from focklab.ratfunc import DifferentialField
 
@@ -225,3 +230,87 @@ def test_series_multiply_window_guard():
     f = LaurentSeries.from_terms({-1: 1}, 2)
     with pytest.raises(PrecisionExhausted):
         series_multiply(f, OscFockVector.basis((-3,)))
+
+
+# -- the Virasoro sweep ----------------------------------------------------------
+
+# Deliberate defects, each installed over the real function it wraps.
+BREAKS = {
+    "central": ("_virasoro_central", lambda real: lambda k, l: real(k, l) + (1 if k + l == 0 else 0)),
+    "operator": ("tau_hat_Dk", lambda real: lambda k: real(k).scale(2) if k == 2 else real(k)),
+}
+
+# The byte-stable fock-lab/1 body of a passing run_suite("virasoro", {"kmax": 3, "grade": 4}).
+VIRASORO_K3_G4_JSON = """{
+  "checks": [
+    {
+      "id": "virasoro.01-cocycle",
+      "statement": "[T(D_k), T(D_l)] = (l-k) T(D_{k+l}) + (k^3-k)/12 delta_{k+l,0}",
+      "status": "pass"
+    },
+    {
+      "id": "virasoro.02-spot-central",
+      "statement": "central term at (k,l) = (2,-2) equals 1/2",
+      "status": "pass"
+    },
+    {
+      "id": "virasoro.03-module-commutator",
+      "statement": "[T(D), f] = D(f) on the Fock module",
+      "status": "pass"
+    },
+    {
+      "id": "virasoro.04-positive-order-vacuum",
+      "statement": "T(D) v_0 = 0 for D of positive order",
+      "status": "pass"
+    }
+  ],
+  "params": {
+    "grade": "4",
+    "kmax": "3"
+  },
+  "schema": "fock-lab/1",
+  "suite": "virasoro"
+}
+"""
+
+
+def _break(monkeypatch, name):
+    attr, make = BREAKS[name]
+    monkeypatch.setattr(oscillator, attr, make(getattr(oscillator, attr)))
+
+
+@pytest.mark.parametrize("broken", [None, *sorted(BREAKS)])
+def test_sweep_agrees_with_per_pair_brackets(monkeypatch, broken):
+    if broken:
+        _break(monkeypatch, broken)
+    failing = set()
+    for k in range(-3, 4):
+        for l in range(-3, 4):
+            try:
+                virasoro_bracket(k, l, probe_grade=4)
+            except AssertionError:
+                failing.add((k, l))
+    assert {(k, l) for k, l, _ in virasoro_sweep(3, 4)} == failing
+    assert bool(failing) == bool(broken)
+
+
+@pytest.mark.parametrize("broken", sorted(BREAKS))
+def test_virasoro_suite_reports_a_broken_identity(monkeypatch, broken):
+    _break(monkeypatch, broken)
+    rep = run_suite("virasoro", {"kmax": 3, "grade": 4})
+    rec = next(c for c in rep.checks if c.id == "virasoro.01-cocycle")
+    assert rec.status == "fail"
+    m = re.match(r"Virasoro identity failed for \(k,l\)=\((-?\d+),(-?\d+)\) on (\(.*?\));", rec.witness)
+    assert m, rec.witness
+    k, l, key = int(m[1]), int(m[2]), ast.literal_eval(m[3])
+    # the per-pair check fails on the same pair, first at the same probe
+    with pytest.raises(AssertionError) as exc:
+        virasoro_bracket(k, l, probe_grade=4)
+    assert str(exc.value) == rec.witness.split(";")[0]
+    assert key in osc_basis(4)
+    assert main(["--suite", "virasoro", "--param", "kmax=3", "--param", "grade=4"]) == 1
+
+
+def test_virasoro_suite_json_unchanged():
+    rep = run_suite("virasoro", {"kmax": 3, "grade": 4})
+    assert rep.to_json_bytes() == VIRASORO_K3_G4_JSON.encode()
