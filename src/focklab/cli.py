@@ -36,14 +36,13 @@ from .fock import (
     tau_hat_wrt_complement,
 )
 from .geometry import (
-    IdentityFailed,
     build_model,
     closure_falsifier,
     curve_fock_data,
     wzw_gram,
 )
 from .laurent import Derivation, LaurentSeries, format_series, residue_form
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, IdentityFailed
 from .oscillator import (
     OscFockVector,
     commutator_with_multiplication,

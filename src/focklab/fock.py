@@ -58,7 +58,7 @@ class SymplecticSpace:
             raise ValueError("degenerate symplectic form")
         # conj is an antilinear involution respecting the real form
         cc = conj_matrix * conj_matrix.map(_conj)
-        if not (cc - ExactMatrix.identity(n, one=self._one())).is_zero():
+        if cc != ExactMatrix.identity(n):
             raise ValueError("conjugation is not an involution")
         real = conj_matrix.transpose() * gram * conj_matrix - gram.map(_conj)
         if not real.is_zero():
@@ -88,10 +88,6 @@ class SymplecticSpace:
             out = tuple(out)
         self._lmul_cache[key] = out
         return out
-
-    def _one(self):
-        entry = next(e for row in self.gram.rows for e in row if e)
-        return entry / entry
 
     # -- label bookkeeping ----------------------------------------------------
 
@@ -331,10 +327,6 @@ class UElement:
             raise ValueError("mixed Z/2 parity")
         return parities.pop() if parities else 0
 
-    def scalar_part(self):
-        """Coefficient of the empty monomial with hbar specialized to 1."""
-        return sum(c for (m, _h), c in self.terms.items() if not m)
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -388,10 +380,6 @@ class SpElement:
         g = self.space.g
         return sum(self.matrix[g + i, g + i] for i in range(g))
 
-    def trace_on_f(self):
-        g = self.space.g
-        return sum(self.matrix[i, i] for i in range(g))
-
     def stabilizes_f(self) -> bool:
         g = self.space.g
         return all(not self.matrix[g + i, j] for i in range(g) for j in range(g))
@@ -405,8 +393,7 @@ def E_map(space: SymplecticSpace, tensor: ExactMatrix) -> SpElement:
 
 
 def E_inverse(space: SymplecticSpace, a: SpElement) -> ExactMatrix:
-    tensor = a.matrix * space.gram_inverse
-    tensor = tensor.map(lambda v: v * Fraction(1, 2))
+    tensor = a.matrix * space.gram_inverse * Fraction(1, 2)
     if not (tensor - tensor.transpose()).is_zero():
         raise NotSymmetric("endomorphism is not in sp(H)")
     return tensor
@@ -420,7 +407,7 @@ def normal_order_tensor(space: SymplecticSpace, tensor: ExactMatrix) -> ExactMat
         for j in range(g, 2 * g):  # F' cols
             c = out[i][j]
             if c:
-                out[i][j] = 0
+                out[i][j] = tensor.domain.zero
                 out[j][i] = out[j][i] + c
     return ExactMatrix(out)
 
@@ -524,12 +511,6 @@ class FockVector:
         if not isinstance(other, FockVector):
             return NotImplemented
         return not (self - other)
-
-    def grade_components(self):
-        out: dict = {}
-        for k, c in self.terms.items():
-            out.setdefault(len(k), FockVector(self.space)).terms[k] = c
-        return out
 
     def max_grade(self):
         return max((len(k) for k in self.terms), default=0)
@@ -694,8 +675,7 @@ def adjoint_check(space, coords, v: FockVector, w: FockVector) -> bool:
 def sym2F_tensor(space, c_f: ExactMatrix) -> ExactMatrix:
     """Embed a symmetric g x g matrix over F into a full H (x) H tensor."""
     g = space.g
-    zero = c_f[0, 0] - c_f[0, 0]
-    out = [[zero] * (2 * g) for _ in range(2 * g)]
+    out = [[c_f.domain.zero] * (2 * g) for _ in range(2 * g)]
     for i in range(g):
         for j in range(g):
             out[i][j] = c_f[i, j]

@@ -66,10 +66,6 @@ class Form:
         return Form(field, 0, (1, 1), {(): ExactMatrix([[value]])})
 
     @staticmethod
-    def from_matrix(field, mat: ExactMatrix) -> "Form":
-        return Form(field, 0, (mat.nrows, mat.ncols), {(): mat})
-
-    @staticmethod
     def d_param(field, name: str) -> "Form":
         """The 1-form dp for a declared parameter p."""
         k = field.params.index(name)

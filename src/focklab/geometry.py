@@ -28,9 +28,9 @@ from .laurent import (
     residue,
     residue_form,
 )
-from .linalg import ExactMatrix
-from .scalars import GaussianRational, PiScaled, WZW_PREFACTOR
-from .subalgebra import FockSubalgebra, KMinusVector, QuotientSymplectic, echelon_reduce, echelonize
+from .linalg import ExactMatrix, IdentityFailed
+from .scalars import GaussianRational
+from .subalgebra import FockSubalgebra, KMinusVector, echelon_reduce, echelonize
 
 
 class WrongDegree(ValueError):
@@ -39,10 +39,6 @@ class WrongDegree(ValueError):
 
 class RepeatedRoots(ValueError):
     pass
-
-
-class IdentityFailed(AssertionError):
-    """An exact identity the construction certifies came out false."""
 
 
 # -- univariate polynomial helpers over Q(sqrt(-1)) -------------------------------
@@ -187,13 +183,6 @@ class CurveFockData:
             lambda c: INTERSECTION_BRIDGE * GaussianRational.coerce(c)
         )
 
-    def natural_quotient(self) -> QuotientSymplectic:
-        """Quotient lifts from the phi-basis: e_{-i} from phi_{1-2i} made
-        isotropic and normalized, e_i from the holomorphic primitives."""
-        from .subalgebra import build_quotient
-
-        return build_quotient(self.subalgebra())
-
 
 def curve_fock_data(model: HyperellipticModel, degree_bound: int) -> CurveFockData:
     data = CurveFockData(model, degree_bound)
@@ -273,9 +262,3 @@ def wzw_gram(model: HyperellipticModel, D: Derivation, omegas=None) -> ExactMatr
     if not (mat - mat.transpose()).is_zero():
         raise IdentityFailed("residue Gram is not symmetric")
     return mat
-
-
-def wzw_vector_prefactor() -> PiScaled:
-    """The formal pi*sqrt(-1) tag multiplying the Gram in the image of the
-    residue operator on the covariant generator."""
-    return WZW_PREFACTOR

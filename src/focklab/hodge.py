@@ -38,7 +38,7 @@ from .fock import (
     rho_apply,
     rho_vector,
 )
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, IdentityFailed, Inconsistent
 from .ratfunc import DifferentialField, RationalFunction
 from .scalars import GaussianRational
 
@@ -49,10 +49,6 @@ class DegenerateFrame(ValueError):
 
 class NotSymplecticFrame(ValueError):
     """Supplied extension frame is not symplectic-normalized."""
-
-
-class IdentityFailed(AssertionError):
-    """An exact 2-form identity came out false; carries the witness."""
 
 
 class HodgeFamily:
@@ -172,7 +168,7 @@ class ConnectionData:
         self.sbar_coeff = {}
         self.s_coeff = {}
         for key, mat in self.sigma.terms.items():
-            c = (mat * gbar_inv).map(lambda v: v * Fraction(1, 2))
+            c = mat * gbar_inv * Fraction(1, 2)
             if not (c - c.transpose()).is_zero():
                 raise IdentityFailed("second fundamental form is not symmetric")
             self.sbar_coeff[key[0]] = c
@@ -484,7 +480,7 @@ def u_section(fam: HodgeFamily, extension=None) -> dict:
     try:
         coords = [cf.solve(v) for v in neg]
         in_span = True
-    except Exception:
+    except Inconsistent:
         in_span = False
     if in_span:
         matches_sbar = True

@@ -1,36 +1,127 @@
 """Exact linear algebra over Q(sqrt(-1)) or a rational-function field.
 
-Solutions and kernels are certified by exact back-multiplication; there is no
-pivoting heuristic to go wrong because every comparison is an exact zero test.
-Entries may be GaussianRational, RationalFunction, or plain ints/Fractions
-(they coerce through the scalar dunder ops).
+Every matrix carries an explicit scalar domain, inferred from its entries:
+Q, Q(sqrt(-1)), the formal pi-multiples over Q(sqrt(-1)), or a
+DifferentialField.  Entries are converted into the domain on construction, a
+product works in the larger of its operands' domains, and an entry that no
+product reaches is the domain's zero.  Products and applications skip zero
+operands.
+
+Solutions, kernels and inverses are certified by exact back-multiplication;
+there is no pivoting heuristic to go wrong because every comparison is an
+exact zero test.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import conj as _conj
+from .ratfunc import RationalFunction
+from .scalars import QQ, QQ_I, QQ_I_PI, GaussianRational, PiScaled, conj as _conj
 
 
 class Inconsistent(ValueError):
     """A linear system with no solution."""
 
 
-def _coerce(x):
-    return Fraction(x) if isinstance(x, int) else x
+class IdentityFailed(AssertionError):
+    """An exact identity the construction certifies came out false; carries
+    the witness."""
+
+
+_DOMAIN_OF_TYPE = {
+    int: QQ,
+    bool: QQ,
+    Fraction: QQ,
+    GaussianRational: QQ_I,
+    PiScaled: QQ_I_PI,
+}
+
+
+def _domain_of(x):
+    """The scalar domain of one exact scalar."""
+    dom = _DOMAIN_OF_TYPE.get(type(x))
+    if dom is not None:
+        return dom
+    if isinstance(x, RationalFunction):
+        return x.field
+    raise TypeError(f"no scalar domain for {x!r}")
+
+
+def _join(a, b):
+    """The smaller domain containing both a and b."""
+    if a is b:
+        return a
+    if a.rank != b.rank:
+        return a if a.rank > b.rank else b
+    if a == b:
+        return a
+    raise ValueError(f"mixing different scalar domains {a!r} and {b!r}")
+
+
+def _domain_of_all(values, dom=QQ):
+    for x in values:
+        d = _domain_of(x)
+        if d is not dom:
+            dom = _join(dom, d)
+    return dom
+
+
+def _eliminate(xs, ys, p, factor, prev, start=0):
+    """One fraction-free (Bareiss) row step in place on the columns from
+    start on: xs <- (xs * p - factor * ys) / prev, skipping zero operands.
+    prev is None when there is nothing to divide by."""
+    for c in range(start, len(xs)):
+        x, y = xs[c], ys[c]
+        if y and factor:
+            num = x * p - factor * y if x else -(factor * y)
+        elif x:
+            num = x * p
+        else:
+            continue
+        xs[c] = num / prev if prev is not None else num
+
+
+def _back_substitute(m, pivots, b, zero):
+    """Solution of the echelon system m x = b with free variables zero."""
+    nc = len(m[0]) if m else 0
+    x = [zero] * nc
+    for r in range(len(pivots) - 1, -1, -1):
+        col = pivots[r]
+        row = m[r]
+        s = b[r]
+        for c in range(col + 1, nc):
+            if row[c] and x[c]:
+                s = s - row[c] * x[c]
+        x[col] = s / row[col]
+    return x
 
 
 class ExactMatrix:
-    __slots__ = ("rows",)
+    """Dense matrix whose entries are elements of `domain`."""
+
+    __slots__ = ("rows", "domain")
 
     def __init__(self, rows):
-        rows = [[_coerce(x) for x in r] for r in rows]
+        rows = [list(r) for r in rows]
         if rows:
             w = len(rows[0])
             if any(len(r) != w for r in rows):
                 raise ValueError("ragged matrix")
-        self.rows = rows
+        dom = QQ
+        for r in rows:
+            dom = _domain_of_all(r, dom)
+        convert = dom.convert
+        self.rows = [[convert(x) for x in r] for r in rows]
+        self.domain = dom
+
+    @classmethod
+    def _over(cls, rows, domain):
+        """A matrix whose entries are already elements of `domain`."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.domain = domain
+        return m
 
     # -- construction -------------------------------------------------------
 
@@ -68,53 +159,82 @@ class ExactMatrix:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        return ExactMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
+        return ExactMatrix._over(
+            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
+            _join(self.domain, other.domain),
         )
 
     def __sub__(self, other):
-        return ExactMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
+        return ExactMatrix._over(
+            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
+            _join(self.domain, other.domain),
         )
 
     def __neg__(self):
-        return ExactMatrix([[-a for a in r] for r in self.rows])
+        return ExactMatrix._over([[-a for a in r] for r in self.rows], self.domain)
 
     def __mul__(self, other):
-        if isinstance(other, ExactMatrix):
-            if self.ncols != other.nrows:
-                raise ValueError("dimension mismatch")
-            cols = other.ncols
-            return ExactMatrix(
-                [
-                    [
-                        sum(self.rows[i][k] * other.rows[k][j] for k in range(self.ncols))
-                        for j in range(cols)
-                    ]
-                    for i in range(self.nrows)
-                ]
-            )
-        return ExactMatrix([[a * other for a in r] for r in self.rows])
+        if not isinstance(other, ExactMatrix):
+            return self._scale(other)
+        if self.ncols != other.nrows:
+            raise ValueError("dimension mismatch")
+        dom = _join(self.domain, other.domain)
+        zero = dom.zero
+        width = other.ncols
+        right = [[(j, b) for j, b in enumerate(r) if b] for r in other.rows]
+        out = []
+        for row in self.rows:
+            acc = [zero] * width
+            for a, bs in zip(row, right):
+                if not a:
+                    continue
+                for j, b in bs:
+                    s = acc[j]
+                    acc[j] = a * b if s is zero else s + a * b
+            out.append(acc)
+        return ExactMatrix._over(out, dom)
 
     def __rmul__(self, other):
-        return ExactMatrix([[other * a for a in r] for r in self.rows])
+        return self._scale(other)
+
+    def _scale(self, c):
+        dom = _join(self.domain, _domain_of(c))
+        zero = dom.zero
+        return ExactMatrix._over(
+            [[a * c if a else zero for a in r] for r in self.rows], dom
+        )
 
     def transpose(self):
-        return ExactMatrix([list(c) for c in zip(*self.rows)]) if self.rows else self
+        if not self.rows:
+            return self
+        return ExactMatrix._over([list(c) for c in zip(*self.rows)], self.domain)
 
     def map(self, fn):
         return ExactMatrix([[fn(a) for a in r] for r in self.rows])
 
     def conj(self):
-        return self.map(_conj)
+        return ExactMatrix._over([[_conj(a) for a in r] for r in self.rows], self.domain)
 
     def trace(self):
-        return sum(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
+        total = self.domain.zero
+        for i in range(min(self.nrows, self.ncols)):
+            total = total + self.rows[i][i]
+        return total
 
     def apply(self, vec):
         if len(vec) != self.ncols:
             raise ValueError("dimension mismatch")
-        return [sum(r[j] * vec[j] for j in range(self.ncols)) for r in self.rows]
+        zero = _domain_of_all(vec, self.domain).zero
+        support = [(j, v) for j, v in enumerate(vec) if v]
+        out = []
+        for row in self.rows:
+            s = zero
+            for j, v in support:
+                a = row[j]
+                if a:
+                    s = a * v if s is zero else s + a * v
+            out.append(s)
+        return out
 
     def is_zero(self):
         return all(not a for r in self.rows for a in r)
@@ -123,12 +243,14 @@ class ExactMatrix:
 
     def _echelon(self, rhs=None):
         """Fraction-free forward elimination (Bareiss); returns
-        (work rows, rhs rows, pivot column list)."""
+        (work rows, rhs rows, pivot column list, sign of the row swaps)."""
         m = [list(r) for r in self.rows]
         b = [list(r) for r in rhs] if rhs is not None else None
         nr, nc = len(m), self.ncols
+        zero = self.domain.zero
         pivots = []
-        prev = 1
+        sign = 1
+        prev = None
         row = 0
         for col in range(nc):
             piv = None
@@ -142,50 +264,35 @@ class ExactMatrix:
                 m[row], m[piv] = m[piv], m[row]
                 if b is not None:
                     b[row], b[piv] = b[piv], b[row]
+                sign = -sign
             p = m[row][col]
             for r in range(row + 1, nr):
                 factor = m[r][col]
-                for c in range(nc):
-                    num = m[r][c] * p - factor * m[row][c]
-                    m[r][c] = num / prev if prev != 1 else num
+                m[r][col] = zero
+                _eliminate(m[r], m[row], p, factor, prev, col + 1)
                 if b is not None:
-                    for c in range(len(b[r])):
-                        num = b[r][c] * p - factor * b[row][c]
-                        b[r][c] = num / prev if prev != 1 else num
-            prev = p
+                    _eliminate(b[r], b[row], p, factor, prev)
+            # the Bareiss division is exact; dividing by a pivot equal to 1
+            # is skipped
+            prev = p if p != 1 else None
             pivots.append(col)
             row += 1
             if row == nr:
                 break
-        return m, b, pivots
+        return m, b, pivots, sign
 
     def rank(self):
-        _, _, pivots = self._echelon()
-        return len(pivots)
+        return len(self._echelon()[2])
 
     def det(self):
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        if self.nrows == 0:
-            return 1
-        m = [list(r) for r in self.rows]
         n = self.nrows
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if not m[k][k]:
-                for r in range(k + 1, n):
-                    if m[r][k]:
-                        m[k], m[r] = m[r], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return m[k][k] - m[k][k]  # structural zero of the right type
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                    m[i][j] = num / prev if prev != 1 else num
-            prev = m[k][k]
+        if n == 0:
+            return self.domain.one
+        m, _, pivots, sign = self._echelon()
+        if len(pivots) < n:
+            return self.domain.zero
         d = m[n - 1][n - 1]
         return -d if sign < 0 else d
 
@@ -197,43 +304,36 @@ class ExactMatrix:
         """
         if len(b) != self.nrows:
             raise ValueError("dimension mismatch")
-        m, rhs, pivots = self._echelon(rhs=[[v] for v in b])
-        nc = self.ncols
-        x = [0] * nc
+        dom = _domain_of_all(b, self.domain)
+        m, rhs, pivots, _ = self._echelon(rhs=[[dom.convert(v)] for v in b])
         # rows beyond the pivot rows must have zero rhs
         for r in range(len(pivots), self.nrows):
             if rhs[r][0]:
                 raise Inconsistent("no exact solution")
-        for r in range(len(pivots) - 1, -1, -1):
-            col = pivots[r]
-            s = rhs[r][0]
-            for c in range(col + 1, nc):
-                if m[r][c] and x[c]:
-                    s = s - m[r][c] * x[c]
-            x[col] = s / m[r][col]
+        x = _back_substitute(m, pivots, [r[0] for r in rhs], dom.zero)
         # certification
-        for i, want in enumerate(b):
-            got = sum(self.rows[i][j] * x[j] for j in range(nc))
+        for got, want in zip(self.apply(x), b):
             if got - want:
                 raise Inconsistent("no exact solution")
         return x
 
     def kernel(self):
         """Exact basis of the null space (list of coordinate vectors)."""
-        m, _, pivots = self._echelon()
+        m, _, pivots, _ = self._echelon()
         nc = self.ncols
+        zero, one = self.domain.zero, self.domain.one
         free = [c for c in range(nc) if c not in pivots]
         basis = []
         for fc in free:
-            x = [0] * nc
-            x[fc] = 1
+            x = [zero] * nc
+            x[fc] = one
             for r in range(len(pivots) - 1, -1, -1):
                 col = pivots[r]
-                s = 0
+                s = zero
                 for c in range(col + 1, nc):
                     if m[r][c] and x[c]:
                         s = s + m[r][c] * x[c]
-                x[col] = (-s) / m[r][col] if s else 0
+                x[col] = (-s) / m[r][col] if s else zero
             basis.append(x)
         for x in basis:
             if any(self.apply(x)):
@@ -241,17 +341,21 @@ class ExactMatrix:
         return basis
 
     def inverse(self):
+        """A^-1 from one elimination of [A | I] and back substitution for
+        every column, certified by A * A^-1 == I."""
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        cols = []
-        for j in range(n):
-            e = [1 if i == j else 0 for i in range(n)]
-            try:
-                cols.append(self.solve(e))
-            except Inconsistent:
-                raise ZeroDivisionError("matrix is singular")
-        return ExactMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
+        dom = self.domain
+        ident = ExactMatrix.identity(n, dom.one, dom.zero)
+        m, rhs, pivots, _ = self._echelon(rhs=ident.rows)
+        if len(pivots) < n:
+            raise ZeroDivisionError("matrix is singular")
+        cols = [_back_substitute(m, pivots, [r[j] for r in rhs], dom.zero) for j in range(n)]
+        inv = ExactMatrix._over([[cols[j][i] for j in range(n)] for i in range(n)], dom)
+        if self * inv != ident:
+            raise AssertionError("inverse certification failed: A * A^-1 != I")
+        return inv
 
     def leading_principal_minors(self):
         return [
@@ -260,6 +364,6 @@ class ExactMatrix:
         ]
 
     def __str__(self):
-        return "[" + "; ".join(", ".join(str(a) for a in r) for r in self.rows) + "]"
+        return "[" + "; "._join(", "._join(str(a) for a in r) for r in self.rows) + "]"
 
     __repr__ = __str__

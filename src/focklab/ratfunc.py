@@ -18,7 +18,13 @@ from .scalars import GaussianRational, conj as _conj_scalar
 
 
 class DifferentialField:
-    """A field Q(sqrt(-1))(p_1, ..., p_n) with declared real parameter names."""
+    """A field Q(sqrt(-1))(p_1, ..., p_n) with declared real parameter names.
+
+    It is also the scalar domain of matrices over it: it ranks above the
+    constant domains and supplies zero, one and convert.
+    """
+
+    rank = 3
 
     def __init__(self, params):
         params = tuple(params)
@@ -49,6 +55,13 @@ class DifferentialField:
         c = GaussianRational.coerce(c)
         num = Polynomial(self, {self._zero_exp: c} if c else {})
         return RationalFunction(self, num, self._one_poly())
+
+    def convert(self, x) -> "RationalFunction":
+        if isinstance(x, RationalFunction):
+            if x.field != self:
+                raise ValueError("mixing different differential fields")
+            return x
+        return self.const(x) if x else self.zero
 
     def parse(self, text: str) -> "RationalFunction":
         return _ExprParser(self, text).parse()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from math import gcd
 
 
 class NotASquare(ValueError):
@@ -37,105 +38,184 @@ def fraction_sqrt(q: Fraction) -> Fraction:
     return Fraction(rn, rd)
 
 
-class GaussianRational:
-    """Element re + im*sqrt(-1) of Q(sqrt(-1)), stored in lowest terms.
+_new = object.__new__
 
-    Immutable and hashable.  conj() is the ring involution fixing Q and
-    sending sqrt(-1) to -sqrt(-1).
+
+def _make(a: int, b: int, d: int) -> "GaussianRational":
+    """(a + b*i)/d from a triple that is already canonical."""
+    z = _new(GaussianRational)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def _reduce(a: int, b: int, d: int) -> "GaussianRational":
+    """(a + b*i)/d for d > 0, cancelled by the one gcd of the triple."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _make(a, b, d)
+
+
+class GaussianRational:
+    """Element (a + b*sqrt(-1))/d of Q(sqrt(-1)), stored as one integer triple.
+
+    The triple is canonical (d > 0, gcd(a, b, d) = 1), so equality is equality
+    of triples and each operation cancels with a single gcd.  Immutable and
+    hashable; .re and .im are read-only Fraction views, and a real value
+    hashes like the int or Fraction it equals.  conj() is the ring involution
+    fixing Q and sending sqrt(-1) to -sqrt(-1).
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+    def __new__(cls, re=0, im=0):
+        if type(re) is int and type(im) is int:
+            return _make(re, im, 1)
+        re, im = _as_fraction(re), _as_fraction(im)
+        dr, di = re.denominator, im.denominator
+        d = dr * di // gcd(dr, di)
+        return _make(re.numerator * (d // dr), im.numerator * (d // di), d)
 
-    def __setattr__(self, *a):
-        raise AttributeError("GaussianRational is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def coerce(x) -> "GaussianRational":
         if isinstance(x, GaussianRational):
             return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
+        if isinstance(x, int):
+            return _make(int(x), 0, 1)
+        if isinstance(x, Fraction):
+            return _make(x.numerator, 0, x.denominator)
         raise TypeError(f"cannot coerce {x!r} to GaussianRational")
 
     def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return self._b == 0
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, GaussianRational):
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return self._b == 0 and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (self._b == 0 and self._a == other.numerator
+                    and self._d == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if self._b == 0:
+            return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d))
 
     def __add__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        a, b, d = self._a, self._b, self._d
+        if isinstance(other, GaussianRational):
+            a2, b2, d2 = other._a, other._b, other._d
+            if not (a2 or b2):
+                return self
+            if not (a or b):
+                return other
+            if d == d2:
+                return _reduce(a + a2, b + b2, d)
+            return _reduce(a * d2 + a2 * d, b * d2 + b2 * d, d * d2)
+        if isinstance(other, int):
+            return _make(a + other * d, b, d) if other else self
+        if isinstance(other, Fraction):
+            n, q = other.numerator, other.denominator
+            return _reduce(a * q + n * d, b * q, d * q)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if isinstance(other, GaussianRational):
+            a2, b2, d2 = other._a, other._b, other._d
+            if not (a2 or b2):
+                return self
+            a, b, d = self._a, self._b, self._d
+            if d == d2:
+                return _reduce(a - a2, b - b2, d)
+            return _reduce(a * d2 - a2 * d, b * d2 - b2 * d, d * d2)
+        if isinstance(other, (int, Fraction)):
+            return self + -other
+        return NotImplemented
 
     def __rsub__(self, other):
-        return -self + other
+        if isinstance(other, (int, Fraction)):
+            return -self + other
+        return NotImplemented
 
     def __mul__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, d = self._a, self._b, self._d
+        if isinstance(other, GaussianRational):
+            if not (a or b):
+                return self
+            a2, b2 = other._a, other._b
+            if not (a2 or b2):
+                return other
+            return _reduce(a * a2 - b * b2, a * b2 + b * a2, d * other._d)
+        if isinstance(other, int):
+            return _reduce(a * other, b * other, d) if other else ZERO
+        if isinstance(other, Fraction):
+            n = other.numerator
+            return _reduce(a * n, b * n, d * other.denominator) if n else ZERO
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def norm(self) -> Fraction:
         """Field norm re^2 + im^2."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def inverse(self) -> "GaussianRational":
-        n = self.norm()
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(-1))")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _reduce(a * d, -b * d, n)
 
     def __truediv__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self * other.inverse()
+        a, b, d = self._a, self._b, self._d
+        if isinstance(other, GaussianRational):
+            a2, b2, d2 = other._a, other._b, other._d
+            n = a2 * a2 + b2 * b2
+            if n == 0:
+                raise ZeroDivisionError("division by zero in Q(sqrt(-1))")
+            # (a + bi)/d * d2 (a2 - b2 i)/n
+            return _reduce((a * a2 + b * b2) * d2, (b * a2 - a * b2) * d2, d * n)
+        if isinstance(other, (int, Fraction)):
+            n, q = other.numerator, other.denominator
+            if n == 0:
+                raise ZeroDivisionError("division by zero in Q(sqrt(-1))")
+            if n < 0:
+                n, q = -n, -q
+            return _reduce(a * q, b * q, d * n)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        return GaussianRational.coerce(other) * self.inverse()
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational.coerce(other) * self.inverse()
+        return NotImplemented
 
     def __pow__(self, n: int):
         if n < 0:
@@ -169,20 +249,21 @@ class GaussianRational:
         return w
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            if self.im == 1:
+        real, imag = self.re, self.im
+        if imag == 0:
+            return str(real)
+        if real == 0:
+            if imag == 1:
                 return "i"
-            if self.im == -1:
+            if imag == -1:
                 return "-i"
-            if self.im.denominator == 1:
-                return f"{self.im}i"
-            return f"({self.im})i" if self.im > 0 else f"-({-self.im})i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+            if imag.denominator == 1:
+                return f"{imag}i"
+            return f"({imag})i" if imag > 0 else f"-({-imag})i"
+        sign = "+" if imag > 0 else "-"
+        mag = abs(imag)
         istr = "i" if mag == 1 else (f"{mag}i" if mag.denominator == 1 else f"({mag})i")
-        return f"{self.re}{sign}{istr}"
+        return f"{real}{sign}{istr}"
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -339,5 +420,29 @@ class PiScaled:
 # intersection pairing: intersection = (-2*pi*sqrt(-1)) * residue.
 INTERSECTION_BRIDGE = PiScaled(GaussianRational(0, -2), 1)
 
-# Prefactor of the residue operator realizing the connection on covariants.
-WZW_PREFACTOR = PiScaled(GaussianRational(0, 1), 1)
+
+class ScalarDomain:
+    """The domain of a matrix's entries: its zero, its one, and conversion into it.
+
+    Domains are ordered by rank, and an operation on operands from two domains
+    works in the larger one.  The built-in domains are Q, Q(sqrt(-1)) and the
+    formal pi-multiples over Q(sqrt(-1)); a DifferentialField is the domain of
+    its rational functions.
+    """
+
+    __slots__ = ("name", "rank", "zero", "one", "convert")
+
+    def __init__(self, name: str, rank: int, zero, one, convert):
+        self.name = name
+        self.rank = rank
+        self.zero = zero
+        self.one = one
+        self.convert = convert
+
+    def __repr__(self):
+        return self.name
+
+
+QQ = ScalarDomain("QQ", 0, Fraction(0), Fraction(1), _as_fraction)
+QQ_I = ScalarDomain("QQ_I", 1, ZERO, ONE, GaussianRational.coerce)
+QQ_I_PI = ScalarDomain("QQ_I*pi^k", 2, PiScaled(0), PiScaled(1), PiScaled.coerce)

@@ -427,7 +427,7 @@ def build_quotient(a_sub: FockSubalgebra, lo: int | None = None, hi: int | None 
     # isotropy correction of the negative lifts by positive ones
     b = ExactMatrix([[residue_form(x, y) for y in neg] for x in neg])
     p = ExactMatrix([[residue_form(x, f) for f in pos] for x in neg])
-    gamma = (b * p.inverse().transpose()).map(lambda v: v * Fraction(1, 2))
+    gamma = b * p.inverse().transpose() * Fraction(1, 2)
     corrected = []
     for i in range(g):
         e = neg[i]

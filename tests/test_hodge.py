@@ -191,3 +191,21 @@ def test_load_family_g2():
     """
     fam = load_family(text)
     assert fam.g == 2
+
+
+def test_curvature_failure_is_a_fail_record_and_exit_1(monkeypatch):
+    """A false curvature identity raised inside verify_theorem31 becomes a
+    connection.* FAIL record and exit code 1, not a traceback: hodge and
+    geometry raise the same IdentityFailed, which the suite catches."""
+    from focklab import cli, hodge
+
+    # curvature(omega) = omega makes the flatness check see a nonzero form
+    monkeypatch.setattr(hodge, "curvature", lambda omega: omega)
+    rep = cli.run_suite("connection", {"grade": 2})
+    failed = [r for r in rep.to_json()["checks"] if r["status"] == "fail"]
+    assert [r["id"] for r in failed] == [
+        "connection.modular.identity",
+        "connection.siegel-block.identity",
+    ]
+    assert all("nonzero curvature form" in r["witness"] for r in failed)
+    assert cli.main(["--suite", "connection", "--param", "grade=2"]) == 1
