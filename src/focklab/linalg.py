@@ -82,10 +82,10 @@ def _eliminate(xs, ys, p, factor, prev, start=0):
         xs[c] = num / prev if prev is not None else num
 
 
-def _back_substitute(m, pivots, b, zero):
-    """Solution of the echelon system m x = b with free variables zero."""
-    nc = len(m[0]) if m else 0
-    x = [zero] * nc
+def _back_substitute(m, pivots, b, x):
+    """Fill the pivot entries of x so that the echelon system m x = b holds
+    for the free entries already in x; returns x."""
+    nc = len(x)
     for r in range(len(pivots) - 1, -1, -1):
         col = pivots[r]
         row = m[r]
@@ -310,7 +310,7 @@ class ExactMatrix:
         for r in range(len(pivots), self.nrows):
             if rhs[r][0]:
                 raise Inconsistent("no exact solution")
-        x = _back_substitute(m, pivots, [r[0] for r in rhs], dom.zero)
+        x = _back_substitute(m, pivots, [r[0] for r in rhs], [dom.zero] * self.ncols)
         # certification
         for got, want in zip(self.apply(x), b):
             if got - want:
@@ -322,19 +322,12 @@ class ExactMatrix:
         m, _, pivots, _ = self._echelon()
         nc = self.ncols
         zero, one = self.domain.zero, self.domain.one
-        free = [c for c in range(nc) if c not in pivots]
+        rhs = [zero] * len(pivots)
         basis = []
-        for fc in free:
+        for fc in (c for c in range(nc) if c not in pivots):
             x = [zero] * nc
             x[fc] = one
-            for r in range(len(pivots) - 1, -1, -1):
-                col = pivots[r]
-                s = zero
-                for c in range(col + 1, nc):
-                    if m[r][c] and x[c]:
-                        s = s + m[r][c] * x[c]
-                x[col] = (-s) / m[r][col] if s else zero
-            basis.append(x)
+            basis.append(_back_substitute(m, pivots, rhs, x))
         for x in basis:
             if any(self.apply(x)):
                 raise AssertionError(f"kernel certification failed: A x != 0 for x = {x}")
@@ -351,7 +344,9 @@ class ExactMatrix:
         m, rhs, pivots, _ = self._echelon(rhs=ident.rows)
         if len(pivots) < n:
             raise ZeroDivisionError("matrix is singular")
-        cols = [_back_substitute(m, pivots, [r[j] for r in rhs], dom.zero) for j in range(n)]
+        cols = [
+            _back_substitute(m, pivots, [r[j] for r in rhs], [dom.zero] * n) for j in range(n)
+        ]
         inv = ExactMatrix._over([[cols[j][i] for j in range(n)] for i in range(n)], dom)
         if self * inv != ident:
             raise AssertionError("inverse certification failed: A * A^-1 != I")
@@ -364,6 +359,6 @@ class ExactMatrix:
         ]
 
     def __str__(self):
-        return "[" + "; "._join(", "._join(str(a) for a in r) for r in self.rows) + "]"
+        return "[" + "; ".join(", ".join(str(a) for a in r) for r in self.rows) + "]"
 
     __repr__ = __str__

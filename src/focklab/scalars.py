@@ -44,9 +44,9 @@ _new = object.__new__
 def _make(a: int, b: int, d: int) -> "GaussianRational":
     """(a + b*i)/d from a triple that is already canonical."""
     z = _new(GaussianRational)
-    z._a = a
-    z._b = b
-    z._d = d
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
     return z
 
 
@@ -80,6 +80,9 @@ class GaussianRational:
         dr, di = re.denominator, im.denominator
         d = dr * di // gcd(dr, di)
         return _make(re.numerator * (d // dr), im.numerator * (d // di), d)
+
+    def __setattr__(self, *a):
+        raise AttributeError("GaussianRational is immutable")
 
     @property
     def re(self) -> Fraction:
@@ -268,6 +271,11 @@ class GaussianRational:
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
+
+# _make fills the slots through their descriptors, past the __setattr__ guard
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)

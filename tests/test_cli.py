@@ -49,6 +49,12 @@ def test_compute_phi_basis():
     assert "-t^-1" in out  # leading term of phi_{-1}
 
 
+def test_compute_wzw_gram_prints_the_matrix():
+    assert compute("wzw-gram", {}) == "prefactor: pi*sqrt(-1)\nGram (tangent field): [0]"
+    out = compute("wzw-gram", {"f": [1, 0, 0, 0, 0, 1], "g": 2, "N": 30})
+    assert out == "prefactor: pi*sqrt(-1)\nGram (tangent field): [0, 0; 0, 0]"
+
+
 def test_compute_quotient_basis():
     out = compute("quotient-basis", {"f": [0, -1, 0, 1], "g": 1, "N": 30})
     assert "e_-1" in out and "e_1" in out

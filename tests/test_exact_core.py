@@ -166,6 +166,9 @@ def test_values_are_immutable():
         z.re = Fraction(3)
     with pytest.raises(AttributeError):
         z.extra = 1
+    with pytest.raises(AttributeError):
+        z._a = 5
+    assert z == GaussianRational(1, 2) and hash(z) == hash((1, 2, 1))
 
 
 # -- ExactMatrix against dense references ---------------------------------------------
@@ -314,6 +317,12 @@ def test_domain_is_inferred_and_joined():
     assert ExactMatrix.zeros(2, 2).domain is QQ and ExactMatrix.identity(2).domain is QQ
 
 
+def test_matrix_text():
+    m = ExactMatrix([[1, Fraction(1, 2)], [GaussianRational(0, 1), 0]])
+    assert str(m) == repr(m) == "[1, 1/2; i, 0]"
+    assert str(ExactMatrix([[GaussianRational(1, -2), Fraction(3, 4)]])) == "[1-2i, 3/4]"
+
+
 def test_zero_rows_and_columns_over_a_field_stay_rational_functions():
     field = DifferentialField(["x", "y"])
     x, y = field.var("x"), field.var("y")
@@ -347,7 +356,7 @@ def test_inverse_certification_raises_under_optimize():
             ExactMatrix([[1, 2], [2, 4]]).inverse()
         except ZeroDivisionError as exc:
             print("singular raised:", exc)
-        linalg._back_substitute = lambda m, pivots, b, zero: [zero] * len(b)
+        linalg._back_substitute = lambda m, pivots, b, x: x
         try:
             ExactMatrix([[2, 1], [1, 2]]).inverse()
             print("inverse certified")
