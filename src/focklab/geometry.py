@@ -30,7 +30,7 @@ from .laurent import (
 )
 from .linalg import ExactMatrix, IdentityFailed
 from .scalars import GaussianRational
-from .subalgebra import FockSubalgebra, KMinusVector, echelon_reduce, echelonize
+from .subalgebra import FockSubalgebra, echelon_reduce, echelonize
 
 
 class WrongDegree(ValueError):

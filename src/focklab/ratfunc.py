@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .scalars import GaussianRational, conj as _conj_scalar
+from .scalars import ONE, ZERO, GaussianRational, conj as _conj_scalar
 
 
 class DifferentialField:
@@ -42,13 +42,13 @@ class DifferentialField:
         )
 
     def _one_poly(self):
-        return Polynomial(self, {self._zero_exp: GaussianRational(1)})
+        return Polynomial(self, {self._zero_exp: ONE})
 
     def var(self, name: str) -> "RationalFunction":
         k = self.params.index(name)
         exp = tuple(1 if j == k else 0 for j in range(self.nvars))
         return RationalFunction(
-            self, Polynomial(self, {exp: GaussianRational(1)}), self._one_poly()
+            self, Polynomial(self, {exp: ONE}), self._one_poly()
         )
 
     def const(self, c) -> "RationalFunction":
@@ -97,7 +97,7 @@ class Polynomial:
     def __add__(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, GaussianRational(0)) + c
+            s = out.get(e, ZERO) + c
             if s:
                 out[e] = s
             else:
@@ -117,7 +117,7 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, GaussianRational(0)) + c1 * c2
+                s = out.get(e, ZERO) + c1 * c2
                 if s:
                     out[e] = s
                 else:
@@ -133,7 +133,7 @@ class Polynomial:
             if e[k] == 0:
                 continue
             e2 = tuple(v - 1 if j == k else v for j, v in enumerate(e))
-            s = out.get(e2, GaussianRational(0)) + c * e[k]
+            s = out.get(e2, ZERO) + c * e[k]
             if s:
                 out[e2] = s
             else:
@@ -142,7 +142,7 @@ class Polynomial:
 
     def evaluate(self, point: dict) -> GaussianRational:
         vals = [GaussianRational.coerce(point[p]) for p in self.field.params]
-        total = GaussianRational(0)
+        total = ZERO
         for e, c in self.terms.items():
             term = c
             for v, p in zip(vals, e):
@@ -186,7 +186,7 @@ class Polynomial:
             if any(v < 0 for v in qe):
                 return None
             qc = c / dc
-            quot[qe] = quot.get(qe, GaussianRational(0)) + qc
+            quot[qe] = quot.get(qe, ZERO) + qc
             rem = rem - divisor * Polynomial(self.field, {qe: qc})
         return Polynomial(self.field, quot)
 
@@ -340,7 +340,7 @@ class RationalFunction:
         if not self.is_constant:
             raise ValueError(f"{self} is not constant")
         if not self.num:
-            return GaussianRational(0)
+            return ZERO
         zero = self.field._zero_exp
         return self.num.terms[zero] / self.den.terms[zero]
 
@@ -372,7 +372,7 @@ def _normalize(num: Polynomial, den: Polynomial):
         return q, field._one_poly()
     # make denominator lex-monic
     _, lead = den._lead()
-    if lead != GaussianRational(1):
+    if lead != ONE:
         inv = lead.inverse()
         num, den = num * inv, den * inv
     return num, den

@@ -1,15 +1,19 @@
 import ast
+import itertools
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from focklab import oscillator
+from focklab import cli, oscillator
 from focklab.cli import main, run_suite
 from focklab.laurent import Derivation, LaurentSeries, PrecisionExhausted, residue_form
 from focklab.oscillator import (
     BasisNotQuasiSymplectic,
     OscFockVector,
+    QuadraticOperator,
+    _double_tau_column,
     apply_mode,
     check_quasi_symplectic,
     coefficientwise_action,
@@ -25,6 +29,7 @@ from focklab.oscillator import (
     virasoro_sweep,
 )
 from focklab.ratfunc import DifferentialField
+from focklab.scalars import GaussianRational
 
 t = LaurentSeries.t_power
 
@@ -314,3 +319,164 @@ def test_virasoro_suite_reports_a_broken_identity(monkeypatch, broken):
 def test_virasoro_suite_json_unchanged():
     rep = run_suite("virasoro", {"kmax": 3, "grade": 4})
     assert rep.to_json_bytes() == VIRASORO_K3_G4_JSON.encode()
+
+
+# Defects in the operators the suite's checks 03 and 04 build, keyed by the
+# one check each must break.
+CLI_BREAKS = {
+    # [2 T(D_2), f] = 2 D_2(f): only the module commutator breaks
+    "virasoro.03-module-commutator": lambda real: lambda k: real(k).scale(2) if k == 2 else real(k),
+    # T(D_3) + id commutes with f as T(D_3) does: only the vacuum check breaks
+    "virasoro.04-positive-order-vacuum": lambda real: lambda k: real(k).plus_central(1) if k == 3 else real(k),
+}
+
+
+@pytest.mark.parametrize("check", sorted(CLI_BREAKS))
+def test_virasoro_suite_witnesses_module_and_vacuum_failures(monkeypatch, check):
+    op = CLI_BREAKS[check](tau_hat_Dk)
+    monkeypatch.setattr(cli, "tau_hat_Dk", op)
+    rep = run_suite("virasoro", {"kmax": 3, "grade": 4})
+    assert {c.id for c in rep.failed} == {check}
+    rec = rep.failed[0]
+    if check == "virasoro.03-module-commutator":
+        failing = [
+            (k, m, key)
+            for k in range(-4, 5)
+            for m in range(-4, 5)
+            if m
+            for key in osc_basis(4)
+            if commutator_with_multiplication(op(k), t(m), OscFockVector.basis(key))
+            != series_multiply(Derivation.D(k).apply(t(m)), OscFockVector.basis(key))
+        ]
+        k, m, key = failing[0]
+        assert rec.witness == f"[T(D_{k}), t^{m}] != D_{k}(t^{m}) on {key}; {len(failing)} failing (k,m,probe)"
+        assert k == 2
+    else:
+        assert rec.witness == "T(D_3) v_0 = (1)·v_0"
+    assert main(["--suite", "virasoro", "--param", "kmax=3", "--param", "grade=4"]) == 1
+
+
+# -- the per-key kernel of tau_hat(D_k) --------------------------------------------
+
+
+def _monomial_sum(op, v):
+    """op applied to v through every normally ordered monomial, two modes at a
+    time: the reference the per-key kernel replaces."""
+    n = v.max_mode()
+    out = v.scale(op.central)
+    for k, w in op.weights.items():
+        for a, b, coeff in op.monomials_for_grade(k, n):
+            out = out + apply_mode(a, apply_mode(b, v)).scale(coeff * w)
+    return out
+
+
+def test_double_tau_column_matches_the_monomial_sum():
+    keys = osc_basis(9)
+    for k in range(-12, 13):
+        for key in keys:
+            column = _double_tau_column(k, key)
+            assert all(type(c) is int and c for c in column.values()), (k, key)
+            want = _monomial_sum(tau_hat_Dk(k), OscFockVector.basis(key)).scale(2)
+            assert OscFockVector(column) == want, (k, key)
+
+
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+scalars = st.one_of(
+    st.integers(-5, 5),
+    small_rationals,
+    st.builds(GaussianRational, small_rationals, small_rationals),
+)
+vectors = st.dictionaries(st.sampled_from(osc_basis(5)), scalars, max_size=4).map(OscFockVector)
+weights = st.dictionaries(st.integers(-7, 7), scalars, max_size=4)
+
+
+@st.composite
+def operators(draw):
+    kind = draw(st.sampled_from(["weighted", "scaled", "central", "series"]))
+    if kind == "series":
+        g = LaurentSeries.from_terms(draw(weights.map(lambda w: {k + 1: c for k, c in w.items()})),
+                                     draw(st.integers(4, 14)))
+        return tau_hat_D(Derivation.from_series(g))
+    op = QuadraticOperator(draw(weights), -10**9, 10**9)
+    if kind == "scaled":
+        op = op.scale(draw(scalars))
+    elif kind == "central":
+        op = op.plus_central(draw(scalars))
+    return op
+
+
+@settings(max_examples=300, deadline=None)
+@given(operators(), vectors)
+def test_apply_matches_the_monomial_sum(op, v):
+    try:
+        got = op.apply(v)
+    except PrecisionExhausted:
+        assert v and 2 * v.max_mode() >= op.khi
+        return
+    assert got == _monomial_sum(op, v)
+    assert all(got.terms.values())
+
+
+def test_precision_boundary_is_twice_the_largest_mode():
+    for n in range(1, 6):
+        v = OscFockVector.basis((-n,))
+        for khi in range(2 * n - 2, 2 * n + 3):
+            op = QuadraticOperator({1: 1}, -10**9, khi)
+            if 2 * n >= khi:
+                with pytest.raises(PrecisionExhausted):
+                    op.apply(v)
+            else:
+                assert op.apply(v) == _monomial_sum(op, v)
+            assert not op.apply(OscFockVector())
+
+
+def _cancelling_input(op, keys):
+    """A combination of two basis vectors whose images under op share a key,
+    weighted so that this key cancels; returns (vector, cancelled key)."""
+    for x, y in itertools.combinations(keys, 2):
+        vx, vy = OscFockVector.basis(x), OscFockVector.basis(y)
+        ox, oy = op(vx), op(vy)
+        shared = sorted(set(ox.terms) & set(oy.terms))
+        if shared:
+            key = shared[0]
+            return vx.scale(oy.terms[key]) - vy.scale(ox.terms[key]), key
+    raise LookupError("no two images share a key")
+
+
+def test_no_entry_is_stored_as_zero():
+    """OscFockVector.__eq__ compares term dicts, so every constructor and
+    operation must drop the entries that cancel."""
+    xy = DifferentialField(["x"])
+    v = OscFockVector({(-1,): 2, (-2, -1): Fraction(1, 2)})
+    results = {
+        "__init__": (OscFockVector({(-1, -2): 1, (-2, -1): -1, (-3,): 0, (-1,): 2}), (-2, -1)),
+        "+": (v + OscFockVector({(-1,): -2}), (-1,)),
+        "-": (v - OscFockVector({(-2, -1): Fraction(1, 2)}), (-2, -1)),
+        "scale": (v.scale(0), (-1,)),
+        "map_coefficients": (v.map_coefficients(lambda c: c - 2), (-1,)),
+        "apply_mode": (apply_mode(0, v), (-1,)),
+        "lift horizontal": (
+            lift_derivation(Derivation.horizontal_part({"x": 1}), t_basis(-4, 4)).apply(
+                OscFockVector({(-1,): xy.var("x"), (-2,): xy.one})
+            ),
+            (-2,),
+        ),
+    }
+    ops = {
+        "series_multiply": lambda w: series_multiply(LaurentSeries.polynomial({-1: 1, -2: 1}), w),
+        "QuadraticOperator.apply": tau_hat_Dk(-1).apply,
+        "LiftedDerivation.apply": lift_derivation(Derivation.D(-1), t_basis(-8, 8)).apply,
+    }
+    for name, op in ops.items():
+        w, key = _cancelling_input(op, osc_basis(4))
+        results[name] = (op(w), key)
+    results["apply_mode annihilation"] = (apply_mode(1, v), (-1, -1))
+    # T(D_0) is minus the energy, so T(D_0) + 3 id kills e_{-3} v_0
+    results["QuadraticOperator.apply central"] = (
+        tau_hat_Dk(0).plus_central(3).apply(OscFockVector.basis((-3,))), (-3,)
+    )
+    for name, (out, gone) in results.items():
+        assert all(out.terms.values()), name
+        assert gone not in out.terms, name
+    assert results["__init__"][0] == OscFockVector({(-1,): 2})
+    assert results["scale"][0] == OscFockVector() == results["apply_mode"][0]

@@ -2,7 +2,9 @@
 
 * no `except Exception` and no bare `except:` -- a broad handler would turn
   a defect (say a TypeError from a wrongly typed zero) into a verdict;
-* no `assert` statement -- `python -O` strips it, so it cannot certify.
+* no `assert` statement -- `python -O` strips it, so it cannot certify;
+* no module-level import that the module never names -- except in
+  `__init__.py`, whose imports are the package's re-exports.
 """
 
 import ast
@@ -30,10 +32,26 @@ def violations(tree):
     return sorted(found)
 
 
+def unused_imports(tree):
+    """(line, rule) for every module-level import whose name is never used."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, f"unused import {name}") for line, name in bound if name not in used]
+
+
 def test_the_rules_catch_each_pattern():
     bad = "try:\n    pass\nexcept:\n    pass\ntry:\n    pass\nexcept (ValueError, Exception):\n    pass\nassert 1\n"
     assert [why for _, why in violations(ast.parse(bad))] == [
         "bare except", "except Exception", "assert statement"
+    ]
+    imports = "from __future__ import annotations\nimport os.path\nimport re as regex\nfrom a import b, c\nos.sep\nc()\n"
+    assert [why for _, why in unused_imports(ast.parse(imports))] == [
+        "unused import regex", "unused import b"
     ]
 
 
@@ -46,4 +64,6 @@ def test_package_sources_keep_the_rules():
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), filename=path)
         found += [f"{name}:{line}: {why}" for line, why in violations(tree)]
+        if name != "__init__.py":
+            found += [f"{name}:{line}: {why}" for line, why in unused_imports(tree)]
     assert found == []
