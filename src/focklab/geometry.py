@@ -252,7 +252,7 @@ def wzw_gram(model: HyperellipticModel, D: Derivation, omegas=None) -> ExactMatr
         for j in range(1, g + 1):
             raw = residue(pairing_with_form(D, omegas[i - 1]) * omegas[j - 1])
             m[i - 1][j - 1] = raw * Fraction(1, i * j)
-            lhs = residue(e[j - 1] * D.apply(e[i - 1]).derivative())
+            lhs = residue_form(D.apply(e[i - 1]), e[j - 1])
             if lhs + Fraction(i * j) * raw:
                 raise IdentityFailed(
                     f"sign identity failed at entry ({i},{j}): "

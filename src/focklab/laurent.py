@@ -525,7 +525,10 @@ def residue_sum(f: SemiLocalSeries):
 
 
 def semilocal_residue_form(f: SemiLocalSeries, g: SemiLocalSeries):
-    return residue_sum(g * f.derivative())
+    """Sum over the punctures of the component forms residue_form(f_p, g_p)."""
+    if set(f.parts) != set(g.parts):
+        raise ValueError("puncture sets differ")
+    return sum(residue_form(fp, g.parts[p]) for p, fp in f.parts.items())
 
 
 # -- text format --------------------------------------------------------------

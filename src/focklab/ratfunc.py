@@ -2,19 +2,46 @@
 
 Elements are quotients of sparse multivariate polynomials over Q(sqrt(-1)).
 The parameters are treated as real: conjugation fixes them and conjugates
-coefficients.  There is no general multivariate gcd; normalization cancels
-scalar content, common monomial factors and opportunistic exact divisions,
-which keeps the quotients appearing in the polarized-family computations
-(denominators are monomials in the imaginary parts) fully reduced.  Equality
-never needs gcd: it is decided by cross multiplication.
+coefficients.  There is no general multivariate gcd.  Every RationalFunction
+is stored in one normal form, which `_normalize` computes in three steps:
+
+1. cancel the monomial content: the componentwise least exponent that the
+   numerator and the denominator share;
+2. try exact division of the numerator by the denominator; when it succeeds
+   the quotient is the numerator and the denominator is 1.  A single-term
+   divisor c*x^d divides in closed form: the quotient is {e - d: a / c} when
+   every exponent e of the numerator is at least d, and the division is not
+   exact otherwise.  Longer divisors run lex long division;
+3. otherwise scale both so that the denominator's lex-leading coefficient
+   is 1.
+
+This reduces the quotients of the polarized-family computations, whose
+denominators are monomials in the imaginary parts, completely.  Equality
+never needs a gcd: equal denominators compare numerators, others cross
+multiply.  The hash is built from the lex lead exponent and lead coefficient
+ratio of numerator over denominator, which a common factor cannot change
+(lex is a monomial order), so equal values hash equally.
+
+Some results are in normal form already and skip `_normalize`: negation;
+conjugation, a ring automorphism that keeps every exponent, every exact
+division and the denominator's lead coefficient 1; scaling by a nonzero
+constant, which moves no exponent or exact division and leaves the
+denominator alone; adding zero, which returns the other operand; and the
+constants and variables of a field, whose denominator is 1.
+tests/test_ratfunc.py checks that every operation returns a fixed point of
+`_normalize`.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import lt, sub
 
 from .scalars import ONE, ZERO, GaussianRational, conj as _conj_scalar
+
+_SCALARS = (int, Fraction, GaussianRational)
+_new = object.__new__
 
 
 class DifferentialField:
@@ -33,28 +60,22 @@ class DifferentialField:
         self.params = params
         self.nvars = len(params)
         self._zero_exp = (0,) * self.nvars
-        self.zero = RationalFunction(self, Polynomial(self, {}), self._one_poly())
-        self.one = RationalFunction(self, self._one_poly(), self._one_poly())
-        self.i = RationalFunction(
-            self,
-            Polynomial(self, {self._zero_exp: GaussianRational(0, 1)}),
-            self._one_poly(),
-        )
+        self.zero = _normal(self, _poly(self, {}), self._one_poly())
+        self.one = self.const(ONE)
+        self.i = self.const(GaussianRational(0, 1))
 
     def _one_poly(self):
-        return Polynomial(self, {self._zero_exp: ONE})
+        return _poly(self, {self._zero_exp: ONE})
 
     def var(self, name: str) -> "RationalFunction":
         k = self.params.index(name)
         exp = tuple(1 if j == k else 0 for j in range(self.nvars))
-        return RationalFunction(
-            self, Polynomial(self, {exp: ONE}), self._one_poly()
-        )
+        return _normal(self, _poly(self, {exp: ONE}), self._one_poly())
 
     def const(self, c) -> "RationalFunction":
         c = GaussianRational.coerce(c)
-        num = Polynomial(self, {self._zero_exp: c} if c else {})
-        return RationalFunction(self, num, self._one_poly())
+        num = _poly(self, {self._zero_exp: c} if c else {})
+        return _normal(self, num, self._one_poly())
 
     def convert(self, x) -> "RationalFunction":
         if isinstance(x, RationalFunction):
@@ -102,17 +123,19 @@ class Polynomial:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return Polynomial(self.field, out)
+        return _poly(self.field, out)
 
     def __neg__(self):
-        return Polynomial(self.field, {e: -c for e, c in self.terms.items()})
+        return _poly(self.field, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, GaussianRational):
-            return Polynomial(self.field, {e: c * other for e, c in self.terms.items()})
+            if not other:
+                return _poly(self.field, {})
+            return _poly(self.field, {e: c * other for e, c in self.terms.items()})
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -122,10 +145,10 @@ class Polynomial:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return Polynomial(self.field, out)
+        return _poly(self.field, out)
 
     def conj(self):
-        return Polynomial(self.field, {e: c.conj() for e, c in self.terms.items()})
+        return _poly(self.field, {e: c.conj() for e, c in self.terms.items()})
 
     def derivative(self, k: int) -> "Polynomial":
         out: dict = {}
@@ -138,7 +161,7 @@ class Polynomial:
                 out[e2] = s
             else:
                 out.pop(e2, None)
-        return Polynomial(self.field, out)
+        return _poly(self.field, out)
 
     def evaluate(self, point: dict) -> GaussianRational:
         vals = [GaussianRational.coerce(point[p]) for p in self.field.params]
@@ -163,9 +186,8 @@ class Polynomial:
     def shift_down(self, exp):
         if exp == self.field._zero_exp:
             return self
-        return Polynomial(
-            self.field,
-            {tuple(a - b for a, b in zip(e, exp)): c for e, c in self.terms.items()},
+        return _poly(
+            self.field, {tuple(map(sub, e, exp)): c for e, c in self.terms.items()}
         )
 
     def _lead(self):
@@ -174,9 +196,22 @@ class Polynomial:
         return e, self.terms[e]
 
     def divide_exact(self, divisor: "Polynomial"):
-        """Return self/divisor if the division is exact, else None."""
+        """Return self/divisor if the division is exact, else None.
+
+        A single-term divisor c*x^d divides in closed form, {e - d: a / c},
+        which is what long division computes for it; longer divisors run lex
+        long division.
+        """
         if not divisor:
             raise ZeroDivisionError("polynomial division by zero")
+        if len(divisor.terms) == 1:
+            ((de, dc),) = divisor.terms.items()
+            out = {}
+            for e, c in self.terms.items():
+                if any(map(lt, e, de)):
+                    return None
+                out[tuple(map(sub, e, de))] = c / dc
+            return _poly(self.field, out)
         rem = self
         quot: dict = {}
         while rem:
@@ -237,9 +272,15 @@ class RationalFunction:
             if other.field != self.field:
                 raise ValueError("mixing different differential fields")
             return other
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, _SCALARS):
             return self.field.const(other)
         return None
+
+    def _scale(self, c):
+        """self * c for a constant c of Q(sqrt(-1)): only the numerator moves."""
+        if not c:
+            return self.field.zero
+        return _normal(self.field, self.num * GaussianRational.coerce(c), self.den)
 
     # -- ring/field ops ----------------------------------------------------
 
@@ -250,18 +291,31 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.den == other.den:
+            return self.num == other.num
         return not (self.num * other.den - other.num * self.den)
 
     def __hash__(self):
-        # hash constants compatibly with their value; general elements by id-ish key
-        if self.is_constant:
-            return hash(self.constant_value())
-        return hash((self.num, self.den))
+        # lead(p h) = lead(p) lead(h) in the lex order, so the lead exponent
+        # and lead coefficient of num over den do not see a common factor h
+        if not self.num:
+            return hash(ZERO)
+        ne, nc = self.num._lead()
+        de, dc = self.den._lead()
+        ratio = nc / dc
+        shift = tuple(map(sub, ne, de))
+        return hash((shift, ratio)) if any(shift) else hash(ratio)
 
     def __add__(self, other):
+        if isinstance(other, _SCALARS) and not other:
+            return self
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not other.num:
+            return self
+        if not self.num:
+            return other
         if self.den == other.den:
             return RationalFunction(self.field, self.num + other.num, self.den)
         return RationalFunction(
@@ -271,7 +325,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(self.field, -self.num, self.den)
+        return _normal(self.field, -self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -283,6 +337,8 @@ class RationalFunction:
         return -self + other
 
     def __mul__(self, other):
+        if isinstance(other, _SCALARS):
+            return self._scale(other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -316,7 +372,7 @@ class RationalFunction:
     # -- differential/involution structure ---------------------------------
 
     def conj(self):
-        return RationalFunction(self.field, self.num.conj(), self.den.conj())
+        return _normal(self.field, self.num.conj(), self.den.conj())
 
     def derivative(self, param: str) -> "RationalFunction":
         k = self.field.params.index(param)
@@ -376,6 +432,23 @@ def _normalize(num: Polynomial, den: Polynomial):
         inv = lead.inverse()
         num, den = num * inv, den * inv
     return num, den
+
+
+def _poly(field, terms: dict) -> Polynomial:
+    """A Polynomial from a term dict that holds no zero coefficient."""
+    p = _new(Polynomial)
+    p.field = field
+    p.terms = terms
+    return p
+
+
+def _normal(field, num: Polynomial, den: Polynomial) -> RationalFunction:
+    """A RationalFunction from a pair that is already in normal form."""
+    rf = _new(RationalFunction)
+    rf.field = field
+    rf.num = num
+    rf.den = den
+    return rf
 
 
 def conj(x):

@@ -614,7 +614,11 @@ def scalar_action(D: Derivation, q: QuotientSymplectic, probes):
             continue
         # solve image == lam * base on the leading key
         key = next(iter(base.terms))
-        lam = image.terms.get(key, 0) / base.terms[key]
+        top, bottom = image.terms.get(key, 0), base.terms[key]
+        if isinstance(top, int) and isinstance(bottom, int):
+            lam = Fraction(top, bottom)  # int / int would give a float
+        else:
+            lam = top / bottom
         if image != base.scale(lam):
             raise NotScalar(f"action is not scalar on probe {probe}")
         if scalar is None:

@@ -251,6 +251,70 @@ def test_semilocal_residue_sum_of_exact_differential():
     )
 
 
+def _outcome(fn):
+    """The value of fn(), or the class of the error it raised."""
+    try:
+        return fn()
+    except (WindowTooNarrow, ValueError) as exc:
+        return type(exc)
+
+
+@st.composite
+def semilocal_pairs(draw):
+    """Two semi-local series on one puncture set, or on two different ones."""
+    coefficients = COEFFICIENTS[draw(st.sampled_from(sorted(COEFFICIENTS)))]
+    names = draw(st.lists(st.sampled_from("pqr"), min_size=1, max_size=3, unique=True))
+    f = {p: draw(windowed_series(coefficients)) for p in names}
+    g = {p: draw(windowed_series(coefficients)) for p in names}
+    if draw(st.integers(0, 5)) == 0:
+        g[draw(st.sampled_from("pqrs"))] = draw(windowed_series(coefficients))
+    return SemiLocalSeries(f), SemiLocalSeries(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(semilocal_pairs())
+@example((SemiLocalSeries({"p": t(1)}), SemiLocalSeries({"q": t(-1)})))
+@example((SemiLocalSeries({"p": t(1), "q": LaurentSeries(-1, 1, {-1: 1})}),
+          SemiLocalSeries({"p": t(-1), "q": LaurentSeries(1, 1, {})})))
+def test_semilocal_residue_form_matches_product(pair):
+    """Sum of component residue_form values against residue_sum(g * df)."""
+    f, g = pair
+    got = _outcome(lambda: semilocal_residue_form(f, g))
+    want = _outcome(lambda: residue_sum(g * f.derivative()))
+    assert got == want
+    assert bool(got) == bool(want)
+
+
+@st.composite
+def derivations(draw):
+    if draw(st.booleans()):
+        return Derivation.D(draw(st.integers(-3, 3)))
+    return Derivation.from_series(draw(windowed_series(COEFFICIENTS["Q"])))
+
+
+@st.composite
+def polynomial_pairs(draw):
+    terms = st.dictionaries(st.integers(-4, 4), rationals, min_size=1, max_size=4)
+    return LaurentSeries.polynomial(draw(terms)), LaurentSeries.polynomial(draw(terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(residue_pairs(), polynomial_pairs()), derivations())
+# the product window ends exactly at t^-1
+@example((LaurentSeries(-1, 1, {-1: 1}), LaurentSeries(1, 1, {})), Derivation.D(0))
+def test_derivation_residue_form_matches_product(pair, D):
+    """The residue of the wzw-gram sign identity, res(e_j d(D e_i)), taken as
+    residue_form(D e_i, e_j) against the residue of the product series."""
+    e_i, e_j = pair
+    De_i = _outcome(lambda: D.apply(e_i))
+    if isinstance(De_i, type):
+        return
+    got = _outcome(lambda: residue_form(De_i, e_j))
+    want = _outcome(lambda: residue(e_j * De_i.derivative()))
+    assert got == want
+    assert bool(got) == bool(want)
+
+
 def test_parse_and_format_roundtrip():
     f = parse_series("3/2*t^-2 - t + (1+2i)*t^3; prec=9")
     assert f.coefficient(-2) == GaussianRational(F(3, 2))

@@ -1,0 +1,349 @@
+"""Rational functions: normal form, fast paths, hashing.
+
+The oracle below is the long-division normalisation that every
+RationalFunction went through before single-term divisors got their closed
+form and scaling, negation and conjugation stopped renormalising.  It works
+on plain {exponent: GaussianRational} dicts, so it shares no code with the
+module under test, and each operation is replayed on it with the same
+formula the module used; the stored (num.terms, den.terms) must come out
+identical, not merely equal as values.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from focklab.ratfunc import DifferentialField, Polynomial, RationalFunction, _normalize
+from focklab.scalars import ONE, ZERO, GaussianRational
+
+F = Fraction
+XY = DifferentialField(["x", "y"])
+Z = XY._zero_exp
+REF_ONE = {Z: ONE}
+
+# -- the reference normal form, on plain term dicts ------------------------------------
+
+
+def p_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        s = out.get(e, ZERO) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def p_neg(p):
+    return {e: -c for e, c in p.items()}
+
+
+def p_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = out.get(e, ZERO) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def p_conj(p):
+    return {e: c.conj() for e, c in p.items()}
+
+
+def p_derivative(p, k):
+    out = {}
+    for e, c in p.items():
+        if e[k]:
+            e2 = tuple(v - 1 if j == k else v for j, v in enumerate(e))
+            out = p_add(out, {e2: c * e[k]})
+    return out
+
+
+def p_content(p):
+    mins = None
+    for e in p:
+        mins = e if mins is None else tuple(map(min, mins, e))
+    return mins
+
+
+def ref_divide_exact(num, div):
+    rem, quot = num, {}
+    while rem:
+        e = max(rem)
+        de = max(div)
+        qe = tuple(a - b for a, b in zip(e, de))
+        if any(v < 0 for v in qe):
+            return None
+        qc = rem[e] / div[de]
+        quot[qe] = quot.get(qe, ZERO) + qc
+        rem = p_add(rem, p_neg(p_mul(div, {qe: qc})))
+    return {e: c for e, c in quot.items() if c}
+
+
+def ref_normalize(num, den):
+    if not num:
+        return {}, dict(REF_ONE)
+    cm = tuple(map(min, p_content(num), p_content(den)))
+    if any(cm):
+        num = {tuple(a - b for a, b in zip(e, cm)): c for e, c in num.items()}
+        den = {tuple(a - b for a, b in zip(e, cm)): c for e, c in den.items()}
+    q = ref_divide_exact(num, den)
+    if q is not None:
+        return q, dict(REF_ONE)
+    lead = den[max(den)]
+    if lead != ONE:
+        inv = lead.inverse()
+        num = {e: c * inv for e, c in num.items()}
+        den = {e: c * inv for e, c in den.items()}
+    return num, den
+
+
+def ref(x):
+    """The reference pair of an operand: scalars become constants."""
+    if isinstance(x, RationalFunction):
+        return x.num.terms, x.den.terms
+    c = GaussianRational.coerce(x)
+    return ref_normalize({Z: c} if c else {}, dict(REF_ONE))
+
+
+def r_add(a, b):
+    (n1, d1), (n2, d2) = a, b
+    if d1 == d2:
+        return ref_normalize(p_add(n1, n2), d1)
+    return ref_normalize(p_add(p_mul(n1, d2), p_mul(n2, d1)), p_mul(d1, d2))
+
+
+def r_neg(a):
+    return ref_normalize(p_neg(a[0]), a[1])
+
+
+def r_mul(a, b):
+    return ref_normalize(p_mul(a[0], b[0]), p_mul(a[1], b[1]))
+
+
+def r_div(a, b):
+    return ref_normalize(p_mul(a[0], b[1]), p_mul(a[1], b[0]))
+
+
+def r_pow(a, n):
+    if n < 0:
+        return r_pow(r_div(ref(1), a), -n)
+    out, base = ref(1), a
+    while n:
+        if n & 1:
+            out = r_mul(out, base)
+        base = r_mul(base, base)
+        n >>= 1
+    return out
+
+
+def r_conj(a):
+    return ref_normalize(p_conj(a[0]), p_conj(a[1]))
+
+
+def r_derivative(a, k):
+    n, d = a
+    num = p_add(p_mul(p_derivative(n, k), d), p_neg(p_mul(n, p_derivative(d, k))))
+    return ref_normalize(num, p_mul(d, d))
+
+
+# -- inputs -----------------------------------------------------------------------------
+
+GAUSS = [
+    GaussianRational(c)
+    for c in (1, -1, 2, F(1, 2), F(-3, 4))
+] + [GaussianRational(0, 1), GaussianRational(1, -1), GaussianRational(F(2, 3), F(-1, 3))]
+exponents = st.tuples(st.integers(0, 2), st.integers(0, 2))
+coefficients = st.sampled_from(GAUSS)
+scalars = st.one_of(
+    st.integers(-3, 3),
+    st.builds(F, st.integers(-3, 3), st.integers(1, 3)),
+    st.sampled_from(GAUSS + [GaussianRational(0)]),
+)
+
+
+def poly_terms(min_size, max_size):
+    return st.dictionaries(exponents, coefficients, min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def raw_pairs(draw):
+    """(num, den) term dicts: a monomial or a longer denominator, sometimes
+    with a common factor, so every step of the normal form gets exercised."""
+    num = draw(poly_terms(0, 3))
+    den = draw(st.one_of(poly_terms(1, 1), poly_terms(2, 3)))
+    if draw(st.booleans()):
+        h = draw(poly_terms(1, 2))
+        num, den = p_mul(num, h), p_mul(den, h)
+    return num, den
+
+
+@st.composite
+def rfs(draw):
+    num, den = draw(raw_pairs())
+    return RationalFunction(XY, Polynomial(XY, num), Polynomial(XY, den))
+
+
+operands = st.one_of(rfs(), rfs(), scalars)
+
+
+def assert_matches(got, want):
+    assert isinstance(got, RationalFunction)
+    assert (got.num.terms, got.den.terms) == want
+    # every value an operation returns is a fixed point of the normal form
+    num, den = _normalize(got.num, got.den)
+    assert (num.terms, den.terms) == (got.num.terms, got.den.terms)
+
+
+# -- the oracle -------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_pairs())
+def test_construction_matches_long_division(pair):
+    num, den = pair
+    got = RationalFunction(XY, Polynomial(XY, num), Polynomial(XY, den))
+    assert_matches(got, ref_normalize(num, den))
+
+
+def r_sub(a, b):
+    # scalar - rf runs rf.__rsub__, which is -rf + scalar
+    if isinstance(b, RationalFunction) and not isinstance(a, RationalFunction):
+        return r_add(r_neg(ref(b)), ref(a))
+    return r_add(ref(a), r_neg(ref(b)))
+
+
+BINARY = {
+    "+": (lambda a, b: a + b, lambda a, b: r_add(ref(a), ref(b))),
+    "-": (lambda a, b: a - b, r_sub),
+    "*": (lambda a, b: a * b, lambda a, b: r_mul(ref(a), ref(b))),
+    "/": (lambda a, b: a / b, lambda a, b: r_div(ref(a), ref(b))),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(BINARY)), operands, operands)
+@example("+", XY.var("x"), 0)
+@example("+", 0, XY.var("x"))
+@example("*", XY.parse("x/y"), 0)
+@example("*", GaussianRational(0, 1), XY.parse("(x + 1)/y^2"))
+@example("-", F(1, 2), XY.parse("x/(x + y)"))
+def test_operations_match_long_division(op, a, b):
+    if not (isinstance(a, RationalFunction) or isinstance(b, RationalFunction)):
+        b = XY.const(b)
+    fn, want = BINARY[op]
+    if op == "/" and not b:
+        with pytest.raises(ZeroDivisionError):
+            fn(a, b)
+        return
+    assert_matches(fn(a, b), want(a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rfs(), st.integers(-3, 3))
+def test_pow_matches_long_division(a, n):
+    if n < 0 and not a:
+        return
+    assert_matches(a**n, r_pow(ref(a), n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rfs(), st.sampled_from(["x", "y"]))
+def test_unary_operations_match_long_division(a, param):
+    assert_matches(-a, r_neg(ref(a)))
+    assert_matches(a.conj(), r_conj(ref(a)))
+    assert_matches(a.derivative(param), r_derivative(ref(a), XY.params.index(param)))
+
+
+def test_field_constructors_are_normal():
+    for value in (XY.zero, XY.one, XY.i, XY.var("x"), XY.const(F(-2, 3)), XY.const(0)):
+        assert_matches(value, ref_normalize(value.num.terms, value.den.terms))
+
+
+def test_scalar_fast_paths():
+    f = XY.parse("(x + 1)/y")
+    assert f + 0 is f and 0 + f is f and f - 0 is f
+    assert f * 0 == 0 and not (0 * f) and (f * GaussianRational(0)).den.terms == REF_ONE
+    assert (f * 2).den.terms == f.den.terms
+    assert (GaussianRational(0, 1) * f).num.terms == {(1, 0): GaussianRational(0, 1),
+                                                      Z: GaussianRational(0, 1)}
+
+
+# -- against sympy ----------------------------------------------------------------------
+
+
+def to_sympy(x):
+    sympy = pytest.importorskip("sympy")
+    sx, sy = sympy.symbols("x y", real=True)
+
+    def scalar(c):
+        c = GaussianRational.coerce(c)
+        return sympy.Rational(c.re.numerator, c.re.denominator) + sympy.I * sympy.Rational(
+            c.im.numerator, c.im.denominator
+        )
+
+    def poly(terms):
+        return sum((scalar(c) * sx ** e[0] * sy ** e[1] for e, c in terms.items()), sympy.S(0))
+
+    if isinstance(x, RationalFunction):
+        return poly(x.num.terms) / poly(x.den.terms)
+    return scalar(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(BINARY)), rfs(), operands)
+def test_operations_agree_with_sympy_cancel(op, a, b):
+    sympy = pytest.importorskip("sympy")
+    if op == "/" and not b:
+        return
+    got = BINARY[op][0](a, b)
+    sa, sb = to_sympy(a), to_sympy(b)
+    want = {"+": sa + sb, "-": sa - sb, "*": sa * sb, "/": sa / sb}[op]
+    assert sympy.cancel(to_sympy(got) - want) == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(rfs(), st.integers(-2, 2))
+def test_unary_operations_agree_with_sympy_cancel(a, n):
+    sympy = pytest.importorskip("sympy")
+    sa = to_sympy(a)
+    sx, sy = sympy.symbols("x y", real=True)
+    assert sympy.cancel(to_sympy(a.conj()) - sympy.conjugate(sa)) == 0
+    assert sympy.cancel(to_sympy(a.derivative("y")) - sympy.diff(sa, sy)) == 0
+    if a or n >= 0:
+        assert sympy.cancel(to_sympy(a**n) - sa**n) == 0
+
+
+# -- hashing ----------------------------------------------------------------------------
+
+
+def test_hash_agrees_with_eq_on_an_unreduced_quotient():
+    xyz = DifferentialField(["x", "y", "z"])
+    a = xyz.parse("((x+1)*y)/((x+1)*z)")
+    b = xyz.parse("y/z")
+    assert a == b
+    assert (a.num.terms, a.den.terms) != (b.num.terms, b.den.terms)
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(rfs(), poly_terms(1, 2))
+def test_hash_ignores_a_common_factor(a, h):
+    h = Polynomial(XY, h)
+    b = RationalFunction(XY, a.num * h, a.den * h)
+    assert a == b
+    assert hash(a) == hash(b)
+
+
+@given(scalars)
+def test_constants_hash_like_their_value(c):
+    assert XY.const(c) == c
+    assert hash(XY.const(c)) == hash(c)

@@ -289,3 +289,19 @@ def test_scalar_action_not_scalar_detection():
         lam = scalar_action(bad, q, probes)
         # if it happens to be scalar on these probes the value must be probed
         raise NotScalar(f"unexpectedly scalar: {lam}")
+
+
+def test_scalar_action_is_exact():
+    """Integer covariant coefficients divide as a Fraction, never as a float."""
+    q0 = build_quotient(genus0_subalgebra(window=24, degree_bound=10))
+    lam = scalar_action(Derivation.D(1), q0, [KMinusVector.vacuum()])
+    assert lam == 0 and isinstance(lam, Fraction)
+    # the hyperelliptic.06 probes on y^2 = x^3 - x keep their scalar 0
+    model, data, q = g1_quotient()
+    probes = [
+        KMinusVector.vacuum(),
+        KMinusVector({(("q", 1),): 1}),
+        KMinusVector({(("q", 1), ("q", 1)): 1}),
+    ]
+    lam = scalar_action(model.tangent_field(), q, probes)
+    assert lam == 0 and not isinstance(lam, float)
