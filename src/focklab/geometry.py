@@ -234,12 +234,14 @@ def closure_falsifier(model: HyperellipticModel, data: CurveFockData | None = No
 # -- the residue Gram of the connection operator --------------------------------------
 
 
-def wzw_gram(model: HyperellipticModel, D: Derivation, omegas=None) -> ExactMatrix:
-    """M_ij = res(<D, omega_i> omega_j) / (i j) for a vertical derivation.
+def wzw_gram_entries(model: HyperellipticModel, D: Derivation, omegas=None):
+    """(M, sign_witness) for a vertical derivation, with
+    M_ij = res(<D, omega_i> omega_j) / (i j).
 
-    Certifies symmetry (selfadjointness of D for the residue pairing) and the
-    per-entry sign identity res(e_j d(D e_i)) = -i j res(<D,omega_i> omega_j)
-    with e_j = j phi_{2j-1} (so that de_j = j omega_j).
+    sign_witness is None when the per-entry sign identity
+    res(e_j d(D e_i)) = -i j res(<D,omega_i> omega_j), e_j = j phi_{2j-1} (so
+    that de_j = j omega_j), holds at every entry, and otherwise describes the
+    first entry where it fails.  Symmetry of M is left to the caller.
     """
     if not D.is_vertical:
         raise ValueError("wzw_gram takes a vertical derivation")
@@ -248,17 +250,30 @@ def wzw_gram(model: HyperellipticModel, D: Derivation, omegas=None) -> ExactMatr
         omegas = [model.omega_coefficient(i) for i in range(1, g + 1)]
     e = [model.phi(j).scale(j) for j in range(1, g + 1)]
     m = [[None] * g for _ in range(g)]
+    witness = None
     for i in range(1, g + 1):
         for j in range(1, g + 1):
             raw = residue(pairing_with_form(D, omegas[i - 1]) * omegas[j - 1])
             m[i - 1][j - 1] = raw * Fraction(1, i * j)
             lhs = residue_form(D.apply(e[i - 1]), e[j - 1])
-            if lhs + Fraction(i * j) * raw:
-                raise IdentityFailed(
+            if witness is None and lhs + Fraction(i * j) * raw:
+                witness = (
                     f"sign identity failed at entry ({i},{j}): "
                     f"res(e_j d(De_i)) = {lhs}, -ij res(<D,w_i>w_j) = {-Fraction(i*j)*raw}"
                 )
-    mat = ExactMatrix(m)
+    return ExactMatrix(m), witness
+
+
+def wzw_gram(model: HyperellipticModel, D: Derivation, omegas=None) -> ExactMatrix:
+    """M_ij = res(<D, omega_i> omega_j) / (i j) for a vertical derivation.
+
+    Certifies symmetry (selfadjointness of D for the residue pairing) and the
+    per-entry sign identity of wzw_gram_entries; raises IdentityFailed when
+    either fails.
+    """
+    mat, witness = wzw_gram_entries(model, D, omegas)
+    if witness is not None:
+        raise IdentityFailed(witness)
     if not (mat - mat.transpose()).is_zero():
         raise IdentityFailed("residue Gram is not symmetric")
     return mat

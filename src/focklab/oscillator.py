@@ -8,8 +8,9 @@ since the inducing character kills O.
 Normally ordered quadratic operators are lazy-by-grade: for a vector of
 bounded grade only finitely many monomials act, so the action is exact with
 no window error; a window enters only through the coefficient series of a
-derivation, and exhaustion raises instead of truncating silently.  Operators
-accumulate their image into one dictionary in place.
+derivation, and exhaustion raises instead of truncating silently.  One
+in-place kernel, QuadraticOperator._add_doubled, adds sign * 2 * op * v into
+an existing dictionary; apply and the Virasoro sweep both go through it.
 
 tau_hat(D_k) = -(1/2) sum_{a+b=k, a,b != 0} :e_a e_b: reproduces
 [tau_hat(D_k), f] = D_k(f) and the central term (k^3 - k)/12 delta_{k+l,0}.
@@ -24,11 +25,17 @@ virasoro_bracket certifies one (k, l) pair; virasoro_sweep certifies every
 pair with |k|, |l| <= kmax and shares the work between them.  Following the
 grade decomposition of the oscillator representation (T(D_k) maps grade n to
 grade n - k; Kac and Raina, Bombay Lectures, 1987), it takes one probe vector
-v at a time, applies each T(D_m) to v once, and forms the two products
-T(D_k) T(D_l) v and T(D_l) T(D_k) v once for both orders of a pair.  It
-compares 4 [T_k, T_l] v - 2 (l - k) (2 T_{k+l} v) with 4 central v, which on
-basis probes runs in exact integers.  Every vector it compares still comes
-from applying the operators, never from the bracket formula being verified.
+v at a time and applies each T(D_m) to v once.  For each unordered pair
+k < l a single integer dictionary accumulates
+4 T_k T_l v - 4 T_l T_k v - 2 (l - k) (2 T_{k+l} v) in place, with no
+intermediate vectors, and is compared with 4 central(k, l) v for (k, l) and
+with -4 central(l, k) v for (l, k).  4 central = (k^3 - k)/3 delta_{k+l,0}
+is an integer, so on basis probes the comparison runs in ints.  A diagonal
+pair (k, k) forms no product: [T_k, T_k] = 0 for any operator, so the
+central term alone decides it.  Every nonzero vector the sweep compares
+still comes from applying the operators, never from the bracket formula
+being verified.
+
 Columns are recomputed for every probe, not cached: caching every (k, key)
 column of the `virasoro` suite at grades 8 and 11 raises the peak resident
 memory of the process from about 17 MB to about 28 MB, and the cache grows
@@ -305,38 +312,38 @@ class QuadraticOperator:
             out.append((a, bb, coeff))
         return out
 
-    def _apply_doubled(self, v: OscFockVector) -> OscFockVector:
-        """2 * self applied to v; with integer weights, central term and
-        coefficients the result has integer coefficients."""
-        n = v.max_mode()
-        out = OscFockVector()
-        if not v:
-            return out
-        needed_hi = 2 * n
+    def _add_doubled(self, terms: dict, v_terms: dict, max_mode: int, sign=1):
+        """terms += sign * 2 * self * v in place, for the vector v with terms
+        v_terms and largest mode max_mode; with integer weights, central term,
+        coefficients and sign every added value is an integer."""
+        if not v_terms:
+            return
+        needed_hi = 2 * max_mode
         if needed_hi >= self.khi:
             raise PrecisionExhausted(
                 f"operator weights determined for k < {self.khi}, "
                 f"but grade needs k <= {needed_hi}"
             )
-        terms = out.terms
         if self.central:
-            c2 = 2 * self.central
-            for key, x in v.terms.items():
-                terms[key] = c2 * x
+            c2 = 2 * sign * self.central
+            for key, x in v_terms.items():
+                _add_term(terms, key, c2 * x)
         for k, w in self.weights.items():
             if k > needed_hi:
                 continue  # no monomial of weight k > 2n acts on modes <= n
-            for key, x in v.terms.items():
+            sw = sign * w
+            for key, x in v_terms.items():
                 column = _double_tau_column(k, key)
                 if column:
-                    wx = w * x
+                    wx = sw * x
                     for image, c in column.items():
                         _add_term(terms, image, c * wx)
-        return out
 
     def apply(self, v: OscFockVector) -> OscFockVector:
-        out = self._apply_doubled(v)
-        out.terms = {key: _half(c) for key, c in out.terms.items()}
+        doubled = {}
+        self._add_doubled(doubled, v.terms, v.max_mode())
+        out = OscFockVector()
+        out.terms = {key: _half(c) for key, c in doubled.items()}
         return out
 
     def __repr__(self):
@@ -398,35 +405,50 @@ def virasoro_bracket(k: int, l: int, probe_grade: int):
     return candidate, central
 
 
+def _whole(c):
+    """c as an int when it is a whole number, so that comparing it with the
+    integer sums of the sweep stays in int arithmetic."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def virasoro_sweep(kmax: int, probe_grade: int) -> list:
     """The checks of virasoro_bracket for every (k, l) with |k|, |l| <= kmax
     on every vector of grade <= probe_grade; returns the failing
     (k, l, probe key) triples in sweep order, empty when all hold.
 
-    Per probe v: 2 T(D_m) v once for each |m| <= 2 kmax; per unordered pair
-    {k, l}: 4 T(D_k) T(D_l) v and 4 T(D_l) T(D_k) v once, checked for (k, l)
-    and (l, k), then dropped.  A pair holds when
-    4 [T_k, T_l] v - 2 (l - k) (2 T_{k+l} v) equals 4 central v; on basis
-    probes every coefficient is an integer.
+    Per probe v: 2 T(D_m) v once for each |m| <= 2 kmax.  Per unordered pair
+    k < l, one integer dictionary accumulates
+    4 T_k T_l v - 4 T_l T_k v - 2 (l - k) (2 T_{k+l} v) in place; the pair
+    holds for (k, l) when this equals 4 central(k, l) v and for (l, k) when
+    it equals -4 central(l, k) v.  4 central = (k^3 - k)/3 delta_{k+l,0} is
+    an integer, so on basis probes every comparison runs in ints.  A
+    diagonal pair (k, k) forms no product: [T_k, T_k] = 0 for any operator,
+    so its check holds exactly when the central term vanishes.
     """
     ks = range(-kmax, kmax + 1)
     ops = {m: tau_hat_Dk(m) for m in range(-2 * kmax, 2 * kmax + 1)}
-    central = {(k, l): 4 * _virasoro_central(k, l) for k in ks for l in ks}
+    central4 = {(k, l): _whole(4 * _virasoro_central(k, l)) for k in ks for l in ks}
     failures = []
     for key in osc_basis(probe_grade):
-        v = OscFockVector.basis(key)
-        tv = {m: op._apply_doubled(v) for m, op in ops.items()}
+        probe = {key: 1}
+        tv, tops = {}, {}
+        for m, op in ops.items():
+            tv[m] = image = {}
+            op._add_doubled(image, probe, -key[0] if key else 0)
+            tops[m] = max((-p[0] for p in image if p), default=0)
         for i, k in enumerate(ks):
-            for l in ks[i:]:
-                kl = ops[k]._apply_doubled(tv[l])
-                if l == k:
-                    checks = ((k, k, kl - kl),)
-                else:
-                    # 4 [T_k, T_l] v - 2 (l - k) (2 T_{k+l} v), for both orders
-                    lhs = kl - ops[l]._apply_doubled(tv[k]) - tv[k + l].scale(2 * (l - k))
-                    checks = ((k, l, lhs), (l, k, -lhs))
-                for a, b, lhs in checks:
-                    if lhs != v.scale(central[a, b]):
+            if central4[k, k]:
+                failures.append((k, k, key))
+            for l in ks[i + 1:]:
+                acc = {}
+                ops[k]._add_doubled(acc, tv[l], tops[l])
+                ops[l]._add_doubled(acc, tv[k], tops[k], -1)
+                c = 2 * (k - l)
+                for image, x in tv[k + l].items():
+                    _add_term(acc, image, c * x)
+                for a, b, want in ((k, l, central4[k, l]), (l, k, -central4[l, k])):
+                    if acc != ({key: want} if want else {}):
                         failures.append((a, b, key))
     return failures
 

@@ -232,8 +232,12 @@ class SemiLocalSubalgebra:
                 out.append(comp.coeffs.get(e, 0))
         return out
 
-    def member(self, f) -> bool:
-        """Membership on the common knowledge window of all participants."""
+    def member(self, f):
+        """True / False / None: membership on the common knowledge window of
+        all participants; None when f has a pole deeper than degree_bound,
+        which the represented basis cannot decide."""
+        if any(c.ord is not None and c.ord < -self.degree_bound for c in f.parts.values()):
+            return None
         hi = self._common_prec(extra=[f])
         cols = [self._coords(b, hi) for b in self.basis]
         target = self._coords(f, hi)
@@ -289,11 +293,11 @@ class SemiLocalSubalgebra:
             entry = {"preserves_A": True, "maps_perp_to_A": True}
             for a in self.basis:
                 img = d(a) if callable(d) else None
-                if img is not None and not self.member(img):
+                if img is not None and self.member(img) is not True:
                     entry["preserves_A"] = False
             for rep in perp_reps:
                 img = d(rep) if callable(d) else None
-                if img is not None and not self.member(img):
+                if img is not None and self.member(img) is not True:
                     entry["maps_perp_to_A"] = False
             record["ft4"][str(name)] = entry
         self.certification = record
@@ -412,8 +416,17 @@ def build_quotient(a_sub: FockSubalgebra, lo: int | None = None, hi: int | None 
         if rem.is_zero():
             continue  # in A
         (neg if rem.ord < 0 else pos).append(rem)
-    neg = [echelonize(neg)[o] for o in sorted(echelonize(neg), reverse=True)]
-    pos = [echelonize(pos)[o] for o in sorted(echelonize(pos))]
+    # Remainders of order -1 need not be proportional (y^2 = x^3 + x + 1), so
+    # echelonizing them can cancel every pole; such a combination is not a
+    # negative class and joins the positive candidates.
+    neg = echelonize(neg)
+    for o in [o for o in neg if o >= 0]:
+        rem, _ = echelon_reduce(neg.pop(o), a_sub.by_ord)
+        if rem:
+            pos.append(rem)
+    neg = [neg[o] for o in sorted(neg, reverse=True)]
+    pos = echelonize(pos)
+    pos = [pos[o] for o in sorted(pos)]
     g = a_sub.quotient_rank()
     if len(neg) != g:
         raise NoIsotropicLift(

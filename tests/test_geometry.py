@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from focklab import cli, geometry
 from focklab.geometry import (
     IdentityFailed,
     RepeatedRoots,
@@ -181,3 +182,42 @@ def test_wzw_gram_sign_identity_is_checked():
     # a nonvertical derivation is rejected
     with pytest.raises(ValueError):
         wzw_gram(model, Derivation(k=1, horizontal={"x": 1}))
+
+
+def _asymmetric(entries):
+    """wzw_gram_entries with 1 added to M[1,2] and a passing sign identity;
+    the zero derivation keeps its zero Gram, so check 03 still holds."""
+    def broken(model, d):
+        m, _ = entries(model, d)
+        if d.k is None and d.series.is_zero():
+            return m, None
+        rows = [list(r) for r in m.rows]
+        rows[0][1] += 1
+        return ExactMatrix(rows), None
+    return broken
+
+
+# Defects keyed by the one wzw-gram record each must break: (module, name, wrapper).
+WZW_BREAKS = {
+    "wzw-gram.01-symmetric": (cli, "wzw_gram_entries", _asymmetric),
+    # res(e_j d(D e_i)) off by one at every entry; M itself is untouched
+    "wzw-gram.02-sign-identity": (geometry, "residue_form", lambda real: lambda f, g: real(f, g) + 1),
+}
+
+
+@pytest.mark.parametrize("check", sorted(WZW_BREAKS))
+def test_wzw_gram_suite_verdicts_are_separate(monkeypatch, check):
+    module, name, make = WZW_BREAKS[check]
+    monkeypatch.setattr(module, name, make(getattr(module, name)))
+    params = {"f": CURVE_G2, "g": 2, "N": 60}
+    rep = cli.run_suite("wzw-gram", params)
+    assert [c.id for c in rep.failed] == [check]
+    model = build_model([F(c) for c in CURVE_G2], 2, 60)
+    if check == "wzw-gram.01-symmetric":
+        m, _ = geometry.wzw_gram_entries(model, model.tangent_field())
+        want = f"tangent-field: M[1,2] = {m[0, 1] + 1} != M[2,1] = {m[1, 0]}"
+    else:
+        want = "tangent-field: sign identity failed at entry (1,1): "
+    assert rep.failed[0].witness.startswith(want)
+    argv = ["--suite", "wzw-gram", "--param", "f=[0,-1,0,0,0,1]", "--param", "g=2", "--param", "N=60"]
+    assert cli.main(argv) == 1

@@ -299,6 +299,26 @@ def test_sweep_agrees_with_per_pair_brackets(monkeypatch, broken):
     assert bool(failing) == bool(broken)
 
 
+# Deliberate defects in the in-place kernel the sweep accumulates with.
+KERNEL_BREAKS = {
+    "drops the sign": lambda real: lambda self, terms, v, n, sign=1: real(self, terms, v, n),
+    "skips -T_l T_k v": lambda real: lambda self, terms, v, n, sign=1: (
+        None if sign < 0 else real(self, terms, v, n, sign)
+    ),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(KERNEL_BREAKS))
+def test_sweep_fails_when_its_kernel_is_broken(monkeypatch, broken):
+    real = QuadraticOperator._add_doubled
+    monkeypatch.setattr(QuadraticOperator, "_add_doubled", KERNEL_BREAKS[broken](real))
+    failures = virasoro_sweep(3, 4)
+    assert failures
+    # a diagonal pair forms no product, so only off-diagonal pairs can fail
+    assert all(k != l for k, l, _ in failures)
+    assert {(l, k) for k, l, _ in failures} == {(k, l) for k, l, _ in failures}
+
+
 @pytest.mark.parametrize("broken", sorted(BREAKS))
 def test_virasoro_suite_reports_a_broken_identity(monkeypatch, broken):
     _break(monkeypatch, broken)

@@ -115,6 +115,25 @@ def test_build_quotient_g2_rank_and_gram():
             assert gram.rows[a][b] == (i if i + j == 0 else 0), (i, j)
 
 
+# f with both a constant and a linear term: the order -1 remainders of A-perp
+# modulo A are not proportional, so echelonizing them cancels a pole.
+GENERIC_CURVES = [([1, 1, 0, 1], 1), ([1, -1, 0, 0, 0, 1], 2), ([1, 1, 0, 0, 0, 0, 0, 1], 3)]
+
+
+@pytest.mark.parametrize("f, g", GENERIC_CURVES)
+def test_build_quotient_on_curves_that_are_not_odd(f, g):
+    from focklab.cli import main
+
+    n = 44 + 8 * g
+    data = curve_fock_data(build_model(f, g, n), degree_bound=4 * g + 4)
+    q = build_quotient(data.subalgebra())  # QuotientSymplectic._verify certifies the lifts
+    assert q.g == g
+    assert [e.ord for e in q.neg_lifts] == [-(2 * i - 1) for i in range(1, g + 1)]
+    assert all(e.ord >= 1 for e in q.pos_lifts)
+    argv = ["--suite", "hyperelliptic", "--param", f"f={f}", "--param", f"g={g}", "--param", f"N={n}"]
+    assert main(argv) == 0
+
+
 def test_perp_span_check_g1():
     model, data, q = g1_quotient()
     assert q.perp_spans_check(-8, 9)
@@ -274,6 +293,25 @@ def test_semilocal_two_puncture_rational_model():
     from focklab.laurent import residue_form as rf
 
     assert rf(xpow(2).parts["0"], xpow(-2).parts["0"]) == 2
+
+
+def test_semilocal_membership_below_the_degree_bound_is_undetermined():
+    """A pole deeper than degree_bound lies outside the represented basis, so
+    membership there is undetermined, never a certified member."""
+    from focklab.laurent import SemiLocalSeries
+    from focklab.subalgebra import SemiLocalSubalgebra
+
+    def pair(p, q):
+        return SemiLocalSeries({"p": LaurentSeries.from_terms(p, 8), "q": LaurentSeries.from_terms(q, 8)})
+
+    one = pair({0: 1}, {0: 1})
+    deep = pair({-5: 1, 0: 1}, {0: 1})  # (t^-5 + 1) + 1
+    sub = SemiLocalSubalgebra([one], window=8, degree_bound=3)
+    assert sub.member(one) is True
+    assert sub.member(pair({-2: 1, 0: 1}, {0: 1})) is False
+    assert sub.member(deep) is None
+    record = sub.certify(derivations={"to-deep": lambda f: deep}, perp_reps=[one])
+    assert record["ft4"]["to-deep"] == {"preserves_A": False, "maps_perp_to_A": False}
 
 
 def test_scalar_action_not_scalar_detection():
