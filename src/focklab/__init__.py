@@ -32,7 +32,6 @@ from .laurent import (
     format_series,
     residue,
     residue_form,
-    residue_sum,
     selfadjoint_check,
 )
 from .fock import (

@@ -55,6 +55,7 @@ from .reports import SuiteReport
 from .scalars import GaussianRational
 from .subalgebra import (
     KMinusVector,
+    NotScalar,
     build_quotient,
     compute_perp,
     genus0_subalgebra,
@@ -416,12 +417,17 @@ def suite_hyperelliptic(params) -> SuiteReport:
         probes.append(KMinusVector({(("q", 1), ("q", 1)): 1}))
     if g >= 2:
         probes.append(KMinusVector({(("q", 2),): 1}))
-    lam = scalar_action(model.tangent_field(), q, probes)
+    try:
+        scalar_action(model.tangent_field(), q, probes)
+    except NotScalar as exc:
+        ok, witness = False, str(exc)
+    else:
+        ok, witness = True, None
     rep.add(
         "hyperelliptic.06-covariant-scalar",
         "a vertical derivation preserving A_p acts on covariants by a probe-independent scalar",
-        True,
-        f"scalar = {lam}",
+        ok,
+        witness,
     )
     return rep
 

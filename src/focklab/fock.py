@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .linalg import ExactMatrix
 from .scalars import GaussianRational, conj as _conj
+from .sparse import SparseVector, add_term
 
 
 class NotSymmetric(ValueError):
@@ -188,10 +189,10 @@ def standard_space(g: int, level=1, weights=None,
 # -- enveloping algebra -------------------------------------------------------
 
 
-class UElement:
+class UElement(SparseVector):
     """Normal-form element of U(H^)[hbar^{-1}] over a SymplecticSpace."""
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("space",)
 
     def __init__(self, space: SymplecticSpace, terms: dict | None = None):
         self.space = space
@@ -208,20 +209,10 @@ class UElement:
             nxt: dict = {}
             for (m, dh), c in words.items():
                 for m2, dh2, c2 in self.space._lmul(x, m):
-                    key = (m2, dh + dh2)
-                    s = nxt.get(key, 0) + (c * c2 if c2 != 1 else c)
-                    if s:
-                        nxt[key] = s
-                    else:
-                        nxt.pop(key, None)
+                    add_term(nxt, (m2, dh + dh2), c * c2 if c2 != 1 else c)
             words = nxt
         for (m, dh), c in words.items():
-            key = (m, h + dh)
-            s = self.terms.get(key, 0) + c
-            if s:
-                self.terms[key] = s
-            else:
-                self.terms.pop(key, None)
+            add_term(self.terms, (m, h + dh), c)
 
     # -- construction helpers -------------------------------------------------
 
@@ -255,31 +246,6 @@ class UElement:
 
     # -- algebra ----------------------------------------------------------------
 
-    def __add__(self, other):
-        out = UElement(self.space)
-        out.terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.terms.get(key, 0) + c
-            if s:
-                out.terms[key] = s
-            else:
-                out.terms.pop(key, None)
-        return out
-
-    def __neg__(self):
-        out = UElement(self.space)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        out = UElement(self.space)
-        if c:
-            out.terms = {k: v * c for k, v in self.terms.items()}
-        return out
-
     def __mul__(self, other):
         if not isinstance(other, UElement):
             return self.scale(other)
@@ -289,19 +255,8 @@ class UElement:
                 out._accumulate(list(m1) + list(m2), h1 + h2, c1 * c2)
         return out
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def bracket(self, other):
         return self * other - other * self
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, UElement):
-            return NotImplemented
-        return not (self - other)
 
     def bar(self):
         """The anti-involution: conjugate entries, reverse factor order."""
@@ -449,24 +404,21 @@ def tau_hat_wrt_complement(space: SymplecticSpace, a: SpElement, complement) -> 
 # -- the Fock module ----------------------------------------------------------
 
 
-class FockVector:
+class FockVector(SparseVector):
     """Finitely supported map from multisets of negative labels to scalars."""
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("space",)
 
     def __init__(self, space: SymplecticSpace, terms: dict | None = None):
         self.space = space
-        self.terms = {}
-        for key, c in (terms or {}).items():
-            if c:
-                key = tuple(sorted(key))
-                if any(l >= 0 for l in key):
-                    raise ValueError("Fock keys are multisets of negative labels")
-                s = self.terms.get(key, 0) + c
-                if s:
-                    self.terms[key] = s
-                else:
-                    self.terms.pop(key, None)
+        super().__init__(terms)
+
+    @staticmethod
+    def _key(key) -> tuple:
+        key = tuple(sorted(key))
+        if any(l >= 0 for l in key):
+            raise ValueError("Fock keys are multisets of negative labels")
+        return key
 
     @staticmethod
     def vacuum(space):
@@ -476,52 +428,8 @@ class FockVector:
     def basis(space, key):
         return FockVector(space, {tuple(sorted(key)): 1})
 
-    def __add__(self, other):
-        out = FockVector(self.space)
-        out.terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.terms.get(k, 0) + c
-            if s:
-                out.terms[k] = s
-            else:
-                out.terms.pop(k, None)
-        return out
-
-    def __neg__(self):
-        out = FockVector(self.space)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        out = FockVector(self.space)
-        if c:
-            out.terms = {k: v * c for k, v in self.terms.items()}
-        return out
-
-    __rmul__ = scale
-    __mul__ = scale
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        return not (self - other)
-
     def max_grade(self):
         return max((len(k) for k in self.terms), default=0)
-
-    def map_coefficients(self, fn):
-        out = FockVector(self.space)
-        for k, c in self.terms.items():
-            v = fn(c)
-            if v:
-                out.terms[k] = v
-        return out
 
     def __repr__(self):
         if not self.terms:
@@ -544,12 +452,7 @@ def rho_apply(u: UElement, v: FockVector) -> FockVector:
             nxt: dict = {}
             if m < 0:
                 for k, c in current.items():
-                    kk = tuple(sorted(k + (m,)))
-                    s = nxt.get(kk, 0) + c
-                    if s:
-                        nxt[kk] = s
-                    else:
-                        nxt.pop(kk, None)
+                    add_term(nxt, tuple(sorted(k + (m,))), c)
             else:
                 for k, c in current.items():
                     seen = set()
@@ -561,21 +464,12 @@ def rho_apply(u: UElement, v: FockVector) -> FockVector:
                         if pair:
                             lst = list(k)
                             lst.remove(j)
-                            kk = tuple(lst)
-                            s = nxt.get(kk, 0) + c * pair * k.count(j)
-                            if s:
-                                nxt[kk] = s
-                            else:
-                                nxt.pop(kk, None)
+                            add_term(nxt, tuple(lst), c * pair * k.count(j))
             current = nxt
             if not current:
                 break
         for k, c in current.items():
-            s = out.terms.get(k, 0) + c
-            if s:
-                out.terms[k] = s
-            else:
-                out.terms.pop(k, None)
+            add_term(out.terms, k, c)
     return out
 
 
@@ -593,11 +487,7 @@ def endomorphism_action(space: SymplecticSpace, m: ExactMatrix, v: FockVector) -
                 w = m[a - 1, col]
                 if w:
                     kk = tuple(sorted(key[:idx] + (-a,) + key[idx + 1:]))
-                    s = out.terms.get(kk, 0) + c * w
-                    if s:
-                        out.terms[kk] = s
-                    else:
-                        out.terms.pop(kk, None)
+                    add_term(out.terms, kk, c * w)
     return out
 
 

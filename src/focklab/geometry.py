@@ -30,6 +30,7 @@ from .laurent import (
 )
 from .linalg import ExactMatrix, IdentityFailed
 from .scalars import GaussianRational
+from .sparse import add_term
 from .subalgebra import FockSubalgebra, echelon_reduce, echelonize
 
 
@@ -65,12 +66,7 @@ def _poly_divmod(a: dict, b: dict):
         c = a[da] / lb
         q[da - db] = c
         for k, bk in b.items():
-            kk = k + da - db
-            s = a.get(kk, GaussianRational(0)) - c * bk
-            if s:
-                a[kk] = s
-            else:
-                a.pop(kk, None)
+            add_term(a, k + da - db, -c * bk)
     return q, a
 
 

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .scalars import GaussianRational, NotASquare, conj as _conj, parse_gaussian
 from .ratfunc import RationalFunction
+from .sparse import add_term
 
 EXACT_PREC = 1 << 30  # window used for exactly known Laurent polynomials
 _UNBOUNDED = 1 << 20  # beyond this, treat the window as "exact polynomial"
@@ -42,10 +43,6 @@ class NonzeroResidue(ValueError):
     """Integration requested for a series with nonzero t^-1 coefficient."""
 
 
-def _is_scalar_zero(c):
-    return not c
-
-
 class LaurentSeries:
     __slots__ = ("floor", "prec", "coeffs")
 
@@ -58,7 +55,7 @@ class LaurentSeries:
                 raise ValueError(f"exponent {e} outside window [{floor},{prec})")
             if isinstance(c, int):
                 c = Fraction(c)  # keep division exact throughout
-            if not _is_scalar_zero(c):
+            if c:
                 clean[e] = c
         if clean:
             floor = min(clean)  # leading stored coefficient nonzero
@@ -138,13 +135,8 @@ class LaurentSeries:
         prec = min(self.prec, other.prec)
         out = {e: c for e, c in self.coeffs.items() if e < prec}
         for e, c in other.coeffs.items():
-            if e >= prec:
-                continue
-            s = out.get(e, 0) + c
-            if _is_scalar_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
+            if e < prec:
+                add_term(out, e, c)
         return LaurentSeries(min(self.floor, other.floor, prec), prec, out)
 
     __radd__ = __add__
@@ -163,7 +155,7 @@ class LaurentSeries:
         return -self + other
 
     def scale(self, c) -> "LaurentSeries":
-        if _is_scalar_zero(c):
+        if not c:
             return LaurentSeries(self.prec, self.prec, {})
         return LaurentSeries(self.floor, self.prec, {e: c * v for e, v in self.coeffs.items()})
 
@@ -177,13 +169,8 @@ class LaurentSeries:
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                if e >= prec:
-                    continue
-                s = out.get(e, 0) + c1 * c2
-                if _is_scalar_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                if e < prec:
+                    add_term(out, e, c1 * c2)
         return LaurentSeries(min(self.floor + other.floor, prec), prec, out)
 
     def __rmul__(self, other):
@@ -225,7 +212,7 @@ class LaurentSeries:
                     vk = v.get(n - k)
                     if vk is not None:
                         s = s + uk * vk
-            if not _is_scalar_zero(s):
+            if s:
                 v[n] = -s
         out = {e - a: c * inv_lead for e, c in v.items()}
         return LaurentSeries(-a, -a + width, out)
@@ -263,7 +250,7 @@ class LaurentSeries:
                 if sk is not None and snk is not None:
                     acc = acc - sk * snk
             half = acc / 2 if acc else 0
-            if not _is_scalar_zero(half):
+            if half:
                 s[n] = half
         out = {e + a // 2: c * root for e, c in s.items()}
         result = LaurentSeries(a // 2, a // 2 + width, out)
@@ -362,7 +349,7 @@ def integrate(f: LaurentSeries) -> LaurentSeries:
     Precondition: the t^-1 coefficient is zero, determined within the window.
     """
     r = residue(f)
-    if not _is_scalar_zero(r):
+    if r:
         raise NonzeroResidue(f"t^-1 coefficient is {r}; no primitive in K")
     out = {e + 1: c / (e + 1) for e, c in f.coeffs.items() if e != -1}
     return LaurentSeries(f.floor + 1, f.prec + 1, out)
@@ -441,7 +428,7 @@ class Derivation:
                 {
                     e: d
                     for e, c in f.coeffs.items()
-                    if not _is_scalar_zero(d := self.apply_horizontal_scalar(c))
+                    if (d := self.apply_horizontal_scalar(c))
                 },
             )
             out = out + h
@@ -517,11 +504,6 @@ class SemiLocalSeries:
 
     def is_zero(self):
         return all(f.is_zero() for f in self.parts.values())
-
-
-def residue_sum(f: SemiLocalSeries):
-    """Sum of the exact component residues of f dt."""
-    return sum(residue(fp) for fp in f.parts.values())
 
 
 def semilocal_residue_form(f: SemiLocalSeries, g: SemiLocalSeries):

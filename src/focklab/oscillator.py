@@ -53,35 +53,24 @@ from .laurent import (
     PrecisionExhausted,
     _UNBOUNDED,
 )
+from .sparse import SparseVector, add_term
 
 
 class BasisNotQuasiSymplectic(ValueError):
     """Supplied topological basis fails the quasi-symplectic conditions."""
 
 
-def _add_term(terms: dict, key, c):
-    """terms[key] += c in place, dropping the entry when the sum is zero."""
-    s = terms.get(key, 0) + c
-    if s:
-        terms[key] = s
-    else:
-        terms.pop(key, None)
-
-
-class OscFockVector:
+class OscFockVector(SparseVector):
     """Finitely supported map from multisets of negative modes to scalars."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: dict | None = None):
-        self.terms = {}
-        for key, c in (terms or {}).items():
-            if not c:
-                continue
-            key = tuple(sorted(key))
-            if any(k >= 0 for k in key):
-                raise ValueError("modes must be negative integers")
-            _add_term(self.terms, key, c)
+    @staticmethod
+    def _key(key) -> tuple:
+        key = tuple(sorted(key))
+        if any(k >= 0 for k in key):
+            raise ValueError("modes must be negative integers")
+        return key
 
     @staticmethod
     def vacuum(coeff=1):
@@ -91,52 +80,12 @@ class OscFockVector:
     def basis(key):
         return OscFockVector({tuple(sorted(key)): 1})
 
-    def __add__(self, other):
-        out = OscFockVector()
-        out.terms = dict(self.terms)
-        for k, c in other.terms.items():
-            _add_term(out.terms, k, c)
-        return out
-
-    def __neg__(self):
-        out = OscFockVector()
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        out = OscFockVector()
-        if c:
-            out.terms = {k: v * c for k, v in self.terms.items()}
-        return out
-
-    __mul__ = scale
-    __rmul__ = scale
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, OscFockVector):
-            return NotImplemented
-        return self.terms == other.terms  # no entry is stored as zero
-
     def max_mode(self) -> int:
         """Largest |mode| appearing (0 for multiples of the vacuum)."""
         return max((-min(k) for k in self.terms if k), default=0)
 
     def grade(self) -> int:
         return max((sum(-m for m in k) for k in self.terms), default=0)
-
-    def map_coefficients(self, fn):
-        out = OscFockVector()
-        for k, c in self.terms.items():
-            v = fn(c)
-            if v:
-                out.terms[k] = v
-        return out
 
     def __repr__(self):
         if not self.terms:
@@ -156,14 +105,14 @@ def apply_mode(m: int, v: OscFockVector) -> OscFockVector:
         return out
     for key, c in v.terms.items():
         if m < 0:
-            _add_term(out.terms, tuple(sorted(key + (m,))), c)
+            add_term(out.terms, tuple(sorted(key + (m,))), c)
         else:
             n = key.count(-m)
             if not n:
                 continue
             lst = list(key)
             lst.remove(-m)
-            _add_term(out.terms, tuple(lst), c * m * n)
+            add_term(out.terms, tuple(lst), c * m * n)
     return out
 
 
@@ -185,7 +134,7 @@ def series_multiply(f: LaurentSeries, v: OscFockVector) -> OscFockVector:
         if e > n:
             continue  # annihilates nothing present
         for key, x in apply_mode(e, v).terms.items():
-            _add_term(out.terms, key, x * c)
+            add_term(out.terms, key, x * c)
     return out
 
 
@@ -290,7 +239,7 @@ class QuadraticOperator:
     def __add__(self, other: "QuadraticOperator") -> "QuadraticOperator":
         w = dict(self.weights)
         for k, c in other.weights.items():
-            _add_term(w, k, c)
+            add_term(w, k, c)
         return QuadraticOperator(
             w, max(self.klo, other.klo), min(self.khi, other.khi),
             self.central + other.central,
@@ -327,7 +276,7 @@ class QuadraticOperator:
         if self.central:
             c2 = 2 * sign * self.central
             for key, x in v_terms.items():
-                _add_term(terms, key, c2 * x)
+                add_term(terms, key, c2 * x)
         for k, w in self.weights.items():
             if k > needed_hi:
                 continue  # no monomial of weight k > 2n acts on modes <= n
@@ -337,7 +286,7 @@ class QuadraticOperator:
                 if column:
                     wx = sw * x
                     for image, c in column.items():
-                        _add_term(terms, image, c * wx)
+                        add_term(terms, image, c * wx)
 
     def apply(self, v: OscFockVector) -> OscFockVector:
         doubled = {}
@@ -446,7 +395,7 @@ def virasoro_sweep(kmax: int, probe_grade: int) -> list:
                 ops[l]._add_doubled(acc, tv[k], tops[k], -1)
                 c = 2 * (k - l)
                 for image, x in tv[k + l].items():
-                    _add_term(acc, image, c * x)
+                    add_term(acc, image, c * x)
                 for a, b, want in ((k, l, central4[k, l]), (l, k, -central4[l, k])):
                     if acc != ({key: want} if want else {}):
                         failures.append((a, b, key))
@@ -570,7 +519,7 @@ class LiftedDerivation:
                 lo, hi = min(-i, -j), max(-i, -j)
                 half = c * Fraction(1, 2)
                 for key, x in apply_mode(lo, apply_mode(hi, family)).terms.items():
-                    _add_term(out.terms, key, x * half)
+                    add_term(out.terms, key, x * half)
         return out
 
     def realize(self, family: OscFockVector) -> OscFockVector:

@@ -39,6 +39,7 @@ from fractions import Fraction
 from operator import lt, sub
 
 from .scalars import ONE, ZERO, GaussianRational, conj as _conj_scalar
+from .sparse import add_term
 
 _SCALARS = (int, Fraction, GaussianRational)
 _new = object.__new__
@@ -118,11 +119,7 @@ class Polynomial:
     def __add__(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, ZERO) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            add_term(out, e, c)
         return _poly(self.field, out)
 
     def __neg__(self):
@@ -139,12 +136,7 @@ class Polynomial:
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, ZERO) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return _poly(self.field, out)
 
     def conj(self):
@@ -156,11 +148,7 @@ class Polynomial:
             if e[k] == 0:
                 continue
             e2 = tuple(v - 1 if j == k else v for j, v in enumerate(e))
-            s = out.get(e2, ZERO) + c * e[k]
-            if s:
-                out[e2] = s
-            else:
-                out.pop(e2, None)
+            add_term(out, e2, c * e[k])
         return _poly(self.field, out)
 
     def evaluate(self, point: dict) -> GaussianRational:

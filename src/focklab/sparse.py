@@ -1,0 +1,88 @@
+"""One sparse vector: a finitely supported map from keys to exact scalars.
+
+The Fock modules of the package -- Sym(F'-bar) for the finite blocks,
+Sym(R((t))^-) for the oscillator, Sym(K^-) for the covariants -- and the
+normal-form elements of U(H^) all store a dictionary from multisets (sorted
+tuples) to scalars.  SparseVector holds that dictionary and the linear
+structure on it once, in the manner of sympy's SDM; each subclass keeps only
+its key convention, its constructors and what is its own.
+
+Invariant: no entry is ever stored as zero.  Every write goes through
+add_term or skips a zero value, so two vectors are equal exactly when their
+term dictionaries are.
+"""
+
+from __future__ import annotations
+
+
+def add_term(terms: dict, key, c):
+    """terms[key] += c in place, dropping the entry when the sum is zero."""
+    s = terms.get(key, 0) + c
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
+
+
+class SparseVector:
+    """Finitely supported map from sorted-tuple keys to scalars.
+
+    A direct subclass lists its extra attributes in __slots__ (for example
+    "space"); _like copies them to every vector it builds.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict | None = None):
+        self.terms = {}
+        for key, c in (terms or {}).items():
+            if c:
+                add_term(self.terms, self._key(key), c)
+
+    @staticmethod
+    def _key(key) -> tuple:
+        """Normal form of a key: the sorted multiset."""
+        return tuple(sorted(key))
+
+    def _like(self, terms: dict):
+        """A vector of this type and these extra slots, holding terms as
+        given (the caller guarantees normal keys and no zero value)."""
+        out = object.__new__(type(self))
+        for name in type(self).__slots__:
+            setattr(out, name, getattr(self, name))
+        out.terms = terms
+        return out
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            add_term(terms, key, c)
+        return self._like(terms)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        return self._like({k: v * c for k, v in self.terms.items()} if c else {})
+
+    __mul__ = scale
+    __rmul__ = scale
+
+    def map_coefficients(self, fn):
+        terms = {}
+        for k, c in self.terms.items():
+            v = fn(c)
+            if v:
+                terms[k] = v
+        return self._like(terms)
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms

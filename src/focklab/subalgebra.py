@@ -28,6 +28,7 @@ from .laurent import (
 from .linalg import ExactMatrix, Inconsistent
 from .fock import FockVector, standard_space
 from .oscillator import OscFockVector, series_multiply, tau_hat_D
+from .sparse import SparseVector, add_term
 
 
 class NoIsotropicLift(ValueError):
@@ -290,15 +291,16 @@ class SemiLocalSubalgebra:
         for name, d in (
             derivations.items() if isinstance(derivations, dict) else enumerate(derivations)
         ):
-            entry = {"preserves_A": True, "maps_perp_to_A": True}
-            for a in self.basis:
-                img = d(a) if callable(d) else None
-                if img is not None and self.member(img) is not True:
-                    entry["preserves_A"] = False
-            for rep in perp_reps:
-                img = d(rep) if callable(d) else None
-                if img is not None and self.member(img) is not True:
-                    entry["maps_perp_to_A"] = False
+            # an image that is not computed is unchecked, never a pass; an
+            # undetermined membership is not certified
+            entry = {"preserves_A": True, "maps_perp_to_A": True, "unchecked": 0}
+            for flag, sources in (("preserves_A", self.basis), ("maps_perp_to_A", perp_reps)):
+                for f in sources:
+                    img = d(f) if callable(d) else None
+                    if img is None:
+                        entry["unchecked"] += 1
+                    elif self.member(img) is not True:
+                        entry[flag] = False
             record["ft4"][str(name)] = entry
         self.certification = record
         return record
@@ -464,57 +466,17 @@ def build_quotient(a_sub: FockSubalgebra, lo: int | None = None, hi: int | None 
 # -- covariants --------------------------------------------------------------------
 
 
-class KMinusVector:
+class KMinusVector(SparseVector):
     """Element of Sym(K^-): multisets over labels ('a', ord) and ('q', i)."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        self.terms = {}
-        for key, c in (terms or {}).items():
-            if not c:
-                continue
-            key = tuple(sorted(key))
-            s = self.terms.get(key, 0) + c
-            if s:
-                self.terms[key] = s
-            else:
-                self.terms.pop(key, None)
+    __slots__ = ()
 
     @staticmethod
     def vacuum(coeff=1):
         return KMinusVector({(): coeff})
 
-    def __add__(self, other):
-        out = KMinusVector()
-        out.terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.terms.get(k, 0) + c
-            if s:
-                out.terms[k] = s
-            else:
-                out.terms.pop(k, None)
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        out = KMinusVector()
-        if c:
-            out.terms = {k: v * c for k, v in self.terms.items()}
-        return out
-
     def prepend(self, label):
-        out = KMinusVector()
-        out.terms = {tuple(sorted(k + (label,))): c for k, c in self.terms.items()}
-        return out
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return not (self - other)
+        return self._like({tuple(sorted(k + (label,))): c for k, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -594,12 +556,7 @@ def covariants(q: QuotientSymplectic, kv: KMinusVector) -> FockVector:
     for key, c in kv.terms.items():
         if any(kind == "a" for kind, _v in key):
             continue
-        fock_key = tuple(sorted(-idx for _kind, idx in key))
-        cur = out.terms.get(fock_key, 0) + c
-        if cur:
-            out.terms[fock_key] = cur
-        else:
-            out.terms.pop(fock_key, None)
+        add_term(out.terms, tuple(sorted(-idx for _kind, idx in key)), c)
     return out
 
 

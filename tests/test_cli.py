@@ -92,3 +92,22 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "fock-type" in proc.stdout
     assert json.loads(out.read_text())["suite"] == "fock-type"
+
+
+def test_hyperelliptic_covariant_scalar_failure_is_a_fail_record(monkeypatch, capsys):
+    """A NotScalar from the covariant action is a failed identity: record
+    hyperelliptic.06 as FAIL with the exception text and exit 1, not the
+    "invalid parameters" exit 2 of bad input."""
+    from focklab import cli
+    from focklab.subalgebra import NotScalar
+
+    def not_scalar(D, q, probes):
+        raise NotScalar("probe A gives 1 but probe B gives 2")
+
+    monkeypatch.setattr(cli, "scalar_action", not_scalar)
+    rep = cli.run_suite("hyperelliptic", {})
+    record = {c["id"]: c for c in rep.to_json()["checks"]}["hyperelliptic.06-covariant-scalar"]
+    assert record["status"] == "fail"
+    assert record["witness"] == "probe A gives 1 but probe B gives 2"
+    assert main(["--suite", "hyperelliptic"]) == 1
+    assert "invalid parameters" not in capsys.readouterr().err

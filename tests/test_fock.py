@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from focklab.fock import (
     E_inverse,
@@ -366,6 +368,38 @@ def test_permanent_small():
     assert permanent(ExactMatrix([[1, 1], [1, 1]])) == 2
     assert permanent(ExactMatrix([[2, 1], [3, 4]])) == 11
     assert permanent(ExactMatrix([[Fraction(1, 2)]])) == Fraction(1, 2)
+
+
+ENTRIES = {
+    "int": st.integers(-3, 3),
+    "Fraction": st.fractions(min_value=-2, max_value=2, max_denominator=4),
+    "GaussianRational": st.builds(
+        GaussianRational,
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    ),
+}
+
+
+@st.composite
+def zero_heavy_matrices(draw):
+    """Square matrices of size 1..5 whose entries are zero about half the time."""
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))])
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(zero_heavy_matrices())
+def test_permanent_matches_the_sum_over_permutations(rows):
+    n = len(rows)
+    want = 0
+    for sigma in itertools.permutations(range(n)):
+        term = 1
+        for i in range(n):
+            term = term * rows[i][sigma[i]]
+        want = want + term
+    assert permanent(ExactMatrix(rows)) == want
 
 
 def test_inner_product_examples():

@@ -4,7 +4,10 @@
   a defect (say a TypeError from a wrongly typed zero) into a verdict;
 * no `assert` statement -- `python -O` strips it, so it cannot certify;
 * no module-level import that the module never names -- except in
-  `__init__.py`, whose imports are the package's re-exports.
+  `__init__.py`, whose imports are the package's re-exports;
+* no `<dict>.pop(<key>, None)` call -- the accumulate-and-drop-zero idiom --
+  outside `sparse.py`: every sparse sum goes through `sparse.add_term`, so no
+  hand-written loop can store a zero again.
 """
 
 import ast
@@ -44,6 +47,22 @@ def unused_imports(tree):
     return [(line, f"unused import {name}") for line, name in bound if name not in used]
 
 
+def drop_zero_pops(tree):
+    """(line, rule) for every `<dict>.pop(<key>, None)` call."""
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "pop"
+            and len(node.args) == 2
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value is None
+        ):
+            found.append((node.lineno, "drop-zero pop outside sparse.add_term"))
+    return sorted(found)
+
+
 def test_the_rules_catch_each_pattern():
     bad = "try:\n    pass\nexcept:\n    pass\ntry:\n    pass\nexcept (ValueError, Exception):\n    pass\nassert 1\n"
     assert [why for _, why in violations(ast.parse(bad))] == [
@@ -53,6 +72,8 @@ def test_the_rules_catch_each_pattern():
     assert [why for _, why in unused_imports(ast.parse(imports))] == [
         "unused import regex", "unused import b"
     ]
+    pops = "s = d.get(k, 0) + c\nif s:\n    d[k] = s\nelse:\n    d.pop(k, None)\nd.pop(k)\nd.pop(k, 0)\nq.pop()\n"
+    assert drop_zero_pops(ast.parse(pops)) == [(5, "drop-zero pop outside sparse.add_term")]
 
 
 def test_package_sources_keep_the_rules():
@@ -66,4 +87,6 @@ def test_package_sources_keep_the_rules():
         found += [f"{name}:{line}: {why}" for line, why in violations(tree)]
         if name != "__init__.py":
             found += [f"{name}:{line}: {why}" for line, why in unused_imports(tree)]
+        if name != "sparse.py":
+            found += [f"{name}:{line}: {why}" for line, why in drop_zero_pops(tree)]
     assert found == []

@@ -1,0 +1,123 @@
+"""The shared sparse-vector core against a plain-dict model.
+
+Every subclass of SparseVector must do the linear algebra of a dictionary
+from keys to scalars in which no entry is ever zero: the inputs below draw
+coefficients from a small pool so that sums and differences cancel often.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from focklab.fock import FockVector, UElement, standard_space
+from focklab.oscillator import OscFockVector
+from focklab.scalars import GaussianRational
+from focklab.sparse import SparseVector, add_term
+from focklab.subalgebra import KMinusVector
+
+SPACE = standard_space(2)
+
+# normal keys of each class: sorted multisets (for UElement sorted modes with
+# an hbar power, which normal ordering leaves unchanged)
+CLASSES = {
+    "FockVector": (
+        lambda terms: FockVector(SPACE, terms),
+        [(), (-1,), (-2,), (-2, -1), (-1, -1), (-2, -2, -1)],
+    ),
+    "OscFockVector": (
+        OscFockVector,
+        [(), (-1,), (-3,), (-2, -1), (-1, -1), (-3, -2, -2)],
+    ),
+    "KMinusVector": (
+        KMinusVector,
+        [(), (("a", -2),), (("q", 1),), (("a", -2), ("q", 1)), (("q", 1), ("q", 2))],
+    ),
+    "UElement": (
+        lambda terms: UElement(SPACE, terms),
+        [((), 0), ((-1,), 0), ((1,), -1), ((-2, 1), 0), ((-1, -1), 1), ((-2, -1, 2), -1)],
+    ),
+}
+
+COEFFICIENTS = st.sampled_from(
+    [0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), GaussianRational(0, 1), GaussianRational(0, -1)]
+)
+
+
+def model_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def terms_for(keys):
+    return st.dictionaries(st.sampled_from(keys), COEFFICIENTS, max_size=len(keys))
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_linear_structure_matches_the_dict_model(name, data):
+    make, keys = CLASSES[name]
+    a, b = data.draw(terms_for(keys)), data.draw(terms_for(keys))
+    c = data.draw(COEFFICIENTS)
+    x, y = make(a), make(b)
+    a, b = model_add(a, {}), model_add(b, {})
+    assert x.terms == a and y.terms == b
+    results = {
+        "x + y": (x + y, model_add(a, b)),
+        "x - y": (x - y, model_add(a, {k: -v for k, v in b.items()})),
+        "-x": (-x, {k: -v for k, v in a.items()}),
+        "x - x": (x - x, {}),
+        "x + (-x)": (x + (-x), {}),
+        "x.scale(c)": (x.scale(c), {k: v * c for k, v in a.items()} if c else {}),
+        "c * x": (c * x, {k: v * c for k, v in a.items()} if c else {}),
+        "x.scale(0)": (x.scale(0), {}),
+        "x.map_coefficients(v - 1)": (
+            x.map_coefficients(lambda v: v - 1),
+            {k: v - 1 for k, v in a.items() if v - 1},
+        ),
+    }
+    for label, (got, want) in results.items():
+        assert type(got) is type(x), label
+        assert got.terms == want, label
+        assert all(got.terms.values()), f"{label} stores a zero"
+        assert bool(got) == bool(want), label
+        assert got == make(want), label
+        if isinstance(x, (FockVector, UElement)):
+            assert got.space is SPACE, label
+    assert (x == y) == (a == b)
+    assert (x != y) == (a != b)
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_equality_with_another_type_is_false(name):
+    make, keys = CLASSES[name]
+    v = make({keys[0]: 1})
+    assert v != 0 and not (v == 0)
+    assert v != {keys[0]: 1}
+    assert make({}) != 0
+
+
+def test_kminus_vector_equality_does_not_duck_type():
+    assert (KMinusVector() == 0) is False
+    assert (KMinusVector({(): 1}) == OscFockVector.vacuum()) is False
+    assert KMinusVector({(): 1}) == KMinusVector.vacuum()
+
+
+def test_add_term_drops_a_cancelled_entry():
+    terms = {}
+    add_term(terms, "k", Fraction(1, 2))
+    add_term(terms, "j", 3)
+    add_term(terms, "k", Fraction(-1, 2))
+    assert terms == {"j": 3}
+    add_term(terms, "j", 0)
+    assert terms == {"j": 3}
+
+
+def test_the_four_vectors_share_the_base():
+    for cls in (FockVector, OscFockVector, KMinusVector, UElement):
+        assert issubclass(cls, SparseVector)
+        own = set(vars(cls))
+        assert not own & {"__add__", "__neg__", "__sub__", "scale", "map_coefficients", "__bool__", "__eq__"}

@@ -311,7 +311,21 @@ def test_semilocal_membership_below_the_degree_bound_is_undetermined():
     assert sub.member(pair({-2: 1, 0: 1}, {0: 1})) is False
     assert sub.member(deep) is None
     record = sub.certify(derivations={"to-deep": lambda f: deep}, perp_reps=[one])
-    assert record["ft4"]["to-deep"] == {"preserves_A": False, "maps_perp_to_A": False}
+    assert record["ft4"]["to-deep"] == {"preserves_A": False, "maps_perp_to_A": False, "unchecked": 0}
+
+
+def test_semilocal_ft4_counts_images_it_did_not_compute():
+    """A derivation that is not callable yields no image: each basis element
+    and each A-perp representative counts as unchecked, never as a pass."""
+    from focklab.laurent import SemiLocalSeries
+    from focklab.subalgebra import SemiLocalSubalgebra
+
+    one = SemiLocalSeries({"p": LaurentSeries.from_terms({0: 1}, 8)})
+    sub = SemiLocalSubalgebra([one], window=8, degree_bound=3)
+    record = sub.certify(derivations={"not-callable": 5}, perp_reps=[one, one])
+    assert record["ft4"]["not-callable"]["unchecked"] == 3
+    record = sub.certify(derivations={"zero": lambda f: f.derivative()}, perp_reps=[one])
+    assert record["ft4"]["zero"] == {"preserves_A": True, "maps_perp_to_A": True, "unchecked": 0}
 
 
 def test_scalar_action_not_scalar_detection():
