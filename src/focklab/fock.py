@@ -202,6 +202,10 @@ class UElement(SparseVector):
                 continue
             self._accumulate(list(modes), h, c)
 
+    def _same_module(self, other) -> bool:
+        # spaces are compared by genus, not identity: equal spaces built twice must add
+        return super()._same_module(other) and other.space.g == self.space.g
+
     def _accumulate(self, modes, h, coeff):
         """Rewrite into normal form (nondecreasing labels) and add."""
         words = {((), 0): coeff}
@@ -412,6 +416,10 @@ class FockVector(SparseVector):
     def __init__(self, space: SymplecticSpace, terms: dict | None = None):
         self.space = space
         super().__init__(terms)
+
+    def _same_module(self, other) -> bool:
+        # spaces are compared by genus, not identity: equal spaces built twice must add
+        return super()._same_module(other) and other.space.g == self.space.g
 
     @staticmethod
     def _key(key) -> tuple:

@@ -48,9 +48,6 @@ class SuiteReport:
             )
         )
 
-    def merge(self, other: "SuiteReport"):
-        self.checks.extend(other.checks)
-
     @property
     def failed(self):
         return [c for c in self.checks if c.status == "fail"]

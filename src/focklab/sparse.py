@@ -53,7 +53,14 @@ class SparseVector:
         out.terms = terms
         return out
 
+    def _same_module(self, other) -> bool:
+        """Whether other is a vector of this module: of this class, and over
+        the same space where a subclass has one."""
+        return type(other) is type(self)
+
     def __add__(self, other):
+        if not self._same_module(other):
+            raise TypeError(f"cannot add a {type(other).__name__} to a {type(self).__name__} of another module")
         terms = dict(self.terms)
         for key, c in other.terms.items():
             add_term(terms, key, c)

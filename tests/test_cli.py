@@ -111,3 +111,94 @@ def test_hyperelliptic_covariant_scalar_failure_is_a_fail_record(monkeypatch, ca
     assert record["witness"] == "probe A gives 1 but probe B gives 2"
     assert main(["--suite", "hyperelliptic"]) == 1
     assert "invalid parameters" not in capsys.readouterr().err
+
+
+# One deliberate defect per fock-basics and adjoint check, in a name the cli
+# module imports (or a method of one), keyed by the one record it must break:
+# (name, attribute or None, wrapper of the real callable).
+WITNESS_BREAKS = {
+    "fock-basics.01-e-roundtrip": ("E_inverse", None, lambda real: lambda sp, a: real(sp, a) * 2),
+    "fock-basics.02-normal-order-projector": ("normal_order_tensor", None, lambda real: lambda sp, t: real(sp, t) * 2),
+    "fock-basics.03-heisenberg": ("rho_vector", None, lambda real: lambda sp, c, v: real(sp, c, v).scale(2)),
+    # [tau(A), tau(B)] computed as [tau(B), tau(A)]
+    "fock-basics.04-tau-homomorphism": ("UElement", "bracket", lambda real: lambda x, y: real(y, x)),
+    # the predicted deviation -1/2 trace(A^{F'}) off by one
+    "fock-basics.05-tau-hat-deviation": ("UElement", "monomial", lambda real: staticmethod(
+        lambda sp, modes, hpow=0, coeff=1: real(sp, modes, hpow, coeff + 1))),
+    "fock-basics.06-vacuum-annihilation": ("rho_apply", None, lambda real: lambda u, v: real(u, v) + v),
+    "fock-basics.07-complement-independence": (
+        "tau_hat_wrt_complement", None, lambda real: lambda sp, a, w: real(sp, a, w).scale(2)),
+    "fock-basics.08-positive-definite": ("inner_product", None, lambda real: lambda v, w: -real(v, w)),
+    "adjoint.01-mode-adjoint": ("adjoint_check", None, lambda real: lambda *args: False),
+    # rho(s + s) in place of rho(s + conj s)
+    "adjoint.02-skew-hermitian": ("conj_tensor", None, lambda real: lambda sp, t: t),
+    "adjoint.03-quadratic-bracket": ("bracket_TT", None, lambda real: lambda *args: (None, None, False)),
+}
+
+
+@pytest.mark.parametrize("check", sorted(WITNESS_BREAKS))
+def test_a_broken_check_fails_alone_with_its_witness(monkeypatch, check):
+    from focklab import cli
+
+    name, attr, make = WITNESS_BREAKS[check]
+    owner, attr = (getattr(cli, name), attr) if attr else (cli, name)
+    monkeypatch.setattr(owner, attr, make(getattr(owner, attr)))
+    suite = check.split(".")[0]
+    rep = cli.run_suite(suite, {"g": 2, "grade": 3})
+    assert len(rep.checks) == {"fock-basics": 8, "adjoint": 3}[suite]
+    assert [c.id for c in rep.failed] == [check]
+    assert rep.failed[0].witness
+
+
+@pytest.mark.parametrize("family", ["modular_family", "constant_family"])
+def test_connection_statements_are_the_identities_verified(family):
+    """Every key verify_theorem31 returns has a statement and no statement
+    lacks its key: a missing key would read as a FAIL."""
+    from focklab import cli, hodge
+
+    result = hodge.verify_theorem31(getattr(hodge, family)(), probe_grade=2)
+    assert set(cli.CONNECTION_STATEMENTS) == set(result)
+
+
+def test_an_exhausted_window_is_a_skipped_record(capsys):
+    rep = run_suite("hyperelliptic", {"N": 14})
+    assert [(c.id, c.status) for c in rep.checks] == [("hyperelliptic.run", "skipped")]
+    assert "not determined (prec=" in rep.checks[0].witness
+    assert main(["--suite", "hyperelliptic", "--param", "N=14"]) == 0
+    assert "invalid parameters" not in capsys.readouterr().err
+
+
+def test_a_model_that_fails_its_identity_is_a_fail_record(monkeypatch, capsys):
+    from focklab import geometry
+    from focklab.linalg import IdentityFailed
+
+    def broken(model):
+        raise IdentityFailed("y(t)^2 != f(x(t)) within the window")
+
+    monkeypatch.setattr(geometry.HyperellipticModel, "_validate", broken)
+    rep = run_suite("hyperelliptic", {})
+    assert [(c.id, c.status, c.witness) for c in rep.checks] == [
+        ("hyperelliptic.01-model", "fail", "y(t)^2 != f(x(t)) within the window")
+    ]
+    assert main(["--suite", "hyperelliptic"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_raised_identity_ends_only_its_own_suite(monkeypatch):
+    """NoIsotropicLift out of fock-type is that suite's failed run record;
+    --suite all records it and runs every other suite."""
+    from focklab import cli
+    from focklab.subalgebra import NoIsotropicLift
+
+    def no_lift(sub):
+        raise NoIsotropicLift("found 2 negative classes, expected quotient rank 0")
+
+    monkeypatch.setattr(cli, "build_quotient", no_lift)
+    rep = run_suite("fock-type", {})
+    assert [c.id for c in rep.checks][-1] == "fock-type.run"
+    assert rep.failed[0].witness == "NoIsotropicLift: found 2 negative classes, expected quotient rank 0"
+    every = run_suite("all", {})
+    assert [c.id for c in every.failed] == ["fock-type.run", "hyperelliptic.run.g1", "hyperelliptic.run.g2"]
+    # fock-type loses its check 04 and each hyperelliptic run its checks 03-06; each gains a .run record
+    assert len(every.checks) == 56 - 1 - 2 * 4 + 3
+    assert main(["--suite", "fock-type"]) == 1

@@ -7,7 +7,9 @@
   `__init__.py`, whose imports are the package's re-exports;
 * no `<dict>.pop(<key>, None)` call -- the accumulate-and-drop-zero idiom --
   outside `sparse.py`: every sparse sum goes through `sparse.add_term`, so no
-  hand-written loop can store a zero again.
+  hand-written loop can store a zero again;
+* in cli.py, no `SuiteReport(...)` and no `.add(...)` call outside
+  `run_suite` -- a suite yields checks, and only the runner makes records.
 """
 
 import ast
@@ -90,3 +92,39 @@ def test_package_sources_keep_the_rules():
         if name != "sparse.py":
             found += [f"{name}:{line}: {why}" for line, why in drop_zero_pops(tree)]
     assert found == []
+
+
+def report_writers(tree):
+    """(line, rule) for every `SuiteReport(...)` or `.add(...)` call outside a
+    top-level function named run_suite."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "run_suite":
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if (isinstance(func, ast.Name) and func.id == "SuiteReport") or (
+                isinstance(func, ast.Attribute) and func.attr == "add"
+            ):
+                found.append((call.lineno, "report written outside run_suite"))
+    return sorted(found)
+
+
+def test_the_report_rule_catches_each_pattern():
+    src = (
+        "def run_suite(name):\n    rep = SuiteReport(name, {})\n    rep.add('a', 's', True)\n"
+        "def suite_x(params):\n    rep = SuiteReport('x', params)\n    rep.add('b', 's', True)\n"
+        "    yield 'c', 's', True\n"
+    )
+    assert report_writers(ast.parse(src)) == [
+        (5, "report written outside run_suite"), (6, "report written outside run_suite")
+    ]
+
+
+def test_only_the_runner_writes_reports_in_cli():
+    path = os.path.join(PACKAGE, "cli.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    assert report_writers(tree) == []

@@ -121,3 +121,27 @@ def test_the_four_vectors_share_the_base():
         assert issubclass(cls, SparseVector)
         own = set(vars(cls))
         assert not own & {"__add__", "__neg__", "__sub__", "scale", "map_coefficients", "__bool__", "__eq__"}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_addition_refuses_a_vector_of_another_class(name):
+    make, keys = CLASSES[name]
+    v = make({keys[1]: 1})
+    for other in sorted(CLASSES):
+        if other != name:
+            w = CLASSES[other][0]({CLASSES[other][1][1]: 1})
+            with pytest.raises(TypeError):
+                v + w
+            with pytest.raises(TypeError):
+                v - w
+
+
+def test_addition_refuses_a_space_of_another_genus():
+    with pytest.raises(TypeError):
+        FockVector.vacuum(standard_space(2)) + OscFockVector({(-3,): 1})
+    with pytest.raises(TypeError):
+        FockVector.vacuum(standard_space(2)) - FockVector.vacuum(standard_space(1))
+    with pytest.raises(TypeError):
+        UElement.monomial(standard_space(2), [1]) + UElement.monomial(standard_space(3), [1])
+    # spaces are compared by genus: two equal spaces built apart still add
+    assert FockVector.vacuum(standard_space(2)) + FockVector.vacuum(standard_space(2)) == FockVector(SPACE, {(): 2})
