@@ -6,10 +6,12 @@ A suite is a generator of checks ``(id, statement, ok[, witness[, detail]])``:
 times the run.  Every suite is deterministic given its parameters and seed.
 
 Exit codes: 0 all non-skipped checks pass, 1 a check fails, 2 usage error or
-invalid parameters.  A suite that raises IdentityFailed, NoIsotropicLift or
-NotScalar ends with a failed ``<suite>.run`` record; one whose window cannot
-determine a coefficient (PrecisionExhausted) ends with a skipped one naming
-the window.  ``--suite all`` goes on with the next suite.
+invalid parameters, a ``--param`` key that no run reads among them.  A suite
+that raises one of ``FAILURES`` (IdentityFailed, NoIsotropicLift, NotScalar)
+ends with a failed ``<suite>.run`` record; one whose window cannot determine
+a coefficient (PrecisionExhausted) ends with a skipped one naming the window.
+``--suite all`` goes on with the next suite.  ``--compute`` exits 0 with its
+result printed, 1 with the exception of ``FAILURES`` it raised, 2 as above.
 """
 
 from __future__ import annotations
@@ -449,13 +451,23 @@ ALL = [(name, {}, "") for name in SUITES if name != "hyperelliptic"] + [
 ]
 
 
+# A suite or computation that raises one of these has found a false identity.
+FAILURES = (IdentityFailed, NoIsotropicLift, NotScalar)
+
+
 def _resolve(defaults: dict, params: dict) -> dict:
     """The table's parameters, each the caller's value or its default, typed
-    as the default: a list (the curve f) becomes a list of Fractions."""
+    as the default: a list (the curve f) becomes a list of Fractions.  A value
+    that cannot take its default's type is a ValueError."""
     out = {}
     for key, default in defaults.items():
         value = params.get(key, default)
-        out[key] = [Fraction(c) for c in value] if isinstance(default, list) else type(default)(value)
+        try:
+            if isinstance(value, list) != isinstance(default, list):
+                raise TypeError
+            out[key] = [Fraction(c) for c in value] if isinstance(default, list) else type(default)(value)
+        except TypeError:
+            raise ValueError(f"parameter {key} cannot take the value {value!r}") from None
     return out
 
 
@@ -473,7 +485,7 @@ def run_suite(name: str, params: dict | None = None) -> SuiteReport:
         try:
             for check, statement, *verdict in SUITES[sub][0](**kwargs):
                 rep.add(check + suffix, statement, *verdict)
-        except (PrecisionExhausted, IdentityFailed, NoIsotropicLift, NotScalar) as exc:
+        except (PrecisionExhausted, *FAILURES) as exc:
             # an undecided window is skipped; a false identity fails
             status = "skipped" if isinstance(exc, PrecisionExhausted) else False
             statement = "every identity certified while the suite runs holds within its window"
@@ -581,11 +593,23 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
 
+    name = args.compute or args.suite
+    table = COMPUTATIONS if args.compute else SUITES
+    runs = ALL if name == "all" else [(name, {}, "")]
+    read = {key for sub, fixed, _ in runs for key in table[sub][1] if key not in fixed}
+    unread = sorted({pair.partition("=")[0] for pair in args.param or ()} - read)
+    if unread:
+        print(f"invalid parameters: no run of {name} reads --param {', '.join(unread)} "
+              f"(it reads {', '.join(sorted(read))})", file=sys.stderr)
+        return 2
     try:
         if args.compute:
             print(compute(args.compute, params))
             return 0
         report = run_suite(args.suite, params)
+    except FAILURES as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, ArithmeticError) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2

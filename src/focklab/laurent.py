@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GaussianRational, NotASquare, conj as _conj, parse_gaussian
-from .ratfunc import RationalFunction
+from .scalars import GaussianRational, NotASquare, conj as _conj
+from .ratfunc import DifferentialField, RationalFunction
 from .sparse import add_term
 
 EXACT_PREC = 1 << 30  # window used for exactly known Laurent polynomials
@@ -519,7 +519,12 @@ def semilocal_residue_form(f: SemiLocalSeries, g: SemiLocalSeries):
 def parse_series(text: str) -> LaurentSeries:
     """Parse 'c_k*t^k + ...; prec=N' (or 'prec=exact') with Gaussian-rational
     coefficients; reads everything format_series writes except text it
-    truncated with '+ ...'."""
+    truncated with '+ ...'.
+
+    The body is read as a rational function of t (scalars.parse_expression);
+    it must be a Laurent polynomial, whose normal form has a monomial
+    denominator c*t^d, and each numerator term a*t^e is the term (a/c)*t^(e-d).
+    """
     text = text.strip()
     prec = EXACT_PREC
     if ";" in text:
@@ -531,59 +536,11 @@ def parse_series(text: str) -> LaurentSeries:
         prec = EXACT_PREC if value == "exact" else int(value)
     if text.rstrip().endswith("..."):
         raise ValueError("series text is truncated ('+ ...'); its terms are not all known")
-    terms: dict = {}
-    for sign, chunk in _split_terms(text):
-        if "t" in chunk:
-            coeff_txt, _, exp_txt = chunk.partition("t")
-            coeff_txt = coeff_txt.rstrip("*") or "1"
-            exp = int(exp_txt.lstrip("^")) if exp_txt else 1
-        else:
-            coeff_txt, exp = chunk, 0
-        c = parse_gaussian(_unwrap_parens(coeff_txt))
-        if sign < 0:
-            c = -c
-        terms[exp] = terms.get(exp, GaussianRational(0)) + c
-    return LaurentSeries.from_terms({e: c for e, c in terms.items() if c}, prec)
-
-
-def _unwrap_parens(text: str) -> str:
-    """Drop one pair of parentheses around all of text, as format_series
-    writes them around compound coefficients such as '((1/2)i)'."""
-    if not (text.startswith("(") and text.endswith(")")):
-        return text
-    depth = 0
-    for k, ch in enumerate(text):
-        depth += (ch == "(") - (ch == ")")
-        if depth == 0:
-            return text[1:-1] if k == len(text) - 1 else text
-    return text
-
-
-def _split_terms(text: str):
-    """Split a sum into (sign, chunk) pairs; +/- inside parens or right after
-    '^' (negative exponents) do not split."""
-    text = text.replace(" ", "")
-    out = []
-    depth = 0
-    current = ""
-    sign = 1
-    for k, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0 and current and not current.endswith(("^", "*", "/")):
-            out.append((sign, current))
-            sign = -1 if ch == "-" else 1
-            current = ""
-            continue
-        if ch in "+-" and depth == 0 and not current:
-            sign = sign * (-1 if ch == "-" else 1)
-            continue
-        current += ch
-    if current:
-        out.append((sign, current))
-    return out
+    f = DifferentialField(["t"]).parse(text)
+    if len(f.den.terms) != 1:
+        raise ValueError(f"{text!r} is not a Laurent polynomial in t: its denominator is {f.den}")
+    (((d,), c),) = f.den.terms.items()
+    return LaurentSeries.from_terms({e - d: a / c for (e,), a in f.num.terms.items()}, prec)
 
 
 def format_series(f: LaurentSeries, max_terms: int = 12) -> str:

@@ -30,15 +30,18 @@ denominator alone; adding zero, which returns the other operand; and the
 constants and variables of a field, whose denominator is 1.
 tests/test_ratfunc.py checks that every operation returns a fixed point of
 `_normalize`.
+
+The text format is the grammar of `scalars.parse_expression`.  `str` writes
+num/den and parenthesises a sum or a product of several factors, and
+`DifferentialField.parse` reads what it writes back to an equal value.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from operator import lt, sub
 
-from .scalars import ONE, ZERO, GaussianRational, conj as _conj_scalar
+from .scalars import ONE, ZERO, GaussianRational, conj as _conj_scalar, parse_expression
 from .sparse import add_term
 
 _SCALARS = (int, Fraction, GaussianRational)
@@ -86,7 +89,11 @@ class DifferentialField:
         return self.const(x) if x else self.zero
 
     def parse(self, text: str) -> "RationalFunction":
-        return _ExprParser(self, text).parse()
+        """Read text in the grammar of scalars.parse_expression: the names
+        are the parameters and i (or I), the imaginary unit."""
+        return parse_expression(
+            text, self.const, lambda n: self.i if n in ("i", "I") else self.var(n) if n in self.params else None
+        )
 
     def __eq__(self, other):
         return isinstance(other, DifferentialField) and self.params == other.params
@@ -396,7 +403,7 @@ class RationalFunction:
             return ns
         ds = str(self.den)
         ns = f"({ns})" if " " in ns else ns
-        ds = f"({ds})" if " " in ds else ds
+        ds = f"({ds})" if " " in ds or "*" in ds else ds
         return f"{ns}/{ds}"
 
     __repr__ = __str__
@@ -441,113 +448,3 @@ def _normal(field, num: Polynomial, den: Polynomial) -> RationalFunction:
 
 def conj(x):
     return _conj_scalar(x)
-
-
-# -- tiny expression parser -------------------------------------------------
-
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
-)
-
-
-class _ExprParser:
-    """Recursive-descent parser for +,-,*,/,^,(), names, integers, i."""
-
-    def __init__(self, field: DifferentialField, text: str):
-        self.field = field
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m or m.end() == pos:
-                raise ValueError(f"bad expression near {text[pos:]!r}")
-            pos = m.end()
-            if m.group("num"):
-                self.tokens.append(("num", Fraction(m.group("num"))))
-            elif m.group("name"):
-                self.tokens.append(("name", m.group("name")))
-            else:
-                self.tokens.append(("op", m.group("op")))
-        self.k = 0
-
-    def _peek(self):
-        return self.tokens[self.k] if self.k < len(self.tokens) else (None, None)
-
-    def _next(self):
-        tok = self._peek()
-        self.k += 1
-        return tok
-
-    def parse(self):
-        v = self._sum()
-        if self.k != len(self.tokens):
-            raise ValueError("trailing tokens in expression")
-        return v
-
-    def _sum(self):
-        kind, val = self._peek()
-        neg = False
-        if (kind, val) == ("op", "-"):
-            self._next()
-            neg = True
-        elif (kind, val) == ("op", "+"):
-            self._next()
-        v = self._product()
-        if neg:
-            v = -v
-        while True:
-            kind, val = self._peek()
-            if (kind, val) == ("op", "+"):
-                self._next()
-                v = v + self._product()
-            elif (kind, val) == ("op", "-"):
-                self._next()
-                v = v - self._product()
-            else:
-                return v
-
-    def _product(self):
-        v = self._power()
-        while True:
-            kind, val = self._peek()
-            if (kind, val) == ("op", "*"):
-                self._next()
-                v = v * self._power()
-            elif (kind, val) == ("op", "/"):
-                self._next()
-                v = v / self._power()
-            else:
-                return v
-
-    def _power(self):
-        v = self._atom()
-        kind, val = self._peek()
-        if (kind, val) == ("op", "^"):
-            self._next()
-            kind, val = self._next()
-            sign = 1
-            if (kind, val) == ("op", "-"):
-                sign = -1
-                kind, val = self._next()
-            if kind != "num" or val.denominator != 1:
-                raise ValueError("exponent must be an integer")
-            return v ** (sign * val.numerator)
-        return v
-
-    def _atom(self):
-        kind, val = self._next()
-        if kind == "num":
-            return self.field.const(GaussianRational(val))
-        if kind == "name":
-            if val in ("i", "I"):
-                return self.field.i
-            return self.field.var(val)
-        if (kind, val) == ("op", "("):
-            v = self._sum()
-            kind, val = self._next()
-            if (kind, val) != ("op", ")"):
-                raise ValueError("unbalanced parentheses")
-            return v
-        if (kind, val) == ("op", "-"):
-            return -self._atom()
-        raise ValueError(f"unexpected token {val!r}")

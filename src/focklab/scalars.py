@@ -3,6 +3,11 @@
 Every identity verified by this package is an equality in Q(sqrt(-1)) or in a
 rational-function field over it, so the scalar layer is exact by construction:
 no floats anywhere.
+
+This lowest layer also holds the one text grammar of exact values,
+`parse_expression`: `parse_gaussian` reads it over Q(sqrt(-1)),
+`DifferentialField.parse` over a rational-function field and `parse_series`
+over Laurent polynomials in t, so whatever one of them prints the others read.
 """
 
 from __future__ import annotations
@@ -281,64 +286,84 @@ ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
-_SCALAR_TOKEN = re.compile(r"^\(?\s*(?P<body>[^()]*)\s*\)?(?:/(?P<den>\d+))?$")
+_TOKEN = re.compile(
+    r"(?P<number>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<power>\^\s*[-+]?[0-9]+)|(?P<op>\S)"
+)
+
+
+def parse_expression(text: str, number, name):
+    """Read text in the one grammar of exact values, computing with the values
+    that number(int) and name(str) give its atoms (name returns None for a
+    name it does not know):
+
+        sum     := product {(+|-) product}
+        product := factor {[* | /] factor}     no operator: juxtaposition
+        factor  := (+|-) factor | atom [^[+|-]integer]
+        atom    := integer | name | ( sum )
+
+    The numerals are integers, so '/' is always the operator, and '*', '/'
+    and juxtaposition share one precedence, read left to right: 'x/2/3' is
+    x/6, '(1/2)i*x' is (1/2)*i*x and '1/2i' is i/2.  Malformed text raises
+    ValueError.
+    """
+    tokens = [(m.lastgroup, m.group()) for m in _TOKEN.finditer(text)] + [("end", "")]
+    pos = 0
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
+
+    def fail(what):
+        tok = tokens[pos - 1][1]
+        raise ValueError(f"{what} at {repr(tok) if tok else 'the end'} in {text!r}")
+
+    def read_sum():
+        value = read_product()
+        while tokens[pos][1] in ("+", "-"):
+            value = value + read_product() if take()[1] == "+" else value - read_product()
+        return value
+
+    def read_product():
+        value = read_factor()
+        while True:
+            kind, tok = tokens[pos]
+            if tok in ("*", "/"):
+                take()
+                value = value * read_factor() if tok == "*" else value / read_factor()
+            elif kind in ("number", "name") or tok == "(":
+                value = value * read_factor()
+            else:
+                return value
+
+    def read_factor():
+        if tokens[pos][1] in ("+", "-"):
+            return -read_factor() if take()[1] == "-" else read_factor()
+        kind, tok = take()
+        if kind == "number":
+            value = number(int(tok))
+        elif kind == "name":
+            value = name(tok)
+            if value is None:
+                fail("unknown name")
+        elif tok == "(":
+            value = read_sum()
+            if take()[1] != ")":
+                fail("expected ')'")
+        else:
+            fail("expected a number, a name or '('")
+        return value ** int(take()[1][1:]) if tokens[pos][0] == "power" else value
+
+    value = read_sum()
+    if tokens[pos][0] != "end":
+        take()
+        fail("unexpected token")
+    return value
 
 
 def parse_gaussian(text: str) -> GaussianRational:
     """Parse scalars like '3', '-1/2', 'i', '2i', '(1/2)i', '1+2i', '(1-i)/2'."""
-    text = text.strip().replace(" ", "")
-    m = re.match(r"^(-?)\((-?\d+(?:/\d+)?)\)[iI]$", text)
-    if m:
-        sign = -1 if m.group(1) else 1
-        return GaussianRational(0, sign * Fraction(m.group(2)))
-    m = _SCALAR_TOKEN.match(text)
-    if m:
-        body, den = m.group("body"), m.group("den")
-        value = _parse_sum(body)
-        if den:
-            value = value / int(den)
-        return value
-    return _parse_sum(text)
-
-
-def _parse_sum(body: str) -> GaussianRational:
-    # split on +/- not inside parentheses
-    parts = []
-    depth, cur = 0, ""
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0 and cur and not cur.endswith("/"):
-            parts.append(cur)
-            cur = "-" if ch == "-" else ""
-            continue
-        cur += ch
-    if cur:
-        parts.append(cur)
-    if not parts:
-        raise ValueError("empty scalar literal")
-    total = GaussianRational(0)
-    for part in parts:
-        sign = 1
-        if part.startswith("+"):
-            part = part[1:]
-        elif part.startswith("-"):
-            sign = -1
-            part = part[1:]
-        if part in ("i", "I"):
-            total = total + GaussianRational(0, sign)
-        elif part.endswith(("i", "I")):
-            core = part[:-1].rstrip("*")
-            if core.startswith("(") and core.endswith(")"):
-                core = core[1:-1]
-            total = total + GaussianRational(0, sign * Fraction(core))
-        else:
-            if part.startswith("(") and part.endswith(")"):
-                part = part[1:-1]
-            total = total + GaussianRational(sign * Fraction(part))
-    return total
+    return parse_expression(text, GaussianRational, {"i": I, "I": I}.get)
 
 
 def conj(x):

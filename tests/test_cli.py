@@ -202,3 +202,44 @@ def test_a_raised_identity_ends_only_its_own_suite(monkeypatch):
     # fock-type loses its check 04 and each hyperelliptic run its checks 03-06; each gains a .run record
     assert len(every.checks) == 56 - 1 - 2 * 4 + 3
     assert main(["--suite", "fock-type"]) == 1
+
+
+def test_a_param_that_no_run_reads_is_invalid(capsys):
+    """A mistyped --param key exits 2 and names the key instead of certifying
+    the defaults; --seed and --prec are not --param keys."""
+    assert main(["--suite", "virasoro", "--param", "grde=3"]) == 2
+    assert "--param grde" in capsys.readouterr().err
+    assert main(["--suite", "all", "--param", "kmx=2"]) == 2
+    assert main(["--compute", "tau-hat", "--param", "N=30"]) == 2
+    assert main(["--suite", "virasoro", "--param", "kmax=2", "--param", "grade=3",
+                 "--seed", "5", "--prec", "30"]) == 0
+
+
+def test_a_param_of_the_wrong_shape_is_invalid(capsys):
+    assert main(["--suite", "hyperelliptic", "--param", "f=5"]) == 2
+    assert main(["--suite", "virasoro", "--param", "grade=[3]"]) == 2
+    err = capsys.readouterr().err
+    assert "parameter f cannot take the value 5" in err
+    assert "Traceback" not in err
+
+
+def test_a_computation_that_fails_its_identity_exits_1(monkeypatch, capsys):
+    """A false identity out of --compute is its exception on stderr and exit
+    1, neither a traceback nor the exit 2 of bad input."""
+    from focklab import cli, geometry
+    from focklab.linalg import IdentityFailed
+    from focklab.subalgebra import NoIsotropicLift
+
+    def broken(model):
+        raise IdentityFailed("y(t)^2 != f(x(t)) within the window")
+
+    def no_lift(sub):
+        raise NoIsotropicLift("found 2 negative classes, expected quotient rank 1")
+
+    monkeypatch.setattr(geometry.HyperellipticModel, "_validate", broken)
+    assert main(["--compute", "phi-basis"]) == 1
+    assert capsys.readouterr().err == "IdentityFailed: y(t)^2 != f(x(t)) within the window\n"
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "build_quotient", no_lift)
+    assert main(["--compute", "quotient-basis"]) == 1
+    assert capsys.readouterr().err == "NoIsotropicLift: found 2 negative classes, expected quotient rank 1\n"

@@ -14,8 +14,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from focklab.laurent import parse_series
 from focklab.ratfunc import DifferentialField, Polynomial, RationalFunction, _normalize
-from focklab.scalars import ONE, ZERO, GaussianRational
+from focklab.scalars import ONE, ZERO, GaussianRational, parse_gaussian
 
 F = Fraction
 XY = DifferentialField(["x", "y"])
@@ -347,3 +348,55 @@ def test_hash_ignores_a_common_factor(a, h):
 def test_constants_hash_like_their_value(c):
     assert XY.const(c) == c
     assert hash(XY.const(c)) == hash(c)
+
+
+# -- the text format --------------------------------------------------------------------
+
+FIELDS = [DifferentialField(["x"]), XY, DifferentialField(["x1", "y1", "x2", "y2"])]
+nonreal = st.builds(
+    GaussianRational,
+    st.fractions(-3, 3, max_denominator=4),
+    st.fractions(-3, 3, max_denominator=4).filter(bool),
+)
+
+
+@st.composite
+def printable(draw):
+    """A value of a field with 1, 2 or 4 parameters: non-real coefficients
+    over a monomial denominator, often of several factors, or a longer one."""
+    field = draw(st.sampled_from(FIELDS))
+    exps = st.tuples(*[st.integers(0, 2)] * field.nvars)
+    num = draw(st.dictionaries(exps, nonreal, max_size=3))
+    den = draw(st.dictionaries(exps, nonreal, min_size=1, max_size=draw(st.sampled_from([1, 1, 3]))))
+    return RationalFunction(field, Polynomial(field, num), Polynomial(field, den))
+
+
+@settings(max_examples=200, deadline=None)
+@given(printable())
+@example(XY.const(GaussianRational(0, F(-1, 4))) / XY.var("y") ** 2)  # the modular curvature scalar
+@example(1 / (XY.var("x") * XY.var("y")))
+def test_printed_values_read_back(rf):
+    assert rf.field.parse(str(rf)) == rf
+
+
+def test_the_grammar_reads_left_to_right():
+    x, y = XY.var("x"), XY.var("y")
+    assert XY.parse("x/2/3") == x / 6
+    assert XY.parse("2^1/2") == 1
+    assert XY.parse("1/2i*x") == XY.parse("(1/2)i*x") == XY.i * x / 2
+    assert XY.parse("x^-2 y") == y / x**2
+    assert XY.parse("-x^2") == -(x**2)
+    assert str(XY.parse("-(1/4)i/y^2")) == "-(1/4)i/y^2"
+
+
+@pytest.mark.parametrize("parse, text, where", [
+    (parse_series, "1/(1+t)", "not a Laurent polynomial in t"),
+    (parse_series, "x^2", "unknown name at 'x'"),
+    (parse_gaussian, "x", "unknown name at 'x'"),
+    (XY.parse, "x +", "at the end"),
+    (XY.parse, "(x", "expected '\\)' at the end"),
+    (XY.parse, "x^y", "unexpected token at '\\^'"),
+])
+def test_malformed_text_is_a_value_error_that_says_where(parse, text, where):
+    with pytest.raises(ValueError, match=where):
+        parse(text)

@@ -9,7 +9,9 @@
   outside `sparse.py`: every sparse sum goes through `sparse.add_term`, so no
   hand-written loop can store a zero again;
 * in cli.py, no `SuiteReport(...)` and no `.add(...)` call outside
-  `run_suite` -- a suite yields checks, and only the runner makes records.
+  `run_suite` -- a suite yields checks, and only the runner makes records;
+* no import of `re` outside `scalars.py` -- `scalars.parse_expression` is
+  the one tokenizer and grammar of exact values, so no second one can grow.
 """
 
 import ast
@@ -65,6 +67,17 @@ def drop_zero_pops(tree):
     return sorted(found)
 
 
+def regex_imports(tree):
+    """(line, rule) for every import of the re module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name == "re" for a in node.names) or (
+            isinstance(node, ast.ImportFrom) and node.module == "re"
+        ):
+            found.append((node.lineno, "re imported outside scalars.py"))
+    return found
+
+
 def test_the_rules_catch_each_pattern():
     bad = "try:\n    pass\nexcept:\n    pass\ntry:\n    pass\nexcept (ValueError, Exception):\n    pass\nassert 1\n"
     assert [why for _, why in violations(ast.parse(bad))] == [
@@ -76,6 +89,8 @@ def test_the_rules_catch_each_pattern():
     ]
     pops = "s = d.get(k, 0) + c\nif s:\n    d[k] = s\nelse:\n    d.pop(k, None)\nd.pop(k)\nd.pop(k, 0)\nq.pop()\n"
     assert drop_zero_pops(ast.parse(pops)) == [(5, "drop-zero pop outside sparse.add_term")]
+    regexes = "import os, re as regex\nfrom re import compile\ndef f():\n    import re\nimport reprlib\n"
+    assert [line for line, _ in regex_imports(ast.parse(regexes))] == [1, 2, 4]
 
 
 def test_package_sources_keep_the_rules():
@@ -91,6 +106,8 @@ def test_package_sources_keep_the_rules():
             found += [f"{name}:{line}: {why}" for line, why in unused_imports(tree)]
         if name != "sparse.py":
             found += [f"{name}:{line}: {why}" for line, why in drop_zero_pops(tree)]
+        if name != "scalars.py":
+            found += [f"{name}:{line}: {why}" for line, why in regex_imports(tree)]
     assert found == []
 
 
