@@ -444,10 +444,12 @@ SUITES = {
 }
 
 # The runs of --suite all: (suite, parameters fixed over the caller's, id
-# suffix).  hyperelliptic runs on the two shipped curves, told apart by genus.
+# suffix).  hyperelliptic runs on the two shipped curves, told apart by genus;
+# wzw-gram also runs at g = 2, the least genus whose Gram can be asymmetric.
 ALL = [(name, {}, "") for name in SUITES if name != "hyperelliptic"] + [
     ("hyperelliptic", {"f": CURVE, "g": 1, "N": 52}, ".g1"),
     ("hyperelliptic", {"f": [0, -1, 0, 0, 0, 1], "g": 2, "N": 60}, ".g2"),
+    ("wzw-gram", {"f": [0, -1, 0, 0, 0, 1], "g": 2, "N": 60}, ".g2"),
 ]
 
 
@@ -455,18 +457,30 @@ ALL = [(name, {}, "") for name in SUITES if name != "hyperelliptic"] + [
 FAILURES = (IdentityFailed, NoIsotropicLift, NotScalar)
 
 
+def _exact(c) -> Fraction:
+    """A curve coefficient: an int, a Fraction or a string that Fraction reads
+    exactly ("1/2"); a float or a bool is not exact and is a TypeError."""
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction, str)):
+        raise TypeError
+    return Fraction(c)
+
+
 def _resolve(defaults: dict, params: dict) -> dict:
-    """The table's parameters, each the caller's value or its default, typed
-    as the default: a list (the curve f) becomes a list of Fractions.  A value
-    that cannot take its default's type is a ValueError."""
+    """The table's parameters, each the caller's value or its default.  A
+    value must have its default's type (a bool is not an int, nor is a float);
+    a list (the curve f) becomes a list of Fractions, one per exact
+    coefficient.  Any other value is a ValueError."""
     out = {}
     for key, default in defaults.items():
         value = params.get(key, default)
         try:
-            if isinstance(value, list) != isinstance(default, list):
+            if isinstance(default, list) and isinstance(value, list):
+                out[key] = [_exact(c) for c in value]
+            elif type(value) is type(default):
+                out[key] = value
+            else:
                 raise TypeError
-            out[key] = [Fraction(c) for c in value] if isinstance(default, list) else type(default)(value)
-        except TypeError:
+        except (TypeError, ValueError):
             raise ValueError(f"parameter {key} cannot take the value {value!r}") from None
     return out
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -200,7 +201,7 @@ def test_a_raised_identity_ends_only_its_own_suite(monkeypatch):
     every = run_suite("all", {})
     assert [c.id for c in every.failed] == ["fock-type.run", "hyperelliptic.run.g1", "hyperelliptic.run.g2"]
     # fock-type loses its check 04 and each hyperelliptic run its checks 03-06; each gains a .run record
-    assert len(every.checks) == 56 - 1 - 2 * 4 + 3
+    assert len(every.checks) == 59 - 1 - 2 * 4 + 3
     assert main(["--suite", "fock-type"]) == 1
 
 
@@ -221,6 +222,21 @@ def test_a_param_of_the_wrong_shape_is_invalid(capsys):
     err = capsys.readouterr().err
     assert "parameter f cannot take the value 5" in err
     assert "Traceback" not in err
+
+
+def test_a_param_that_is_not_exact_is_invalid(capsys):
+    """An integer parameter takes an int only and a curve coefficient an int,
+    a Fraction or a string Fraction reads exactly: neither a float nor a bool
+    is truncated into a certified run."""
+    assert main(["--suite", "virasoro", "--param", "grade=8.9"]) == 2
+    assert main(["--suite", "hyperelliptic", "--param", "f=[0.1,-1,0,1]"]) == 2
+    assert main(["--suite", "fock-basics", "--param", "g=true"]) == 2
+    err = capsys.readouterr().err
+    assert "parameter grade cannot take the value 8.9" in err
+    assert "parameter f cannot take the value [0.1, -1, 0, 1]" in err
+    assert "parameter g cannot take the value True" in err
+    exact = run_suite("hyperelliptic", {"f": ["0", "-2/2", Fraction(0), 1]})
+    assert exact.to_json_bytes() == run_suite("hyperelliptic", {}).to_json_bytes()
 
 
 def test_a_computation_that_fails_its_identity_exits_1(monkeypatch, capsys):

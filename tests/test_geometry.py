@@ -1,6 +1,8 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from focklab import cli, geometry
 from focklab.geometry import (
@@ -221,3 +223,38 @@ def test_wzw_gram_suite_verdicts_are_separate(monkeypatch, check):
     assert rep.failed[0].witness.startswith(want)
     argv = ["--suite", "wzw-gram", "--param", "f=[0,-1,0,0,0,1]", "--param", "g=2", "--param", "N=60"]
     assert cli.main(argv) == 1
+
+
+def test_suite_all_fails_an_asymmetric_gram_at_genus_2(monkeypatch, tmp_path):
+    """--suite all runs wzw-gram at g = 2 as well as at g = 1, where the 1x1
+    Gram is symmetric by construction, so an asymmetric Gram fails there."""
+    real = cli.wzw_gram_entries
+    broken = _asymmetric(real)
+    monkeypatch.setattr(cli, "wzw_gram_entries", lambda model, d: (broken if model.g > 1 else real)(model, d))
+    out = tmp_path / "all.json"
+    assert cli.main(["--suite", "all", "--json", str(out)]) == 1
+    checks = json.loads(out.read_bytes())["checks"]
+    assert [c["id"] for c in checks if c["status"] == "fail"] == ["wzw-gram.01-symmetric.g2"]
+
+
+# (g, the coefficients of x^0 .. x^2g below the leading 1), g <= 2
+LOW_COEFFICIENTS = st.integers(1, 2).flatmap(
+    lambda g: st.tuples(st.just(g), st.lists(st.integers(-3, 3), min_size=2 * g + 1, max_size=2 * g + 1))
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(LOW_COEFFICIENTS)
+def test_generic_curves_certify_or_exhaust_the_window(curve):
+    """On a monic square-free f of degree 2g + 1 the hyperelliptic suite
+    passes all six checks, or ends in a skipped run record when the window
+    is exhausted; it never fails or raises."""
+    sympy = pytest.importorskip("sympy")
+    g, low = curve
+    f = low + [1]
+    x = sympy.Symbol("x")
+    assume(sympy.discriminant(sum(c * x**k for k, c in enumerate(f)), x) != 0)
+    rep = cli.run_suite("hyperelliptic", {"f": f, "g": g, "N": 44 + 8 * g})
+    assert not rep.failed, (f, [(c.id, c.witness) for c in rep.failed])
+    last = rep.checks[-1]
+    assert [c.status for c in rep.checks] == ["pass"] * 6 or (last.id, last.status) == ("hyperelliptic.run", "skipped")

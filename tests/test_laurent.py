@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from focklab.laurent import (
     EXACT_PREC,
@@ -153,6 +153,84 @@ def test_residue_form_matches_definition(pair):
     assert got == want
     assert bool(got) == bool(want)
     assert type(got) is type(want)
+
+
+def _product_by_fractions(f, g):
+    """f * g by the plain double loop over the stored coefficients, each sum
+    dropped when it vanishes: the oracle for the integer kernel."""
+    prec = min(f.floor + g.prec, g.floor + f.prec)
+    out = {}
+    for e1, c1 in f.coeffs.items():
+        for e2, c2 in g.coeffs.items():
+            e = e1 + e2
+            if e < prec:
+                s = out.get(e, 0) + c1 * c2
+                if s:
+                    out[e] = s
+                elif e in out:
+                    del out[e]
+    return LaurentSeries(min(f.floor + g.floor, prec), prec, out)
+
+
+def _residue_form_by_fractions(f, g):
+    """sum_e e f_e g_{-e} by the plain loop: the oracle for the integer
+    kernel (the window rule is test_residue_form_matches_definition's)."""
+    s = 0
+    for e, c in f.coeffs.items():
+        if e and -e in g.coeffs:
+            s = s + g.coeffs[-e] * (c * e)
+    return s if s else 0
+
+
+def _typed(f):
+    return f.floor, f.prec, {e: (c, type(c)) for e, c in f.coeffs.items()}
+
+
+# Mostly Q on both sides; otherwise each operand over its own domain, or one
+# series that mixes Q with Q(i) coefficients.
+DOMAINS = {**COEFFICIENTS, "Q+Q(i)": st.one_of(rationals, COEFFICIENTS["Q(i)"])}
+
+
+@st.composite
+def kernel_pairs(draw):
+    if draw(st.integers(0, 2)):
+        return draw(windowed_series(rationals)), draw(windowed_series(rationals))
+    domains = st.sampled_from(sorted(DOMAINS))
+    return draw(windowed_series(DOMAINS[draw(domains)])), draw(windowed_series(DOMAINS[draw(domains)]))
+
+
+HALF_T = LaurentSeries.polynomial({0: F(1, 2), 1: F(1, 3)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_pairs())
+# (1/2 + t/3)(1/2 - t/3): the t coefficient cancels and is not stored
+@example((HALF_T, LaurentSeries.from_terms({0: F(1, 2), 1: F(-1, 3), 2: F(5, 7)}, 4)))
+# a window that ends at the floor sum: known zero, floor == prec
+@example((LaurentSeries(0, 1, {0: F(1, 2)}), LaurentSeries(1, 1, {})))
+# exact x windowed, products on both sides of the window's end: over Q, and
+# Q x Q(i) through the generic loop
+@example((HALF_T, LaurentSeries.from_terms({-2: F(3, 4), 0: F(-2, 3)}, 1)))
+@example((HALF_T, LaurentSeries.from_terms({0: GaussianRational(1, F(1, 2))}, 3)))
+def test_product_matches_the_fraction_loop(pair):
+    f, g = pair
+    assert _typed(f * g) == _typed(_product_by_fractions(f, g))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_pairs())
+# (1/2 t + 1/3 t^-1, 2/3 t^-1 + t): the pairs 1/3 and -1/3 cancel to the int 0
+@example((LaurentSeries.polynomial({1: F(1, 2), -1: F(1, 3)}), LaurentSeries.polynomial({-1: F(2, 3), 1: 1})))
+# exact x windowed, with pairs of unequal denominators; and Q x Q(i)
+@example((LaurentSeries.polynomial({2: F(1, 6), -3: F(5, 4)}), LaurentSeries.from_terms({-2: F(3, 10), 3: F(1, 9)}, 4)))
+@example((LaurentSeries.polynomial({1: F(1, 2)}), LaurentSeries.polynomial({-1: GaussianRational(0, F(1, 3))})))
+def test_residue_form_matches_the_fraction_loop(pair):
+    f, g = pair
+    got = _outcome(lambda: residue_form(f, g))
+    if got is WindowTooNarrow:
+        return
+    want = _residue_form_by_fractions(f, g)
+    assert (got, type(got)) == (want, type(want))
 
 
 def test_residue_antisymmetry_mod_constants():
@@ -360,3 +438,79 @@ def test_mul_window_bookkeeping():
     assert h.coefficient(1) == 1
     with pytest.raises(WindowTooNarrow):
         h.coefficient(2)
+
+
+# -- inv, sqrt_unit and residues against sympy's series ----------------------------------
+
+SCALARS = {"Q": rationals, "Q(i)": COEFFICIENTS["Q(i)"]}
+
+
+def _sympy_scalar(c, sympy):
+    c = GaussianRational.coerce(c)
+    return sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)
+
+
+def _sympy_expr(f, sympy, T):
+    """The stored coefficients of f as a sympy Laurent polynomial in T."""
+    return sum((_sympy_scalar(c, sympy) * T**e for e, c in f.coeffs.items()), sympy.Integer(0))
+
+
+@st.composite
+def laurent_polynomials(draw):
+    domain = SCALARS[draw(st.sampled_from(sorted(SCALARS)))]
+    f = LaurentSeries.polynomial(draw(st.dictionaries(st.integers(-3, 3), domain, min_size=1, max_size=4)))
+    assume(f)
+    return f
+
+
+@settings(max_examples=25, deadline=None)
+@given(laurent_polynomials(), st.integers(1, 8))
+def test_inv_matches_sympy_series(f, width):
+    sympy = pytest.importorskip("sympy")
+    T = sympy.Symbol("t")
+    h = f.inv(prec=width)
+    # t^a / f is a unit, so its series below t^width is sympy's without poles
+    a = f.ord
+    want = sympy.series(T**a / _sympy_expr(f, sympy, T), T, 0, width).removeO() / T**a
+    assert sympy.expand(want - _sympy_expr(h, sympy, T)) == 0
+
+
+@st.composite
+def square_leads(draw):
+    """A Laurent polynomial of even order whose leading coefficient is the
+    square of a nonzero scalar."""
+    domain = SCALARS[draw(st.sampled_from(sorted(SCALARS)))]
+    root = draw(domain.filter(bool))
+    a = 2 * draw(st.integers(-2, 2))
+    rest = draw(st.dictionaries(st.integers(a + 1, a + 5), domain, max_size=3))
+    return LaurentSeries.polynomial({a: root * root, **rest})
+
+
+@settings(max_examples=25, deadline=None)
+@given(square_leads(), st.integers(1, 8))
+def test_sqrt_unit_matches_sympy_series(f, width):
+    """s = sqrt_unit(f) against r t^(a/2) sqrt(u), u = f / (lead t^a), whose
+    sympy series is unambiguous (u(0) = 1); the branch r is checked by r^2 = lead."""
+    sympy = pytest.importorskip("sympy")
+    T = sympy.Symbol("t")
+    s = f.sqrt_unit(prec=width)
+    a = f.ord
+    root = s.coeffs[a // 2]
+    assert root * root == f.coeffs[a]
+    u = _sympy_expr(f, sympy, T) / (_sympy_scalar(f.coeffs[a], sympy) * T**a)
+    want = _sympy_scalar(root, sympy) * T ** (a // 2) * sympy.series(sympy.sqrt(u), T, 0, width).removeO()
+    assert sympy.expand(want - _sympy_expr(s, sympy, T)) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(laurent_polynomials(), laurent_polynomials())
+def test_residues_match_the_sympy_product(f, g):
+    """res(f g dt) and (f, g) = res(g df) against the t^-1 coefficient of the
+    expanded sympy products."""
+    sympy = pytest.importorskip("sympy")
+    T = sympy.Symbol("t")
+    F_, G_ = _sympy_expr(f, sympy, T), _sympy_expr(g, sympy, T)
+    pairs = ((residue(f * g), F_ * G_), (residue_form(f, g), G_ * sympy.diff(F_, T)))
+    for got, product in pairs:
+        want = sympy.expand(product).coeff(T, -1)
+        assert sympy.expand(_sympy_scalar(got, sympy) - want) == 0
