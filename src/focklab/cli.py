@@ -6,7 +6,8 @@ A suite is a generator of checks ``(id, statement, ok[, witness[, detail]])``:
 times the run.  Every suite is deterministic given its parameters and seed.
 
 Exit codes: 0 all non-skipped checks pass, 1 a check fails, 2 usage error or
-invalid parameters, a ``--param`` key that no run reads among them.  A suite
+invalid parameters, among them a ``--param`` key that no run reads and a
+``--seed`` (``--prec``) where no run reads ``seed`` (``N``).  A suite
 that raises one of ``FAILURES`` (IdentityFailed, NoIsotropicLift, NotScalar)
 ends with a failed ``<suite>.run`` record; one whose window cannot determine
 a coefficient (PrecisionExhausted) ends with a skipped one naming the window.
@@ -611,9 +612,12 @@ def main(argv=None) -> int:
     table = COMPUTATIONS if args.compute else SUITES
     runs = ALL if name == "all" else [(name, {}, "")]
     read = {key for sub, fixed, _ in runs for key in table[sub][1] if key not in fixed}
-    unread = sorted({pair.partition("=")[0] for pair in args.param or ()} - read)
+    given = {pair.partition("=")[0] for pair in args.param or ()}
+    unread = [f"--param {key}" for key in sorted(given - read)]
+    unread += [flag for flag, key, value in (("--seed", "seed", args.seed), ("--prec", "N", args.prec))
+               if value is not None and key not in read]
     if unread:
-        print(f"invalid parameters: no run of {name} reads --param {', '.join(unread)} "
+        print(f"invalid parameters: no run of {name} reads {', '.join(unread)} "
               f"(it reads {', '.join(sorted(read))})", file=sys.stderr)
         return 2
     try:

@@ -16,35 +16,32 @@ tau_hat(D_k) = -(1/2) sum_{a+b=k, a,b != 0} :e_a e_b: reproduces
 [tau_hat(D_k), f] = D_k(f) and the central term (k^3 - k)/12 delta_{k+l,0}.
 The coefficients -1/2 of :e_a e_a: make 2 tau_hat(D_k) the operator with
 integer entries, so operators are applied doubled and halved once at the
-end.  Applying works key by key: _double_tau_column(k, key) visits only the
-monomials that act on one basis key -- annihilate a present part and create
-e_{k-b}, annihilate two present parts, or (k < 0) create two modes -- instead
-of trying every monomial up to the vector's largest mode on the whole vector.
+end, key by key: the kernel visits only the monomials that act on one key.
+
+While the kernel works, a multiset of negative modes is one int, its code:
+slot b holds the multiplicity n_b of the mode -b, code = sum n_b 2^(S (b-1)),
+so a monomial moves a code by adding and subtracting the codes of single
+parts, with no tuple built or hashed.  The width S = top.bit_length() comes
+from a bound top on the grade of every key and image of the call (grade(v)
+plus the most negative weight's |k| for apply, probe grade + 2 kmax for the
+sweep); a multiplicity is at most the grade, below 2^S, so no slot carries.
 
 virasoro_bracket certifies one (k, l) pair; virasoro_sweep certifies every
 pair with |k|, |l| <= kmax and shares the work between them.  Following the
 grade decomposition of the oscillator representation (T(D_k) maps grade n to
-grade n - k; Kac and Raina, Bombay Lectures, 1987), it takes one probe vector
-v at a time and applies each T(D_m) to v once.  For each unordered pair
-k < l a single integer dictionary accumulates
-4 T_k T_l v - 4 T_l T_k v - 2 (l - k) (2 T_{k+l} v) in place, with no
-intermediate vectors, and is compared with 4 central(k, l) v for (k, l) and
-with -4 central(l, k) v for (l, k).  4 central = (k^3 - k)/3 delta_{k+l,0}
-is an integer, so on basis probes the comparison runs in ints.  A diagonal
-pair (k, k) forms no product: [T_k, T_k] = 0 for any operator, so the
-central term alone decides it.  Every nonzero vector the sweep compares
-still comes from applying the operators, never from the bracket formula
-being verified.
+grade n - k; Kac and Raina, Bombay Lectures, 1987), it applies each T(D_m)
+once to one probe vector at a time and accumulates each unordered pair in
+one integer dictionary.  Every nonzero vector it compares still comes from
+applying the operators, never from the bracket formula being verified.
 
-Columns are recomputed for every probe, not cached: caching every (k, key)
-column of the `virasoro` suite at grades 8 and 11 raises the peak resident
-memory of the process from about 17 MB to about 28 MB, and the cache grows
-with the grade.
+No column is cached.  A cache of every (k, key) column of the sweep made
+before the packing raised peak resident memory from 18 to 66 MB at grade 16
+(about 11 MB more at grades 8 and 11) to save less time than the packing
+saves with no memory growth.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from fractions import Fraction
 
 from .laurent import (
@@ -156,50 +153,29 @@ def osc_basis(max_grade: int):
     return out
 
 
-def _double_tau_column(k: int, key: tuple) -> dict:
-    """The integer entries of 2 tau_hat(D_k) on the basis vector `key`.
+def _packing(top: int) -> tuple:
+    """(S, ONE) for grades up to top: the width S = top.bit_length() (at
+    least 1) and ONE[b] = 2^(S (b-1)), the code of the part b <= top."""
+    s = max(top, 1).bit_length()
+    return s, [0] + [1 << s * i for i in range(top)]
 
-    2 tau_hat(D_k) = -sum_{a<b} 2 :e_a e_b: - :e_{k/2} e_{k/2}: over a+b = k,
-    a, b != 0.  Only the monomials that act on key are visited: with part
-    b > max(k, 0) present, e_{k-b} e_b turns it into the part b - k; with
-    parts a = k - b and b present, 0 < a <= b, e_a e_b annihilates both; for
-    k < 0 the pairs a <= b < 0 create two modes.  Annihilating e_b from a key
-    holding the part b n times gives the factor b n.
-    """
-    out = {}
-    counts = {}
-    for m in key:
-        counts[m] = counts.get(m, 0) + 1
-    for m, n in counts.items():
-        b = -m
-        if b > k:
-            lst = list(key)
-            lst.remove(m)
-            insort(lst, k - b)
-            image = tuple(lst)
-            out[image] = out.get(image, 0) - 2 * b * n
-        elif 2 * b >= k and b != k:
-            a = k - b
-            if a == b:
-                if n < 2:
-                    continue
-                c = -b * n * a * (n - 1)
-            else:
-                na = counts.get(-a)
-                if not na:
-                    continue
-                c = -2 * b * n * a * na
-            lst = list(key)
-            lst.remove(m)
-            lst.remove(-a)
-            out[tuple(lst)] = c
-    for b in range((k + 1) // 2, 0):
-        a = k - b
-        lst = list(key)
-        insort(lst, a)
-        insort(lst, b)
-        out[tuple(lst)] = -1 if a == b else -2
-    return out
+
+def _encode(key: tuple, packing) -> int:
+    """The code of a mode multiset: sum of n_b 2^(S (b-1)) over its parts."""
+    return sum(1 << packing[0] * (-m - 1) for m in key)
+
+
+def _decode(code: int, packing) -> tuple:
+    """The sorted mode multiset of a code."""
+    s = packing[0]
+    mask = (1 << s) - 1
+    parts, b = [], 0
+    while code:
+        b += 1
+        parts += [-b] * (code & mask)
+        code >>= s
+    parts.reverse()
+    return tuple(parts)
 
 
 def _half(c):
@@ -261,13 +237,23 @@ class QuadraticOperator:
             out.append((a, bb, coeff))
         return out
 
-    def _add_doubled(self, terms: dict, v_terms: dict, max_mode: int, sign=1):
-        """terms += sign * 2 * self * v in place, for the vector v with terms
-        v_terms and largest mode max_mode; with integer weights, central term,
-        coefficients and sign every added value is an integer."""
-        if not v_terms:
+    def _add_doubled(self, terms: dict, v_codes: dict, packing, sign=1):
+        """terms += sign * 2 * self * v in place, v given by its codes under
+        packing; with integer weights, central term, coefficients and sign
+        every added value is an integer.
+
+        2 tau_hat(D_k) = -sum_{a<b} 2 :e_a e_b: - :e_{k/2} e_{k/2}: over
+        a+b = k, a, b != 0, and only the monomials that act on a key are
+        visited: a part b > max(k, 0) becomes b - k through e_{k-b} e_b;
+        present parts a = k - b and b, 0 < a <= b, are annihilated by
+        e_a e_b; for k < 0 the pairs a <= b < 0 create two modes.  Taking
+        e_b from a key holding the part b n times gives the factor b n.
+        """
+        if not v_codes:
             return
-        needed_hi = 2 * max_mode
+        s, one = packing
+        mask = (1 << s) - 1
+        needed_hi = 2 * -(-max(v_codes).bit_length() // s)  # 2 * largest mode
         if needed_hi >= self.khi:
             raise PrecisionExhausted(
                 f"operator weights determined for k < {self.khi}, "
@@ -275,25 +261,39 @@ class QuadraticOperator:
             )
         if self.central:
             c2 = 2 * sign * self.central
-            for key, x in v_terms.items():
-                add_term(terms, key, c2 * x)
+            for code, x in v_codes.items():
+                add_term(terms, code, c2 * x)
         for k, w in self.weights.items():
             if k > needed_hi:
                 continue  # no monomial of weight k > 2n acts on modes <= n
             sw = sign * w
-            for key, x in v_terms.items():
-                column = _double_tau_column(k, key)
-                if column:
-                    wx = sw * x
-                    for image, c in column.items():
-                        add_term(terms, image, c * wx)
+            low = max(k - 1, 0) // 2  # parts b <= low take no monomial
+            for code, x in v_codes.items():
+                wx = sw * x
+                rest, b = code >> s * low, low
+                while rest:
+                    b += 1
+                    n = rest & mask
+                    rest >>= s
+                    if not n:
+                        continue
+                    if b > k:
+                        add_term(terms, code - one[b] + one[b - k], -2 * b * n * wx)
+                    elif 2 * b >= k and b != k:
+                        a = k - b
+                        if a == b and n >= 2:
+                            add_term(terms, code - 2 * one[b], -b * n * a * (n - 1) * wx)
+                        elif a != b and (na := code >> s * (a - 1) & mask):
+                            add_term(terms, code - one[b] - one[a], -2 * b * n * a * na * wx)
+                for b in range((k + 1) // 2, 0):
+                    a = k - b
+                    add_term(terms, code + one[-a] + one[-b], (-1 if a == b else -2) * wx)
 
     def apply(self, v: OscFockVector) -> OscFockVector:
+        packing = _packing(v.grade() + max(0, -min(self.weights, default=0)))
         doubled = {}
-        self._add_doubled(doubled, v.terms, v.max_mode())
-        out = OscFockVector()
-        out.terms = {key: _half(c) for key, c in doubled.items()}
-        return out
+        self._add_doubled(doubled, {_encode(key, packing): x for key, x in v.terms.items()}, packing)
+        return v._like({_decode(code, packing): _half(c) for code, c in doubled.items()})
 
     def __repr__(self):
         bits = [f"({c})·T[{k}]" for k, c in sorted(self.weights.items())]
@@ -378,26 +378,26 @@ def virasoro_sweep(kmax: int, probe_grade: int) -> list:
     ks = range(-kmax, kmax + 1)
     ops = {m: tau_hat_Dk(m) for m in range(-2 * kmax, 2 * kmax + 1)}
     central4 = {(k, l): _whole(4 * _virasoro_central(k, l)) for k in ks for l in ks}
+    packing = _packing(probe_grade + 2 * kmax)  # T_k T_l v reaches this grade
     failures = []
     for key in osc_basis(probe_grade):
-        probe = {key: 1}
-        tv, tops = {}, {}
+        code = _encode(key, packing)
+        tv = {}
         for m, op in ops.items():
             tv[m] = image = {}
-            op._add_doubled(image, probe, -key[0] if key else 0)
-            tops[m] = max((-p[0] for p in image if p), default=0)
+            op._add_doubled(image, {code: 1}, packing)
         for i, k in enumerate(ks):
             if central4[k, k]:
                 failures.append((k, k, key))
             for l in ks[i + 1:]:
                 acc = {}
-                ops[k]._add_doubled(acc, tv[l], tops[l])
-                ops[l]._add_doubled(acc, tv[k], tops[k], -1)
+                ops[k]._add_doubled(acc, tv[l], packing)
+                ops[l]._add_doubled(acc, tv[k], packing, -1)
                 c = 2 * (k - l)
                 for image, x in tv[k + l].items():
                     add_term(acc, image, c * x)
                 for a, b, want in ((k, l, central4[k, l]), (l, k, -central4[l, k])):
-                    if acc != ({key: want} if want else {}):
+                    if acc != ({code: want} if want else {}):
                         failures.append((a, b, key))
     return failures
 

@@ -60,7 +60,7 @@ class SuiteReport:
         return {
             "schema": SCHEMA,
             "suite": self.suite,
-            "params": {k: str(v) for k, v in sorted(self.params.items())},
+            "params": {k: _param_text(v) for k, v in sorted(self.params.items())},
             "checks": [c.to_json() for c in sorted(self.checks, key=lambda c: c.id)],
         }
 
@@ -82,5 +82,14 @@ class SuiteReport:
         return "\n".join(lines)
 
 
+def _param_text(v) -> str:
+    """A parameter value as ``--param`` reads it back: a list (the curve f)
+    as compact JSON, a coefficient that is not an integer as a string
+    ("1/2"); any other value as str gives it."""
+    if isinstance(v, list):
+        return json.dumps([int(c) if c.denominator == 1 else str(c) for c in v], separators=(",", ":"))
+    return str(v)
+
+
 def _fmt_params(params: dict) -> str:
-    return ", ".join(f"{k}={v}" for k, v in sorted(params.items()))
+    return ", ".join(f"{k}={_param_text(v)}" for k, v in sorted(params.items()))

@@ -207,13 +207,40 @@ def test_a_raised_identity_ends_only_its_own_suite(monkeypatch):
 
 def test_a_param_that_no_run_reads_is_invalid(capsys):
     """A mistyped --param key exits 2 and names the key instead of certifying
-    the defaults; --seed and --prec are not --param keys."""
+    the defaults; so do --seed and --prec given to runs that read neither."""
     assert main(["--suite", "virasoro", "--param", "grde=3"]) == 2
     assert "--param grde" in capsys.readouterr().err
     assert main(["--suite", "all", "--param", "kmx=2"]) == 2
     assert main(["--compute", "tau-hat", "--param", "N=30"]) == 2
     assert main(["--suite", "virasoro", "--param", "kmax=2", "--param", "grade=3",
-                 "--seed", "5", "--prec", "30"]) == 0
+                 "--seed", "5", "--prec", "30"]) == 2
+
+
+def test_seed_and_prec_that_no_run_reads_are_invalid(capsys):
+    """--seed counts as read when a run reads seed and --prec when a run reads
+    N; otherwise each is named as an unread --param key is."""
+    virasoro = ["--suite", "virasoro", "--param", "kmax=2", "--param", "grade=3"]
+    assert main([*virasoro, "--seed", "5"]) == 2
+    assert "no run of virasoro reads --seed (it reads grade, kmax)" in capsys.readouterr().err
+    assert main([*virasoro, "--prec", "30"]) == 2
+    assert "no run of virasoro reads --prec (it reads grade, kmax)" in capsys.readouterr().err
+    assert main(["--suite", "wzw-gram", "--param", "g=1", "--seed", "5", "--prec", "30"]) == 0
+    assert main(["--suite", "hyperelliptic", "--seed", "5"]) == 2
+    assert main(["--compute", "tau-hat", "--prec", "30"]) == 2
+    # --suite all takes both: fock-basics reads seed and wzw-gram reads N
+    assert main(["--suite", "all", "--param", "grade=2", "--seed", "5", "--prec", "30"]) != 2
+
+
+def test_json_params_read_back_through_param(tmp_path):
+    """A single-suite report writes each parameter as --param reads it, so
+    feeding the JSON params back reproduces the same bytes."""
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["--suite", "wzw-gram", "--param", 'f=[0,"-1/2",0,1]', "--json", str(first)]) == 0
+    params = json.loads(first.read_text())["params"]
+    assert params["f"] == '[0,"-1/2",0,1]'
+    args = [arg for key, value in params.items() for arg in ("--param", f"{key}={value}")]
+    assert main(["--suite", "wzw-gram", *args, "--json", str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_a_param_of_the_wrong_shape_is_invalid(capsys):

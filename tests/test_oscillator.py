@@ -13,7 +13,9 @@ from focklab.oscillator import (
     BasisNotQuasiSymplectic,
     OscFockVector,
     QuadraticOperator,
-    _double_tau_column,
+    _decode,
+    _encode,
+    _packing,
     apply_mode,
     check_quasi_symplectic,
     coefficientwise_action,
@@ -376,12 +378,12 @@ def test_virasoro_suite_witnesses_module_and_vacuum_failures(monkeypatch, check)
     assert main(["--suite", "virasoro", "--param", "kmax=3", "--param", "grade=4"]) == 1
 
 
-# -- the per-key kernel of tau_hat(D_k) --------------------------------------------
+# -- the packed kernel of tau_hat(D_k) ----------------------------------------------
 
 
 def _monomial_sum(op, v):
     """op applied to v through every normally ordered monomial, two modes at a
-    time: the reference the per-key kernel replaces."""
+    time: the reference the packed kernel replaces."""
     n = v.max_mode()
     out = v.scale(op.central)
     for k, w in op.weights.items():
@@ -390,14 +392,32 @@ def _monomial_sum(op, v):
     return out
 
 
-def test_double_tau_column_matches_the_monomial_sum():
+def test_packed_kernel_matches_the_monomial_sum():
     keys = osc_basis(9)
+    packing = _packing(9 + 12)
     for k in range(-12, 13):
         for key in keys:
-            column = _double_tau_column(k, key)
+            column = {}
+            tau_hat_Dk(k)._add_doubled(column, {_encode(key, packing): 1}, packing)
             assert all(type(c) is int and c for c in column.values()), (k, key)
             want = _monomial_sum(tau_hat_Dk(k), OscFockVector.basis(key)).scale(2)
-            assert OscFockVector(column) == want, (k, key)
+            assert OscFockVector({_decode(code, packing): c for code, c in column.items()}) == want, (k, key)
+
+
+def test_packing_round_trips():
+    keys = osc_basis(12)
+    packing = _packing(12)
+    assert [_decode(_encode(key, packing), packing) for key in keys] == keys
+
+
+def test_a_multiplicity_may_fill_its_slot():
+    # grade 5 and weight -2 give top = 7 and S = 3: the image (-1,)*7 holds
+    # the slot's largest multiplicity, 7 = 2^3 - 1
+    v = OscFockVector.basis((-1,) * 5)
+    assert _packing(7)[0] == 3
+    got = tau_hat_Dk(-2).apply(v)
+    assert (-1,) * 7 in got.terms
+    assert got == _monomial_sum(tau_hat_Dk(-2), v)
 
 
 small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
