@@ -6,8 +6,10 @@ A suite is a generator of checks ``(id, statement, ok[, witness[, detail]])``:
 times the run.  Every suite is deterministic given its parameters and seed.
 
 Exit codes: 0 all non-skipped checks pass, 1 a check fails, 2 usage error or
-invalid parameters, among them a ``--param`` key that no run reads and a
-``--seed`` (``--prec``) where no run reads ``seed`` (``N``).  A suite
+invalid parameters, among them a ``--param`` key that no run reads, a
+``--seed`` (``--prec``) where no run reads ``seed`` (``N``), one parameter
+given two values, and a genus, grade or ``kmax`` that leaves a suite nothing
+to check (a suite raises ValueError before its first check).  A suite
 that raises one of ``FAILURES`` (IdentityFailed, NoIsotropicLift, NotScalar)
 ends with a failed ``<suite>.run`` record; one whose window cannot determine
 a coefficient (PrecisionExhausted) ends with a skipped one naming the window.
@@ -113,6 +115,8 @@ FOCK_BASICS = {
 
 
 def suite_fock_basics(g, seed):
+    if g < 1:
+        raise ValueError(f"g must be at least 1, got {g}")
     rng = random.Random(seed)
     fail = {}  # check -> its first failing case
     for k in range(1, g + 1):
@@ -142,9 +146,10 @@ def suite_fock_basics(g, seed):
                     c[sp.pos(la)][sp.pos(lb)] += 1
                     c[sp.pos(lb)][sp.pos(la)] += 1
                     span.append(E_map(sp, ExactMatrix(c)))
-        for x in span:
-            for y in span:
-                if tau(sp, x).bracket(tau(sp, y)) != tau(sp, x.bracket(y)):
+        taus = [tau(sp, x) for x in span]
+        for x, tau_x in zip(span, taus):
+            for y, tau_y in zip(span, taus):
+                if tau_x.bracket(tau_y) != tau(sp, x.bracket(y)):
                     fail.setdefault("04-tau-homomorphism", f"g={k}, A={x.matrix}, B={y.matrix}")
         for _ in range(3):
             a = E_map(sp, _seeded_sym_tensor(sp, rng))
@@ -189,6 +194,8 @@ ADJOINT = {
 
 
 def suite_adjoint(g, grade, seed):
+    if g < 1 or grade < 1:
+        raise ValueError(f"g and grade must be at least 1, got g={g}, grade={grade}")
     rng = random.Random(seed)
     fail = {}  # check -> its first failing case
     for k in range(1, g + 1):
@@ -211,11 +218,11 @@ def suite_adjoint(g, grade, seed):
                     c[j][i] = c[j][i] + v
         s_t = sym2F_tensor(sp, ExactMatrix(c))
         u = UElement.from_tensor(sp, s_t) + UElement.from_tensor(sp, conj_tensor(sp, s_t))
-        small = fock_basis(sp, min(grade, 3))
-        for kv in small:
-            for kw in small:
-                v, w = FockVector.basis(sp, kv), FockVector.basis(sp, kw)
-                if inner_product(rho_apply(u, v), w) + inner_product(v, rho_apply(u, w)):
+        small = [(key, FockVector.basis(sp, key)) for key in fock_basis(sp, min(grade, 3))]
+        images = [rho_apply(u, v) for _, v in small]
+        for (kv, v), uv in zip(small, images):
+            for (kw, w), uw in zip(small, images):
+                if inner_product(uv, w) + inner_product(v, uw):
                     fail.setdefault("02-skew-hermitian", f"g={k}, s={ExactMatrix(c)}, v={kv}, w={kw}")
         for _ in range(3):
             c1 = _seeded_sym_tensor(sp, rng, size=k)
@@ -228,6 +235,8 @@ def suite_adjoint(g, grade, seed):
 
 
 def suite_virasoro(kmax, grade):
+    if kmax < 1 or grade < 0:
+        raise ValueError(f"kmax must be at least 1 and grade at least 0, got kmax={kmax}, grade={grade}")
     failures = virasoro_sweep(kmax, grade)
     wit = None
     if failures:
@@ -572,19 +581,28 @@ def compute(name: str, params: dict | None = None) -> str:
 
 
 def _parse_params(pairs, seed, prec):
-    params = {}
+    """The run parameters of --param, --seed (seed) and --prec (N); a
+    parameter given a value by two of them is a ValueError naming both."""
+    params, source = {}, {}
+
+    def put(key, value, flag):
+        if key in source:
+            raise ValueError(f"parameter {key} is given twice: {source[key]} and {flag}")
+        params[key], source[key] = value, flag
+
     for pair in pairs or ():
         key, _, value = pair.partition("=")
         if not _ or not key:
             raise ValueError(f"--param expects key=value, got {pair!r}")
         try:
-            params[key] = json.loads(value)
+            value = json.loads(value)
         except json.JSONDecodeError:
-            params[key] = value
+            pass
+        put(key, value, f"--param {pair}")
     if seed is not None:
-        params["seed"] = seed
+        put("seed", seed, f"--seed {seed}")
     if prec is not None:
-        params.setdefault("N", prec)
+        put("N", prec, f"--prec {prec}")
     return params
 
 

@@ -286,3 +286,38 @@ def test_a_computation_that_fails_its_identity_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_quotient", no_lift)
     assert main(["--compute", "quotient-basis"]) == 1
     assert capsys.readouterr().err == "NoIsotropicLift: found 2 negative classes, expected quotient rank 1\n"
+
+
+def test_fock_basics_without_a_genus_is_invalid(capsys):
+    """g = 0 leaves every check an empty loop: invalid input, not 8 passes."""
+    assert main(["--suite", "fock-basics", "--param", "g=0"]) == 2
+    assert "invalid parameters: g must be at least 1, got 0" in capsys.readouterr().err
+
+
+def test_adjoint_without_a_genus_or_a_pair_is_invalid(capsys):
+    """g = 0 checks nothing and grade = 0 leaves adjoint.01 no pair of grades."""
+    assert main(["--suite", "adjoint", "--param", "g=0"]) == 2
+    assert main(["--suite", "adjoint", "--param", "g=1", "--param", "grade=0"]) == 2
+    assert "g and grade must be at least 1, got g=1, grade=0" in capsys.readouterr().err
+
+
+def test_virasoro_over_an_empty_range_is_invalid(capsys):
+    """kmax < 1 leaves the cocycle no pair (k, l) and virasoro.04 no order
+    1..kmax; grade < 0 leaves no probe."""
+    for args in (["kmax=-1", "grade=3"], ["kmax=0"], ["grade=-1"]):
+        assert main(["--suite", "virasoro", *(a for arg in args for a in ("--param", arg))]) == 2
+    assert "kmax must be at least 1 and grade at least 0, got kmax=6, grade=-1" in capsys.readouterr().err
+
+
+def test_prec_and_param_N_together_are_invalid(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--suite", "wzw-gram", "--param", "N=44", "--prec", "30"])
+    assert exc.value.code == 2
+    assert "parameter N is given twice: --param N=44 and --prec 30" in capsys.readouterr().err
+
+
+def test_seed_and_param_seed_together_are_invalid(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--suite", "fock-basics", "--param", "seed=5", "--seed", "7"])
+    assert exc.value.code == 2
+    assert "parameter seed is given twice: --param seed=5 and --seed 7" in capsys.readouterr().err

@@ -20,6 +20,7 @@ from focklab.fock import (
     ebar_monomial,
     endomorphism_action,
     fock_basis,
+    _grouped_permanent,
     inner_product,
     normal_order_tensor,
     permanent,
@@ -361,6 +362,35 @@ def test_rho_respects_products():
         assert rho_apply(u * w, v) == rho_apply(u, rho_apply(w, v))
 
 
+def _seeded_quadratic(sp, rng):
+    """from_tensor of a seeded symmetric tensor over Q(i) on all of H (x) H."""
+    n = 2 * sp.g
+    c = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            c[i][j] = c[j][i] = GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
+    return UElement.from_tensor(sp, ExactMatrix(c))
+
+
+def test_rho_apply_is_a_module_action():
+    """rho(u1 u2) = rho(u1) rho(u2) for seeded quadratic u1, u2, over Q(i) and
+    over the rational functions of a family's rho(s), rho(s_bar)."""
+    from focklab.hodge import ConnectionData, siegel_family
+
+    rng = random.Random(11)
+    cases = []
+    for g in (1, 2):
+        sp = standard_space(g)
+        cases += [(sp, _seeded_quadratic(sp, rng), _seeded_quadratic(sp, rng)) for _ in range(2)]
+    conn = ConnectionData(siegel_family(1))
+    cases += [(conn._space, conn.rho_s(0), conn.rho_sbar(1)), (conn._space, conn.rho_sbar(0), conn.rho_s(0))]
+    for sp, u1, u2 in cases:
+        assert u1 and u2
+        for key in fock_basis(sp, 3):
+            v = FockVector.basis(sp, key)
+            assert rho_apply(u1 * u2, v) == rho_apply(u1, rho_apply(u2, v)), key
+
+
 # -- inner product ----------------------------------------------------------------
 
 
@@ -400,6 +430,74 @@ def test_permanent_matches_the_sum_over_permutations(rows):
             term = term * rows[i][sigma[i]]
         want = want + term
     assert permanent(ExactMatrix(rows)) == want
+
+
+def _permutation_sum(rows):
+    """The permanent by its definition, sum over sigma of prod_i a_{i sigma(i)}."""
+    total = 0
+    for sigma in itertools.permutations(range(len(rows))):
+        term = 1
+        for i, j in enumerate(sigma):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
+@st.composite
+def compositions(draw, n):
+    """Positive multiplicities summing to n, in a random number of parts."""
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    ends = [0, *cuts, n]
+    return [b - a for a, b in zip(ends, ends[1:]) if b > a]
+
+
+@st.composite
+def grouped_matrices(draw):
+    """Distinct rows and columns with multiplicities, n <= 6, entries zero
+    about half the time, off the diagonal as often as on it."""
+    n = draw(st.integers(0, 6))
+    row_mult, col_mult = draw(compositions(n)), draw(compositions(n))
+    entry = st.one_of(st.just(0), ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))])
+    return [[draw(entry) for _ in col_mult] for _ in row_mult], row_mult, col_mult
+
+
+@settings(max_examples=300, deadline=None)
+@given(grouped_matrices())
+def test_grouped_permanent_matches_the_expanded_sum_over_permutations(case):
+    rows, row_mult, col_mult = case
+    expanded = [
+        [a for a, m in zip(row, col_mult) for _ in range(m)]
+        for row, p in zip(rows, row_mult)
+        for _ in range(p)
+    ]
+    assert _grouped_permanent(rows, row_mult, col_mult) == _permutation_sum(expanded)
+
+
+def sheared_space():
+    """standard_space(2) in the basis e_{-1}, e_{-1} + e_{-2} of F': the
+    Hermitian form on F' gets an off-diagonal entry."""
+    sp = standard_space(2)
+    p = ExactMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+    return SymplecticSpace(2, p.transpose() * sp.gram * p, p.inverse() * sp.conj_matrix * p)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: standard_space(1), lambda: standard_space(2), lambda: standard_space(3),
+    lambda: standard_space(2, two_pi_normalized=True), sheared_space,
+], ids=["g1", "g2", "g3", "g2-two-pi", "g2-sheared"])
+def test_inner_product_matches_a_sum_over_permutations(make):
+    """<e_a1..e_an v_o, e_b1..e_bn v_o> = sum_sigma prod_i <e_ai, e_b sigma(i)>
+    on every pair of basis keys of grade <= 4, repeated labels included."""
+    sp = make()
+    keys = fock_basis(sp, 4)
+    assert any(len(set(k)) < len(k) for k in keys)
+    for kv in keys:
+        for kw in keys:
+            want = 0
+            if len(kv) == len(kw):
+                want = _permutation_sum([[sp.hermitian_pair(a, b) for b in kw] for a in kv])
+            got = inner_product(FockVector.basis(sp, kv), FockVector.basis(sp, kw))
+            assert got == want, (kv, kw)
 
 
 def test_inner_product_examples():
