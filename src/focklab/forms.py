@@ -77,7 +77,8 @@ class Form:
 
     def coefficient(self, key) -> ExactMatrix:
         key = tuple(sorted(self.field.params.index(p) if isinstance(p, str) else p for p in key))
-        return self.terms.get(key, self._zero_matrix())
+        mat = self.terms.get(key)
+        return mat if mat is not None else self._zero_matrix()
 
     # -- ring structure -----------------------------------------------------
 

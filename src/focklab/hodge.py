@@ -41,6 +41,7 @@ from .fock import (
 from .linalg import ExactMatrix, IdentityFailed, Inconsistent
 from .ratfunc import DifferentialField, RationalFunction
 from .scalars import GaussianRational
+from .sparse import add_term
 
 
 class DegenerateFrame(ValueError):
@@ -135,7 +136,17 @@ class HodgeFamily:
 
 class ConnectionData:
     """Blocks of the flat connection in the moving frame, with the Sym^2
-    coefficient matrices of s and s_bar."""
+    coefficient matrices of s and s_bar.
+
+    The connection's operators on Fock vectors -- the derivation action of
+    Abar^F_k, rho(s(k)), rho(s_bar(k)) and their sum "ff" in nabla^FF -- are
+    linear over the coefficient field.  _images holds each one's image of
+    FockVector.basis(space, key), made the first time a key of any grade
+    meets it, and _act extends those images by linearity to the exact value
+    endomorphism_action or rho_apply gives on the whole vector.  The
+    curvature and lemma checks apply a few operators to the same keys many
+    times over; each image is built once per ConnectionData.
+    """
 
     def __init__(self, fam: HodgeFamily):
         self.fam = fam
@@ -175,6 +186,7 @@ class ConnectionData:
             self.s_coeff[key[0]] = c.map(lambda v: v.conj())
         self._space = fam.probe_space()
         self._u_cache = {}
+        self._images = {}
 
     # -- operators on probes -------------------------------------------------------
 
@@ -221,15 +233,34 @@ class ConnectionData:
             lambda c: c.derivative(p) if isinstance(c, RationalFunction) else 0
         )
 
+    def _image(self, part: str, k: int, key) -> FockVector:
+        entry = (part, k, key)
+        if entry not in self._images:
+            basis = FockVector.basis(self._space, key)
+            if part == "abar":
+                img = endomorphism_action(self._space, self.a_f_bar.coefficient((k,)), basis)
+            elif part == "s":
+                img = rho_apply(self.rho_s(k), basis)
+            elif part == "sbar":
+                img = rho_apply(self.rho_sbar(k), basis)
+            else:
+                img = (self._image("abar", k, key) + self._image("s", k, key)
+                       + self._image("sbar", k, key))
+            self._images[entry] = img
+        return self._images[entry]
+
+    def _act(self, part: str, k: int, vec: FockVector) -> FockVector:
+        terms: dict = {}
+        for key, c in vec.terms.items():
+            for kk, w in self._image(part, k, key).terms.items():
+                add_term(terms, kk, c * w)
+        return vec._like(terms)
+
     def nabla_fbar(self, k: int, vec: FockVector) -> FockVector:
-        out = self.d_param(k, vec)
-        abar = self.a_f_bar.coefficient((k,))
-        return out + endomorphism_action(self._space, abar, vec)
+        return self.d_param(k, vec) + self._act("abar", k, vec)
 
     def nabla_ff(self, k: int, vec: FockVector) -> FockVector:
-        out = self.nabla_fbar(k, vec)
-        u = self.rho_s(k) + self.rho_sbar(k)
-        return out + rho_apply(u, vec)
+        return self.d_param(k, vec) + self._act("ff", k, vec)
 
     def curvature_on_probe(self, nabla, k1: int, k2: int, vec: FockVector) -> FockVector:
         return nabla(k1, nabla(k2, vec)) - nabla(k2, nabla(k1, vec))
@@ -278,10 +309,11 @@ def verify_theorem31(fam: HodgeFamily, probe_grade: int = 4) -> dict:
         raise IdentityFailed("flat connection has nonzero curvature form")
 
     # dagger identities
+    sigma_sigma_bar = conn.sigma.wedge(conn.sigma_bar)
     dagger1 = (
         conn.a_f_bar.exterior_derivative()
         + conn.a_f_bar.wedge(conn.a_f_bar)
-        + conn.sigma.wedge(conn.sigma_bar)
+        + sigma_sigma_bar
     )
     dagger2 = (
         conn.sigma_bar.exterior_derivative()
@@ -292,7 +324,7 @@ def verify_theorem31(fam: HodgeFamily, probe_grade: int = 4) -> dict:
     report["dagger2"] = not dagger2
 
     # trace bookkeeping
-    tr_ss = conn.sigma.wedge(conn.sigma_bar).trace()
+    tr_ss = sigma_sigma_bar.trace()
     tr_sbs = conn.sigma_bar.wedge(conn.sigma).trace()
     report["trace_anticommutation"] = tr_ss == -(tr_sbs)
     omega_det_f = curvature(conn.a_f).trace()
@@ -341,15 +373,15 @@ def verify_theorem31(fam: HodgeFamily, probe_grade: int = 4) -> dict:
     lemma_pointwise = True
     for k1 in range(field.nvars):
         for k2 in range(k1 + 1, field.nvars):
-            ssb = conn.sigma.wedge(conn.sigma_bar).coefficient((k1, k2))
+            ssb = sigma_sigma_bar.coefficient((k1, k2))
             rhs_scalar = tr_sbs.scalar_coefficient((k1, k2)) * Fraction(-1, 2)
             for key in keys:
                 probe = FockVector.basis(space, key)
                 lhs = -endomorphism_action(space, ssb, probe)
-                lhs = lhs + rho_apply(conn.rho_s(k1), rho_apply(conn.rho_sbar(k2), probe))
-                lhs = lhs - rho_apply(conn.rho_s(k2), rho_apply(conn.rho_sbar(k1), probe))
-                lhs = lhs + rho_apply(conn.rho_sbar(k1), rho_apply(conn.rho_s(k2), probe))
-                lhs = lhs - rho_apply(conn.rho_sbar(k2), rho_apply(conn.rho_s(k1), probe))
+                lhs = lhs + conn._act("s", k1, conn._act("sbar", k2, probe))
+                lhs = lhs - conn._act("s", k2, conn._act("sbar", k1, probe))
+                lhs = lhs + conn._act("sbar", k1, conn._act("s", k2, probe))
+                lhs = lhs - conn._act("sbar", k2, conn._act("s", k1, probe))
                 if lhs != probe.scale(rhs_scalar):
                     lemma_pointwise = False
     report["endomorphism_lemma"] = lemma_pointwise
@@ -357,16 +389,15 @@ def verify_theorem31(fam: HodgeFamily, probe_grade: int = 4) -> dict:
     # covariant form of the remaining lemma, for s and for s_bar
     lemma_cov = True
     for which in ("s", "sbar"):
-        pick = conn.rho_s if which == "s" else conn.rho_sbar
         for k1 in range(field.nvars):
             for k2 in range(k1 + 1, field.nvars):
                 for key in keys:
                     probe = FockVector.basis(space, key)
                     lhs = (
-                        conn.nabla_fbar(k1, rho_apply(pick(k2), probe))
-                        - rho_apply(pick(k2), conn.nabla_fbar(k1, probe))
-                        - conn.nabla_fbar(k2, rho_apply(pick(k1), probe))
-                        + rho_apply(pick(k1), conn.nabla_fbar(k2, probe))
+                        conn.nabla_fbar(k1, conn._act(which, k2, probe))
+                        - conn._act(which, k2, conn.nabla_fbar(k1, probe))
+                        - conn.nabla_fbar(k2, conn._act(which, k1, probe))
+                        + conn._act(which, k1, conn.nabla_fbar(k2, probe))
                     )
                     if lhs:
                         lemma_cov = False
@@ -388,13 +419,11 @@ def _skew_hermitian_at_sample(fam, conn, grade):
         u_eval = UElement(space)
         for (modes, h), c in su.terms.items():
             u_eval._accumulate(list(modes), h, c.evaluate(point))
-        for kv in keys:
-            for kw in keys:
-                v = FockVector.basis(space, kv)
-                w = FockVector.basis(space, kw)
-                lhs = inner_product(rho_apply(u_eval, v), w)
-                rhs = inner_product(v, rho_apply(u_eval, w))
-                if lhs + rhs:
+        probes = [FockVector.basis(space, key) for key in keys]
+        images = [rho_apply(u_eval, v) for v in probes]
+        for v, uv in zip(probes, images):
+            for w, uw in zip(probes, images):
+                if inner_product(uv, w) + inner_product(v, uw):
                     return False
     return True
 

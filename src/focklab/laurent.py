@@ -176,21 +176,29 @@ class LaurentSeries:
             return NotImplemented
         prec = min(self.floor + other.prec, other.floor + self.prec)
         floor = min(self.floor + other.floor, prec)
+        # other's exponents ascend, so each row stops at the first e2 with
+        # e1 + e2 >= prec; every output exponent still sums its terms in the
+        # order of self's exponents
         over_q = _numerators(self.coeffs, other.coeffs)
         out: dict = {}
         if over_q is None:
+            row = sorted(other.coeffs.items())
             for e1, c1 in self.coeffs.items():
-                for e2, c2 in other.coeffs.items():
-                    e = e1 + e2
-                    if e < prec:
-                        add_term(out, e, c1 * c2)
+                stop = prec - e1
+                for e2, c2 in row:
+                    if e2 >= stop:
+                        break
+                    add_term(out, e1 + e2, c1 * c2)
             return LaurentSeries(floor, prec, out)
         (na, da), (nb, db) = over_q
+        nb.sort()
         for e1, a in na:
+            stop = prec - e1
             for e2, b in nb:
+                if e2 >= stop:
+                    break
                 e = e1 + e2
-                if e < prec:
-                    out[e] = out.get(e, 0) + a * b
+                out[e] = out.get(e, 0) + a * b
         d = da * db
         return LaurentSeries(floor, prec, {e: Fraction(n, d) for e, n in out.items() if n})
 

@@ -364,6 +364,8 @@ class QuotientSymplectic:
                 raise NoIsotropicLift("negative lifts must fill the missing orders")
             self.kminus_by_ord[rep.ord] = rep
             self._lift_order[rep.ord] = i + 1
+        # the target of covariants, built and certified once per quotient
+        self._covariant_space = standard_space(max(self.g, 1))
 
     def _verify(self):
         g = self.g
@@ -551,8 +553,7 @@ def _reduce_monomial(q: QuotientSymplectic, key, coeff) -> KMinusVector:
 def covariants(q: QuotientSymplectic, kv: KMinusVector) -> FockVector:
     """Functorial quotient map to F(H_A, F_A): A-factors kill the monomial,
     quotient labels map to the corresponding generators of Sym(F_A-bar)."""
-    space = standard_space(max(q.g, 1))
-    out = FockVector(space)
+    out = FockVector(q._covariant_space)
     for key, c in kv.terms.items():
         if any(kind == "a" for kind, _v in key):
             continue

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from focklab import hodge
+from focklab.fock import FockVector, UElement, endomorphism_action, fock_basis, rho_apply
 from focklab.forms import Form
 from focklab.hodge import (
     ConnectionData,
@@ -20,7 +22,7 @@ from focklab.hodge import (
     u_section,
     verify_theorem31,
 )
-from focklab.linalg import ExactMatrix
+from focklab.linalg import ExactMatrix, IdentityFailed
 from focklab.ratfunc import DifferentialField
 from focklab.scalars import GaussianRational
 
@@ -124,6 +126,84 @@ def test_verify_theorem31_constant():
 def test_verify_theorem31_siegel_block():
     report = verify_theorem31(siegel_family(), probe_grade=3)
     assert all(report.values()), report
+
+
+def _nabla_by_formula(conn, k, vec, with_rho):
+    """d + Abar^F_k acting as a derivation, plus rho(s(k) + s_bar(k)) for
+    nabla^FF: each operator applied to the whole vector."""
+    out = conn.d_param(k, vec) + endomorphism_action(conn._space, conn.a_f_bar.coefficient((k,)), vec)
+    if with_rho:
+        out = out + rho_apply(conn.rho_s(k) + conn.rho_sbar(k), vec)
+    return out
+
+
+@pytest.mark.parametrize(
+    "family", [modular_family, lambda: siegel_family(0), lambda: siegel_family(2)],
+    ids=["modular", "siegel(0)", "siegel(2)"],
+)
+def test_nabla_by_basis_images_is_the_operator_formula(family):
+    """nabla^Fbar and nabla^FF, extended by linearity from the images of
+    basis keys, equal the operators applied to a vector with rational-function
+    coefficients, once and twice over, in every direction."""
+    fam = family()
+    conn = ConnectionData(fam)
+    field, space = fam.field, conn._space
+    p, q = field.var(field.params[0]), field.var(field.params[-1])
+    vec = FockVector(space, {
+        key: (p * (j + 1) + q * q) / (q + field.i * j) for j, key in enumerate(fock_basis(space, 3))
+    })
+    for with_rho, nabla in ((False, conn.nabla_fbar), (True, conn.nabla_ff)):
+        for k in range(field.nvars):
+            once = _nabla_by_formula(conn, k, vec, with_rho)
+            assert nabla(k, vec) == once
+            for k2 in range(field.nvars):
+                assert nabla(k2, nabla(k, vec)) == _nabla_by_formula(conn, k2, once, with_rho)
+
+
+def _mutate(monkeypatch, mutation):
+    rho_s, rho_sbar = ConnectionData.rho_s, ConnectionData.rho_sbar
+    if mutation == "rho(s) counted twice":
+        monkeypatch.setattr(ConnectionData, "rho_s", lambda self, k: rho_s(self, k).scale(2))
+    else:
+        monkeypatch.setattr(ConnectionData, "rho_sbar", lambda self, k: UElement.zero(self._space))
+
+
+@pytest.mark.parametrize("mutation", ["rho(s) counted twice", "rho(s_bar) dropped"])
+@pytest.mark.parametrize("family", [modular_family, lambda: siegel_family(1)], ids=["modular", "siegel(1)"])
+def test_a_wrong_rho_s_fails_the_certificate(monkeypatch, mutation, family):
+    """The image table is built from rho_s and rho_sbar, so a wrong rho(s)
+    or rho(s_bar) reaches every check: it fails verify_theorem31 and the
+    sample-point skew-Hermitian test."""
+    fam = family()
+    _mutate(monkeypatch, mutation)
+    try:
+        report = verify_theorem31(fam, probe_grade=3)
+    except IdentityFailed:
+        pass
+    else:
+        assert not all(report.values()), report
+    assert hodge._skew_hermitian_at_sample(fam, ConnectionData(fam), 3) is False
+
+
+def test_verify_theorem31_applies_each_operator_to_a_key_once(monkeypatch):
+    """A counting guard (calls, not time): at siegel_family(-2), grade 4,
+    the operators were applied 2624 and 1194 times when every check applied
+    them to whole vectors; the image table needs 264 and 202."""
+    calls = {"rho_apply": 0, "endomorphism_action": 0}
+
+    def counted(name):
+        inner = getattr(hodge, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(hodge, name, counted(name))
+    report = verify_theorem31(siegel_family(-2), probe_grade=4)
+    assert all(report.values()), report
+    assert calls["rho_apply"] <= 400 and calls["endomorphism_action"] <= 300, calls
 
 
 def test_modular_scalar_value():

@@ -217,6 +217,38 @@ def test_product_matches_the_fraction_loop(pair):
     assert _typed(f * g) == _typed(_product_by_fractions(f, g))
 
 
+@st.composite
+def cut_series(draw, coefficients):
+    """A windowed series with a floor at or below 0, its coefficients stored
+    in a drawn exponent order."""
+    floor = draw(st.integers(-6, 0))
+    width = draw(st.integers(1, 8))
+    terms = draw(st.dictionaries(st.integers(floor, floor + width - 1), coefficients, min_size=1))
+    order = draw(st.permutations(sorted(terms)))
+    return LaurentSeries(floor, floor + width, {e: terms[e] for e in order})
+
+
+@st.composite
+def cut_pairs(draw):
+    domains = st.sampled_from(sorted(DOMAINS))
+    return draw(cut_series(DOMAINS[draw(domains)])), draw(cut_series(DOMAINS[draw(domains)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut_pairs())
+# exponents stored in descending order on both sides; the product is known
+# below t^0, so the pairs (-1, 2) and (2, -1) fall outside it, (-3, 2) inside
+@example((LaurentSeries(-3, 3, {2: F(1, 2), -1: F(2, 3), -3: F(-1, 4)}),
+          LaurentSeries(-1, 3, {2: GaussianRational(1, 1), -1: F(1, 3)})))
+def test_windowed_product_matches_the_double_loop(pair):
+    """Products that the window cuts, with negative floors and coefficients
+    stored out of exponent order, over Q, Q(i), Q(x) and Q with Q(i) in one
+    series: the same typed coefficients as the double loop over every pair."""
+    f, g = pair
+    assert _typed(f * g) == _typed(_product_by_fractions(f, g))
+    assert _typed(g * f) == _typed(_product_by_fractions(g, f))
+
+
 @settings(max_examples=300, deadline=None)
 @given(kernel_pairs())
 # (1/2 t + 1/3 t^-1, 2/3 t^-1 + t): the pairs 1/3 and -1/3 cancel to the int 0
