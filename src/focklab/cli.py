@@ -31,8 +31,8 @@ from .fock import (
     E_map,
     FockVector,
     UElement,
-    adjoint_check,
-    bracket_TT,
+    adjoint_failures,
+    bracket_TT_probes,
     conj_tensor,
     ebar_monomial,
     fock_basis,
@@ -129,12 +129,14 @@ def suite_fock_basics(g, seed):
             no = normal_order_tensor(sp, t)
             if normal_order_tensor(sp, no) != no:
                 fail.setdefault("02-normal-order-projector", f"g={k}, C={t}")
+        probes = [(key, FockVector.basis(sp, key)) for key in fock_basis(sp, 2)]
+        # rho(e_b) v once per (label, probe): the inner factor of every bracket
+        first = {lb: [rho_vector(sp, sp.basis_vector(lb), v) for _, v in probes] for lb in sp.labels()}
         for la in sp.labels():
             for lb in sp.labels():
                 a, b = sp.basis_vector(la), sp.basis_vector(lb)
-                for key in fock_basis(sp, 2):
-                    v = FockVector.basis(sp, key)
-                    lhs = rho_vector(sp, a, rho_vector(sp, b, v)) - rho_vector(sp, b, rho_vector(sp, a, v))
+                for (key, v), bv, av in zip(probes, first[lb], first[la]):
+                    lhs = rho_vector(sp, a, bv) - rho_vector(sp, b, av)
                     if lhs != v.scale(sp.pairing_labels(la, lb)):
                         fail.setdefault("03-heisenberg", f"g={k}, a=e_{la}, b=e_{lb}, v={key}")
         span = []
@@ -201,14 +203,11 @@ def suite_adjoint(g, grade, seed):
     for k in range(1, g + 1):
         sp = standard_space(k)
         keys = fock_basis(sp, grade if k == 1 else min(grade, 3))
+        vectors = [FockVector.basis(sp, key) for key in keys]
+        pairs = [(i, j) for i, kv in enumerate(keys) for j, kw in enumerate(keys) if abs(len(kv) - len(kw)) == 1]
         for a in sp.labels():
-            coords = sp.basis_vector(a)
-            for kv in keys:
-                for kw in keys:
-                    if abs(len(kv) - len(kw)) != 1:
-                        continue
-                    if not adjoint_check(sp, coords, FockVector.basis(sp, kv), FockVector.basis(sp, kw)):
-                        fail.setdefault("01-mode-adjoint", f"g={k}, a=e_{a}, v={kv}, w={kw}")
+            for i, j in adjoint_failures(sp, sp.basis_vector(a), vectors, vectors, pairs):
+                fail.setdefault("01-mode-adjoint", f"g={k}, a=e_{a}, v={keys[i]}, w={keys[j]}")
         c = [[0] * k for _ in range(k)]
         for i in range(k):
             for j in range(i, k):
@@ -224,11 +223,14 @@ def suite_adjoint(g, grade, seed):
             for (kw, w), uw in zip(small, images):
                 if inner_product(uv, w) + inner_product(v, uw):
                     fail.setdefault("02-skew-hermitian", f"g={k}, s={ExactMatrix(c)}, v={kv}, w={kw}")
+        bracket_keys = fock_basis(sp, grade)[:10]
+        bracket_probes = [FockVector.basis(sp, key) for key in bracket_keys]
         for _ in range(3):
             c1 = _seeded_sym_tensor(sp, rng, size=k)
             c2 = _seeded_sym_tensor(sp, rng, size=k)
-            for key in fock_basis(sp, grade)[:10]:
-                if not bracket_TT(sp, c1, c2, FockVector.basis(sp, key))[2]:
+            certified = bracket_TT_probes(sp, c1, c2, bracket_probes)[2]
+            for key, ok in zip(bracket_keys, certified):
+                if not ok:
                     fail.setdefault("03-quadratic-bracket", f"g={k}, key={key}")
     for check, statement in ADJOINT.items():
         yield f"adjoint.{check}", statement, check not in fail, fail.get(check)

@@ -74,6 +74,7 @@ class SymplecticSpace:
             raise ValueError("symplectic form is not real for the conjugation")
         self._lmul_cache: dict = {}
         self._gram_inv = None
+        self._half_gram_inv = None
         self._hermitian = self._hermitian_gram()
         if check_positivity:
             self._check_positive()
@@ -116,6 +117,13 @@ class SymplecticSpace:
         if self._gram_inv is None:
             self._gram_inv = self.gram.inverse()
         return self._gram_inv
+
+    @property
+    def half_gram_inverse(self) -> ExactMatrix:
+        """gram_inverse / 2, the factor of E^{-1}."""
+        if self._half_gram_inv is None:
+            self._half_gram_inv = self.gram_inverse * Fraction(1, 2)
+        return self._half_gram_inv
 
     def pairing(self, u, v):
         """Symplectic form on coordinate vectors."""
@@ -354,14 +362,14 @@ class SpElement:
 
 def E_map(space: SymplecticSpace, tensor: ExactMatrix) -> SpElement:
     """E(sum C[u,v] e_u (x) e_v)(x) = 2 (e_v, x) e_u; requires C symmetric."""
-    if not (tensor - tensor.transpose()).is_zero():
+    if not tensor.is_symmetric():
         raise NotSymmetric("coefficient matrix is not symmetric")
     return SpElement(space, (tensor * space.gram) * 2)
 
 
 def E_inverse(space: SymplecticSpace, a: SpElement) -> ExactMatrix:
-    tensor = a.matrix * space.gram_inverse * Fraction(1, 2)
-    if not (tensor - tensor.transpose()).is_zero():
+    tensor = a.matrix * space.half_gram_inverse
+    if not tensor.is_symmetric():
         raise NotSymmetric("endomorphism is not in sp(H)")
     return tensor
 
@@ -608,12 +616,22 @@ def ebar_monomial(space: SymplecticSpace, indices) -> FockVector:
 # -- named checks -------------------------------------------------------------
 
 
+def adjoint_failures(space, coords, vs, ws, pairs):
+    """The pairs (i, j) of `pairs`, in order, with
+    <rho(a) vs[i], ws[j]> != <vs[i], rho(sqrt(-1) conj(a)) ws[j]> for the
+    mode a = coords.  Each side's image is built once per probe vector and
+    serves every pair that probe is in."""
+    adj = [GaussianRational(0, 1) * c for c in space.conj_vector(coords)]
+    left = [rho_vector(space, coords, v) for v in vs]
+    right = [rho_vector(space, adj, w) for w in ws]
+    for i, j in pairs:
+        if inner_product(left[i], ws[j]) - inner_product(vs[i], right[j]):
+            yield i, j
+
+
 def adjoint_check(space, coords, v: FockVector, w: FockVector) -> bool:
     """<rho(a) v, w> == <v, rho(sqrt(-1) conj(a)) w>."""
-    left = inner_product(rho_vector(space, coords, v), w)
-    adj = [GaussianRational(0, 1) * c for c in space.conj_vector(coords)]
-    right = inner_product(v, rho_vector(space, adj, w))
-    return not (left - right)
+    return next(adjoint_failures(space, coords, [v], [w], [(0, 0)]), None) is None
 
 
 def sym2F_tensor(space, c_f: ExactMatrix) -> ExactMatrix:
@@ -632,14 +650,13 @@ def conj_tensor(space, tensor: ExactMatrix) -> ExactMatrix:
     return cm * tensor.map(_conj).transpose() * cm.transpose()
 
 
-def bracket_TT(space, alpha_f: ExactMatrix, beta_f: ExactMatrix, probe: FockVector):
+def bracket_TT_probes(space, alpha_f: ExactMatrix, beta_f: ExactMatrix, probes):
     """For alpha, beta in Sym^2 F: the bracket [rho(bar alpha), rho(beta)]
     equals the evident action of E_{F'}(bar alpha) E_F(beta) in End(F') plus
-    the central scalar 1/2 trace of it.  Returns (endomorphism, scalar,
-    certified-on-probe)."""
-    if not (alpha_f - alpha_f.transpose()).is_zero() or not (
-        beta_f - beta_f.transpose()
-    ).is_zero():
+    the central scalar 1/2 trace of it.  The two operators, the endomorphism
+    and the scalar are built once and serve every probe.  Returns
+    (endomorphism, scalar, [certified on each probe])."""
+    if not alpha_f.is_symmetric() or not beta_f.is_symmetric():
         raise NotSymmetric("inputs must be symmetric")
     g = space.g
     alpha_bar = conj_tensor(space, sym2F_tensor(space, alpha_f))
@@ -653,11 +670,21 @@ def bracket_TT(space, alpha_f: ExactMatrix, beta_f: ExactMatrix, probe: FockVect
     scalar = end.trace() * Fraction(1, 2)
     u_alpha_bar = UElement.from_tensor(space, alpha_bar)
     u_beta = UElement.from_tensor(space, beta_t)
-    lhs = rho_apply(u_alpha_bar, rho_apply(u_beta, probe)) - rho_apply(
-        u_beta, rho_apply(u_alpha_bar, probe)
-    )
-    rhs = endomorphism_action(space, end, probe) + probe.scale(scalar)
-    return end, scalar, lhs == rhs
+    certified = []
+    for probe in probes:
+        lhs = rho_apply(u_alpha_bar, rho_apply(u_beta, probe)) - rho_apply(
+            u_beta, rho_apply(u_alpha_bar, probe)
+        )
+        rhs = endomorphism_action(space, end, probe) + probe.scale(scalar)
+        certified.append(lhs == rhs)
+    return end, scalar, certified
+
+
+def bracket_TT(space, alpha_f: ExactMatrix, beta_f: ExactMatrix, probe: FockVector):
+    """bracket_TT_probes on one probe: (endomorphism, scalar,
+    certified-on-probe)."""
+    end, scalar, (ok,) = bracket_TT_probes(space, alpha_f, beta_f, [probe])
+    return end, scalar, ok
 
 
 def fock_basis(space, max_grade: int):

@@ -270,6 +270,6 @@ def wzw_gram(model: HyperellipticModel, D: Derivation, omegas=None) -> ExactMatr
     mat, witness = wzw_gram_entries(model, D, omegas)
     if witness is not None:
         raise IdentityFailed(witness)
-    if not (mat - mat.transpose()).is_zero():
+    if not mat.is_symmetric():
         raise IdentityFailed("residue Gram is not symmetric")
     return mat

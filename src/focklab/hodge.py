@@ -180,7 +180,7 @@ class ConnectionData:
         self.s_coeff = {}
         for key, mat in self.sigma.terms.items():
             c = mat * gbar_inv * Fraction(1, 2)
-            if not (c - c.transpose()).is_zero():
+            if not c.is_symmetric():
                 raise IdentityFailed("second fundamental form is not symmetric")
             self.sbar_coeff[key[0]] = c
             self.s_coeff[key[0]] = c.map(lambda v: v.conj())
@@ -484,7 +484,7 @@ def u_section(fam: HodgeFamily, extension=None) -> dict:
                 nabla_ej = [c.derivative(p) for c in pos[j]]
                 mat[i][j] = fam.pairing(nabla_ej, pos[i]) * Fraction(1, 2)
         u_k = ExactMatrix(mat)
-        if not (u_k - u_k.transpose()).is_zero():
+        if not u_k.is_symmetric():
             raise IdentityFailed("u is not symmetric")
         u_coeffs[k] = u_k
     # E(u) agrees with sigma on F: (E(u)(e_k), e_l) = (nabla e_k, e_l)

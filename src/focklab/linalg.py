@@ -239,6 +239,14 @@ class ExactMatrix:
     def is_zero(self):
         return all(not a for r in self.rows for a in r)
 
+    def is_symmetric(self):
+        """Square and equal to its transpose, compared entry by entry."""
+        rows = self.rows
+        n = len(rows)
+        return self.ncols == n and all(
+            rows[i][j] == rows[j][i] for i in range(n) for j in range(i + 1, n)
+        )
+
     # -- elimination --------------------------------------------------------
 
     def _echelon(self, rhs=None):

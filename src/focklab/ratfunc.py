@@ -272,9 +272,12 @@ class RationalFunction:
         return None
 
     def _scale(self, c):
-        """self * c for a constant c of Q(sqrt(-1)): only the numerator moves."""
+        """self * c for a constant c of Q(sqrt(-1)): only the numerator moves,
+        and not at all for c = 1 (values are immutable)."""
         if not c:
             return self.field.zero
+        if c == 1:
+            return self
         return _normal(self.field, self.num * GaussianRational.coerce(c), self.den)
 
     # -- ring/field ops ----------------------------------------------------

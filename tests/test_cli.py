@@ -130,10 +130,12 @@ WITNESS_BREAKS = {
     "fock-basics.07-complement-independence": (
         "tau_hat_wrt_complement", None, lambda real: lambda sp, a, w: real(sp, a, w).scale(2)),
     "fock-basics.08-positive-definite": ("inner_product", None, lambda real: lambda v, w: -real(v, w)),
-    "adjoint.01-mode-adjoint": ("adjoint_check", None, lambda real: lambda *args: False),
+    # every pair of every mode reported as failing
+    "adjoint.01-mode-adjoint": ("adjoint_failures", None, lambda real: lambda sp, c, vs, ws, pairs: iter(pairs)),
     # rho(s + s) in place of rho(s + conj s)
     "adjoint.02-skew-hermitian": ("conj_tensor", None, lambda real: lambda sp, t: t),
-    "adjoint.03-quadratic-bracket": ("bracket_TT", None, lambda real: lambda *args: (None, None, False)),
+    "adjoint.03-quadratic-bracket": (
+        "bracket_TT_probes", None, lambda real: lambda sp, a, b, probes: (None, None, [False] * len(probes))),
 }
 
 
@@ -149,6 +151,36 @@ def test_a_broken_check_fails_alone_with_its_witness(monkeypatch, check):
     assert len(rep.checks) == {"fock-basics": 8, "adjoint": 3}[suite]
     assert [c.id for c in rep.failed] == [check]
     assert rep.failed[0].witness
+
+
+def test_finite_fock_suites_build_each_image_once(monkeypatch):
+    """A counting guard (calls, not time) at g = 3, seed 64: adjoint made 2296
+    rho_vector calls and 156 from_tensor builds when each pair and probe
+    rebuilt its images, and fock-basics 1872 rho_vector calls; one image per
+    (label, probe) and one operator pair per (c1, c2) need 340, 24 and 1026.
+    E_inverse, one per tau, stays at 620."""
+    from focklab import cli, fock
+
+    calls = dict.fromkeys(["rho_vector", "from_tensor", "E_inverse"], 0)
+
+    def counted(name, inner):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for owner in (fock, cli):
+        for name in ("rho_vector", "E_inverse"):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    monkeypatch.setattr(fock.UElement, "from_tensor",
+                        staticmethod(counted("from_tensor", fock.UElement.from_tensor)))
+    rep = run_suite("adjoint", {"g": 3, "grade": 4, "seed": 64})
+    assert not rep.failed and len(rep.checks) == 3
+    assert calls["rho_vector"] <= 340 and calls["from_tensor"] <= 24, calls
+    calls.update(dict.fromkeys(calls, 0))
+    rep = run_suite("fock-basics", {"g": 3, "seed": 64})
+    assert not rep.failed and len(rep.checks) == 8
+    assert calls["rho_vector"] <= 1026 and calls["E_inverse"] <= 620, calls
 
 
 @pytest.mark.parametrize("family", ["modular_family", "constant_family"])

@@ -263,6 +263,13 @@ def test_unary_operations_match_long_division(a, param):
     assert_matches(a.derivative(param), r_derivative(ref(a), XY.params.index(param)))
 
 
+def test_scaling_by_one_returns_the_value_itself():
+    f = XY.parse("(x + 1)/(x*y)")
+    for one in (1, Fraction(1), GaussianRational(1)):
+        assert f * one is f and one * f is f
+    assert f * 2 == XY.parse("(2*x + 2)/(x*y)")
+
+
 def test_field_constructors_are_normal():
     for value in (XY.zero, XY.one, XY.i, XY.var("x"), XY.const(F(-2, 3)), XY.const(0)):
         assert_matches(value, ref_normalize(value.num.terms, value.den.terms))
