@@ -91,32 +91,6 @@ def span_membership(f: LaurentSeries, by_ord: dict):
     return False
 
 
-def _ft4_entry(image, member, beyond, basis, perp_reps) -> dict:
-    """FT4 for one derivation, one rule for both subalgebra classes: the image
-    of each basis element lies in A (preserves_A) and that of each A-perp
-    representative too (maps_perp_to_A).
-
-    An image with a pole deeper than the degree bound (`beyond(img)`) lies
-    outside the represented basis, so the certificate does not cover it, as
-    FT1 does not cover products past the bound: it counts under `unchecked`.
-    An image that is not computed (`image(f)` is None) and a membership the
-    window cannot decide (`member(img)` is None) count under `unchecked` and
-    clear their flag: an undetermined membership is never a pass."""
-    entry = {"preserves_A": True, "maps_perp_to_A": True, "unchecked": 0}
-    for flag, sources in (("preserves_A", basis), ("maps_perp_to_A", perp_reps)):
-        for f in sources:
-            img = image(f)
-            if img is not None and beyond(img):
-                entry["unchecked"] += 1
-                continue
-            verdict = None if img is None else member(img)
-            if verdict is None:
-                entry["unchecked"] += 1
-            if verdict is not True:
-                entry[flag] = False
-    return entry
-
-
 class FockSubalgebra:
     """Subalgebra given by an order-echelon basis within a window.
 
@@ -185,18 +159,29 @@ class FockSubalgebra:
             for b in elems[i:]:
                 if residue_form(a, b):
                     record["ft3"] = False
-        # FT4 for the supplied derivations
-        nonzero = [a for a in elems if a.ord is not None]
+        # FT4 for the supplied derivations; an image whose pole order exceeds
+        # the stored bound is counted as unchecked and leaves its flag: a
+        # derivation that deepens poles sends the deepest basis elements past
+        # any finite bound (SemiLocalSubalgebra clears the flag instead)
         for name, d in (
             derivations.items() if isinstance(derivations, dict) else enumerate(derivations)
         ):
-            record["ft4"][str(name)] = _ft4_entry(
-                d.apply,
-                lambda f: span_membership(f, self.by_ord),
-                lambda f: f.ord is not None and f.ord < -self.degree_bound,
-                nonzero,
-                perp_reps,
-            )
+            entry = {"preserves_A": True, "maps_perp_to_A": True, "unchecked": 0}
+            for a in elems:
+                if a.ord is None:
+                    continue
+                verdict = span_membership(d.apply(a), self.by_ord)
+                if verdict is None:
+                    entry["unchecked"] += 1
+                elif not verdict:
+                    entry["preserves_A"] = False
+            for rep in perp_reps:
+                verdict = span_membership(d.apply(rep), self.by_ord)
+                if verdict is None:
+                    entry["unchecked"] += 1
+                elif not verdict:
+                    entry["maps_perp_to_A"] = False
+            record["ft4"][str(name)] = entry
         self.certification = record
         return record
 
@@ -250,15 +235,11 @@ class SemiLocalSubalgebra:
                 out.append(comp.coeffs.get(e, 0))
         return out
 
-    def _beyond_bound(self, f) -> bool:
-        """f has a pole deeper than degree_bound at some puncture."""
-        return any(c.ord is not None and c.ord < -self.degree_bound for c in f.parts.values())
-
     def member(self, f):
         """True / False / None: membership on the common knowledge window of
         all participants; None when f has a pole deeper than degree_bound,
         which the represented basis cannot decide."""
-        if self._beyond_bound(f):
+        if any(c.ord is not None and c.ord < -self.degree_bound for c in f.parts.values()):
             return None
         hi = self._common_prec(extra=[f])
         cols = [self._coords(b, hi) for b in self.basis]
@@ -312,10 +293,18 @@ class SemiLocalSubalgebra:
         for name, d in (
             derivations.items() if isinstance(derivations, dict) else enumerate(derivations)
         ):
-            image = d if callable(d) else (lambda f: None)
-            record["ft4"][str(name)] = _ft4_entry(
-                image, self.member, self._beyond_bound, self.basis, perp_reps
-            )
+            # an image that is not computed or whose membership is undetermined
+            # counts as unchecked and is never a pass
+            entry = {"preserves_A": True, "maps_perp_to_A": True, "unchecked": 0}
+            for flag, sources in (("preserves_A", self.basis), ("maps_perp_to_A", perp_reps)):
+                for f in sources:
+                    img = d(f) if callable(d) else None
+                    verdict = None if img is None else self.member(img)
+                    if verdict is None:
+                        entry["unchecked"] += 1
+                    if verdict is not True:
+                        entry[flag] = False
+            record["ft4"][str(name)] = entry
         self.certification = record
         return record
 
