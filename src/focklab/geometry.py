@@ -30,7 +30,6 @@ from .laurent import (
 )
 from .linalg import ExactMatrix, IdentityFailed
 from .scalars import GaussianRational
-from .sparse import add_term
 from .subalgebra import FockSubalgebra, echelon_reduce, echelonize
 
 
@@ -42,43 +41,13 @@ class RepeatedRoots(ValueError):
     pass
 
 
-# -- univariate polynomial helpers over Q(sqrt(-1)) -------------------------------
-
-
-def _poly_clean(p: dict) -> dict:
-    return {k: GaussianRational.coerce(c) for k, c in p.items() if c}
-
-
-def _poly_deg(p: dict) -> int:
-    return max(p) if p else -1
-
-
-def _poly_derivative(p: dict) -> dict:
-    return {k - 1: c * k for k, c in p.items() if k}
-
-
-def _poly_divmod(a: dict, b: dict):
-    a = dict(a)
-    q: dict = {}
-    db, lb = _poly_deg(b), b[_poly_deg(b)]
-    while a and _poly_deg(a) >= db:
-        da = _poly_deg(a)
-        c = a[da] / lb
-        q[da - db] = c
-        for k, bk in b.items():
-            add_term(a, k + da - db, -c * bk)
-    return q, a
-
-
-def _poly_gcd(a: dict, b: dict) -> dict:
-    a, b = _poly_clean(a), _poly_clean(b)
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, _poly_clean(r)
-    if a:
-        lead = a[_poly_deg(a)]
-        a = {k: c / lead for k, c in a.items()}
-    return a
+def _resultant(p: dict, q: dict):
+    """Resultant of two polynomials {power: coefficient} of degrees m, n >= 0:
+    the determinant of their (m + n) x (m + n) Sylvester matrix."""
+    m, n = max(p), max(q)
+    rows = [[p.get(m - c + r, 0) for c in range(m + n)] for r in range(n)]
+    rows += [[q.get(n - c + r, 0) for c in range(m + n)] for r in range(m)]
+    return ExactMatrix(rows).det()
 
 
 # -- the model ---------------------------------------------------------------------
@@ -88,15 +57,14 @@ class HyperellipticModel:
     def __init__(self, f_coeffs, genus: int, window: int):
         """f_coeffs[k] is the x^k coefficient of f; deg f = 2g+1 and the
         leading coefficient must be an exact square (1 for monic f)."""
-        self.f = _poly_clean({k: c for k, c in enumerate(f_coeffs)})
+        self.f = {k: GaussianRational.coerce(c) for k, c in enumerate(f_coeffs) if c}
         self.g = genus
         self.window = window
-        if _poly_deg(self.f) != 2 * genus + 1:
-            raise WrongDegree(
-                f"deg f = {_poly_deg(self.f)}, expected {2 * genus + 1}"
-            )
-        gcd = _poly_gcd(self.f, _poly_derivative(self.f))
-        if _poly_deg(gcd) > 0:
+        deg = max(self.f, default=-1)
+        if deg != 2 * genus + 1:
+            raise WrongDegree(f"deg f = {deg}, expected {2 * genus + 1}")
+        # f and f' share a root exactly when their resultant vanishes
+        if not _resultant(self.f, {k - 1: c * k for k, c in self.f.items() if k}):
             raise RepeatedRoots("gcd(f, f') is not constant")
         # w = t^{2g+1} f(1/t): exact polynomial with w(0) = leading coefficient
         w = LaurentSeries.polynomial(

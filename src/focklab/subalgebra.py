@@ -6,6 +6,14 @@ a certified leading-term reduction.  All claims carry the window they were
 proved in; a nonzero remainder coefficient inside a valid window certifies
 non-membership exactly.
 
+Both FockSubalgebra and SemiLocalSubalgebra certify FT1-FT4 through one
+implementation over `member(f) -> True | False | None`.  The FT4 rule: an image
+that `member` cannot decide counts under `unchecked` and clears its flag,
+unless the map is a Derivation D whose own order puts the image past the
+bound, -(ord f + ord D) > degree_bound.  Such an image lies outside
+D(A_{<=N+ord D}) in A, the statement the window determines; it still counts
+under `unchecked` but leaves the flag alone.
+
 The symplectic quotient H_A = A-perp / A is built following the lift recipe:
 choose negative lifts spanning K/(A+O), correct them to make A + sum(R e_{-i})
 totally isotropic (the correction lives in A-perp intersect m, which pairs
@@ -22,12 +30,14 @@ from fractions import Fraction
 from .laurent import (
     Derivation,
     LaurentSeries,
+    SemiLocalSeries,
     WindowTooNarrow,
     residue_form,
+    semilocal_residue_form,
 )
 from .linalg import ExactMatrix, Inconsistent
 from .fock import FockVector, standard_space
-from .oscillator import OscFockVector, series_multiply, tau_hat_D
+from .oscillator import OscFockVector, realize_in_modes, tau_hat_D
 from .sparse import SparseVector, add_term
 
 
@@ -49,12 +59,8 @@ class NotScalar(ValueError):
 def echelonize(elements):
     """Return dict ord -> series with distinct orders, reducing collisions."""
     by_ord: dict = {}
-    queue = list(elements)
-    while queue:
-        f = queue.pop()
-        while f and f.ord in by_ord:
-            b = by_ord[f.ord]
-            f = f - b.scale(f.coeffs[f.ord] / b.coeffs[b.ord])
+    for f in reversed(list(elements)):
+        f, _ = echelon_reduce(f, by_ord)
         if f:
             by_ord[f.ord] = f
     return by_ord
@@ -91,7 +97,59 @@ def span_membership(f: LaurentSeries, by_ord: dict):
     return False
 
 
-class FockSubalgebra:
+class _FockType:
+    """The one FT1-FT4 certificate of both subalgebra classes.  Each supplies
+    its sources, `member(f) -> True | False | None`, its pairing, the pole
+    orders of an element (one per puncture) and the record head with FT2."""
+
+    def certify(self, derivations=(), perp_reps=()) -> dict:
+        """Certified FT checks within the window.
+
+        FT1 is not machine-checkable (flatness / finite type); the surrogate
+        checks that each product of two sources lies in A, skipping before
+        multiplying a product whose pole orders add up past the bound.  FT3
+        is isotropy of the sources; FT4 follows the rule of the module doc.
+        """
+        record = self._head()
+        record["ft3"] = True
+        record["ft4"] = {}
+        bound = self.degree_bound
+        sources = self._sources()
+        for i, a in enumerate(sources):
+            for b in sources[i:]:
+                if self._pairing(a, b):
+                    record["ft3"] = False
+                if any(
+                    x is not None and y is not None and -(x + y) > bound
+                    for x, y in zip(self._orders(a), self._orders(b))
+                ):
+                    continue
+                if self.member(a * b) is not True:
+                    record["ft1_surrogate"]["products_in_A"] = False
+        for name, d in (
+            derivations.items() if isinstance(derivations, dict) else enumerate(derivations)
+        ):
+            apply = d.apply if isinstance(d, Derivation) else d if callable(d) else None
+            n = d.order() if isinstance(d, Derivation) else None
+            entry = {"preserves_A": True, "maps_perp_to_A": True, "unchecked": 0}
+            for flag, fs in (("preserves_A", sources), ("maps_perp_to_A", perp_reps)):
+                for f in fs:
+                    img = None if apply is None else apply(f)
+                    verdict = None if img is None else self.member(img)
+                    if verdict is None:
+                        entry["unchecked"] += 1
+                        if n is not None and any(
+                            o is not None and -(o + n) > bound for o in self._orders(f)
+                        ):
+                            continue  # D(f) lies past the bound by D's own order
+                    if verdict is not True:
+                        entry[flag] = False
+            record["ft4"][str(name)] = entry
+        self.certification = record
+        return record
+
+
+class FockSubalgebra(_FockType):
     """Subalgebra given by an order-echelon basis within a window.
 
     degree_bound is the largest represented pole order; window the ambient
@@ -121,69 +179,29 @@ class FockSubalgebra:
     def quotient_rank(self) -> int:
         return len(self.missing_orders())
 
-    # -- FT certification ------------------------------------------------------
+    def member(self, f):
+        """True / False / None: `span_membership` in the stored echelon."""
+        return span_membership(f, self.by_ord)
 
-    def certify(self, derivations=(), perp_reps=()) -> dict:
-        """Certified FT checks within the window.
+    _sources = basis_elements
 
-        FT1 is not machine-checkable (flatness / finite type); the surrogate
-        verifies per-degree independence (structural for an order echelon)
-        and multiplicative stability of the stored basis.  FT4 is checked for
-        the supplied derivations only, on the supplied A-perp representatives.
-        """
-        record = {
+    _pairing = staticmethod(residue_form)
+
+    @staticmethod
+    def _orders(f):
+        return (f.ord,)
+
+    def _head(self) -> dict:
+        return {
             "window": self.window,
             "degree_bound": self.degree_bound,
             "ft1_surrogate": {"independent_per_degree": True, "products_in_A": True},
-            "ft2": {},
-            "ft3": True,
-            "ft4": {},
+            # A cap O = R: the echelon has exactly the unit at order >= 0
+            "ft2": {
+                "A_cap_O_is_R": set(o for o in self.by_ord if o >= 0) == {0},
+                "quotient_rank": self.quotient_rank(),
+            },
         }
-        elems = self.basis_elements()
-        # multiplicative stability where the product stays within the bound
-        for i, a in enumerate(elems):
-            for b in elems[i:]:
-                if a.ord is None or b.ord is None:
-                    continue
-                if -(a.ord + b.ord) > self.degree_bound:
-                    continue
-                if not in_span(a * b, self.by_ord):
-                    record["ft1_surrogate"]["products_in_A"] = False
-        # FT2: A cap O = R (echelon has exactly the unit at order >= 0)
-        record["ft2"] = {
-            "A_cap_O_is_R": set(o for o in self.by_ord if o >= 0) == {0},
-            "quotient_rank": self.quotient_rank(),
-        }
-        # FT3: total isotropy on the stored basis
-        for i, a in enumerate(elems):
-            for b in elems[i:]:
-                if residue_form(a, b):
-                    record["ft3"] = False
-        # FT4 for the supplied derivations; an image whose pole order exceeds
-        # the stored bound is counted as unchecked and leaves its flag: a
-        # derivation that deepens poles sends the deepest basis elements past
-        # any finite bound (SemiLocalSubalgebra clears the flag instead)
-        for name, d in (
-            derivations.items() if isinstance(derivations, dict) else enumerate(derivations)
-        ):
-            entry = {"preserves_A": True, "maps_perp_to_A": True, "unchecked": 0}
-            for a in elems:
-                if a.ord is None:
-                    continue
-                verdict = span_membership(d.apply(a), self.by_ord)
-                if verdict is None:
-                    entry["unchecked"] += 1
-                elif not verdict:
-                    entry["preserves_A"] = False
-            for rep in perp_reps:
-                verdict = span_membership(d.apply(rep), self.by_ord)
-                if verdict is None:
-                    entry["unchecked"] += 1
-                elif not verdict:
-                    entry["maps_perp_to_A"] = False
-            record["ft4"][str(name)] = entry
-        self.certification = record
-        return record
 
     def to_json(self) -> dict:
         return {
@@ -201,7 +219,7 @@ def genus0_subalgebra(window: int, degree_bound: int) -> FockSubalgebra:
     return FockSubalgebra(basis, window, degree_bound)
 
 
-class SemiLocalSubalgebra:
+class SemiLocalSubalgebra(_FockType):
     """Fock-type certification over a finite puncture set.
 
     Generators are SemiLocalSeries; membership and corank are decided by
@@ -211,8 +229,6 @@ class SemiLocalSubalgebra:
     """
 
     def __init__(self, basis, window: int, degree_bound: int):
-        from .laurent import SemiLocalSeries
-
         if not basis or not isinstance(basis[0], SemiLocalSeries):
             raise TypeError("SemiLocalSubalgebra takes SemiLocalSeries generators")
         self.basis = list(basis)
@@ -221,19 +237,9 @@ class SemiLocalSubalgebra:
         self.degree_bound = degree_bound
         self.certification: dict = {}
 
-    def _common_prec(self, extra=()):
-        precs = [
-            f.parts[p].prec for f in list(self.basis) + list(extra) for p in self.punctures
-        ]
-        return min([self.window] + precs)
-
     def _coords(self, f, hi: int) -> list:
-        out = []
-        for p in self.punctures:
-            comp = f.parts[p]
-            for e in range(-self.degree_bound, hi):
-                out.append(comp.coeffs.get(e, 0))
-        return out
+        bound = self.degree_bound
+        return [f.parts[p].coeffs.get(e, 0) for p in self.punctures for e in range(-bound, hi)]
 
     def member(self, f):
         """True / False / None: membership on the common knowledge window of
@@ -241,72 +247,36 @@ class SemiLocalSubalgebra:
         which the represented basis cannot decide."""
         if any(c.ord is not None and c.ord < -self.degree_bound for c in f.parts.values()):
             return None
-        hi = self._common_prec(extra=[f])
-        cols = [self._coords(b, hi) for b in self.basis]
-        target = self._coords(f, hi)
-        m = ExactMatrix([[cols[j][i] for j in range(len(cols))] for i in range(len(target))])
+        precs = [b.parts[p].prec for b in self.basis + [f] for p in self.punctures]
+        hi = min([self.window] + precs)
+        m = ExactMatrix([self._coords(b, hi) for b in self.basis]).transpose()
         try:
-            m.solve(target)
+            m.solve(self._coords(f, hi))
             return True
         except Inconsistent:
             return False
 
     def quotient_rank(self) -> int:
         """Corank of the negative part of A + O within the degree bound."""
-        neg_len = self.degree_bound * len(self.punctures)
+        rank = ExactMatrix([self._coords(b, 0) for b in self.basis]).rank()
+        return self.degree_bound * len(self.punctures) - rank
 
-        def neg_coords(f):
-            out = []
-            for p in self.punctures:
-                comp = f.parts[p]
-                for e in range(-self.degree_bound, 0):
-                    out.append(comp.coeffs.get(e, 0))
-            return out
+    def _sources(self):
+        return self.basis
 
-        rows = [neg_coords(b) for b in self.basis]
-        rank = ExactMatrix(rows).rank() if rows else 0
-        return neg_len - rank
+    _pairing = staticmethod(semilocal_residue_form)
 
-    def certify(self, derivations=(), perp_reps=()) -> dict:
-        from .laurent import semilocal_residue_form
+    def _orders(self, f):
+        return tuple(f.parts[p].ord for p in self.punctures)
 
-        record = {
+    def _head(self) -> dict:
+        return {
             "window": self.window,
             "degree_bound": self.degree_bound,
             "punctures": list(self.punctures),
             "ft1_surrogate": {"products_in_A": True},
             "ft2": {"quotient_rank": self.quotient_rank()},
-            "ft3": True,
-            "ft4": {},
         }
-        for i, a in enumerate(self.basis):
-            for b in self.basis[i:]:
-                if semilocal_residue_form(a, b):
-                    record["ft3"] = False
-                prod = a * b
-                if all(
-                    c.ord is None or -c.ord <= self.degree_bound
-                    for c in prod.parts.values()
-                ):
-                    if not self.member(prod):
-                        record["ft1_surrogate"]["products_in_A"] = False
-        for name, d in (
-            derivations.items() if isinstance(derivations, dict) else enumerate(derivations)
-        ):
-            # an image that is not computed or whose membership is undetermined
-            # counts as unchecked and is never a pass
-            entry = {"preserves_A": True, "maps_perp_to_A": True, "unchecked": 0}
-            for flag, sources in (("preserves_A", self.basis), ("maps_perp_to_A", perp_reps)):
-                for f in sources:
-                    img = d(f) if callable(d) else None
-                    verdict = None if img is None else self.member(img)
-                    if verdict is None:
-                        entry["unchecked"] += 1
-                    if verdict is not True:
-                        entry[flag] = False
-            record["ft4"][str(name)] = entry
-        self.certification = record
-        return record
 
 
 # -- A-perp ----------------------------------------------------------------------
@@ -371,32 +341,26 @@ class QuotientSymplectic:
         self._covariant_space = standard_space(max(self.g, 1))
 
     def _verify(self):
-        g = self.g
-        def lift(i):
-            return self.pos_lifts[i - 1] if i > 0 else self.neg_lifts[-i - 1]
-        for i in list(range(-g, 0)) + list(range(1, g + 1)):
-            for j in list(range(-g, 0)) + list(range(1, g + 1)):
+        idx = list(range(-self.g, 0)) + list(range(1, self.g + 1))
+        gram = self.gram()
+        for a, i in enumerate(idx):
+            for b, j in enumerate(idx):
                 want = i if i + j == 0 else 0
-                got = residue_form(lift(i), lift(j))
-                if got - want:
+                if gram[a, b] - want:
                     raise NoIsotropicLift(
-                        f"Gram entry ({i},{j}) is {got}, expected {want}"
+                        f"Gram entry ({i},{j}) is {gram[a, b]}, expected {want}"
                     )
-        for i in range(1, g + 1):
-            if self.pos_lifts[i - 1].ord is None or self.pos_lifts[i - 1].ord < 1:
+        for pos, neg in zip(self.pos_lifts, self.neg_lifts):
+            if pos.ord is None or pos.ord < 1:
                 raise NoIsotropicLift("positive lifts must lie in m")
             for a in self.a_sub.basis_elements():
-                if residue_form(lift(i), a) or residue_form(lift(-i), a):
+                if residue_form(pos, a) or residue_form(neg, a):
                     raise NoIsotropicLift("lifts must be perpendicular to A")
 
     def gram(self) -> ExactMatrix:
-        g = self.g
-        idx = list(range(-g, 0)) + list(range(1, g + 1))
-        def lift(i):
-            return self.pos_lifts[i - 1] if i > 0 else self.neg_lifts[-i - 1]
-        return ExactMatrix(
-            [[residue_form(lift(i), lift(j)) for j in idx] for i in idx]
-        )
+        """Residue pairings of the lifts e_{-g}, ..., e_{-1}, e_1, ..., e_g."""
+        lifts = self.neg_lifts[::-1] + self.pos_lifts
+        return ExactMatrix([[residue_form(a, b) for b in lifts] for a in lifts])
 
     def perp_spans_check(self, lo: int, hi: int, guard: int = 2) -> bool:
         """A-perp = A + span(lifts) within the window: reduce each computed
@@ -448,23 +412,14 @@ def build_quotient(a_sub: FockSubalgebra, lo: int | None = None, hi: int | None 
     b = ExactMatrix([[residue_form(x, y) for y in neg] for x in neg])
     p = ExactMatrix([[residue_form(x, f) for f in pos] for x in neg])
     gamma = b * p.inverse().transpose() * Fraction(1, 2)
-    corrected = []
-    for i in range(g):
-        e = neg[i]
-        for k in range(g):
-            e = e + pos[k].scale(gamma[i, k])
-        corrected.append(e)
+    corrected = [sum((pos[k].scale(gamma[i, k]) for k in range(g)), neg[i]) for i in range(g)]
     # normalize positive lifts: (e_i, e_{-j}) = i delta_{ij}
     q = ExactMatrix([[residue_form(f, e) for e in corrected] for f in pos])
     mu = ExactMatrix(
         [[Fraction(i + 1) if i == j else Fraction(0) for j in range(g)] for i in range(g)]
     ) * q.inverse()
-    pos_norm = []
-    for i in range(g):
-        e = LaurentSeries.zero(pos[0].prec)
-        for k in range(g):
-            e = e + pos[k].scale(mu[i, k])
-        pos_norm.append(e)
+    zero = LaurentSeries.zero(pos[0].prec)
+    pos_norm = [sum((pos[k].scale(mu[i, k]) for k in range(g)), zero) for i in range(g)]
     return QuotientSymplectic(a_sub, corrected, pos_norm)
 
 
@@ -500,13 +455,8 @@ def label_series(q: QuotientSymplectic, label) -> LaurentSeries:
 
 def realize_kminus(q: QuotientSymplectic, kv: KMinusVector) -> OscFockVector:
     """Multiply out the label series in the Fock module (t-mode model)."""
-    out = OscFockVector()
-    for key, c in kv.terms.items():
-        v = OscFockVector.vacuum(c)
-        for lab in key:
-            v = series_multiply(label_series(q, lab), v)
-        out = out + v
-    return out
+    labels = {lab for key in kv.terms for lab in key}
+    return realize_in_modes(kv, {lab: label_series(q, lab) for lab in labels})
 
 
 def mode_reduce(q: QuotientSymplectic, v: OscFockVector) -> KMinusVector:

@@ -353,3 +353,25 @@ def test_seed_and_param_seed_together_are_invalid(capsys):
         main(["--suite", "fock-basics", "--param", "seed=5", "--seed", "7"])
     assert exc.value.code == 2
     assert "parameter seed is given twice: --param seed=5 and --seed 7" in capsys.readouterr().err
+
+
+def test_suite_all_body_matches_the_committed_report():
+    """The `--suite all` JSON at the default seed is byte-identical to
+    tests/data/suite_all_20240808.json; a change that alters the body on
+    purpose regenerates that file."""
+    from pathlib import Path
+
+    want = (Path(__file__).parent / "data" / "suite_all_20240808.json").read_bytes()
+    assert run_suite("all", {"seed": 20240808}).to_json_bytes() == want
+
+
+def test_ft4_with_every_membership_undecided_fails(monkeypatch, capsys):
+    """An image whose membership the window cannot decide is never a pass:
+    with the one-puncture membership returning None, D_1 certifies nothing
+    and fock-type.03 is a FAIL with exit 1."""
+    from focklab import subalgebra
+
+    monkeypatch.setattr(subalgebra, "span_membership", lambda f, by_ord: None)
+    rep = run_suite("fock-type", {})
+    assert [c.id for c in rep.failed] == ["fock-type.03-ft4"]
+    assert main(["--suite", "fock-type"]) == 1

@@ -47,6 +47,24 @@ def test_build_model_rejects_bad_input():
     assert (model.y * model.y - fx).is_zero()
 
 
+@pytest.mark.parametrize(
+    "f",
+    [
+        [0, 0, 0, 1],  # x^3
+        [1, -1, -1, 1],  # (x - 1)^2 (x + 1)
+        [-1, GaussianRational(-1, -2), GaussianRational(1, -2), 1],  # (x - i)^2 (x + 1)
+    ],
+)
+def test_a_curve_with_a_repeated_root_is_rejected(f):
+    with pytest.raises(RepeatedRoots):
+        build_model(f, 1, 20)
+
+
+def test_a_square_free_cubic_is_accepted():
+    model = build_model([1, 1, 0, 1], 1, 20)  # x^3 + x + 1, discriminant -31
+    assert model.g == 1 and model.f[3] == 1
+
+
 def test_phi_conventions():
     model = build_model(CURVE_G1, 1, 40)
     phi_m1 = model.phi(0)  # phi_{-1}

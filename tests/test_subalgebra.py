@@ -328,6 +328,57 @@ def test_semilocal_ft4_counts_images_it_did_not_compute():
     assert record["ft4"]["zero"] == {"preserves_A": True, "maps_perp_to_A": True, "unchecked": 0}
 
 
+def _genus0_pair(window=24, bound=10):
+    """C[t^-1] as a FockSubalgebra and as a one-puncture SemiLocalSubalgebra."""
+    from focklab.laurent import SemiLocalSeries
+    from focklab.subalgebra import SemiLocalSubalgebra
+
+    basis = [LaurentSeries.t_power(-k).truncate(window) for k in range(bound + 1)]
+    local = SemiLocalSubalgebra(
+        [SemiLocalSeries({"p": f}) for f in basis], window=window, degree_bound=bound
+    )
+    return FockSubalgebra(basis, window, bound), local
+
+
+def test_ft4_rule_is_the_same_for_both_subalgebra_classes():
+    """The same image maps give equal FT4 entries on C[t^-1], whether A is a
+    FockSubalgebra or a one-puncture SemiLocalSubalgebra."""
+    from focklab.laurent import SemiLocalSeries
+
+    window, bound = 24, 10
+    fock, local = _genus0_pair(window, bound)
+    deep = LaurentSeries.from_terms({-(bound + 2): 1, 0: 1}, window)
+
+    def on_parts(h):
+        # one map for both classes: a SemiLocalSeries is mapped part by part
+        def image(f):
+            if isinstance(f, SemiLocalSeries):
+                return SemiLocalSeries({p: h(c) for p, c in f.parts.items()})
+            return h(f)
+        return image
+
+    maps = {"D1": on_parts(Derivation.D(1).apply), "to-deep": on_parts(lambda f: deep)}
+    perp = [LaurentSeries.t_power(-k).truncate(window) for k in (1, 3)]
+    got_fock = fock.certify(derivations=maps, perp_reps=perp)["ft4"]
+    got_local = local.certify(
+        derivations=maps, perp_reps=[SemiLocalSeries({"p": f}) for f in perp]
+    )["ft4"]
+    assert got_fock == got_local
+    assert got_fock["D1"] == {"preserves_A": True, "maps_perp_to_A": True, "unchecked": 0}
+    assert got_fock["to-deep"] == {"preserves_A": False, "maps_perp_to_A": False, "unchecked": bound + 3}
+
+
+def test_ft4_leaves_the_flag_only_for_images_a_derivation_puts_past_the_bound():
+    """D_{-1} = d/dt sends t^-N one order past the bound N: as a Derivation
+    that image is unchecked and D_{-1}(A_{<=N-1}) in A is certified; the same
+    map given as a plain callable cannot vouch for its image and fails."""
+    fock, _local = _genus0_pair()
+    d = Derivation.D(-1)
+    record = fock.certify(derivations={"derivation": d, "callable": d.apply})["ft4"]
+    assert record["derivation"] == {"preserves_A": True, "maps_perp_to_A": True, "unchecked": 1}
+    assert record["callable"] == {"preserves_A": False, "maps_perp_to_A": True, "unchecked": 1}
+
+
 def test_scalar_action_not_scalar_detection():
     """A derivation NOT preserving A fails the scalarity certificate."""
     model, data, q = g1_quotient()
