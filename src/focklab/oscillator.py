@@ -8,9 +8,9 @@ since the inducing character kills O.
 Normally ordered quadratic operators are lazy-by-grade: for a vector of
 bounded grade only finitely many monomials act, so the action is exact with
 no window error; a window enters only through the coefficient series of a
-derivation, and exhaustion raises instead of truncating silently.  One
-in-place kernel, QuadraticOperator._add_doubled, adds sign * 2 * op * v into
-an existing dictionary; apply and the Virasoro sweep both go through it.
+derivation, and exhaustion raises instead of truncating silently.  apply and
+the Virasoro sweep share one in-place kernel, _emit_doubled, which decodes a
+basis key once and adds 2 w T(D_k) of it to a dictionary per target (k, w).
 
 tau_hat(D_k) = -(1/2) sum_{a+b=k, a,b != 0} :e_a e_b: reproduces
 [tau_hat(D_k), f] = D_k(f) and the central term (k^3 - k)/12 delta_{k+l,0}.
@@ -27,12 +27,12 @@ plus the most negative weight's |k| for apply, probe grade + 2 kmax for the
 sweep); a multiplicity is at most the grade, below 2^S, so no slot carries.
 
 virasoro_bracket certifies one (k, l) pair; virasoro_sweep certifies every
-pair with |k|, |l| <= kmax and shares the work between them.  Following the
-grade decomposition of the oscillator representation (T(D_k) maps grade n to
-grade n - k; Kac and Raina, Bombay Lectures, 1987), it applies each T(D_m)
-once to one probe vector at a time and accumulates each unordered pair in
-one integer dictionary.  Every nonzero vector it compares still comes from
-applying the operators, never from the bracket formula being verified.
+pair with |k|, |l| <= kmax at once.  Following the grade decomposition of the
+oscillator representation (T(D_k) maps grade n to grade n - k; Kac and Raina,
+Bombay Lectures, 1987), it takes one probe at a time, decodes each key once to
+emit every weight's image, and sums each unordered pair in one integer
+dictionary.  Every nonzero vector it compares comes from applying the
+operators, never from the bracket formula.
 
 No column is cached.  A cache of every (k, key) column of the sweep made
 before the packing raised peak resident memory from 18 to 66 MB at grade 16
@@ -185,6 +185,40 @@ def _half(c):
     return c / 2
 
 
+def _emit_doubled(code: int, x, targets, packing):
+    """acc += w * x * 2 tau_hat(D_k)(code) in place for each target (k, w, acc),
+    the code decoded once for all; a target (None, c, acc) is a central term,
+    adding 2 c x code.  Integer w, c and x add only integers.
+
+    2 tau_hat(D_k) = -sum_{a<b} 2 :e_a e_b: - :e_{k/2} e_{k/2}: over
+    a+b = k, a, b != 0, and only the monomials that act on the key are
+    visited: a part b > k becomes b - k through e_{k-b} e_b; present parts
+    a = k - b and b, 0 < a <= b, are annihilated by e_a e_b; for k < 0 the
+    pairs a <= b < 0 create two modes.  Taking e_b from a key holding the
+    part b n times gives the factor b n.
+    """
+    s, one = packing
+    mask = (1 << s) - 1
+    parts = [(b, n) for b in range(1, code.bit_length() // s + 2) if (n := code >> s * (b - 1) & mask)]
+    for k, w, acc in targets:
+        wx = w * x
+        if k is None:
+            add_term(acc, code, 2 * wx)
+            continue
+        for b, n in parts:
+            if b > k:
+                add_term(acc, code - one[b] + one[b - k], -2 * b * n * wx)
+            elif 2 * b >= k and b != k:
+                a = k - b
+                if a == b and n >= 2:
+                    add_term(acc, code - 2 * one[b], -b * n * a * (n - 1) * wx)
+                elif a != b and (na := code >> s * (a - 1) & mask):
+                    add_term(acc, code - one[b] - one[a], -2 * b * n * a * na * wx)
+        for b in range((k + 1) // 2, 0):
+            a = k - b
+            add_term(acc, code + one[-a] + one[-b], (-1 if a == b else -2) * wx)
+
+
 class QuadraticOperator:
     """scale * sum_k weights[k] tau_hat(D_k) + central * id.
 
@@ -237,57 +271,25 @@ class QuadraticOperator:
             out.append((a, bb, coeff))
         return out
 
-    def _add_doubled(self, terms: dict, v_codes: dict, packing, sign=1):
-        """terms += sign * 2 * self * v in place, v given by its codes under
-        packing; with integer weights, central term, coefficients and sign
-        every added value is an integer.
+    def _targets(self, acc: dict, sign=1) -> list:
+        """The _emit_doubled targets that add sign * 2 * self into acc."""
+        central = [(None, sign * self.central, acc)] if self.central else []
+        return central + [(k, sign * w, acc) for k, w in self.weights.items()]
 
-        2 tau_hat(D_k) = -sum_{a<b} 2 :e_a e_b: - :e_{k/2} e_{k/2}: over
-        a+b = k, a, b != 0, and only the monomials that act on a key are
-        visited: a part b > max(k, 0) becomes b - k through e_{k-b} e_b;
-        present parts a = k - b and b, 0 < a <= b, are annihilated by
-        e_a e_b; for k < 0 the pairs a <= b < 0 create two modes.  Taking
-        e_b from a key holding the part b n times gives the factor b n.
-        """
+    def _add_doubled(self, terms: dict, v_codes: dict, packing):
+        """terms += 2 * self * v in place, v given by its codes under packing,
+        one _emit_doubled pass per code."""
         if not v_codes:
             return
-        s, one = packing
-        mask = (1 << s) - 1
-        needed_hi = 2 * -(-max(v_codes).bit_length() // s)  # 2 * largest mode
+        needed_hi = 2 * -(-max(v_codes).bit_length() // packing[0])  # 2 * largest mode
         if needed_hi >= self.khi:
             raise PrecisionExhausted(
                 f"operator weights determined for k < {self.khi}, "
                 f"but grade needs k <= {needed_hi}"
             )
-        if self.central:
-            c2 = 2 * sign * self.central
-            for code, x in v_codes.items():
-                add_term(terms, code, c2 * x)
-        for k, w in self.weights.items():
-            if k > needed_hi:
-                continue  # no monomial of weight k > 2n acts on modes <= n
-            sw = sign * w
-            low = max(k - 1, 0) // 2  # parts b <= low take no monomial
-            for code, x in v_codes.items():
-                wx = sw * x
-                rest, b = code >> s * low, low
-                while rest:
-                    b += 1
-                    n = rest & mask
-                    rest >>= s
-                    if not n:
-                        continue
-                    if b > k:
-                        add_term(terms, code - one[b] + one[b - k], -2 * b * n * wx)
-                    elif 2 * b >= k and b != k:
-                        a = k - b
-                        if a == b and n >= 2:
-                            add_term(terms, code - 2 * one[b], -b * n * a * (n - 1) * wx)
-                        elif a != b and (na := code >> s * (a - 1) & mask):
-                            add_term(terms, code - one[b] - one[a], -2 * b * n * a * na * wx)
-                for b in range((k + 1) // 2, 0):
-                    a = k - b
-                    add_term(terms, code + one[-a] + one[-b], (-1 if a == b else -2) * wx)
+        targets = [t for t in self._targets(terms) if t[0] is None or t[0] <= needed_hi]  # k > 2n: no monomial
+        for code, x in v_codes.items():
+            _emit_doubled(code, x, targets, packing)
 
     def apply(self, v: OscFockVector) -> OscFockVector:
         packing = _packing(v.grade() + max(0, -min(self.weights, default=0)))
@@ -366,38 +368,45 @@ def virasoro_sweep(kmax: int, probe_grade: int) -> list:
     on every vector of grade <= probe_grade; returns the failing
     (k, l, probe key) triples in sweep order, empty when all hold.
 
-    Per probe v: 2 T(D_m) v once for each |m| <= 2 kmax.  Per unordered pair
-    k < l, one integer dictionary accumulates
-    4 T_k T_l v - 4 T_l T_k v - 2 (l - k) (2 T_{k+l} v) in place; the pair
-    holds for (k, l) when this equals 4 central(k, l) v and for (l, k) when
-    it equals -4 central(l, k) v.  4 central = (k^3 - k)/3 delta_{k+l,0} is
-    an integer, so on basis probes every comparison runs in ints.  A
-    diagonal pair (k, k) forms no product: [T_k, T_k] = 0 for any operator,
-    so its check holds exactly when the central term vanishes.
+    Per probe v, one _emit_doubled pass over its key gives 2 T(D_m) v for
+    every |m| <= 2 kmax, and one pass over each key of 2 T_l v gives 2 T_k of
+    it for every k != l, added with sign + into the dictionary of the pair
+    (k, l) if k < l and - into that of (l, k) if k > l.  Less
+    2 (l - k) (2 T_{k+l} v), the pair k < l holds when its dictionary equals
+    4 central(k, l) v and (l, k) when it equals -4 central(l, k) v; both are
+    integers, so on basis probes every comparison runs in ints.  A diagonal
+    pair forms no product ([T_k, T_k] = 0), so it holds exactly when its
+    central term vanishes.  Target lists and dictionaries are made once per
+    sweep and emptied per probe.
     """
     ks = range(-kmax, kmax + 1)
     ops = {m: tau_hat_Dk(m) for m in range(-2 * kmax, 2 * kmax + 1)}
     central4 = {(k, l): _whole(4 * _virasoro_central(k, l)) for k in ks for l in ks}
     packing = _packing(probe_grade + 2 * kmax)  # T_k T_l v reaches this grade
+    tv = {m: {} for m in ops}
+    acc = {(k, l): {} for k in ks for l in ks if k < l}
+    image_targets = [t for m, op in ops.items() for t in op._targets(tv[m])]
+    pair_targets = {l: [t for k in ks if k != l for t in ops[k]._targets(
+        acc[min(k, l), max(k, l)], 1 if k < l else -1)] for l in ks}
     failures = []
     for key in osc_basis(probe_grade):
         code = _encode(key, packing)
-        tv = {}
-        for m, op in ops.items():
-            tv[m] = image = {}
-            op._add_doubled(image, {code: 1}, packing)
+        for d in (*tv.values(), *acc.values()):
+            d.clear()
+        _emit_doubled(code, 1, image_targets, packing)
+        for l, targets in pair_targets.items():
+            for image, x in tv[l].items():
+                _emit_doubled(image, x, targets, packing)
         for i, k in enumerate(ks):
             if central4[k, k]:
                 failures.append((k, k, key))
             for l in ks[i + 1:]:
-                acc = {}
-                ops[k]._add_doubled(acc, tv[l], packing)
-                ops[l]._add_doubled(acc, tv[k], packing, -1)
+                pair = acc[k, l]
                 c = 2 * (k - l)
                 for image, x in tv[k + l].items():
-                    add_term(acc, image, c * x)
+                    add_term(pair, image, c * x)
                 for a, b, want in ((k, l, central4[k, l]), (l, k, -central4[l, k])):
-                    if acc != ({code: want} if want else {}):
+                    if pair != ({code: want} if want else {}):
                         failures.append((a, b, key))
     return failures
 

@@ -12,7 +12,9 @@ that `member` cannot decide counts under `unchecked` and clears its flag,
 unless the map is a Derivation D whose own order puts the image past the
 bound, -(ord f + ord D) > degree_bound.  Such an image lies outside
 D(A_{<=N+ord D}) in A, the statement the window determines; it still counts
-under `unchecked` but leaves the flag alone.
+under `unchecked` but leaves the flag alone.  A flag that no decided nonzero
+image supports reads None (undetermined): a zero image, such as D(1) = 0,
+proves nothing.
 
 The symplectic quotient H_A = A-perp / A is built following the lift recipe:
 choose negative lifts spanning K/(A+O), correct them to make A + sum(R e_{-i})
@@ -133,6 +135,7 @@ class _FockType:
             n = d.order() if isinstance(d, Derivation) else None
             entry = {"preserves_A": True, "maps_perp_to_A": True, "unchecked": 0}
             for flag, fs in (("preserves_A", sources), ("maps_perp_to_A", perp_reps)):
+                supported = False
                 for f in fs:
                     img = None if apply is None else apply(f)
                     verdict = None if img is None else self.member(img)
@@ -144,6 +147,8 @@ class _FockType:
                             continue  # D(f) lies past the bound by D's own order
                     if verdict is not True:
                         entry[flag] = False
+                    supported |= verdict is True and not img.is_zero()
+                entry[flag] = entry[flag] and (supported or None)  # None: nothing certified
             record["ft4"][str(name)] = entry
         self.certification = record
         return record

@@ -14,7 +14,9 @@ from focklab.oscillator import (
     OscFockVector,
     QuadraticOperator,
     _decode,
+    _emit_doubled,
     _encode,
+    _half,
     _packing,
     apply_mode,
     check_quasi_symplectic,
@@ -301,24 +303,42 @@ def test_sweep_agrees_with_per_pair_brackets(monkeypatch, broken):
     assert bool(failing) == bool(broken)
 
 
-# Deliberate defects in the in-place kernel the sweep accumulates with.
+# Deliberate defects in the per-key kernel the sweep accumulates with: each
+# target (k, w, acc) adds w x 2 T(D_k)(code) into acc.
 KERNEL_BREAKS = {
-    "drops the sign": lambda real: lambda self, terms, v, n, sign=1: real(self, terms, v, n),
-    "skips -T_l T_k v": lambda real: lambda self, terms, v, n, sign=1: (
-        None if sign < 0 else real(self, terms, v, n, sign)
+    "drops the sign": lambda real: lambda code, x, targets, packing: real(
+        code, x, [(k, abs(w), acc) for k, w, acc in targets], packing
+    ),
+    "skips -T_l T_k v": lambda real: lambda code, x, targets, packing: real(
+        code, x, [(k, w, acc) for k, w, acc in targets if w > 0], packing
     ),
 }
 
 
+def _break_kernel(monkeypatch, broken):
+    monkeypatch.setattr(oscillator, "_emit_doubled", KERNEL_BREAKS[broken](oscillator._emit_doubled))
+
+
 @pytest.mark.parametrize("broken", sorted(KERNEL_BREAKS))
 def test_sweep_fails_when_its_kernel_is_broken(monkeypatch, broken):
-    real = QuadraticOperator._add_doubled
-    monkeypatch.setattr(QuadraticOperator, "_add_doubled", KERNEL_BREAKS[broken](real))
+    _break_kernel(monkeypatch, broken)
     failures = virasoro_sweep(3, 4)
     assert failures
     # a diagonal pair forms no product, so only off-diagonal pairs can fail
     assert all(k != l for k, l, _ in failures)
     assert {(l, k) for k, l, _ in failures} == {(k, l) for k, l, _ in failures}
+
+
+@pytest.mark.parametrize("broken", sorted(KERNEL_BREAKS))
+def test_apply_and_sweep_share_one_kernel(monkeypatch, broken):
+    """A defect in _emit_doubled breaks QuadraticOperator.apply and the sweep
+    alike: there is no second copy of the kernel."""
+    op, v = tau_hat_Dk(-2).scale(-1), OscFockVector.basis((-2, -1))
+    assert op.apply(v) == _monomial_sum(op, v)
+    assert not virasoro_sweep(3, 4)
+    _break_kernel(monkeypatch, broken)
+    assert op.apply(v) != _monomial_sum(op, v)
+    assert virasoro_sweep(3, 4)
 
 
 @pytest.mark.parametrize("broken", sorted(BREAKS))
@@ -395,13 +415,34 @@ def _monomial_sum(op, v):
 def test_packed_kernel_matches_the_monomial_sum():
     keys = osc_basis(9)
     packing = _packing(9 + 12)
-    for k in range(-12, 13):
-        for key in keys:
-            column = {}
-            tau_hat_Dk(k)._add_doubled(column, {_encode(key, packing): 1}, packing)
+    for key in keys:
+        # one pass over the key emits the column of every weight
+        columns = {k: {} for k in range(-12, 13)}
+        _emit_doubled(_encode(key, packing), 1, [(k, 1, column) for k, column in columns.items()], packing)
+        for k, column in columns.items():
             assert all(type(c) is int and c for c in column.values()), (k, key)
             want = _monomial_sum(tau_hat_Dk(k), OscFockVector.basis(key)).scale(2)
             assert OscFockVector({_decode(code, packing): c for code, c in column.items()}) == want, (k, key)
+
+
+def test_one_multi_target_pass_equals_separate_applications():
+    """Targets of several operators, a scaled weight and a central term among
+    them, some sharing one dictionary: one _emit_doubled call per key adds
+    what applying each operator on its own adds."""
+    ops = [
+        tau_hat_Dk(3),
+        tau_hat_Dk(-2).scale(Fraction(-3, 2)),
+        QuadraticOperator({1: 2, -4: Fraction(1, 3)}, -10**9, 10**9).plus_central(Fraction(5, 7)),
+        tau_hat_Dk(0).plus_central(-1),
+    ]
+    packing = _packing(6 + 4)
+    for key in osc_basis(6):
+        shared = [{}, {}, {}]
+        targets = [t for op, acc in zip(ops, [shared[0], shared[1], shared[0], shared[2]]) for t in op._targets(acc)]
+        _emit_doubled(_encode(key, packing), Fraction(2, 3), targets, packing)
+        got = [OscFockVector({_decode(code, packing): _half(c) for code, c in acc.items()}) for acc in shared]
+        v = OscFockVector({key: Fraction(2, 3)})
+        assert got == [ops[0].apply(v) + ops[2].apply(v), ops[1].apply(v), ops[3].apply(v)], key
 
 
 def test_packing_round_trips():

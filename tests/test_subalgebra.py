@@ -325,7 +325,7 @@ def test_semilocal_ft4_counts_images_it_did_not_compute():
     record = sub.certify(derivations={"not-callable": 5}, perp_reps=[one, one])
     assert record["ft4"]["not-callable"] == {"preserves_A": False, "maps_perp_to_A": False, "unchecked": 3}
     record = sub.certify(derivations={"zero": lambda f: f.derivative()}, perp_reps=[one])
-    assert record["ft4"]["zero"] == {"preserves_A": True, "maps_perp_to_A": True, "unchecked": 0}
+    assert record["ft4"]["zero"] == {"preserves_A": None, "maps_perp_to_A": None, "unchecked": 0}
 
 
 def _genus0_pair(window=24, bound=10):
@@ -375,8 +375,16 @@ def test_ft4_leaves_the_flag_only_for_images_a_derivation_puts_past_the_bound():
     fock, _local = _genus0_pair()
     d = Derivation.D(-1)
     record = fock.certify(derivations={"derivation": d, "callable": d.apply})["ft4"]
-    assert record["derivation"] == {"preserves_A": True, "maps_perp_to_A": True, "unchecked": 1}
-    assert record["callable"] == {"preserves_A": False, "maps_perp_to_A": True, "unchecked": 1}
+    assert record["derivation"] == {"preserves_A": True, "maps_perp_to_A": None, "unchecked": 1}
+    assert record["callable"] == {"preserves_A": False, "maps_perp_to_A": None, "unchecked": 1}
+
+
+def test_ft4_flags_with_no_decided_nonzero_image_are_undetermined():
+    """D_{-11} puts every image of a nonconstant source of C[t^-1] past the
+    bound 10 and sends 1 to 0: nothing is certified, so neither flag is True."""
+    sub = genus0_subalgebra(window=24, degree_bound=10)
+    entry = sub.certify(derivations={"D-11": Derivation.D(-11)})["ft4"]["D-11"]
+    assert entry == {"preserves_A": None, "maps_perp_to_A": None, "unchecked": 10}
 
 
 def test_scalar_action_not_scalar_detection():
