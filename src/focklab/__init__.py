@@ -1,7 +1,7 @@
 """focklab: exact-arithmetic Fock representations and mechanically verified identities.
 
 Layout:
-  scalars     Q(sqrt(-1)) arithmetic, formal pi-tagged constants
+  scalars     Q(sqrt(-1)) arithmetic, scalar domains, the text grammar of exact values
   ratfunc     rational-function differential fields in named real parameters
   linalg      exact matrices: solve / kernel / det, certified by back-substitution
   forms       matrix-valued exterior differential forms, d and wedge
@@ -14,7 +14,7 @@ Layout:
   cli         verification suites with deterministic JSON reports
 """
 
-from .scalars import GaussianRational, I, NotASquare, PiScaled, conj, parse_gaussian
+from .scalars import GaussianRational, I, NotASquare, conj, parse_gaussian
 from .ratfunc import DifferentialField, Polynomial, RationalFunction
 from .linalg import ExactMatrix, Inconsistent
 from .forms import DegreeOverflow, Form, exterior_derivative
@@ -26,7 +26,6 @@ from .laurent import (
     PrecisionExhausted,
     SemiLocalSeries,
     WindowTooNarrow,
-    apply_derivation,
     integrate,
     parse_series,
     format_series,
@@ -41,8 +40,6 @@ from .fock import (
     UElement,
     E_inverse,
     E_map,
-    adjoint_check,
-    bracket_TT,
     ebar_monomial,
     fock_basis,
     inner_product,
@@ -102,7 +99,6 @@ from .hodge import (
     connection_blocks,
     constant_family,
     curvature,
-    load_family,
     modular_family,
     second_fundamental_form,
     siegel_family,

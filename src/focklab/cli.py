@@ -55,7 +55,7 @@ from .geometry import (
 )
 from .hodge import modular_family, siegel_family, verify_theorem31
 from .laurent import Derivation, LaurentSeries, PrecisionExhausted, format_series
-from .linalg import ExactMatrix, IdentityFailed
+from .linalg import ExactMatrix
 from .oscillator import (
     OscFockVector,
     osc_basis,
@@ -65,7 +65,7 @@ from .oscillator import (
     virasoro_sweep,
 )
 from .reports import SuiteReport
-from .scalars import GaussianRational
+from .scalars import GaussianRational, IdentityFailed
 from .subalgebra import (
     KMinusVector,
     NoIsotropicLift,
@@ -248,7 +248,7 @@ def suite_virasoro(kmax, grade):
     try:
         _, central = virasoro_bracket(2, -2, probe_grade=min(grade, 5))
         wit = str(central)
-    except AssertionError as exc:
+    except IdentityFailed as exc:
         central, wit = None, str(exc)
     yield "virasoro.02-spot-central", "central term at (k,l) = (2,-2) equals 1/2", central == Fraction(1, 2), wit
     comm_failures = []
@@ -401,6 +401,8 @@ CONNECTION_STATEMENTS = {
 
 
 def suite_connection(grade):
+    if grade < 0:
+        raise ValueError(f"grade must be at least 0, got {grade}")
     for name, fam, gr in (
         ("modular", modular_family(), grade),
         ("siegel-block", siegel_family(), min(grade, 4)),

@@ -2,10 +2,10 @@
 
 The space H has basis labels 1..g (spanning the maximal isotropic F) and
 -1..-g (spanning the chosen complement F'), with a stored exact Gram matrix;
-the default convention is (e_i, e_j) = i*delta_{i+j,0} times an optional
-level scalar.  Conjugation is an antilinear involution given by a matrix;
-the default is e_{-i} = sqrt(-1) * conj(e_i), which makes F' = conj(F) and
-the induced Hermitian form positive definite.
+standard_space uses (e_i, e_j) = i*delta_{i+j,0}.  Conjugation is an
+antilinear involution given by a matrix; standard_space uses
+e_{-i} = sqrt(-1) * conj(e_i), which makes F' = conj(F) and the induced
+Hermitian form positive definite.
 
 Elements of the enveloping algebra U(H^) are kept in normal form with modes
 sorted in nondecreasing label order and explicit hbar powers; the rewriting
@@ -46,13 +46,10 @@ class SymplecticSpace:
     """
 
     def __init__(self, g: int, gram: ExactMatrix, conj_matrix: ExactMatrix,
-                 check_positivity: bool = True, two_pi_normalized: bool = False):
+                 check_positivity: bool = True):
         self.g = g
         self.gram = gram
         self.conj_matrix = conj_matrix
-        # the alternative normalization <z,w> = (2 pi)^{-1} sqrt(-1)(w, conj z);
-        # pi stays a formal tag on the inner-product values
-        self.two_pi_normalized = two_pi_normalized
         n = 2 * g
         if gram.nrows != n or gram.ncols != n:
             raise ValueError("Gram matrix has wrong size")
@@ -171,35 +168,25 @@ class SymplecticSpace:
 
     def hermitian_pair(self, a: int, b: int):
         """<e_a, e_b> for negative labels a, b."""
-        from .scalars import PiScaled
-
-        val = self._hermitian[-a - 1, -b - 1]
-        if self.two_pi_normalized:
-            return PiScaled(val * Fraction(1, 2), -1)
-        return val
+        return self._hermitian[-a - 1, -b - 1]
 
 
-def standard_space(g: int, level=1, weights=None,
-                   two_pi_normalized: bool = False) -> SymplecticSpace:
-    """The convention (e_i, e_j) = w_i * level * delta_{i+j,0} (w_i = i by
-    default) with conjugation e_{-i} = sqrt(-1) * conj(e_i)."""
-    if weights is None:
-        weights = list(range(1, g + 1))
+def standard_space(g: int) -> SymplecticSpace:
+    """The convention (e_i, e_j) = i * delta_{i+j,0} with conjugation
+    e_{-i} = sqrt(-1) * conj(e_i)."""
     n = 2 * g
     zero = GaussianRational(0)
     gram = [[zero] * n for _ in range(n)]
     cm = [[zero] * n for _ in range(n)]
     mi = GaussianRational(0, -1)
     for i in range(1, g + 1):
-        w = GaussianRational.coerce(weights[i - 1]) * GaussianRational.coerce(level)
+        w = GaussianRational(i)
         gram[i - 1][g + i - 1] = w
         gram[g + i - 1][i - 1] = -w
         # conj(e_i) = -sqrt(-1) e_{-i};  conj(e_{-i}) = -sqrt(-1) e_i
         cm[g + i - 1][i - 1] = mi
         cm[i - 1][g + i - 1] = mi
-    return SymplecticSpace(
-        g, ExactMatrix(gram), ExactMatrix(cm), two_pi_normalized=two_pi_normalized
-    )
+    return SymplecticSpace(g, ExactMatrix(gram), ExactMatrix(cm))
 
 
 # -- enveloping algebra -------------------------------------------------------
@@ -572,7 +559,7 @@ def _grouped_permanent(rows, row_mult, col_mult):
         for x, p in zip(sums, row_mult):
             if not x:
                 break
-            for _ in range(p):  # PiScaled has no __pow__
+            for _ in range(p):
                 term = x * term
         else:
             total = total + term
@@ -629,11 +616,6 @@ def adjoint_failures(space, coords, vs, ws, pairs):
             yield i, j
 
 
-def adjoint_check(space, coords, v: FockVector, w: FockVector) -> bool:
-    """<rho(a) v, w> == <v, rho(sqrt(-1) conj(a)) w>."""
-    return next(adjoint_failures(space, coords, [v], [w], [(0, 0)]), None) is None
-
-
 def sym2F_tensor(space, c_f: ExactMatrix) -> ExactMatrix:
     """Embed a symmetric g x g matrix over F into a full H (x) H tensor."""
     g = space.g
@@ -678,13 +660,6 @@ def bracket_TT_probes(space, alpha_f: ExactMatrix, beta_f: ExactMatrix, probes):
         rhs = endomorphism_action(space, end, probe) + probe.scale(scalar)
         certified.append(lhs == rhs)
     return end, scalar, certified
-
-
-def bracket_TT(space, alpha_f: ExactMatrix, beta_f: ExactMatrix, probe: FockVector):
-    """bracket_TT_probes on one probe: (endomorphism, scalar,
-    certified-on-probe)."""
-    end, scalar, (ok,) = bracket_TT_probes(space, alpha_f, beta_f, [probe])
-    return end, scalar, ok
 
 
 def fock_basis(space, max_grade: int):

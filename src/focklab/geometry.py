@@ -28,8 +28,8 @@ from .laurent import (
     residue,
     residue_form,
 )
-from .linalg import ExactMatrix, IdentityFailed
-from .scalars import GaussianRational
+from .linalg import ExactMatrix
+from .scalars import GaussianRational, IdentityFailed
 from .subalgebra import FockSubalgebra, echelon_reduce, echelonize
 
 
@@ -136,15 +136,6 @@ class CurveFockData:
         phis = [self.phis[k] for k in sorted(self.phis)]
         return ExactMatrix(
             [[residue_form(a, b) for b in phis] for a in phis]
-        )
-
-    def intersection_gram(self) -> ExactMatrix:
-        """The residue Gram rescaled by the formal bridge constant
-        -2 pi sqrt(-1), representing the topological intersection form."""
-        from .scalars import INTERSECTION_BRIDGE
-
-        return self.residue_gram_mod_A().map(
-            lambda c: INTERSECTION_BRIDGE * GaussianRational.coerce(c)
         )
 
 

@@ -38,9 +38,9 @@ from .fock import (
     rho_apply,
     rho_vector,
 )
-from .linalg import ExactMatrix, IdentityFailed, Inconsistent
+from .linalg import ExactMatrix, Inconsistent
 from .ratfunc import DifferentialField, RationalFunction
-from .scalars import GaussianRational
+from .scalars import GaussianRational, IdentityFailed
 from .sparse import add_term
 
 
@@ -331,27 +331,23 @@ def verify_theorem31(fam: HodgeFamily, probe_grade: int = 4) -> dict:
     report["det_curvature_is_minus_trace"] = omega_det_f == -(tr_sbs)
 
     # extract the Fock curvature scalar from its action on the vacuum, then
-    # certify scalarity on every probe of grade <= probe_grade
+    # certify scalarity on every probe of grade <= probe_grade, the vacuum
+    # (the empty key) among them; the witness is the first failing probe
     space = conn._space
     keys = fock_basis(space, probe_grade)
     vacuum = FockVector.vacuum(space)
     extracted = {}
-    scalar_ok = True
     witness = None
     for k1 in range(field.nvars):
         for k2 in range(k1 + 1, field.nvars):
-            on_vac = conn.curvature_on_probe(conn.nabla_ff, k1, k2, vacuum)
-            c = on_vac.terms.get((), 0)
-            if on_vac != vacuum.scale(c):
-                scalar_ok = False
+            c = conn.curvature_on_probe(conn.nabla_ff, k1, k2, vacuum).terms.get((), 0)
             extracted[(k1, k2)] = c
             for key in keys:
                 probe = FockVector.basis(space, key)
                 got = conn.curvature_on_probe(conn.nabla_ff, k1, k2, probe)
-                if got != probe.scale(c):
-                    scalar_ok = False
+                if witness is None and got != probe.scale(c):
                     witness = (field.params[k1], field.params[k2], key)
-    report["fock_curvature_scalar"] = scalar_ok
+    report["fock_curvature_scalar"] = scalar_ok = witness is None
     # independent comparisons of the extracted scalar 2-form
     half_det = omega_det_f * field.const(Fraction(1, 2))
     report["scalar_equals_half_det_curvature"] = all(
@@ -606,71 +602,3 @@ def constant_family() -> HodgeFamily:
                         [GaussianRational(-1), GaussianRational(0)]])
     v = [field.one, field.i]
     return HodgeFamily(field, flat, [v], {"x": 0, "y": 1})
-
-
-# -- declarative text format -----------------------------------------------------------
-
-
-def load_family(text: str) -> HodgeFamily:
-    """Parse the declarative family format:
-
-        params: x y
-        flat_gram: [[0, 1], [-1, 0]]
-        frame: [1, x + i*y]
-        sample: x=0 y=1
-
-    `frame:` repeats once per frame vector; entries are rational-function
-    expressions in the parameters and i.
-    """
-    import ast
-
-    params = None
-    gram_rows = None
-    frames = []
-    sample = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition(":")
-        key, value = key.strip(), value.strip()
-        if key == "params":
-            params = value.split()
-        elif key == "flat_gram":
-            gram_rows = ast.literal_eval(value)
-        elif key == "frame":
-            frames.append(value)
-        elif key == "sample":
-            for bit in value.split():
-                name, _, val = bit.partition("=")
-                sample[name] = Fraction(val)
-        else:
-            raise ValueError(f"unknown family key {key!r}")
-    if params is None or gram_rows is None or not frames:
-        raise ValueError("family needs params, flat_gram and at least one frame")
-    field = DifferentialField(params)
-    gram = ExactMatrix([[GaussianRational.coerce(Fraction(c)) for c in row] for row in gram_rows])
-    frame = []
-    for fv in frames:
-        inner = fv.strip()
-        if inner.startswith("[") and inner.endswith("]"):
-            inner = inner[1:-1]
-        frame.append([field.parse(tok) for tok in _split_top_level(inner)])
-    return HodgeFamily(field, gram, frame, sample)
-
-
-def _split_top_level(text: str):
-    parts, depth, cur = [], 0, ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    if cur.strip():
-        parts.append(cur)
-    return [p.strip() for p in parts]

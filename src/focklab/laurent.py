@@ -211,29 +211,35 @@ class LaurentSeries:
             self.floor + k, self.prec + k, {e + k: c for e, c in self.coeffs.items()}
         )
 
-    def inv(self, prec: int | None = None) -> "LaurentSeries":
-        """Exact inverse within the window.
-
-        For exact-polynomial inputs an explicit target window length (number
-        of coefficients from the result's order) is required.
-        """
-        if self.is_zero():
-            raise NotInvertible("series is zero within its window")
+    def _unit(self, prec, what):
+        """(a, lead, width, u) for f = lead t^a u: the order, the leading
+        coefficient, the target window width and the unit u, u_0 = 1, on
+        exponents [0, width).  The width is the number of coefficients from
+        the result's order: f's own, capped by prec; an exactly known
+        polynomial needs prec."""
         a = self.ord
         lead = self.coeffs[a]
         width = self.prec - a
         if width >= _UNBOUNDED:
             if prec is None:
                 raise PrecisionExhausted(
-                    "inverting an exactly known polynomial needs an explicit window"
+                    f"the {what} of an exactly known polynomial needs an explicit window"
                 )
             width = prec
         elif prec is not None:
             width = min(width, prec)
+        if width < 1:
+            raise WindowTooNarrow(f"the {what} is not determined in a window of {width} coefficients")
         inv_lead = 1 / lead
-        # u = t^-a * f / lead has u_0 = 1; invert by recursion
-        u = {e - a: c * inv_lead for e, c in self.coeffs.items() if e - a < width}
-        v = {0: lead / lead}  # one, in the right scalar type
+        return a, lead, width, {e - a: c * inv_lead for e, c in self.coeffs.items() if e - a < width}
+
+    def inv(self, prec: int | None = None) -> "LaurentSeries":
+        """Exact inverse within the window (see _unit for prec)."""
+        if self.is_zero():
+            raise NotInvertible("series is zero within its window")
+        a, lead, width, u = self._unit(prec, "inverse")
+        # 1/u by recursion from v_0 = u_0 = 1, in the scalars' own type
+        v = {0: u[0]}
         for n in range(1, width):
             s = 0
             for k, uk in u.items():
@@ -243,8 +249,8 @@ class LaurentSeries:
                         s = s + uk * vk
             if s:
                 v[n] = -s
-        out = {e - a: c * inv_lead for e, c in v.items()}
-        return LaurentSeries(-a, -a + width, out)
+        inv_lead = 1 / lead
+        return LaurentSeries(-a, -a + width, {e - a: c * inv_lead for e, c in v.items()})
 
     def sqrt_unit(self, prec: int | None = None) -> "LaurentSeries":
         """Square root with principal branch on the leading coefficient.
@@ -254,22 +260,10 @@ class LaurentSeries:
         """
         if self.is_zero():
             return LaurentSeries(self.prec, self.prec, {})
-        a = self.ord
-        if a % 2:
-            raise NotASquare(f"odd order {a}")
-        lead = self.coeffs[a]
+        if self.ord % 2:
+            raise NotASquare(f"odd order {self.ord}")
+        a, lead, width, u = self._unit(prec, "square root")
         root = _scalar_sqrt(lead)
-        width = self.prec - a
-        if width >= _UNBOUNDED:
-            if prec is None:
-                raise PrecisionExhausted(
-                    "square root of an exactly known polynomial needs an explicit window"
-                )
-            width = prec
-        elif prec is not None:
-            width = min(width, prec)
-        inv_lead = 1 / lead
-        u = {e - a: c * inv_lead for e, c in self.coeffs.items() if e - a < width}
         # s^2 = u with s_0 = 1:  2 s_n = u_n - sum_{0<k<n} s_k s_{n-k}
         s = {0: u[0]}
         for n in range(1, width):
@@ -281,9 +275,7 @@ class LaurentSeries:
             half = acc / 2 if acc else 0
             if half:
                 s[n] = half
-        out = {e + a // 2: c * root for e, c in s.items()}
-        result = LaurentSeries(a // 2, a // 2 + width, out)
-        return result
+        return LaurentSeries(a // 2, a // 2 + width, {e + a // 2: c * root for e, c in s.items()})
 
     def compose_monomial(self, m: int) -> "LaurentSeries":
         """Substitute t -> t^m for a nonzero integer m.
@@ -432,10 +424,6 @@ class Derivation:
     def from_series(g: LaurentSeries) -> "Derivation":
         return Derivation(series=g)
 
-    @staticmethod
-    def horizontal_part(coeffs: dict) -> "Derivation":
-        return Derivation(horizontal=coeffs)
-
     @property
     def is_vertical(self) -> bool:
         return not self.horizontal
@@ -492,10 +480,6 @@ class Derivation:
         for p, c in self.horizontal.items():
             bits.append(f"({c})·d/d{p}")
         return " + ".join(bits) or "0"
-
-
-def apply_derivation(D: Derivation, f: LaurentSeries) -> LaurentSeries:
-    return D.apply(f)
 
 
 def pairing_with_form(D: Derivation, form_coeff: LaurentSeries) -> LaurentSeries:

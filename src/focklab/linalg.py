@@ -1,11 +1,10 @@
 """Exact linear algebra over Q(sqrt(-1)) or a rational-function field.
 
 Every matrix carries an explicit scalar domain, inferred from its entries:
-Q, Q(sqrt(-1)), the formal pi-multiples over Q(sqrt(-1)), or a
-DifferentialField.  Entries are converted into the domain on construction, a
-product works in the larger of its operands' domains, and an entry that no
-product reaches is the domain's zero.  Products and applications skip zero
-operands.
+Q, Q(sqrt(-1)) or a DifferentialField.  Entries are converted into the
+domain on construction, a product works in the larger of its operands'
+domains, and an entry that no product reaches is the domain's zero.
+Products and applications skip zero operands.
 
 Solutions, kernels and inverses are certified by exact back-multiplication;
 there is no pivoting heuristic to go wrong because every comparison is an
@@ -17,16 +16,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .ratfunc import RationalFunction
-from .scalars import QQ, QQ_I, QQ_I_PI, GaussianRational, PiScaled, conj as _conj
+from .scalars import QQ, QQ_I, GaussianRational, IdentityFailed, conj as _conj
 
 
 class Inconsistent(ValueError):
     """A linear system with no solution."""
-
-
-class IdentityFailed(AssertionError):
-    """An exact identity the construction certifies came out false; carries
-    the witness."""
 
 
 _DOMAIN_OF_TYPE = {
@@ -34,7 +28,6 @@ _DOMAIN_OF_TYPE = {
     bool: QQ,
     Fraction: QQ,
     GaussianRational: QQ_I,
-    PiScaled: QQ_I_PI,
 }
 
 
@@ -305,10 +298,12 @@ class ExactMatrix:
         return -d if sign < 0 else d
 
     def solve(self, b):
-        """One exact solution of self * x = b, verified by back-substitution.
+        """One exact solution of self * x = b, certified by back-multiplication.
 
-        Raises Inconsistent when none exists.  For underdetermined systems the
-        free variables are set to zero.
+        Raises Inconsistent when none exists, and IdentityFailed when the
+        solution fails its certification although the echelon proved the
+        system consistent.  For underdetermined systems the free variables
+        are set to zero.
         """
         if len(b) != self.nrows:
             raise ValueError("dimension mismatch")
@@ -322,7 +317,7 @@ class ExactMatrix:
         # certification
         for got, want in zip(self.apply(x), b):
             if got - want:
-                raise Inconsistent("no exact solution")
+                raise IdentityFailed("solve certification failed: A x != b")
         return x
 
     def kernel(self):
@@ -338,7 +333,9 @@ class ExactMatrix:
             basis.append(_back_substitute(m, pivots, rhs, x))
         for x in basis:
             if any(self.apply(x)):
-                raise AssertionError(f"kernel certification failed: A x != 0 for x = {x}")
+                raise IdentityFailed(
+                    f"kernel certification failed: A x != 0 for x = [{', '.join(map(str, x))}]"
+                )
         return basis
 
     def inverse(self):
@@ -357,7 +354,7 @@ class ExactMatrix:
         ]
         inv = ExactMatrix._over([[cols[j][i] for j in range(n)] for i in range(n)], dom)
         if self * inv != ident:
-            raise AssertionError("inverse certification failed: A * A^-1 != I")
+            raise IdentityFailed("inverse certification failed: A * A^-1 != I")
         return inv
 
     def leading_principal_minors(self):

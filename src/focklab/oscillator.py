@@ -49,7 +49,9 @@ from .laurent import (
     LaurentSeries,
     PrecisionExhausted,
     _UNBOUNDED,
+    residue_form,
 )
+from .scalars import IdentityFailed
 from .sparse import SparseVector, add_term
 
 
@@ -350,7 +352,7 @@ def virasoro_bracket(k: int, l: int, probe_grade: int):
         v = OscFockVector.basis(key)
         lhs = a.apply(b.apply(v)) - b.apply(a.apply(v))
         if lhs != candidate.apply(v):
-            raise AssertionError(
+            raise IdentityFailed(
                 f"Virasoro identity failed for (k,l)=({k},{l}) on {key}"
             )
     return candidate, central
@@ -426,8 +428,6 @@ def check_quasi_symplectic(basis: dict, index_range=None, consequence_range=3) -
     e_0 = 1, e_i in m for i > 0, (e_i, e_j) = i delta_{i+j,0}; additionally
     verifies the topology-encoding consequence that e_i lands in m^{k+1} once
     the negative part up to N_k covers m^{-k}/O."""
-    from .laurent import residue_form
-
     idx = sorted(index_range if index_range is not None else basis.keys())
     if 0 in idx:
         e0 = basis[0]
@@ -496,8 +496,6 @@ class LiftedDerivation:
 
     def pairing_coefficient(self, i: int, j: int):
         """(D e_i, e_j) / (i j), the tau-hat weight of :b_{-i} b_{-j}:/2."""
-        from .laurent import residue_form
-
         return residue_form(self._d_image(i), self.basis[j]) / Fraction(i * j)
 
     def apply(self, family: OscFockVector) -> OscFockVector:
@@ -530,9 +528,6 @@ class LiftedDerivation:
                 for key, x in apply_mode(lo, apply_mode(hi, family)).terms.items():
                     add_term(out.terms, key, x * half)
         return out
-
-    def realize(self, family: OscFockVector) -> OscFockVector:
-        return realize_in_modes(family, self.basis)
 
 
 def lift_derivation(D: Derivation, basis: dict) -> LiftedDerivation:

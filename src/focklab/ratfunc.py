@@ -55,7 +55,7 @@ class DifferentialField:
     constant domains and supplies zero, one and convert.
     """
 
-    rank = 3
+    rank = 2
 
     def __init__(self, params):
         params = tuple(params)

@@ -1,4 +1,4 @@
-"""Exact scalars: Gaussian rationals a + b*sqrt(-1) and formal pi-tagged multiples.
+"""Exact scalars: Gaussian rationals a + b*sqrt(-1) and their scalar domains.
 
 Every identity verified by this package is an equality in Q(sqrt(-1)) or in a
 rational-function field over it, so the scalar layer is exact by construction:
@@ -8,6 +8,8 @@ This lowest layer also holds the one text grammar of exact values,
 `parse_expression`: `parse_gaussian` reads it over Q(sqrt(-1)),
 `DifferentialField.parse` over a rational-function field and `parse_series`
 over Laurent polynomials in t, so whatever one of them prints the others read.
+It also holds IdentityFailed, which every layer raises when an identity it
+certifies comes out false.
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ from math import gcd
 
 class NotASquare(ValueError):
     """The requested exact square root does not exist in Q(sqrt(-1))."""
+
+
+class IdentityFailed(AssertionError):
+    """An exact identity the construction certifies came out false; carries
+    the witness."""
 
 
 def _as_fraction(x) -> Fraction:
@@ -253,7 +260,7 @@ class GaussianRational:
             rb = -rb
         w = GaussianRational(ra, rb)
         if w * w != self:
-            raise AssertionError(f"square root certification failed: ({w})^2 != {self}")
+            raise IdentityFailed(f"square root certification failed: ({w})^2 != {self}")
         return w
 
     def __str__(self):
@@ -373,94 +380,12 @@ def conj(x):
     return x.conj()
 
 
-class PiScaled:
-    """A scalar times an integer power of pi, never numerically expanded.
-
-    Used for the residue-to-intersection bridge (-2*pi*sqrt(-1) * residue
-    pairing) and related normalizations; pi stays a formal tag.
-    """
-
-    __slots__ = ("coeff", "pi_power")
-
-    def __init__(self, coeff, pi_power: int = 0):
-        object.__setattr__(self, "coeff", GaussianRational.coerce(coeff))
-        object.__setattr__(self, "pi_power", pi_power if coeff else 0)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PiScaled is immutable")
-
-    @staticmethod
-    def coerce(x) -> "PiScaled":
-        if isinstance(x, PiScaled):
-            return x
-        return PiScaled(GaussianRational.coerce(x))
-
-    def __bool__(self):
-        return bool(self.coeff)
-
-    def __eq__(self, other):
-        try:
-            other = PiScaled.coerce(other)
-        except TypeError:
-            return NotImplemented
-        if not self.coeff and not other.coeff:
-            return True
-        return self.coeff == other.coeff and self.pi_power == other.pi_power
-
-    def __hash__(self):
-        return hash((self.coeff, self.pi_power))
-
-    def __mul__(self, other):
-        other = PiScaled.coerce(other)
-        return PiScaled(self.coeff * other.coeff, self.pi_power + other.pi_power)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return PiScaled(-self.coeff, self.pi_power)
-
-    def __add__(self, other):
-        other = PiScaled.coerce(other)
-        if not other.coeff:
-            return self
-        if not self.coeff:
-            return other
-        if self.pi_power != other.pi_power:
-            raise ValueError("cannot add formal pi-multiples of different pi powers")
-        return PiScaled(self.coeff + other.coeff, self.pi_power)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-PiScaled.coerce(other))
-
-    def __rsub__(self, other):
-        return PiScaled.coerce(other) + (-self)
-
-    def conj(self):
-        return PiScaled(self.coeff.conj(), self.pi_power)
-
-    def __str__(self):
-        if self.pi_power == 0:
-            return str(self.coeff)
-        ppart = "pi" if self.pi_power == 1 else f"pi^{self.pi_power}"
-        return f"({self.coeff})*{ppart}"
-
-    __repr__ = __str__
-
-
-# The declared bridge between the residue pairing and the topological
-# intersection pairing: intersection = (-2*pi*sqrt(-1)) * residue.
-INTERSECTION_BRIDGE = PiScaled(GaussianRational(0, -2), 1)
-
-
 class ScalarDomain:
     """The domain of a matrix's entries: its zero, its one, and conversion into it.
 
     Domains are ordered by rank, and an operation on operands from two domains
-    works in the larger one.  The built-in domains are Q, Q(sqrt(-1)) and the
-    formal pi-multiples over Q(sqrt(-1)); a DifferentialField is the domain of
-    its rational functions.
+    works in the larger one.  The built-in domains are Q and Q(sqrt(-1)); a
+    DifferentialField is the domain of its rational functions.
     """
 
     __slots__ = ("name", "rank", "zero", "one", "convert")
@@ -478,4 +403,3 @@ class ScalarDomain:
 
 QQ = ScalarDomain("QQ", 0, Fraction(0), Fraction(1), _as_fraction)
 QQ_I = ScalarDomain("QQ_I", 1, ZERO, ONE, GaussianRational.coerce)
-QQ_I_PI = ScalarDomain("QQ_I*pi^k", 2, PiScaled(0), PiScaled(1), PiScaled.coerce)

@@ -13,8 +13,8 @@ from focklab.fock import (
     E_map,
     FockVector,
     UElement,
-    adjoint_check,
-    bracket_TT,
+    adjoint_failures,
+    bracket_TT_probes,
     fock_basis,
     rho_apply,
     standard_space,
@@ -55,15 +55,16 @@ def test_c02_adjunction():
     for g in (1, 2, 3):
         sp = standard_space(g)
         keys = fock_basis(sp, 4)
+        probes = [FockVector.basis(sp, k) for k in keys]
+        pairs = [
+            (i, j)
+            for i, kv in enumerate(keys)
+            for j, kw in enumerate(keys)
+            if abs(len(kv) - len(kw)) == 1
+        ]
         for a in sp.labels():
-            coords = sp.basis_vector(a)
-            for kv in keys:
-                for kw in keys:
-                    if abs(len(kv) - len(kw)) != 1:
-                        continue
-                    assert adjoint_check(
-                        sp, coords, FockVector.basis(sp, kv), FockVector.basis(sp, kw)
-                    ), (g, a, kv, kw)
+            failures = list(adjoint_failures(sp, sp.basis_vector(a), probes, probes, pairs))
+            assert not failures, [(g, a, keys[i], keys[j]) for i, j in failures]
     print("ACCEPTANCE 2 adjunction: PASS")
 
 
@@ -99,11 +100,10 @@ def test_c04_quadratic_bracket():
                 for j in range(i, g):
                     c1[i][j] = c1[j][i] = rng.randint(-3, 3)
                     c2[i][j] = c2[j][i] = rng.randint(-3, 3)
-            for key in fock_basis(sp, 4):
-                _end, _scalar, ok = bracket_TT(
-                    sp, ExactMatrix(c1), ExactMatrix(c2), FockVector.basis(sp, key)
-                )
-                assert ok, (g, key)
+            keys = fock_basis(sp, 4)
+            probes = [FockVector.basis(sp, key) for key in keys]
+            certified = bracket_TT_probes(sp, ExactMatrix(c1), ExactMatrix(c2), probes)[2]
+            assert all(certified), [(g, key) for key, ok in zip(keys, certified) if not ok]
     print("ACCEPTANCE 4 quadratic-bracket: PASS")
 
 

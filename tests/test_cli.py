@@ -194,11 +194,14 @@ def test_connection_statements_are_the_identities_verified(family):
 
 
 def test_an_exhausted_window_is_a_skipped_record(capsys):
-    rep = run_suite("hyperelliptic", {"N": 14})
-    assert [(c.id, c.status) for c in rep.checks] == [("hyperelliptic.run", "skipped")]
-    assert "not determined (prec=" in rep.checks[0].witness
-    assert main(["--suite", "hyperelliptic", "--param", "N=14"]) == 0
-    assert "invalid parameters" not in capsys.readouterr().err
+    """N = 14 leaves a residue undetermined; N = 0 leaves the square root
+    of the model no coefficient."""
+    for n, why in ((14, "not determined (prec="), (0, "not determined in a window of 0")):
+        rep = run_suite("hyperelliptic", {"N": n})
+        assert [(c.id, c.status) for c in rep.checks] == [("hyperelliptic.run", "skipped")]
+        assert why in rep.checks[0].witness
+        assert main(["--suite", "hyperelliptic", "--param", f"N={n}"]) == 0
+        assert "invalid parameters" not in capsys.readouterr().err
 
 
 def test_a_model_that_fails_its_identity_is_a_fail_record(monkeypatch, capsys):
@@ -215,6 +218,20 @@ def test_a_model_that_fails_its_identity_is_a_fail_record(monkeypatch, capsys):
     ]
     assert main(["--suite", "hyperelliptic"]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["hyperelliptic", "connection"])
+def test_a_failed_linear_algebra_certificate_is_a_fail_record(monkeypatch, capsys, suite):
+    """A back substitution that leaves x as it was fails the kernel, inverse
+    and solve certificates: IdentityFailed, a FAIL record and exit 1, neither
+    a traceback nor the exit 2 of bad input."""
+    from focklab import linalg
+
+    monkeypatch.setattr(linalg, "_back_substitute", lambda m, pivots, b, x: x)
+    failed = [c for c in run_suite(suite, {}).checks if c.status == "fail"]
+    assert failed and all("certification failed" in c.witness for c in failed)
+    assert main(["--suite", suite]) == 1
+    assert "[FAIL]" in capsys.readouterr().out
 
 
 def test_a_raised_identity_ends_only_its_own_suite(monkeypatch):
@@ -339,6 +356,12 @@ def test_virasoro_over_an_empty_range_is_invalid(capsys):
     for args in (["kmax=-1", "grade=3"], ["kmax=0"], ["grade=-1"]):
         assert main(["--suite", "virasoro", *(a for arg in args for a in ("--param", arg))]) == 2
     assert "kmax must be at least 1 and grade at least 0, got kmax=6, grade=-1" in capsys.readouterr().err
+
+
+def test_connection_below_grade_0_is_invalid(capsys):
+    """grade < 0 leaves the curvature checks no probe, the vacuum included."""
+    assert main(["--suite", "connection", "--param", "grade=-1"]) == 2
+    assert "invalid parameters: grade must be at least 0, got -1" in capsys.readouterr().err
 
 
 def test_prec_and_param_N_together_are_invalid(capsys):

@@ -99,23 +99,6 @@ def test_residue_gram_structure():
                     assert not gram[i, j]
 
 
-def test_intersection_bridge():
-    """The declared bridge to the intersection form is the formal constant
-    -2 pi sqrt(-1) on the residue Gram, never numerically expanded."""
-    from focklab.scalars import PiScaled
-
-    model = build_model(CURVE_G1, 1, 40)
-    data = curve_fock_data(model, degree_bound=8)
-    rg = data.residue_gram_mod_A()
-    ig = data.intersection_gram()
-    for i in range(2):
-        for j in range(2):
-            want = PiScaled(GaussianRational(0, -2), 1) * GaussianRational.coerce(rg[i, j])
-            assert ig[i, j] == want
-    # still antisymmetric after the rescaling
-    assert (ig + ig.transpose()).is_zero()
-
-
 def test_closure_falsifier_g1():
     model = build_model(CURVE_G1, 1, 40)
     witness = closure_falsifier(model)

@@ -14,7 +14,6 @@ from focklab.hodge import (
     constant_family,
     curvature,
     default_extension_frame,
-    load_family,
     modular_family,
     nabla_h_insertion_identity,
     second_fundamental_form,
@@ -247,30 +246,13 @@ def test_nabla_h_insertion_identity():
     assert nabla_h_insertion_identity(constant_family(), probe_key=(-1,))
 
 
-def test_load_family_roundtrip():
-    text = """
-    # the standard upper-half-plane family
-    params: x y
-    flat_gram: [[0, 1], [-1, 0]]
-    frame: [1, x + i*y]
-    sample: x=0 y=1
-    """
-    fam = load_family(text)
-    assert fam.g == 1
-    sigma = second_fundamental_form(fam)
-    assert sigma.coefficient(("x",))[0, 0] == fam.field.parse("i/(2*y)")
-
-
-def test_load_family_g2():
-    text = """
-    params: x1 y1 x2 y2
-    flat_gram: [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
-    frame: [1, 0, x1 + i*y1, 0]
-    frame: [0, 1, 0, x2 + i*y2]
-    sample: x1=0 y1=1 x2=0 y2=2
-    """
-    fam = load_family(text)
-    assert fam.g == 2
+def test_curvature_witness_is_the_first_failing_probe(monkeypatch):
+    """With rho(s_bar) dropped the curvature fails on every key of grades
+    1..4; the witness is the first of them in fock_basis order."""
+    monkeypatch.setattr(ConnectionData, "rho_sbar", lambda self, k: UElement.zero(self._space))
+    with pytest.raises(IdentityFailed) as exc:
+        verify_theorem31(modular_family())
+    assert str(exc.value) == "Fock curvature not scalar at ('x', 'y', (-1,))"
 
 
 def test_curvature_failure_is_a_fail_record_and_exit_1(monkeypatch):

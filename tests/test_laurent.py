@@ -12,7 +12,6 @@ from focklab.laurent import (
     PrecisionExhausted,
     SemiLocalSeries,
     WindowTooNarrow,
-    apply_derivation,
     format_series,
     integrate,
     parse_series,
@@ -47,6 +46,8 @@ def test_inv_geometric_series():
 def test_inv_zero_raises():
     with pytest.raises(NotInvertible):
         LaurentSeries.zero(5).inv()
+    with pytest.raises(WindowTooNarrow):
+        LaurentSeries.one().inv(prec=0)  # a window with no coefficient
 
 
 def test_sqrt_unit_of_one_plus_t():
@@ -66,6 +67,8 @@ def test_sqrt_unit_branch_and_errors():
         LaurentSeries.polynomial({0: 2}).sqrt_unit(prec=4)
     s = LaurentSeries.polynomial({2: 4, 3: 4}).sqrt_unit(prec=5)
     assert s.coefficient(1) == 2  # principal branch on the leading coefficient
+    with pytest.raises(WindowTooNarrow):
+        LaurentSeries.one().sqrt_unit(prec=0)
 
 
 def test_compose_monomial():
@@ -289,14 +292,14 @@ def test_integrate_u_equals_one_degenerate():
 
 def test_apply_derivation():
     D1 = Derivation.D(1)
-    assert apply_derivation(D1, t(2)).agrees_with(2 * t(3))
+    assert D1.apply(t(2)).agrees_with(2 * t(3))
     D0 = Derivation.D(0)
-    assert apply_derivation(D0, t(-3)).agrees_with(-3 * t(-3))
+    assert D0.apply(t(-3)).agrees_with(-3 * t(-3))
     # Leibniz for D_{-1} on f = t, g = t^2
     Dm1 = Derivation.D(-1)
     f, g = t(1), t(2)
-    lhs = apply_derivation(Dm1, f * g)
-    rhs = apply_derivation(Dm1, f) * g + f * apply_derivation(Dm1, g)
+    lhs = Dm1.apply(f * g)
+    rhs = Dm1.apply(f) * g + f * Dm1.apply(g)
     assert lhs.agrees_with(rhs)
 
 

@@ -159,7 +159,7 @@ def test_substituted_basis_is_quasi_symplectic():
 
 def test_lift_horizontal_only():
     xy = DifferentialField(["x", "y"])
-    D = Derivation.horizontal_part({"x": 1})
+    D = Derivation(horizontal={"x": 1})
     lift = lift_derivation(D, t_basis(-4, 4))
     fam = OscFockVector({(-1,): xy.parse("x^2"), (-2, -1): xy.parse("y")})
     got = lift.apply(fam)
@@ -537,7 +537,7 @@ def test_no_entry_is_stored_as_zero():
         "map_coefficients": (v.map_coefficients(lambda c: c - 2), (-1,)),
         "apply_mode": (apply_mode(0, v), (-1,)),
         "lift horizontal": (
-            lift_derivation(Derivation.horizontal_part({"x": 1}), t_basis(-4, 4)).apply(
+            lift_derivation(Derivation(horizontal={"x": 1}), t_basis(-4, 4)).apply(
                 OscFockVector({(-1,): xy.var("x"), (-2,): xy.one})
             ),
             (-2,),

@@ -7,7 +7,6 @@ from focklab.scalars import (
     GaussianRational,
     I,
     NotASquare,
-    PiScaled,
     conj,
     fraction_sqrt,
     parse_gaussian,
@@ -91,11 +90,12 @@ def test_str_roundtrip():
         assert parse_gaussian(str(z)) == z
 
 
-def test_pi_scaled():
-    bridge = PiScaled(GaussianRational(0, -2), 1)
-    assert bridge * bridge == PiScaled(GaussianRational(-4), 2)
-    assert bridge + PiScaled(0) == bridge
-    assert (bridge - bridge) == PiScaled(0)
-    with pytest.raises(ValueError):
-        bridge + PiScaled(GaussianRational(1), 0)
-    assert conj(bridge) == PiScaled(GaussianRational(0, 2), 1)
+def test_a_failed_square_root_certificate_is_identity_failed(monkeypatch):
+    """sqrt certifies w * w == z; a wrong rational root fails that as
+    IdentityFailed, an AssertionError that python -O keeps."""
+    from focklab import scalars
+
+    monkeypatch.setattr(scalars, "fraction_sqrt", lambda q: Fraction(1))
+    with pytest.raises(scalars.IdentityFailed, match="square root certification failed"):
+        GaussianRational(4).sqrt()
+    assert issubclass(scalars.IdentityFailed, AssertionError)

@@ -11,7 +11,9 @@
 * in cli.py, no `SuiteReport(...)` and no `.add(...)` call outside
   `run_suite` -- a suite yields checks, and only the runner makes records;
 * no import of `re` outside `scalars.py` -- `scalars.parse_expression` is
-  the one tokenizer and grammar of exact values, so no second one can grow.
+  the one tokenizer and grammar of exact values, so no second one can grow;
+* no import inside a function body -- a module's dependencies are the
+  imports at its top, where the unused-import rule sees them.
 """
 
 import ast
@@ -78,6 +80,18 @@ def regex_imports(tree):
     return found
 
 
+def local_imports(tree):
+    """(line, rule) for every import inside a function body, nested or not."""
+    lines = {
+        sub.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Import, ast.ImportFrom))
+    }
+    return [(line, "import inside a function") for line in sorted(lines)]
+
+
 def test_the_rules_catch_each_pattern():
     bad = "try:\n    pass\nexcept:\n    pass\ntry:\n    pass\nexcept (ValueError, Exception):\n    pass\nassert 1\n"
     assert [why for _, why in violations(ast.parse(bad))] == [
@@ -91,6 +105,11 @@ def test_the_rules_catch_each_pattern():
     assert drop_zero_pops(ast.parse(pops)) == [(5, "drop-zero pop outside sparse.add_term")]
     regexes = "import os, re as regex\nfrom re import compile\ndef f():\n    import re\nimport reprlib\n"
     assert [line for line, _ in regex_imports(ast.parse(regexes))] == [1, 2, 4]
+    local = (
+        "import os\ndef f():\n    from .a import b\n    def g():\n        import c\n"
+        "class K:\n    import d\n    def m(self):\n        import e\n"
+    )
+    assert [line for line, _ in local_imports(ast.parse(local))] == [3, 5, 9]
 
 
 def test_package_sources_keep_the_rules():
@@ -102,6 +121,7 @@ def test_package_sources_keep_the_rules():
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), filename=path)
         found += [f"{name}:{line}: {why}" for line, why in violations(tree)]
+        found += [f"{name}:{line}: {why}" for line, why in local_imports(tree)]
         if name != "__init__.py":
             found += [f"{name}:{line}: {why}" for line, why in unused_imports(tree)]
         if name != "sparse.py":
