@@ -100,7 +100,6 @@ from .hodge import (
     constant_family,
     curvature,
     modular_family,
-    second_fundamental_form,
     siegel_family,
     u_section,
     verify_theorem31,

@@ -12,7 +12,9 @@ functions, decidable exactly:
     the generic-Gram symplectic space of the moving frame;
   * the curvature of nabla^FF = nabla^Fbar + rho(s + s_bar) is computed probe
     by probe as nabla_X nabla_Y - nabla_Y nabla_X and certified to be the
-    scalar (1/2) trace Omega(det nabla^F) = -(1/2) trace(sigma_bar ^ sigma).
+    scalar (1/2) trace Omega(det nabla^F) = -(1/2) trace(sigma_bar ^ sigma);
+  * nabla^FF = nabla^H + rho(s_bar) is certified on the same probes, with
+    nabla^H(vbar_j) inserted into each slot of a probe key.
 
 The one identity stated in a unitary trivialization (d s + Abar^F ^ s +
 s ^ Abar^F = 0) is verified in covariant form, [nabla^Fbar_X, rho(s(Y))] -
@@ -266,10 +268,6 @@ class ConnectionData:
         return nabla(k1, nabla(k2, vec)) - nabla(k2, nabla(k1, vec))
 
 
-def second_fundamental_form(fam: HodgeFamily) -> Form:
-    return ConnectionData(fam).sigma
-
-
 def connection_blocks(fam: HodgeFamily) -> ConnectionData:
     return ConnectionData(fam)
 
@@ -282,131 +280,133 @@ def curvature(omega: Form) -> Form:
 # -- Theorem-level verification -------------------------------------------------------
 
 
-def verify_theorem31(fam: HodgeFamily, probe_grade: int = 4) -> dict:
-    """Certify the curvature statement on Fock probes, exactly.
+# The identities of the curvature statement, in the order theorem31_checks
+# yields them, with the statement each one certifies.
+THEOREM31_STATEMENTS = {
+    "flatness": "the flat connection matrix has dA + A^A = 0 in the moving frame",
+    "dagger1": "d conj(A^F) + conj(A^F)^conj(A^F) + sigma^conj(sigma) = 0",
+    "dagger2": "d conj(sigma) + A^F^conj(sigma) + conj(sigma)^conj(A^F) = 0",
+    "trace_anticommutation": "trace(sigma^conj sigma) = -trace(conj sigma^sigma)",
+    "det_curvature_is_minus_trace": "Omega(det nabla^F) = -trace(conj sigma^sigma)",
+    "fock_curvature_scalar": "Omega(nabla^FF) acts as the predicted scalar on probes",
+    "scalar_equals_half_det_curvature": "Omega(nabla^FF) = 1/2 Omega(det nabla^F)",
+    "scalar_equals_minus_half_trace": "the scalar equals -1/2 trace(conj(sigma)^sigma)",
+    "endomorphism_lemma": "-sigma^conj sigma + s^conj s + conj s^s = -1/2 trace(conj sigma^sigma)",
+    "covariant_s_lemma": "the covariant derivative of rho(s) vanishes (both halves)",
+    "nabla_h_insertion": "nabla^FF = nabla^H + rho(conj s), nabla^H inserted into each slot of a probe",
+    "skew_hermitian_at_sample": "rho(s + conj s) is skew-Hermitian at the sample point",
+}
 
-    Checks, in order: flatness blocks (the two dagger identities), scalarity
-    of Omega(nabla^FF) on probes of grade <= probe_grade, the scalar value
-    -(1/2) trace(sigma_bar ^ sigma), its agreement with half the curvature of
-    det(F), the pointwise endomorphism identity, the covariant form of the
-    remaining lemma, the wedge anticommutation bookkeeping of the two trace
-    orderings, and skew-Hermitian-ness of rho(s + s_bar) at the sample point.
+
+def theorem31_checks(fam: HodgeFamily, probe_grade: int = 4):
+    """Certify the curvature statement exactly: yield (name, holds, witness)
+    once per identity of THEOREM31_STATEMENTS, in its order.  A false
+    identity is a False record whose witness is its first failure: the first
+    wedge direction where two forms differ, the first (direction pair, probe
+    key) or (direction, probe key) of a probe identity, or the first
+    (direction, v, w) of the skew-Hermitian test.
+
+    The probe identities run on every key of grade <= probe_grade, the
+    vacuum (the empty key) among them: scalarity of Omega(nabla^FF), whose
+    scalar is read off the vacuum; the pointwise endomorphism identity; the
+    covariant form of the remaining lemma, for s and for s_bar; and the
+    insertion of nabla^H(vbar_j) into each slot of the key, which with the
+    rho(s_bar) image must give nabla^FF.
     """
     conn = ConnectionData(fam)
-    field, g = fam.field, fam.g
-    report = {}
+    field, g, params = fam.field, fam.g, fam.field.params
+    a_bar, s_bar = conn.a_f_bar, conn.sigma_bar
 
-    # full moving-frame connection matrix is flat
-    blocks = {}
-    for key in set(conn.a_f.terms) | set(conn.sigma.terms):
-        k = key[0]
-        top = _hstack(conn.a_f.coefficient(key), conn.sigma_bar.coefficient(key))
-        bot = _hstack(conn.sigma.coefficient(key), conn.a_f_bar.coefficient(key))
-        blocks[key] = _vstack(top, bot)
-    a_h = Form(field, 1, (2 * g, 2 * g), blocks)
-    report["flatness"] = not curvature(a_h)
-    if not report["flatness"]:
-        raise IdentityFailed("flat connection has nonzero curvature form")
+    def agree(lhs: Form, rhs: Form | None = None):
+        rhs = Form.zero(field, lhs.degree, lhs.shape) if rhs is None else rhs
+        keys = sorted(set(lhs.terms) | set(rhs.terms))
+        bad = next((k for k in keys if lhs.coefficient(k) != rhs.coefficient(k)), None)
+        return bad is None, None if bad is None else str(tuple(params[k] for k in bad))
 
-    # dagger identities
-    sigma_sigma_bar = conn.sigma.wedge(conn.sigma_bar)
-    dagger1 = (
-        conn.a_f_bar.exterior_derivative()
-        + conn.a_f_bar.wedge(conn.a_f_bar)
-        + sigma_sigma_bar
-    )
-    dagger2 = (
-        conn.sigma_bar.exterior_derivative()
-        + conn.a_f.wedge(conn.sigma_bar)
-        + conn.sigma_bar.wedge(conn.a_f_bar)
-    )
-    report["dagger1"] = not dagger1
-    report["dagger2"] = not dagger2
-
-    # trace bookkeeping
-    tr_ss = sigma_sigma_bar.trace()
-    tr_sbs = conn.sigma_bar.wedge(conn.sigma).trace()
-    report["trace_anticommutation"] = tr_ss == -(tr_sbs)
+    # the full moving-frame connection matrix [[A^F, conj sigma], [sigma, conj A^F]]
+    blocks = {
+        key: ExactMatrix([
+            ra + rb
+            for a, b in ((conn.a_f, s_bar), (conn.sigma, a_bar))
+            for ra, rb in zip(a.coefficient(key).rows, b.coefficient(key).rows)
+        ])
+        for key in set(conn.a_f.terms) | set(conn.sigma.terms)
+    }
+    yield "flatness", *agree(curvature(Form(field, 1, (2 * g, 2 * g), blocks)))
+    sigma_sigma_bar = conn.sigma.wedge(s_bar)
+    yield "dagger1", *agree(a_bar.exterior_derivative() + a_bar.wedge(a_bar) + sigma_sigma_bar)
+    yield "dagger2", *agree(s_bar.exterior_derivative() + conn.a_f.wedge(s_bar) + s_bar.wedge(a_bar))
+    tr_sbs = s_bar.wedge(conn.sigma).trace()
+    yield "trace_anticommutation", *agree(sigma_sigma_bar.trace(), -tr_sbs)
     omega_det_f = curvature(conn.a_f).trace()
-    report["det_curvature_is_minus_trace"] = omega_det_f == -(tr_sbs)
+    yield "det_curvature_is_minus_trace", *agree(omega_det_f, -tr_sbs)
 
-    # extract the Fock curvature scalar from its action on the vacuum, then
-    # certify scalarity on every probe of grade <= probe_grade, the vacuum
-    # (the empty key) among them; the witness is the first failing probe
-    space = conn._space
+    space, act, nabla_fbar = conn._space, conn._act, conn.nabla_fbar
     keys = fock_basis(space, probe_grade)
     vacuum = FockVector.vacuum(space)
     extracted = {}
-    witness = None
+    first = {}  # probe identity -> its first failing case
     for k1 in range(field.nvars):
         for k2 in range(k1 + 1, field.nvars):
+            where = (params[k1], params[k2])
             c = conn.curvature_on_probe(conn.nabla_ff, k1, k2, vacuum).terms.get((), 0)
-            extracted[(k1, k2)] = c
-            for key in keys:
-                probe = FockVector.basis(space, key)
-                got = conn.curvature_on_probe(conn.nabla_ff, k1, k2, probe)
-                if witness is None and got != probe.scale(c):
-                    witness = (field.params[k1], field.params[k2], key)
-    report["fock_curvature_scalar"] = scalar_ok = witness is None
-    # independent comparisons of the extracted scalar 2-form
-    half_det = omega_det_f * field.const(Fraction(1, 2))
-    report["scalar_equals_half_det_curvature"] = all(
-        not (extracted[key] - half_det.scalar_coefficient(key)) for key in extracted
-    )
-    report["scalar_equals_minus_half_trace"] = all(
-        not (
-            extracted[key]
-            - tr_sbs.scalar_coefficient(key) * Fraction(-1, 2)
-        )
-        for key in extracted
-    )
-    if not scalar_ok:
-        raise IdentityFailed(f"Fock curvature not scalar at {witness}")
-
-    # pointwise endomorphism identity on probes:
-    # -(sigma ^ sigma_bar) acting as derivation + s ^ sbar + sbar ^ s
-    #   = -(1/2) trace(sigma_bar ^ sigma) id
-    lemma_pointwise = True
-    for k1 in range(field.nvars):
-        for k2 in range(k1 + 1, field.nvars):
+            extracted[(k1, k2)] = ExactMatrix([[c]])
+            # -(sigma ^ sigma_bar) acting as derivation + s ^ sbar + sbar ^ s
+            #   = -(1/2) trace(sigma_bar ^ sigma) id
             ssb = sigma_sigma_bar.coefficient((k1, k2))
-            rhs_scalar = tr_sbs.scalar_coefficient((k1, k2)) * Fraction(-1, 2)
+            lemma_scalar = tr_sbs.scalar_coefficient((k1, k2)) * Fraction(-1, 2)
             for key in keys:
                 probe = FockVector.basis(space, key)
-                lhs = -endomorphism_action(space, ssb, probe)
-                lhs = lhs + conn._act("s", k1, conn._act("sbar", k2, probe))
-                lhs = lhs - conn._act("s", k2, conn._act("sbar", k1, probe))
-                lhs = lhs + conn._act("sbar", k1, conn._act("s", k2, probe))
-                lhs = lhs - conn._act("sbar", k2, conn._act("s", k1, probe))
-                if lhs != probe.scale(rhs_scalar):
-                    lemma_pointwise = False
-    report["endomorphism_lemma"] = lemma_pointwise
+                if conn.curvature_on_probe(conn.nabla_ff, k1, k2, probe) != probe.scale(c):
+                    first.setdefault("fock_curvature_scalar", (*where, key))
+                lhs = (
+                    -endomorphism_action(space, ssb, probe)
+                    + act("s", k1, act("sbar", k2, probe)) - act("s", k2, act("sbar", k1, probe))
+                    + act("sbar", k1, act("s", k2, probe)) - act("sbar", k2, act("s", k1, probe))
+                )
+                if lhs != probe.scale(lemma_scalar):
+                    first.setdefault("endomorphism_lemma", (*where, key))
+                for which in ("s", "sbar"):
+                    if (
+                        nabla_fbar(k1, act(which, k2, probe)) - act(which, k2, nabla_fbar(k1, probe))
+                        - nabla_fbar(k2, act(which, k1, probe)) + act(which, k1, nabla_fbar(k2, probe))
+                    ):
+                        first.setdefault("covariant_s_lemma", (*where, key))
 
-    # covariant form of the remaining lemma, for s and for s_bar
-    lemma_cov = True
-    for which in ("s", "sbar"):
-        for k1 in range(field.nvars):
-            for k2 in range(k1 + 1, field.nvars):
-                for key in keys:
-                    probe = FockVector.basis(space, key)
-                    lhs = (
-                        conn.nabla_fbar(k1, conn._act(which, k2, probe))
-                        - conn._act(which, k2, conn.nabla_fbar(k1, probe))
-                        - conn.nabla_fbar(k2, conn._act(which, k1, probe))
-                        + conn._act(which, k1, conn.nabla_fbar(k2, probe))
-                    )
-                    if lhs:
-                        lemma_cov = False
-    report["covariant_s_lemma"] = lemma_cov
+    def found(name):
+        return name not in first, None if name not in first else str(first[name])
 
-    # unitarity at the sample point: rho(s + s_bar) is skew-Hermitian
-    report["skew_hermitian_at_sample"] = _skew_hermitian_at_sample(
-        fam, conn, min(probe_grade, 3)
-    )
-    return report
+    yield "fock_curvature_scalar", *found("fock_curvature_scalar")
+    scalar = Form(field, 2, (1, 1), extracted)
+    yield "scalar_equals_half_det_curvature", *agree(scalar, omega_det_f * field.const(Fraction(1, 2)))
+    yield "scalar_equals_minus_half_trace", *agree(scalar, tr_sbs * field.const(Fraction(-1, 2)))
+    yield "endomorphism_lemma", *found("endomorphism_lemma")
+    yield "covariant_s_lemma", *found("covariant_s_lemma")
+
+    for k in range(field.nvars):
+        # nabla^H(vbar_j) in moving-frame coordinates: column j of [conj sigma; conj A^F]
+        nabla_h = [[m.coefficient((k,))[r, j] for m in (s_bar, a_bar) for r in range(g)] for j in range(g)]
+        for key in keys:
+            rhs = conn._image("sbar", k, key)
+            for slot in range(len(key)):
+                # rho(nabla^H(vbar_j)) acts on the factors after the slot; those before it multiply
+                v = rho_vector(space, nabla_h[-key[slot] - 1], FockVector.basis(space, key[slot + 1:]))
+                rhs = rhs + v._like({tuple(sorted(kk + key[:slot])): c for kk, c in v.terms.items()})
+            if conn._image("ff", k, key) != rhs:
+                first.setdefault("nabla_h_insertion", (params[k], key))
+    yield "nabla_h_insertion", *found("nabla_h_insertion")
+    yield "skew_hermitian_at_sample", *_skew_hermitian_at_sample(fam, conn, min(probe_grade, 3))
+
+
+def verify_theorem31(fam: HodgeFamily, probe_grade: int = 4) -> dict:
+    """The verdicts of theorem31_checks, by identity."""
+    return {name: holds for name, holds, _ in theorem31_checks(fam, probe_grade)}
 
 
 def _skew_hermitian_at_sample(fam, conn, grade):
+    """(holds, witness): rho(s + s_bar), evaluated at the sample point, is
+    skew-Hermitian on the probes of grade <= grade; the witness is the first
+    failing (direction, v, w)."""
     space = fam.space_at_sample()
     point = fam.sample_point
     keys = fock_basis(space, grade)
@@ -417,19 +417,11 @@ def _skew_hermitian_at_sample(fam, conn, grade):
             u_eval._accumulate(list(modes), h, c.evaluate(point))
         probes = [FockVector.basis(space, key) for key in keys]
         images = [rho_apply(u_eval, v) for v in probes]
-        for v, uv in zip(probes, images):
-            for w, uw in zip(probes, images):
+        for kv, v, uv in zip(keys, probes, images):
+            for kw, w, uw in zip(keys, probes, images):
                 if inner_product(uv, w) + inner_product(v, uw):
-                    return False
-    return True
-
-
-def _hstack(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return ExactMatrix([ra + rb for ra, rb in zip(a.rows, b.rows)])
-
-
-def _vstack(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return ExactMatrix(a.rows + b.rows)
+                    return False, str((fam.field.params[k], kv, kw))
+    return True, None
 
 
 # -- the u-section -----------------------------------------------------------------
@@ -529,36 +521,6 @@ def u_section(fam: HodgeFamily, extension=None) -> dict:
         "matches_sbar": matches_sbar,
         "connection": conn,
     }
-
-
-def nabla_h_insertion_identity(fam: HodgeFamily, probe_key=( -1, -1)) -> bool:
-    """nabla^FF = nabla^H + rho(s_bar) on a probe: inserting nabla^H into the
-    slots plus right multiplication by s_bar reproduces nabla^FF."""
-    conn = ConnectionData(fam)
-    space = conn._space
-    g = fam.g
-    probe = FockVector.basis(space, probe_key)
-    for k in range(fam.field.nvars):
-        lhs = conn.nabla_ff(k, probe)
-        # insertion of nabla^H(vbar_j): moving-frame coords are the columns
-        # of [sigma_bar; a_f_bar]
-        rhs = FockVector(space)
-        key = probe_key
-        for idx in range(len(key)):
-            v = FockVector.vacuum(space)
-            for pos in range(len(key) - 1, -1, -1):
-                j = -key[pos]  # conjugate-frame index, 1-based
-                if pos == idx:
-                    col = [conn.sigma_bar.coefficient((k,))[r, j - 1] for r in range(g)]
-                    col += [conn.a_f_bar.coefficient((k,))[r, j - 1] for r in range(g)]
-                else:
-                    col = space.basis_vector(key[pos])
-                v = rho_vector(space, col, v)
-            rhs = rhs + v
-        rhs = rhs + rho_apply(conn.rho_sbar(k), probe)
-        if lhs != rhs:
-            return False
-    return True
 
 
 # -- built-in families ---------------------------------------------------------------

@@ -83,11 +83,6 @@ def echelon_reduce(f: LaurentSeries, by_ord: dict):
     return f, coeffs
 
 
-def in_span(f: LaurentSeries, by_ord: dict) -> bool:
-    rem, _ = echelon_reduce(f, by_ord)
-    return rem.is_zero()
-
-
 def span_membership(f: LaurentSeries, by_ord: dict):
     """True / False / None: None when the remainder's order is deeper than
     the stored echelon reaches, so the window cannot decide."""
@@ -375,7 +370,7 @@ class QuotientSymplectic:
         for e in self.pos_lifts:
             span[e.ord] = e
         span = echelonize(list(span.values()))
-        return all(in_span(f, span) for f in perp)
+        return all(span_membership(f, span) is True for f in perp)
 
 
 def build_quotient(a_sub: FockSubalgebra, lo: int | None = None, hi: int | None = None,

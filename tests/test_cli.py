@@ -185,12 +185,12 @@ def test_finite_fock_suites_build_each_image_once(monkeypatch):
 
 @pytest.mark.parametrize("family", ["modular_family", "constant_family"])
 def test_connection_statements_are_the_identities_verified(family):
-    """Every key verify_theorem31 returns has a statement and no statement
-    lacks its key: a missing key would read as a FAIL."""
-    from focklab import cli, hodge
+    """The certificate yields one record per statement, in the order of the
+    statements, and no statement lacks its record."""
+    from focklab import hodge
 
-    result = hodge.verify_theorem31(getattr(hodge, family)(), probe_grade=2)
-    assert set(cli.CONNECTION_STATEMENTS) == set(result)
+    checks = hodge.theorem31_checks(getattr(hodge, family)(), probe_grade=2)
+    assert [name for name, _, _ in checks] == list(hodge.THEOREM31_STATEMENTS)
 
 
 def test_an_exhausted_window_is_a_skipped_record(capsys):
@@ -234,6 +234,70 @@ def test_a_failed_linear_algebra_certificate_is_a_fail_record(monkeypatch, capsy
     assert "[FAIL]" in capsys.readouterr().out
 
 
+def test_a_failed_quotient_certificate_keeps_the_checks_before_it(monkeypatch, capsys):
+    """hyperelliptic builds the quotient after checks 04 and 05, which do not
+    read it: a failed solve certificate there ends the run with 01, 02, 04
+    and 05 recorded."""
+    from focklab import linalg
+
+    monkeypatch.setattr(linalg, "_back_substitute", lambda m, pivots, b, x: x)
+    rep = run_suite("hyperelliptic", {})
+    assert [(c.id, c.status) for c in rep.checks] == [
+        ("hyperelliptic.01-model", "pass"),
+        ("hyperelliptic.02-fock-type", "pass"),
+        ("hyperelliptic.04-residue-gram", "pass"),
+        ("hyperelliptic.05-nonclosure", "pass"),
+        ("hyperelliptic.run", "fail"),
+    ]
+    assert "certification failed" in rep.checks[-1].witness
+    assert main(["--suite", "hyperelliptic"]) == 1
+
+
+# The first rows of the mutation table for the connection suite: a mutation
+# (one monkeypatch) and the identities it must turn to fail in both families.
+CONNECTION_MUTATIONS = {
+    "rho_sbar dropped": [
+        "endomorphism_lemma", "fock_curvature_scalar", "scalar_equals_half_det_curvature",
+        "scalar_equals_minus_half_trace", "skew_hermitian_at_sample",
+    ],
+    "rho_s doubled": [
+        "endomorphism_lemma", "fock_curvature_scalar", "nabla_h_insertion",
+        "scalar_equals_half_det_curvature", "scalar_equals_minus_half_trace", "skew_hermitian_at_sample",
+    ],
+    "curvature is the identity": [
+        "det_curvature_is_minus_trace", "flatness", "scalar_equals_half_det_curvature",
+    ],
+}
+
+
+@pytest.mark.parametrize("mutation", list(CONNECTION_MUTATIONS))
+def test_each_connection_mutation_fails_exactly_its_identities(monkeypatch, capsys, mutation):
+    """Under each mutation the connection suite at grade 2 keeps all 24
+    records, fails exactly the listed ones in both families, and exits 1."""
+    from focklab import hodge
+    from focklab.fock import UElement
+    from focklab.hodge import ConnectionData
+
+    rho_s = ConnectionData.rho_s
+    if mutation == "rho_sbar dropped":
+        monkeypatch.setattr(ConnectionData, "rho_sbar", lambda self, k: UElement.zero(self._space))
+    elif mutation == "rho_s doubled":
+        monkeypatch.setattr(ConnectionData, "rho_s", lambda self, k: rho_s(self, k).scale(2))
+    else:
+        monkeypatch.setattr(hodge, "curvature", lambda omega: omega)
+    rep = run_suite("connection", {"grade": 2})
+    assert len(rep.checks) == 24
+    assert sorted(c.id for c in rep.failed) == [
+        f"connection.{family}.{check}"
+        for family in ("modular", "siegel-block")
+        for check in CONNECTION_MUTATIONS[mutation]
+    ]
+    if mutation == "rho_sbar dropped":
+        witness = {c.id: c.witness for c in rep.failed}
+        assert witness["connection.modular.fock_curvature_scalar"] == "('x', 'y', (-1,))"
+    assert main(["--suite", "connection", "--param", "grade=2"]) == 1
+
+
 def test_a_raised_identity_ends_only_its_own_suite(monkeypatch):
     """NoIsotropicLift out of fock-type is that suite's failed run record;
     --suite all records it and runs every other suite."""
@@ -249,8 +313,8 @@ def test_a_raised_identity_ends_only_its_own_suite(monkeypatch):
     assert rep.failed[0].witness == "NoIsotropicLift: found 2 negative classes, expected quotient rank 0"
     every = run_suite("all", {})
     assert [c.id for c in every.failed] == ["fock-type.run", "hyperelliptic.run.g1", "hyperelliptic.run.g2"]
-    # fock-type loses its check 04 and each hyperelliptic run its checks 03-06; each gains a .run record
-    assert len(every.checks) == 59 - 1 - 2 * 4 + 3
+    # fock-type loses its check 04 and each hyperelliptic run its checks 03 and 06; each gains a .run record
+    assert len(every.checks) == 61 - 1 - 2 * 2 + 3
     assert main(["--suite", "fock-type"]) == 1
 
 
@@ -390,11 +454,12 @@ def test_suite_all_body_matches_the_committed_report():
 
 def test_ft4_with_every_membership_undecided_fails(monkeypatch, capsys):
     """An image whose membership the window cannot decide is never a pass:
-    with the one-puncture membership returning None, D_1 certifies nothing
-    and fock-type.03 is a FAIL with exit 1."""
+    with the one-puncture membership returning None, no perp class is
+    certified in A and D_1 certifies nothing, so fock-type.01 and
+    fock-type.03 are FAILs with exit 1."""
     from focklab import subalgebra
 
     monkeypatch.setattr(subalgebra, "span_membership", lambda f, by_ord: None)
     rep = run_suite("fock-type", {})
-    assert [c.id for c in rep.failed] == ["fock-type.03-ft4"]
+    assert [c.id for c in rep.failed] == ["fock-type.01-genus0-perp", "fock-type.03-ft4"]
     assert main(["--suite", "fock-type"]) == 1

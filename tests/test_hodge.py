@@ -15,13 +15,12 @@ from focklab.hodge import (
     curvature,
     default_extension_frame,
     modular_family,
-    nabla_h_insertion_identity,
-    second_fundamental_form,
     siegel_family,
+    theorem31_checks,
     u_section,
     verify_theorem31,
 )
-from focklab.linalg import ExactMatrix, IdentityFailed
+from focklab.linalg import ExactMatrix
 from focklab.ratfunc import DifferentialField
 from focklab.scalars import GaussianRational
 
@@ -44,7 +43,7 @@ def test_positivity_guard_at_sample():
 
 def test_sigma_modular():
     fam = modular_family()
-    sigma = second_fundamental_form(fam)
+    sigma = connection_blocks(fam).sigma
     # sigma(v) = (dx + i dy) vbar / (taubar - tau): coefficient 1/(-2iy) = i/(2y)
     want = fam.field.parse("i/(2*y)")
     assert sigma.coefficient(("x",))[0, 0] == want
@@ -52,7 +51,7 @@ def test_sigma_modular():
 
 
 def test_sigma_constant_family_vanishes():
-    assert not second_fundamental_form(constant_family())
+    assert not connection_blocks(constant_family()).sigma
 
 
 def test_sigma_symmetry_coupled_g2():
@@ -171,17 +170,13 @@ def _mutate(monkeypatch, mutation):
 @pytest.mark.parametrize("family", [modular_family, lambda: siegel_family(1)], ids=["modular", "siegel(1)"])
 def test_a_wrong_rho_s_fails_the_certificate(monkeypatch, mutation, family):
     """The image table is built from rho_s and rho_sbar, so a wrong rho(s)
-    or rho(s_bar) reaches every check: it fails verify_theorem31 and the
-    sample-point skew-Hermitian test."""
+    or rho(s_bar) reaches every check: verify_theorem31 reports the curvature
+    and the sample-point skew-Hermitian test false, without raising."""
     fam = family()
     _mutate(monkeypatch, mutation)
-    try:
-        report = verify_theorem31(fam, probe_grade=3)
-    except IdentityFailed:
-        pass
-    else:
-        assert not all(report.values()), report
-    assert hodge._skew_hermitian_at_sample(fam, ConnectionData(fam), 3) is False
+    report = verify_theorem31(fam, probe_grade=3)
+    assert report["fock_curvature_scalar"] is False and report["skew_hermitian_at_sample"] is False, report
+    assert hodge._skew_hermitian_at_sample(fam, ConnectionData(fam), 3)[0] is False
 
 
 def test_verify_theorem31_applies_each_operator_to_a_key_once(monkeypatch):
@@ -242,32 +237,37 @@ def test_u_section_rejects_bad_frame():
 
 
 def test_nabla_h_insertion_identity():
-    assert nabla_h_insertion_identity(modular_family(), probe_key=(-1, -1))
-    assert nabla_h_insertion_identity(constant_family(), probe_key=(-1,))
+    """nabla^FF = nabla^H + rho(s_bar) on every probe key of grade <= 4: the
+    certificate's own record, in the families that carry s_bar and in the
+    one that does not."""
+    for fam in (modular_family(), siegel_family(1), constant_family()):
+        checks = {name: (holds, witness) for name, holds, witness in theorem31_checks(fam)}
+        assert checks["nabla_h_insertion"] == (True, None)
 
 
 def test_curvature_witness_is_the_first_failing_probe(monkeypatch):
     """With rho(s_bar) dropped the curvature fails on every key of grades
-    1..4; the witness is the first of them in fock_basis order."""
+    1..4; the witness is the first of them in fock_basis order, and the
+    certificate yields it as a false record instead of raising."""
     monkeypatch.setattr(ConnectionData, "rho_sbar", lambda self, k: UElement.zero(self._space))
-    with pytest.raises(IdentityFailed) as exc:
-        verify_theorem31(modular_family())
-    assert str(exc.value) == "Fock curvature not scalar at ('x', 'y', (-1,))"
+    checks = {name: (holds, witness) for name, holds, witness in theorem31_checks(modular_family())}
+    assert checks["fock_curvature_scalar"] == (False, "('x', 'y', (-1,))")
 
 
 def test_curvature_failure_is_a_fail_record_and_exit_1(monkeypatch):
-    """A false curvature identity raised inside verify_theorem31 becomes a
-    connection.* FAIL record and exit code 1, not a traceback: hodge and
-    geometry raise the same IdentityFailed, which the suite catches."""
+    """A false curvature identity is its own connection.* FAIL record, with
+    the first wedge direction where it fails as the witness, and exit code 1,
+    not a traceback; every other identity keeps its record."""
     from focklab import cli, hodge
 
     # curvature(omega) = omega makes the flatness check see a nonzero form
     monkeypatch.setattr(hodge, "curvature", lambda omega: omega)
     rep = cli.run_suite("connection", {"grade": 2})
-    failed = [r for r in rep.to_json()["checks"] if r["status"] == "fail"]
-    assert [r["id"] for r in failed] == [
-        "connection.modular.identity",
-        "connection.siegel-block.identity",
+    assert len(rep.checks) == 24
+    failed = [(r["id"], r["witness"]) for r in rep.to_json()["checks"] if r["status"] == "fail"]
+    assert failed == [
+        (f"connection.{family}.{check}", f"('{x}',)")
+        for family, x in (("modular", "x"), ("siegel-block", "x1"))
+        for check in ("det_curvature_is_minus_trace", "flatness", "scalar_equals_half_det_curvature")
     ]
-    assert all("nonzero curvature form" in r["witness"] for r in failed)
     assert cli.main(["--suite", "connection", "--param", "grade=2"]) == 1

@@ -13,7 +13,10 @@
 * no import of `re` outside `scalars.py` -- `scalars.parse_expression` is
   the one tokenizer and grammar of exact values, so no second one can grow;
 * no import inside a function body -- a module's dependencies are the
-  imports at its top, where the unused-import rule sees them.
+  imports at its top, where the unused-import rule sees them;
+* no `raise IdentityFailed` in a function that contains `yield` -- a
+  certificate that yields records reports a false identity as a False
+  record, so one failure cannot erase the records after it.
 """
 
 import ast
@@ -92,6 +95,31 @@ def local_imports(tree):
     return [(line, "import inside a function") for line in sorted(lines)]
 
 
+def generator_raises(tree):
+    """(line, rule) for every `raise IdentityFailed` in the body of a function
+    that itself contains `yield`; a function nested in it is judged alone."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        own, stack = [], list(func.body)
+        while stack:
+            node = stack.pop()
+            own.append(node)
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+                stack.extend(ast.iter_child_nodes(node))
+        if not any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in own):
+            continue
+        for node in own:
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            exc = exc.func if isinstance(exc, ast.Call) else exc
+            if isinstance(exc, ast.Name) and exc.id == "IdentityFailed" or (
+                isinstance(exc, ast.Attribute) and exc.attr == "IdentityFailed"
+            ):
+                found.append((node.lineno, "IdentityFailed raised in a generator"))
+    return sorted(found)
+
+
 def test_the_rules_catch_each_pattern():
     bad = "try:\n    pass\nexcept:\n    pass\ntry:\n    pass\nexcept (ValueError, Exception):\n    pass\nassert 1\n"
     assert [why for _, why in violations(ast.parse(bad))] == [
@@ -110,6 +138,17 @@ def test_the_rules_catch_each_pattern():
         "class K:\n    import d\n    def m(self):\n        import e\n"
     )
     assert [line for line, _ in local_imports(ast.parse(local))] == [3, 5, 9]
+    raises = (
+        "def checks():\n    yield 'a', True\n    raise IdentityFailed('b')\n"
+        "def gen():\n    if x:\n        raise scalars.IdentityFailed\n    yield from y\n"
+        "def plain():\n    raise IdentityFailed('c')\n"
+        "def outer():\n    def inner():\n        yield 1\n    raise IdentityFailed('d')\n"
+        "def caught():\n    try:\n        yield 1\n    except IdentityFailed as exc:\n        yield str(exc)\n"
+        "def other():\n    yield 1\n    raise ValueError('e')\n"
+    )
+    assert generator_raises(ast.parse(raises)) == [
+        (3, "IdentityFailed raised in a generator"), (6, "IdentityFailed raised in a generator")
+    ]
 
 
 def test_package_sources_keep_the_rules():
@@ -122,6 +161,7 @@ def test_package_sources_keep_the_rules():
             tree = ast.parse(fh.read(), filename=path)
         found += [f"{name}:{line}: {why}" for line, why in violations(tree)]
         found += [f"{name}:{line}: {why}" for line, why in local_imports(tree)]
+        found += [f"{name}:{line}: {why}" for line, why in generator_raises(tree)]
         if name != "__init__.py":
             found += [f"{name}:{line}: {why}" for line, why in unused_imports(tree)]
         if name != "sparse.py":

@@ -18,10 +18,10 @@ from focklab.subalgebra import (
     covariants_of_modes,
     echelon_reduce,
     genus0_subalgebra,
-    in_span,
     mode_reduce,
     realize_kminus,
     scalar_action,
+    span_membership,
 )
 
 F = Fraction
@@ -43,7 +43,7 @@ def test_genus0_perp_equals_A():
     assert sub.quotient_rank() == 0
     perp = compute_perp(sub, -12, 13)
     # every perp class reduces into A: rank of the quotient is 0
-    assert all(in_span(f, sub.by_ord) for f in perp)
+    assert all(span_membership(f, sub.by_ord) is True for f in perp)
     q = build_quotient(sub)
     assert q.g == 0
 
