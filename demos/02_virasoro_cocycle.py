@@ -10,7 +10,7 @@ from focklab import (
     tau_hat_Dk,
     virasoro_bracket,
 )
-from focklab.oscillator import commutator_with_multiplication, series_multiply
+from focklab.oscillator import series_multiply
 
 # tau_hat(D_k) is the normally ordered quadratic operator of the derivation
 # D_k = t^{k+1} d/dt; it acts exactly on any vector of bounded grade.
@@ -21,12 +21,9 @@ print("tau_hat(D_1) v =", tau_hat_Dk(1).apply(v))
 print("tau_hat(D_-2) v_0 =", tau_hat_Dk(-2).apply(OscFockVector.vacuum()))
 
 # The module commutator with a multiplication operator is the derivative.
-f = LaurentSeries.t_power(-3)
-print(
-    "\n[tau_hat(D_2), t^-3] v_0 =",
-    commutator_with_multiplication(tau_hat_Dk(2), f, OscFockVector.vacuum()),
-)
-print("D_2(t^-3) v_0          =", series_multiply(Derivation.D(2).apply(f), OscFockVector.vacuum()))
+f, v0, op = LaurentSeries.t_power(-3), OscFockVector.vacuum(), tau_hat_Dk(2)
+print("\n[tau_hat(D_2), t^-3] v_0 =", op.apply(series_multiply(f, v0)) - series_multiply(f, op.apply(v0)))
+print("D_2(t^-3) v_0          =", series_multiply(Derivation.D(2).apply(f), v0))
 
 # Brackets close up to the central term (k^3 - k)/12 delta_{k+l,0};
 # virasoro_bracket certifies the identity on every basis vector of the

@@ -56,14 +56,7 @@ from .geometry import (
 from .hodge import THEOREM31_STATEMENTS, modular_family, siegel_family, theorem31_checks
 from .laurent import Derivation, LaurentSeries, PrecisionExhausted, format_series
 from .linalg import ExactMatrix
-from .oscillator import (
-    OscFockVector,
-    osc_basis,
-    series_multiply,
-    tau_hat_Dk,
-    virasoro_bracket,
-    virasoro_sweep,
-)
+from .oscillator import OscFockVector, module_commutator_sweep, tau_hat_Dk, virasoro_bracket, virasoro_sweep
 from .reports import SuiteReport
 from .scalars import GaussianRational, IdentityFailed
 from .subalgebra import (
@@ -250,21 +243,8 @@ def suite_virasoro(kmax, grade):
     except IdentityFailed as exc:
         central, wit = None, str(exc)
     yield "virasoro.02-spot-central", "central term at (k,l) = (2,-2) equals 1/2", central == Fraction(1, 2), wit
-    comm_failures = []
-    probes = [(key, OscFockVector.basis(key)) for key in osc_basis(min(grade, 5))]
-    ms = [m for m in range(-4, 5) if m]
-    # t^m v serves every k
-    f_probes = {m: [series_multiply(LaurentSeries.t_power(m), v) for _, v in probes] for m in ms}
-    for k in range(-4, 5):
-        op = tau_hat_Dk(k)
-        op_probes = [op.apply(v) for _, v in probes]  # T(D_k) v serves every m
-        for m in ms:
-            f = LaurentSeries.t_power(m)
-            df = Derivation.D(k).apply(f)
-            for (key, v), op_v, f_v in zip(probes, op_probes, f_probes[m]):
-                # [T(D_k), f] v = T(D_k)(f v) - f (T(D_k) v)
-                if op.apply(f_v) - series_multiply(f, op_v) != series_multiply(df, v):
-                    comm_failures.append((k, m, key))
+    ops = {k: tau_hat_Dk(k) for k in range(-4, 5)}
+    comm_failures = module_commutator_sweep(ops, [m for m in range(-4, 5) if m], min(grade, 5))
     wit = None
     if comm_failures:
         k, m, key = comm_failures[0]

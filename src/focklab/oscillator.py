@@ -8,9 +8,12 @@ since the inducing character kills O.
 Normally ordered quadratic operators are lazy-by-grade: for a vector of
 bounded grade only finitely many monomials act, so the action is exact with
 no window error; a window enters only through the coefficient series of a
-derivation, and exhaustion raises instead of truncating silently.  apply and
-the Virasoro sweep share one in-place kernel, _emit_doubled, which decodes a
-basis key once and adds 2 w T(D_k) of it to a dictionary per target (k, w).
+derivation, and exhaustion raises instead of truncating silently.  Two
+in-place kernels on integer codes (below) serve every caller: _emit_doubled
+decodes a basis key once and adds 2 w T(D_k) of it to a dictionary per
+target (k, w), and _emit_series adds f times it for a series f.  apply and
+virasoro_sweep run on the first, series_multiply on the second, and
+module_commutator_sweep, which certifies [T(D_k), t^m] = D_k(t^m), on both.
 
 tau_hat(D_k) = -(1/2) sum_{a+b=k, a,b != 0} :e_a e_b: reproduces
 [tau_hat(D_k), f] = D_k(f) and the central term (k^3 - k)/12 delta_{k+l,0}.
@@ -23,8 +26,10 @@ slot b holds the multiplicity n_b of the mode -b, code = sum n_b 2^(S (b-1)),
 so a monomial moves a code by adding and subtracting the codes of single
 parts, with no tuple built or hashed.  The width S = top.bit_length() comes
 from a bound top on the grade of every key and image of the call (grade(v)
-plus the most negative weight's |k| for apply, probe grade + 2 kmax for the
-sweep); a multiplicity is at most the grade, below 2^S, so no slot carries.
+plus the most negative weight's |k| for apply and exponent's |e| for
+series_multiply, probe grade + 2 kmax for virasoro_sweep, and probe grade
+plus the most negative m's and weight's |.| for module_commutator_sweep); a
+multiplicity is at most the grade, below 2^S, so no slot carries.
 
 virasoro_bracket certifies one (k, l) pair; virasoro_sweep certifies every
 pair with |k|, |l| <= kmax at once.  Following the grade decomposition of the
@@ -126,15 +131,12 @@ def series_multiply(f: LaurentSeries, v: OscFockVector) -> OscFockVector:
         raise PrecisionExhausted(
             f"series window prec={f.prec} cannot act on modes up to {n}"
         )
-    out = OscFockVector()
-    for e, c in f.coeffs.items():
-        if e == 0:
-            continue
-        if e > n:
-            continue  # annihilates nothing present
-        for key, x in apply_mode(e, v).terms.items():
-            add_term(out.terms, key, x * c)
-    return out
+    packing = _packing(v.grade() + max(0, -min(f.coeffs, default=0)))
+    terms = [(e, c) for e, c in f.coeffs.items() if e <= n]  # a part e > n is absent
+    out = {}
+    for key, x in v.terms.items():
+        _emit_series(_encode(key, packing), x, terms, out, packing)
+    return v._like({_decode(code, packing): c for code, c in out.items()})
 
 
 def osc_basis(max_grade: int):
@@ -221,6 +223,19 @@ def _emit_doubled(code: int, x, targets, packing):
             add_term(acc, code + one[-a] + one[-b], (-1 if a == b else -2) * wx)
 
 
+def _emit_series(code: int, x, terms, acc: dict, packing):
+    """acc += x * f * code in place, f = sum c t^e over the pairs (e, c) of
+    terms: t^e creates the mode e for e < 0, takes the part e held n times
+    with the factor e n for e > 0, and acts as 0 for e = 0."""
+    s, one = packing
+    mask = (1 << s) - 1
+    for e, c in terms:
+        if e < 0:
+            add_term(acc, code + one[-e], x * c)
+        elif e and (n := code >> s * (e - 1) & mask):
+            add_term(acc, code - one[e], x * e * n * c)
+
+
 class QuadraticOperator:
     """scale * sum_k weights[k] tau_hat(D_k) + central * id.
 
@@ -278,17 +293,19 @@ class QuadraticOperator:
         central = [(None, sign * self.central, acc)] if self.central else []
         return central + [(k, sign * w, acc) for k, w in self.weights.items()]
 
+    def _check_determined(self, needed_hi: int):
+        """Raise PrecisionExhausted unless every weight k <= needed_hi is determined."""
+        if needed_hi >= self.khi:
+            raise PrecisionExhausted(f"operator weights determined for k < {self.khi}, "
+                                     f"but grade needs k <= {needed_hi}")
+
     def _add_doubled(self, terms: dict, v_codes: dict, packing):
         """terms += 2 * self * v in place, v given by its codes under packing,
         one _emit_doubled pass per code."""
         if not v_codes:
             return
         needed_hi = 2 * -(-max(v_codes).bit_length() // packing[0])  # 2 * largest mode
-        if needed_hi >= self.khi:
-            raise PrecisionExhausted(
-                f"operator weights determined for k < {self.khi}, "
-                f"but grade needs k <= {needed_hi}"
-            )
+        self._check_determined(needed_hi)
         targets = [t for t in self._targets(terms) if t[0] is None or t[0] <= needed_hi]  # k > 2n: no monomial
         for code, x in v_codes.items():
             _emit_doubled(code, x, targets, packing)
@@ -413,11 +430,47 @@ def virasoro_sweep(kmax: int, probe_grade: int) -> list:
     return failures
 
 
-def commutator_with_multiplication(
-    op: QuadraticOperator, f: LaurentSeries, v: OscFockVector
-) -> OscFockVector:
-    """[op, mult-by-f] applied to v."""
-    return op.apply(series_multiply(f, v)) - series_multiply(f, op.apply(v))
+def module_commutator_sweep(ops: dict, ms: list, probe_grade: int) -> list:
+    """The checks of [T_k, t^m] = D_k(t^m) for every operator T_k = ops[k],
+    m in ms and vector of grade <= probe_grade; returns the failing
+    (k, m, probe key) triples in (k, m, key) order, empty when all hold.
+
+    Per probe v, one _emit_doubled pass gives 2 T_k v for every k; per m, one
+    pass over the code of t^m v adds 2 T_k (t^m v) into the dictionary of k,
+    _emit_series subtracts t^m (2 T_k v), and the result must equal
+    2 D_k(t^m) v, with D_k(t^m) from Derivation.D(k).apply.  An operator not
+    determined on the largest mode it meets raises PrecisionExhausted.
+    """
+    low_m = min(0, *ms)  # t^m v gains at most -low_m in grade and in its largest mode
+    packing = _packing(probe_grade - low_m - min(0, *ops, *(k for op in ops.values() for k in op.weights)))
+    for op in ops.values():
+        op._check_determined(2 * max(probe_grade, -low_m))
+    derived = {(k, m): [(e, 2 * _whole(c)) for e, c in Derivation.D(k).apply(LaurentSeries.t_power(m)).coeffs.items()]
+               for k in ops for m in ms}
+    image, comm = {k: {} for k in ops}, {k: {} for k in ops}
+    image_targets = [t for k, op in ops.items() for t in op._targets(image[k])]
+    comm_targets = [t for k, op in ops.items() for t in op._targets(comm[k])]
+    failing = {(k, m): [] for k in ops for m in ms}
+    for key in osc_basis(probe_grade):
+        code = _encode(key, packing)
+        for d in image.values():
+            d.clear()
+        _emit_doubled(code, 1, image_targets, packing)
+        for m in ms:
+            for d in comm.values():
+                d.clear()
+            f_v = {}
+            _emit_series(code, 1, [(m, 1)], f_v, packing)
+            for f_code, x in f_v.items():
+                _emit_doubled(f_code, x, comm_targets, packing)
+            for k, acc in comm.items():
+                for image_code, x in image[k].items():
+                    _emit_series(image_code, -x, [(m, 1)], acc, packing)
+                want = {}
+                _emit_series(code, 1, derived[k, m], want, packing)
+                if acc != want:
+                    failing[k, m].append(key)
+    return [(k, m, key) for (k, m), keys in failing.items() for key in keys]
 
 
 # -- quasi-symplectic bases and lifted derivations --------------------------------

@@ -21,8 +21,8 @@ from focklab.oscillator import (
     apply_mode,
     check_quasi_symplectic,
     coefficientwise_action,
-    commutator_with_multiplication,
     lift_derivation,
+    module_commutator_sweep,
     operator_equal_on_grade,
     osc_basis,
     realize_in_modes,
@@ -36,6 +36,11 @@ from focklab.ratfunc import DifferentialField
 from focklab.scalars import GaussianRational
 
 t = LaurentSeries.t_power
+
+
+def commutator_with_multiplication(op, f, v):
+    """[op, mult-by-f] applied to v."""
+    return op.apply(series_multiply(f, v)) - series_multiply(f, op.apply(v))
 
 
 def t_basis(lo, hi):
@@ -561,3 +566,123 @@ def test_no_entry_is_stored_as_zero():
         assert gone not in out.terms, name
     assert results["__init__"][0] == OscFockVector({(-1,): 2})
     assert results["scale"][0] == OscFockVector() == results["apply_mode"][0]
+
+
+# -- the series kernel and the module-commutator sweep ------------------------------
+
+
+def _series_by_modes(f, v):
+    """f v through apply_mode, one mode at a time: the reference the series
+    kernel replaces."""
+    out = OscFockVector()
+    for e, c in f.coeffs.items():
+        out = out + apply_mode(e, v).scale(c)
+    return out
+
+
+series = st.builds(LaurentSeries.from_terms, st.dictionaries(st.integers(-6, 7), scalars, max_size=4), st.integers(1, 9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(series, vectors)
+def test_series_multiply_matches_the_mode_sum(f, v):
+    if f.prec <= v.max_mode():
+        with pytest.raises(PrecisionExhausted):
+            series_multiply(f, v)
+        return
+    got = series_multiply(f, v)
+    assert got == _series_by_modes(f, v)
+    assert all(got.terms.values())
+
+
+def _module_commutator_by_modes(ops, ms, probe_grade):
+    """The failing (k, m, key) of [T_k, t^m] v = D_k(t^m) v, composed triple
+    by triple from apply_mode and the monomial sum."""
+    failing = []
+    for k, op in ops.items():
+        for m in ms:
+            for key in osc_basis(probe_grade):
+                v = OscFockVector.basis(key)
+                lhs = _monomial_sum(op, apply_mode(m, v)) - apply_mode(m, _monomial_sum(op, v))
+                if lhs != _series_by_modes(Derivation.D(k).apply(t(m)), v):
+                    failing.append((k, m, key))
+    return failing
+
+
+COMMUTATOR_KS, COMMUTATOR_MS = range(-3, 4), [-3, -2, -1, 1, 2, 3]
+COMMUTATOR_OPS = {
+    "tau_hat_Dk": lambda k: tau_hat_Dk(k),
+    "scaled": lambda k: tau_hat_Dk(k).scale(Fraction(3, 2)) if k == 1 else tau_hat_Dk(k),
+    "plus_central": lambda k: tau_hat_Dk(k).plus_central(GaussianRational(Fraction(1, 2), 1)),
+    "tau_hat_D": lambda k: tau_hat_D(Derivation.from_series(LaurentSeries.from_terms({k + 1: 1, 3: -1}, 14))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COMMUTATOR_OPS))
+def test_module_commutator_sweep_equals_the_composition(kind):
+    ops = {k: COMMUTATOR_OPS[kind](k) for k in COMMUTATOR_KS}
+    want = _module_commutator_by_modes(ops, COMMUTATOR_MS, 3)
+    assert module_commutator_sweep(ops, COMMUTATOR_MS, 3) == want
+    assert bool(want) == (kind in ("scaled", "tau_hat_D"))
+
+
+def test_module_commutator_sweep_keeps_the_window_guard():
+    """tau_hat_D of a series known below t^6 determines weights k < 5: enough
+    for every probe of grade <= 2 (k <= 4), not for t^-3 v_0, whose mode 3
+    needs k <= 6, so apply and the sweep both raise."""
+    ops = {k: tau_hat_D(Derivation.from_series(LaurentSeries.from_terms({k + 1: 1}, 6))) for k in COMMUTATOR_KS}
+    with pytest.raises(PrecisionExhausted):
+        for k, m, key in itertools.product(COMMUTATOR_KS, COMMUTATOR_MS, osc_basis(2)):
+            commutator_with_multiplication(ops[k], t(m), OscFockVector.basis(key))
+    with pytest.raises(PrecisionExhausted):
+        module_commutator_sweep(ops, COMMUTATOR_MS, 2)
+
+
+def test_module_commutator_sweep_makes_no_apply_call(monkeypatch):
+    def no_apply(op, v):
+        raise AssertionError("QuadraticOperator.apply called")
+
+    monkeypatch.setattr(QuadraticOperator, "apply", no_apply)
+    assert module_commutator_sweep({k: tau_hat_Dk(k) for k in range(-4, 5)}, COMMUTATOR_MS, 5) == []
+
+
+def _slack_annihilation(real):
+    """_emit_series with the annihilation factor e n replaced by n."""
+    return lambda code, x, terms, acc, packing: real(
+        code, x, [(e, Fraction(c, e) if e > 0 else c) for e, c in terms], acc, packing
+    )
+
+
+def test_series_multiply_and_the_sweep_share_one_kernel(monkeypatch):
+    """A defect in _emit_series breaks series_multiply and the module sweep
+    alike: there is no second copy of the kernel."""
+    v, ops = OscFockVector.basis((-2, -1)), {k: tau_hat_Dk(k) for k in COMMUTATOR_KS}
+    assert series_multiply(t(2), v) == _series_by_modes(t(2), v)
+    assert not module_commutator_sweep(ops, COMMUTATOR_MS, 3)
+    monkeypatch.setattr(oscillator, "_emit_series", _slack_annihilation(oscillator._emit_series))
+    assert series_multiply(t(2), v) != _series_by_modes(t(2), v)
+    assert module_commutator_sweep(ops, COMMUTATOR_MS, 3)
+
+
+# Each row: one defect of one kernel, and the checks of run_suite("virasoro",
+# {}) it must fail, with their witnesses where the row pins one.
+VIRASORO_MUTATIONS = {
+    "series annihilation factor n, not e n": (
+        "_emit_series", _slack_annihilation,
+        {"virasoro.03-module-commutator": "[T(D_-4), t^2] != D_-4(t^2) on (); 154 failing (k,m,probe)"},
+    ),
+    "central term plus 1 at k + l = 0": (
+        *BREAKS["central"], {"virasoro.01-cocycle": None, "virasoro.02-spot-central": None},
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", list(VIRASORO_MUTATIONS))
+def test_each_virasoro_mutation_fails_exactly_its_checks(monkeypatch, capsys, mutation):
+    attr, make, failing = VIRASORO_MUTATIONS[mutation]
+    monkeypatch.setattr(oscillator, attr, make(getattr(oscillator, attr)))
+    rep = run_suite("virasoro", {})
+    assert sorted(c.id for c in rep.failed) == sorted(failing)
+    for c in rep.failed:
+        assert failing[c.id] in (None, c.witness), c.id
+    assert main(["--suite", "virasoro"]) == 1
