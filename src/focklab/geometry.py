@@ -207,10 +207,11 @@ def wzw_gram_entries(model: HyperellipticModel, D: Derivation, omegas=None):
     m = [[None] * g for _ in range(g)]
     witness = None
     for i in range(1, g + 1):
+        d_omega, d_e = pairing_with_form(D, omegas[i - 1]), D.apply(e[i - 1])
         for j in range(1, g + 1):
-            raw = residue(pairing_with_form(D, omegas[i - 1]) * omegas[j - 1])
+            raw = residue(d_omega * omegas[j - 1])
             m[i - 1][j - 1] = raw * Fraction(1, i * j)
-            lhs = residue_form(D.apply(e[i - 1]), e[j - 1])
+            lhs = residue_form(d_e, e[j - 1])
             if witness is None and lhs + Fraction(i * j) * raw:
                 witness = (
                     f"sign identity failed at entry ({i},{j}): "

@@ -13,6 +13,9 @@ functions, decidable exactly:
   * the curvature of nabla^FF = nabla^Fbar + rho(s + s_bar) is computed probe
     by probe as nabla_X nabla_Y - nabla_Y nabla_X and certified to be the
     scalar (1/2) trace Omega(det nabla^F) = -(1/2) trace(sigma_bar ^ sigma);
+    the same composition, term by term, also gives the rho(s) rho(s_bar)
+    part of the endomorphism lemma and the covariant lemma below, so each
+    (direction pair, probe) composes nabla^FF once;
   * nabla^FF = nabla^H + rho(s_bar) is certified on the same probes, with
     nabla^H(vbar_j) inserted into each slot of a probe key.
 
@@ -141,8 +144,8 @@ class ConnectionData:
     coefficient matrices of s and s_bar.
 
     The connection's operators on Fock vectors -- the derivation action of
-    Abar^F_k, rho(s(k)), rho(s_bar(k)) and their sum "ff" in nabla^FF -- are
-    linear over the coefficient field.  _images holds each one's image of
+    Abar^F_k, rho(s(k)) and rho(s_bar(k)), the parts of nabla^FF beside d --
+    are linear over the coefficient field.  _images holds each one's image of
     FockVector.basis(space, key), made the first time a key of any grade
     meets it, and _act extends those images by linearity to the exact value
     endomorphism_action or rho_apply gives on the whole vector.  The
@@ -243,11 +246,8 @@ class ConnectionData:
                 img = endomorphism_action(self._space, self.a_f_bar.coefficient((k,)), basis)
             elif part == "s":
                 img = rho_apply(self.rho_s(k), basis)
-            elif part == "sbar":
-                img = rho_apply(self.rho_sbar(k), basis)
             else:
-                img = (self._image("abar", k, key) + self._image("s", k, key)
-                       + self._image("sbar", k, key))
+                img = rho_apply(self.rho_sbar(k), basis)
             self._images[entry] = img
         return self._images[entry]
 
@@ -262,7 +262,7 @@ class ConnectionData:
         return self.d_param(k, vec) + self._act("abar", k, vec)
 
     def nabla_ff(self, k: int, vec: FockVector) -> FockVector:
-        return self.d_param(k, vec) + self._act("ff", k, vec)
+        return self.nabla_fbar(k, vec) + self._act("s", k, vec) + self._act("sbar", k, vec)
 
     def curvature_on_probe(self, nabla, k1: int, k2: int, vec: FockVector) -> FockVector:
         return nabla(k1, nabla(k2, vec)) - nabla(k2, nabla(k1, vec))
@@ -341,43 +341,15 @@ def theorem31_checks(fam: HodgeFamily, probe_grade: int = 4):
     omega_det_f = curvature(conn.a_f).trace()
     yield "det_curvature_is_minus_trace", *agree(omega_det_f, -tr_sbs)
 
-    space, act, nabla_fbar = conn._space, conn._act, conn.nabla_fbar
+    space = conn._space
     keys = fock_basis(space, probe_grade)
-    vacuum = FockVector.vacuum(space)
-    extracted = {}
-    first = {}  # probe identity -> its first failing case
-    for k1 in range(field.nvars):
-        for k2 in range(k1 + 1, field.nvars):
-            where = (params[k1], params[k2])
-            c = conn.curvature_on_probe(conn.nabla_ff, k1, k2, vacuum).terms.get((), 0)
-            extracted[(k1, k2)] = ExactMatrix([[c]])
-            # -(sigma ^ sigma_bar) acting as derivation + s ^ sbar + sbar ^ s
-            #   = -(1/2) trace(sigma_bar ^ sigma) id
-            ssb = sigma_sigma_bar.coefficient((k1, k2))
-            lemma_scalar = tr_sbs.scalar_coefficient((k1, k2)) * Fraction(-1, 2)
-            for key in keys:
-                probe = FockVector.basis(space, key)
-                if conn.curvature_on_probe(conn.nabla_ff, k1, k2, probe) != probe.scale(c):
-                    first.setdefault("fock_curvature_scalar", (*where, key))
-                lhs = (
-                    -endomorphism_action(space, ssb, probe)
-                    + act("s", k1, act("sbar", k2, probe)) - act("s", k2, act("sbar", k1, probe))
-                    + act("sbar", k1, act("s", k2, probe)) - act("sbar", k2, act("s", k1, probe))
-                )
-                if lhs != probe.scale(lemma_scalar):
-                    first.setdefault("endomorphism_lemma", (*where, key))
-                for which in ("s", "sbar"):
-                    if (
-                        nabla_fbar(k1, act(which, k2, probe)) - act(which, k2, nabla_fbar(k1, probe))
-                        - nabla_fbar(k2, act(which, k1, probe)) + act(which, k1, nabla_fbar(k2, probe))
-                    ):
-                        first.setdefault("covariant_s_lemma", (*where, key))
+    first, extracted = _probe_identities(conn, keys, sigma_sigma_bar, tr_sbs)
 
     def found(name):
         return name not in first, None if name not in first else str(first[name])
 
     yield "fock_curvature_scalar", *found("fock_curvature_scalar")
-    scalar = Form(field, 2, (1, 1), extracted)
+    scalar = Form(field, 2, (1, 1), {pair: ExactMatrix([[c]]) for pair, c in extracted.items()})
     yield "scalar_equals_half_det_curvature", *agree(scalar, omega_det_f * field.const(Fraction(1, 2)))
     yield "scalar_equals_minus_half_trace", *agree(scalar, tr_sbs * field.const(Fraction(-1, 2)))
     yield "endomorphism_lemma", *found("endomorphism_lemma")
@@ -392,10 +364,67 @@ def theorem31_checks(fam: HodgeFamily, probe_grade: int = 4):
                 # rho(nabla^H(vbar_j)) acts on the factors after the slot; those before it multiply
                 v = rho_vector(space, nabla_h[-key[slot] - 1], FockVector.basis(space, key[slot + 1:]))
                 rhs = rhs + v._like({tuple(sorted(kk + key[:slot])): c for kk, c in v.terms.items()})
-            if conn._image("ff", k, key) != rhs:
+            if conn.nabla_ff(k, FockVector.basis(space, key)) != rhs:
                 first.setdefault("nabla_h_insertion", (params[k], key))
     yield "nabla_h_insertion", *found("nabla_h_insertion")
     yield "skew_hermitian_at_sample", *_skew_hermitian_at_sample(fam, conn, min(probe_grade, 3))
+
+
+def _probe_identities(conn: ConnectionData, keys, sigma_sigma_bar: Form, tr_sbs: Form):
+    """(first, extracted) of the three probe identities on the basis keys,
+    vacuum first: each identity's first failing (x1, x2, key), and per pair
+    (k1, k2) the scalar of Omega(nabla^FF) read off the vacuum."""
+    space, params = conn._space, conn.fam.field.params
+    first, extracted = {}, {}
+    for k1 in range(len(params)):
+        for k2 in range(k1 + 1, len(params)):
+            where = (params[k1], params[k2])
+            # -(sigma ^ sigma_bar) acting as derivation + s ^ sbar + sbar ^ s
+            #   = -(1/2) trace(sigma_bar ^ sigma) id
+            ssb = sigma_sigma_bar.coefficient((k1, k2))
+            lemma_scalar = tr_sbs.scalar_coefficient((k1, k2)) * Fraction(-1, 2)
+            for key in keys:
+                probe = FockVector.basis(space, key)
+                curv, lemma, covariant = _probe_pass(conn, k1, k2, key)
+                if not key:
+                    extracted[(k1, k2)] = c = curv.get((), 0)
+                if curv != probe.scale(c).terms:
+                    first.setdefault("fock_curvature_scalar", (*where, key))
+                if probe._like(lemma) - endomorphism_action(space, ssb, probe) != probe.scale(lemma_scalar):
+                    first.setdefault("endomorphism_lemma", (*where, key))
+                if covariant["s"] or covariant["sbar"]:
+                    first.setdefault("covariant_s_lemma", (*where, key))
+    return first, extracted
+
+
+def _probe_pass(conn: ConnectionData, k1: int, k2: int, key):
+    """(curvature, lemma, covariant) term dictionaries on the basis probe key
+    from one composition of nabla^FF over (x, y, sign) = (k1, k2, +1),
+    (k2, k1, -1) and the parts b in (Abar^F, s, s_bar) of nabla^FF_y(key)
+    (a constant probe takes no derivative).  Each term also enters at most
+    one more dictionary: nabla^Fbar_x of the s image and rho(s(x)) of the
+    Abar^F image make [nabla^Fbar, rho(s)] (likewise s_bar), and rho(s(x))
+    of the s_bar image and rho(s_bar(x)) of the s image make s^s_bar +
+    s_bar^s."""
+    curv, lemma, covariant = {}, {}, {"s": {}, "sbar": {}}
+    for x, y, sign in ((k1, k2, 1), (k2, k1, -1)):
+        for b in ("abar", "s", "sbar"):
+            image = conn._image(b, y, key)
+            if sign < 0:
+                image = -image
+            for kk, c in conn.nabla_fbar(x, image).terms.items():
+                add_term(curv, kk, c)
+                if b != "abar":
+                    add_term(covariant[b], kk, c)
+            for a in ("s", "sbar"):
+                also = covariant[a] if b == "abar" else None if b == a else lemma
+                for ki, c in image.terms.items():
+                    for kk, w in conn._image(a, x, ki).terms.items():
+                        cw = c * w
+                        add_term(curv, kk, cw)
+                        if also is not None:
+                            add_term(also, kk, cw)
+    return curv, lemma, covariant
 
 
 def verify_theorem31(fam: HodgeFamily, probe_grade: int = 4) -> dict:

@@ -267,7 +267,10 @@ CONNECTION_MUTATIONS = {
     "curvature is the identity": [
         "det_curvature_is_minus_trace", "flatness", "scalar_equals_half_det_curvature",
     ],
-    "A^F-bar dropped from nabla_fbar": ["covariant_s_lemma"],
+    "A^F-bar dropped from nabla_fbar": ["covariant_s_lemma", "fock_curvature_scalar", "nabla_h_insertion"],
+    "d negated": [
+        "dagger1", "dagger2", "det_curvature_is_minus_trace", "flatness", "scalar_equals_half_det_curvature",
+    ],
 }
 
 
@@ -277,6 +280,7 @@ def test_each_connection_mutation_fails_exactly_its_identities(monkeypatch, caps
     records, fails exactly the listed ones in both families, and exits 1."""
     from focklab import hodge
     from focklab.fock import UElement
+    from focklab.forms import Form
     from focklab.hodge import ConnectionData
 
     rho_s = ConnectionData.rho_s
@@ -286,8 +290,11 @@ def test_each_connection_mutation_fails_exactly_its_identities(monkeypatch, caps
         monkeypatch.setattr(ConnectionData, "rho_s", lambda self, k: rho_s(self, k).scale(2))
     elif mutation == "curvature is the identity":
         monkeypatch.setattr(hodge, "curvature", lambda omega: omega)
-    else:
+    elif mutation == "A^F-bar dropped from nabla_fbar":
         monkeypatch.setattr(ConnectionData, "nabla_fbar", lambda self, k, v: self.d_param(k, v))
+    else:
+        d = Form.exterior_derivative
+        monkeypatch.setattr(Form, "exterior_derivative", lambda self: -d(self))
     rep = run_suite("connection", {"grade": 2})
     assert len(rep.checks) == 24
     assert sorted(c.id for c in rep.failed) == [

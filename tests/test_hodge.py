@@ -162,6 +162,8 @@ def _mutate(monkeypatch, mutation):
     rho_s, rho_sbar = ConnectionData.rho_s, ConnectionData.rho_sbar
     if mutation == "rho(s) counted twice":
         monkeypatch.setattr(ConnectionData, "rho_s", lambda self, k: rho_s(self, k).scale(2))
+    elif mutation == "A^F-bar dropped from nabla_fbar":
+        monkeypatch.setattr(ConnectionData, "nabla_fbar", lambda self, k, v: self.d_param(k, v))
     else:
         monkeypatch.setattr(ConnectionData, "rho_sbar", lambda self, k: UElement.zero(self._space))
 
@@ -198,6 +200,112 @@ def test_verify_theorem31_applies_each_operator_to_a_key_once(monkeypatch):
     report = verify_theorem31(siegel_family(-2), probe_grade=4)
     assert all(report.values()), report
     assert calls["rho_apply"] <= 400 and calls["endomorphism_action"] <= 300, calls
+
+
+def _reference_probe_identities(conn, keys, sigma_sigma_bar, tr_sbs):
+    """hodge._probe_identities as three separate compositions per pair and
+    key: Omega(nabla^FF) by curvature_on_probe, the endomorphism lemma
+    through _act, the covariant lemma through nabla_fbar."""
+    space, params = conn._space, conn.fam.field.params
+    act, nabla_fbar = conn._act, conn.nabla_fbar
+    vacuum = FockVector.vacuum(space)
+    first, extracted = {}, {}
+    for k1 in range(len(params)):
+        for k2 in range(k1 + 1, len(params)):
+            where = (params[k1], params[k2])
+            c = conn.curvature_on_probe(conn.nabla_ff, k1, k2, vacuum).terms.get((), 0)
+            extracted[(k1, k2)] = c
+            ssb = sigma_sigma_bar.coefficient((k1, k2))
+            lemma_scalar = tr_sbs.scalar_coefficient((k1, k2)) * F(-1, 2)
+            for key in keys:
+                probe = FockVector.basis(space, key)
+                if conn.curvature_on_probe(conn.nabla_ff, k1, k2, probe) != probe.scale(c):
+                    first.setdefault("fock_curvature_scalar", (*where, key))
+                lhs = (
+                    -endomorphism_action(space, ssb, probe)
+                    + act("s", k1, act("sbar", k2, probe)) - act("s", k2, act("sbar", k1, probe))
+                    + act("sbar", k1, act("s", k2, probe)) - act("sbar", k2, act("s", k1, probe))
+                )
+                if lhs != probe.scale(lemma_scalar):
+                    first.setdefault("endomorphism_lemma", (*where, key))
+                for which in ("s", "sbar"):
+                    if (
+                        nabla_fbar(k1, act(which, k2, probe)) - act(which, k2, nabla_fbar(k1, probe))
+                        - nabla_fbar(k2, act(which, k1, probe)) + act(which, k1, nabla_fbar(k2, probe))
+                    ):
+                        first.setdefault("covariant_s_lemma", (*where, key))
+    return first, extracted
+
+
+PROBE_IDENTITIES = ("fock_curvature_scalar", "endomorphism_lemma", "covariant_s_lemma")
+
+
+@pytest.mark.parametrize("family, grade, mutation", [
+    (modular_family, 4, None),
+    (lambda: siegel_family(0), 4, None),
+    (lambda: siegel_family(1), 4, None),
+    (constant_family, 4, None),
+    (modular_family, 2, "rho(s_bar) dropped"),
+    (lambda: siegel_family(1), 2, "rho(s_bar) dropped"),
+    (modular_family, 2, "rho(s) counted twice"),
+    (lambda: siegel_family(1), 2, "rho(s) counted twice"),
+    (modular_family, 2, "A^F-bar dropped from nabla_fbar"),
+    (lambda: siegel_family(1), 2, "A^F-bar dropped from nabla_fbar"),
+], ids=["modular", "siegel(0)", "siegel(1)", "constant", "modular-sbar-dropped", "siegel(1)-sbar-dropped",
+        "modular-s-doubled", "siegel(1)-s-doubled", "modular-abar-dropped", "siegel(1)-abar-dropped"])
+def test_one_pass_matches_the_three_identity_loop(monkeypatch, family, grade, mutation):
+    """The one-pass probe identities give the reference loop's verdicts,
+    first witnesses and extracted scalars, and theorem31_checks yields them."""
+    fam = family()
+    if mutation:
+        _mutate(monkeypatch, mutation)
+    conn = ConnectionData(fam)
+    sigma_sigma_bar = conn.sigma.wedge(conn.sigma_bar)
+    tr_sbs = conn.sigma_bar.wedge(conn.sigma).trace()
+    keys = fock_basis(conn._space, grade)
+    want = _reference_probe_identities(conn, keys, sigma_sigma_bar, tr_sbs)
+    first = want[0]
+    assert bool(first) == bool(mutation), first
+    assert hodge._probe_identities(conn, keys, sigma_sigma_bar, tr_sbs) == want
+    records = {name: (holds, witness) for name, holds, witness in theorem31_checks(fam, grade)}
+    assert {name: records[name] for name in PROBE_IDENTITIES} == {
+        name: (name not in first, str(first[name]) if name in first else None) for name in PROBE_IDENTITIES
+    }
+
+
+def test_theorem31_composes_nabla_ff_once(monkeypatch):
+    """A counting guard (calls, not time): theorem31_checks(siegel_family(1), 4)
+    made 2028 products of two rational functions and 1004 derivative calls
+    when the curvature, endomorphism and covariant identities each composed
+    the connection again; one composition per (pair, key) needs 1484 and 740."""
+    from focklab.ratfunc import RationalFunction
+
+    fam = siegel_family(1)
+    calls = {"products": 0, "derivative": 0}
+    mul, derivative = RationalFunction.__mul__, RationalFunction.derivative
+
+    def counted_mul(a, b):
+        calls["products"] += isinstance(b, RationalFunction)
+        return mul(a, b)
+
+    def counted_derivative(a, param):
+        calls["derivative"] += 1
+        return derivative(a, param)
+
+    monkeypatch.setattr(RationalFunction, "__mul__", counted_mul)
+    monkeypatch.setattr(RationalFunction, "derivative", counted_derivative)
+    checks = list(theorem31_checks(fam, 4))
+    assert all(holds for _, holds, _ in checks), checks
+    assert calls["products"] <= 1520 and calls["derivative"] <= 760, calls
+
+
+def test_theorem31_makes_no_curvature_on_probe_call(monkeypatch):
+    """The certificate reads the curvature scalar off its own pass."""
+    def refuse(*args):
+        raise AssertionError("curvature_on_probe called")
+
+    monkeypatch.setattr(ConnectionData, "curvature_on_probe", refuse)
+    assert all(verify_theorem31(modular_family(), probe_grade=2).values())
 
 
 def test_modular_scalar_value():
