@@ -19,7 +19,9 @@ matrix repeats rows and columns; Ryser's formula is summed over how many
 copies of each distinct column a subset takes, each count weighted by an
 exact binomial product.  The sum is the permanent exactly, term for term,
 with prod_c (m_c + 1) terms for column multiplicities m_c against the 2^n
-subsets of the plain formula (3 against 8 for e_{-1}^3).
+subsets of the plain formula (3 against 8 for e_{-1}^3).  A space pairs
+each ordered key pair once and keeps only nonzero values; sp(H) brackets
+are formed from nonzero entries.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ class SymplecticSpace:
         if not real.is_zero():
             raise ValueError("symplectic form is not real for the conjugation")
         self._lmul_cache: dict = {}
+        self._key_pair_cache: dict = {}
         self._gram_inv = None
         self._half_gram_inv = None
         self._hermitian = self._hermitian_gram()
@@ -170,6 +173,20 @@ class SymplecticSpace:
         """<e_a, e_b> for negative labels a, b."""
         return self._hermitian[-a - 1, -b - 1]
 
+    def key_pairing(self, kv: tuple, kw: tuple):
+        """<e_kv v_o, e_kw v_o> for Fock keys of one grade: the permanent of
+        their Hermitian pairings, kept when nonzero for the ordered pair, as
+        the form need not be diagonal."""
+        hit = self._key_pair_cache.get((kv, kw))
+        if hit is not None:
+            return hit
+        (labels, mult), (w_labels, w_mult) = _multiset(kv), _multiset(kw)
+        rows = [[self.hermitian_pair(a, b) for b in w_labels] for a in labels]
+        value = _grouped_permanent(rows, mult, w_mult)
+        if value:
+            self._key_pair_cache[(kv, kw)] = value
+        return value
+
 
 def standard_space(g: int) -> SymplecticSpace:
     """The convention (e_i, e_j) = i * delta_{i+j,0} with conjugation
@@ -244,9 +261,9 @@ class UElement(SparseVector):
     def from_tensor(space, tensor: ExactMatrix, hpow=0):
         """Image of sum tensor[u,v] e_u (x) e_v under the hat map."""
         u = UElement(space)
-        for a in space.labels():
-            for b in space.labels():
-                c = tensor[space.pos(a), space.pos(b)]
+        labels = space.labels()  # in coordinate order
+        for a, row in zip(labels, tensor.rows):
+            for b, c in zip(labels, row):
                 if c:
                     u._accumulate([a, b], hpow, c)
         return u
@@ -327,24 +344,12 @@ class SpElement:
         return SpElement(self.space, self.matrix * c, check=False)
 
     def bracket(self, other):
-        return SpElement(
-            self.space,
-            self.matrix * other.matrix - other.matrix * self.matrix,
-            check=False,
-        )
-
-    def apply_label(self, label):
-        """Image of a basis vector, as coordinates."""
-        return [self.matrix[r, self.space.pos(label)] for r in range(2 * self.space.g)]
+        return SpElement(self.space, self.matrix.commutator(other.matrix), check=False)
 
     def trace_on_complement(self):
         """trace(A^{F'}): restriction to F' followed by projection onto F'."""
         g = self.space.g
         return sum(self.matrix[g + i, g + i] for i in range(g))
-
-    def stabilizes_f(self) -> bool:
-        g = self.space.g
-        return all(not self.matrix[g + i, j] for i in range(g) for j in range(g))
 
 
 def E_map(space: SymplecticSpace, tensor: ExactMatrix) -> SpElement:
@@ -524,12 +529,15 @@ def _grouped_permanent(rows, row_mult, col_mult):
     value is the permanent itself, with prod_c (m_c + 1) terms against 2^n.
     The walk over s is a reflected mixed-radix Gray code: each step moves one
     s_c by one, so the row sums change by one column and the signed weight by
-    the exact integer ratio C(m_c, s_c +- 1) / C(m_c, s_c).
+    the exact integer ratio C(m_c, s_c +- 1) / C(m_c, s_c).  An all-zero
+    row or column meets every permutation, so the value is 0 without a walk.
     """
     n = sum(col_mult)
     if n != sum(row_mult):
         raise ValueError("permanent of a non-square matrix")
     cols = list(zip(*rows))
+    if not all(map(any, rows)) or not all(map(any, cols)):
+        return 0
     s = [0] * len(col_mult)
     step = [1] * len(col_mult)
     sums = [0] * len(rows)
@@ -574,20 +582,18 @@ def _multiset(key):
 def inner_product(v: FockVector, w: FockVector):
     """Hermitian pairing: graded pieces orthogonal, permanents on each grade.
 
-    Linear in the first slot, conjugate-linear in the second.  The permanent
-    of a pair of keys runs over their distinct labels, weighted by how often
-    each repeats.
+    Linear in the first slot, conjugate-linear in the second.  Each pair of
+    keys of one grade contributes its space's key_pairing.
     """
     space = v.space
     total = 0
-    w_terms = [(len(kw), _multiset(kw), _conj(cw)) for kw, cw in w.terms.items()]
+    w_terms = [(kw, _conj(cw)) for kw, cw in w.terms.items()]
     for kv, cv in v.terms.items():
-        labels, mult = _multiset(kv)
-        for n, (w_labels, w_mult), cw in w_terms:
-            if n != len(kv):
-                continue
-            rows = [[space.hermitian_pair(a, b) for b in w_labels] for a in labels]
-            total = total + cv * cw * _grouped_permanent(rows, mult, w_mult)
+        for kw, cw in w_terms:
+            if len(kw) == len(kv):
+                p = space.key_pairing(kv, kw)
+                if p:
+                    total = total + cv * cw * p
     return total
 
 

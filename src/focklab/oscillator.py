@@ -340,16 +340,6 @@ def tau_hat_D(D: Derivation) -> QuadraticOperator:
     return QuadraticOperator(weights, g.floor - 1, g.prec - 1)
 
 
-def operator_equal_on_grade(p: QuadraticOperator, q, max_grade: int) -> bool:
-    """Compare operators on every basis vector of grade <= max_grade; q may
-    be a QuadraticOperator or a callable."""
-    qf = q.apply if isinstance(q, QuadraticOperator) else q
-    return all(
-        p.apply(OscFockVector.basis(key)) == qf(OscFockVector.basis(key))
-        for key in osc_basis(max_grade)
-    )
-
-
 def _virasoro_central(k: int, l: int) -> Fraction:
     """(k^3 - k)/12 delta_{k+l,0}."""
     return Fraction(k**3 - k, 12) if k + l == 0 else Fraction(0)
@@ -596,19 +586,4 @@ def realize_in_modes(family: OscFockVector, basis: dict) -> OscFockVector:
         for lab in key:
             v = series_multiply(basis[lab], v)
         out = out + v
-    return out
-
-
-def coefficientwise_action(D: Derivation, family: OscFockVector, basis: dict) -> OscFockVector:
-    """The (double-dagger) first summand: sum over slots replacing e_{k_i} by
-    D(e_{k_i}), realized in t-modes."""
-    out = OscFockVector()
-    for key, c in family.terms.items():
-        for idx in range(len(key)):
-            v = OscFockVector.vacuum(c)
-            for pos in range(len(key)):
-                lab = key[pos]
-                f = D.apply(basis[lab]) if pos == idx else basis[lab]
-                v = series_multiply(f, v)
-            out = out + v
     return out

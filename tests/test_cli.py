@@ -158,10 +158,12 @@ def test_finite_fock_suites_build_each_image_once(monkeypatch):
     rho_vector calls and 156 from_tensor builds when each pair and probe
     rebuilt its images, and fock-basics 1872 rho_vector calls; one image per
     (label, probe) and one operator pair per (c1, c2) need 340, 24 and 1026.
-    E_inverse, one per tau, stays at 620."""
+    E_inverse, one per tau, stays at 620.  Adjoint's inner products meet 35
+    distinct key pairs with a nonzero pairing, and computed a nonzero
+    permanent 324 times when no space kept its pairings."""
     from focklab import cli, fock
 
-    calls = dict.fromkeys(["rho_vector", "from_tensor", "E_inverse"], 0)
+    calls = dict.fromkeys(["rho_vector", "from_tensor", "E_inverse", "nonzero_permanent"], 0)
 
     def counted(name, inner):
         def wrapper(*args, **kwargs):
@@ -169,14 +171,23 @@ def test_finite_fock_suites_build_each_image_once(monkeypatch):
             return inner(*args, **kwargs)
         return wrapper
 
+    permanent = fock._grouped_permanent
+
+    def counted_permanent(*args):
+        value = permanent(*args)
+        calls["nonzero_permanent"] += bool(value)
+        return value
+
     for owner in (fock, cli):
         for name in ("rho_vector", "E_inverse"):
             monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     monkeypatch.setattr(fock.UElement, "from_tensor",
                         staticmethod(counted("from_tensor", fock.UElement.from_tensor)))
+    monkeypatch.setattr(fock, "_grouped_permanent", counted_permanent)
     rep = run_suite("adjoint", {"g": 3, "grade": 4, "seed": 64})
     assert not rep.failed and len(rep.checks) == 3
     assert calls["rho_vector"] <= 340 and calls["from_tensor"] <= 24, calls
+    assert calls["nonzero_permanent"] <= 35, calls
     calls.update(dict.fromkeys(calls, 0))
     rep = run_suite("fock-basics", {"g": 3, "seed": 64})
     assert not rep.failed and len(rep.checks) == 8

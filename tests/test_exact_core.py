@@ -314,7 +314,7 @@ def test_domain_is_inferred_and_joined():
     assert q.domain is QQ and g.domain is QQ_I
     assert isinstance(g[1, 0], GaussianRational)
     assert (q * g).domain is QQ_I and isinstance((q * g)[0, 0], GaussianRational)
-    assert ExactMatrix.zeros(2, 2).domain is QQ and ExactMatrix.identity(2).domain is QQ
+    assert ExactMatrix([[0, 0], [0, 0]]).domain is QQ and ExactMatrix.identity(2).domain is QQ
 
 
 def test_matrix_text():
@@ -341,6 +341,43 @@ def test_zero_rows_and_columns_over_a_field_stay_rational_functions():
     kernel = a.kernel()
     assert kernel and all(isinstance(e, RationalFunction) for v in kernel for e in v)
     assert not any(a.apply(kernel[0]))
+
+
+rational_entries = st.one_of(st.just(0), st.just(Fraction(0)), small_rationals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.sampled_from([rational_entries, sparse_entries]), st.data())
+def test_commutator_matches_the_two_products(n, entries, data):
+    """Over QQ and QQ_I, with operands zero about half the time."""
+    a, b = (
+        data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n).map(ExactMatrix))
+        for _ in range(2)
+    )
+    want = a * b - b * a
+    got = a.commutator(b)
+    assert got.domain is want.domain and got.rows == want.rows
+    assert [type(e) for r in got.rows for e in r] == [type(e) for r in want.rows for e in r]
+
+
+def test_commutator_over_a_field_with_dense_and_zero_operands():
+    field = DifferentialField(["x", "y"])
+    x, y = field.var("x"), field.var("y")
+    operands = [
+        ExactMatrix([[1, Fraction(1, 2), -2], [3, Fraction(-1, 3), 1], [2, 5, Fraction(7, 4)]]),
+        ExactMatrix([[0, GaussianRational(0, 1), 0], [0, 0, 0], [GaussianRational(2, -1), 0, 0]]),
+        ExactMatrix([[x, y, 1], [x * y, 2, y], [1, x, x + y]]),
+        ExactMatrix([[0] * 3 for _ in range(3)]),
+    ]
+    for a in operands:
+        for b in operands:
+            want = a * b - b * a
+            got = a.commutator(b)
+            assert got.domain == want.domain and got.rows == want.rows
+            assert [type(e) for r in got.rows for e in r] == [type(e) for r in want.rows for e in r]
+    assert operands[2].commutator(operands[2]).is_zero()
+    with pytest.raises(ValueError):
+        ExactMatrix([[1, 2, 3]]).commutator(ExactMatrix([[1], [2], [3]]))
 
 
 def test_inverse_certification_raises_under_optimize():

@@ -33,7 +33,7 @@ from focklab.fock import (
     tau_hat_wrt_complement,
 )
 from focklab.linalg import ExactMatrix
-from focklab.scalars import GaussianRational, I
+from focklab.scalars import GaussianRational, I, conj
 
 
 def sym_pair_tensor(space, a, b):
@@ -43,6 +43,20 @@ def sym_pair_tensor(space, a, b):
     m[space.pos(a)][space.pos(b)] += 1
     m[space.pos(b)][space.pos(a)] += 1
     return ExactMatrix(m)
+
+
+def zeros(n):
+    return ExactMatrix([[0] * n for _ in range(n)])
+
+
+def image_of_label(a, label):
+    """A(e_label) for an sp(H) element, as coordinates."""
+    return [row[a.space.pos(label)] for row in a.matrix.rows]
+
+
+def stabilizes_f(a):
+    g = a.space.g
+    return all(not a.matrix[g + i, j] for i in range(g) for j in range(g))
 
 
 def random_sp(space, rng):
@@ -96,9 +110,9 @@ def test_E_map_defining_formula_g1():
     sp = standard_space(1)
     a = E_map(sp, sym_pair_tensor(sp, 1, 1).map(lambda v: v * Fraction(1, 2)))
     # alpha = e_1 (x) e_1: A(x) = 2 (e_1, x) e_1, so A(e_{-1}) = 2(e_1,e_{-1}) e_1 = 2 e_1
-    img = a.apply_label(-1)
+    img = image_of_label(a, -1)
     assert img[sp.pos(1)] == 2 and not img[sp.pos(-1)]
-    assert not any(a.apply_label(1))
+    assert not any(image_of_label(a, 1))
 
 
 def test_E_roundtrip_seeded():
@@ -110,7 +124,7 @@ def test_E_roundtrip_seeded():
             c = E_inverse(sp, a)
             assert E_map(sp, c).matrix == a.matrix
     sp = standard_space(2)
-    zero = ExactMatrix.zeros(4, 4)
+    zero = zeros(4)
     assert E_map(sp, zero).matrix.is_zero()
 
 
@@ -126,7 +140,7 @@ def test_E_map_rejects_asymmetric():
 
 def test_normal_order_transposition():
     sp = standard_space(1)
-    t = ExactMatrix.zeros(2, 2)
+    t = zeros(2)
     t.rows[sp.pos(1)][sp.pos(-1)] = 1  # e_1 (x) e_{-1}
     no = normal_order_tensor(sp, t)
     assert no[sp.pos(-1), sp.pos(1)] == 1 and not no[sp.pos(1), sp.pos(-1)]
@@ -204,7 +218,7 @@ def test_tau_hat_kills_vacuum_when_F_stable():
     for i in range(2):
         m.rows[2 + i][2 + i] = -1
     a = SpElement(sp, m)
-    assert a.stabilizes_f()
+    assert stabilizes_f(a)
     v = rho_apply(tau_hat(sp, a), FockVector.vacuum(sp))
     assert not v
 
@@ -222,7 +236,7 @@ def f_stable_sp(space, rng):
             c[i][j] += v
             c[j][i] += v
     a = E_map(space, ExactMatrix(c))
-    assert a.stabilizes_f()
+    assert stabilizes_f(a)
     return a
 
 
@@ -238,7 +252,7 @@ def test_tau_hat_acts_as_A_when_F_stable():
         for idx in range(len(key)):
             v = FockVector.vacuum(sp)
             for pos in range(len(key) - 1, -1, -1):
-                coords = a.apply_label(key[pos]) if pos == idx else sp.basis_vector(key[pos])
+                coords = image_of_label(a, key[pos]) if pos == idx else sp.basis_vector(key[pos])
                 v = rho_vector(sp, coords, v)
             total = total + v
         return total
@@ -468,12 +482,13 @@ def test_grouped_permanent_matches_the_expanded_sum_over_permutations(case):
     assert _grouped_permanent(rows, row_mult, col_mult) == _permutation_sum(expanded)
 
 
-def sheared_space():
-    """standard_space(2) in the basis e_{-1}, e_{-1} + e_{-2} of F': the
-    Hermitian form on F' gets an off-diagonal entry."""
+def sheared_space(shear=1):
+    """standard_space(2) in the basis e_{-1}, shear e_{-1} + e_{-2} of F':
+    the Hermitian form on F' gets an off-diagonal entry, which is not real
+    when the shear is not."""
     sp = standard_space(2)
-    p = ExactMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
-    return SymplecticSpace(2, p.transpose() * sp.gram * p, p.inverse() * sp.conj_matrix * p)
+    p = ExactMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, shear], [0, 0, 0, 1]])
+    return SymplecticSpace(2, p.transpose() * sp.gram * p, p.inverse() * sp.conj_matrix * p.map(conj))
 
 
 @pytest.mark.parametrize("make", [
@@ -493,6 +508,39 @@ def test_inner_product_matches_a_sum_over_permutations(make):
                 want = _permutation_sum([[sp.hermitian_pair(a, b) for b in kw] for a in kv])
             got = inner_product(FockVector.basis(sp, kv), FockVector.basis(sp, kw))
             assert got == want, (kv, kw)
+
+
+@pytest.mark.parametrize("shear", [1, I], ids=["real", "imaginary"])
+def test_inner_product_of_sums_reads_each_key_pair_in_order(shear):
+    """<v, w> and <w, v> of multi-term vectors equal the conjugate-bilinear
+    expansion of the permutation sums, on a fresh space and again once its
+    key pairings are kept.  Under the imaginary shear <e_kv, e_kw> differs
+    from <e_kw, e_kv> for some keys, so the kept pairings must be ordered."""
+    sp = sheared_space(shear)
+    keys = fock_basis(sp, 3)
+    rng = random.Random(5)
+    vs = [
+        FockVector(sp, {k: GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
+                        for k in keys if rng.random() < 0.5})
+        for _ in range(4)
+    ]
+
+    def expansion(v, w):
+        total = 0
+        for kv, cv in v.terms.items():
+            for kw, cw in w.terms.items():
+                if len(kv) == len(kw):
+                    rows = [[sp.hermitian_pair(a, b) for b in kw] for a in kv]
+                    total = total + cv * conj(cw) * _permutation_sum(rows)
+        return total
+
+    for _ in range(2):
+        for v in vs:
+            for w in vs:
+                assert inner_product(v, w) == expansion(v, w)
+                assert inner_product(w, v) == expansion(w, v)
+    if shear == I:
+        assert sp.key_pairing((-1,), (-2,)) != sp.key_pairing((-2,), (-1,))
 
 
 def test_inner_product_examples():

@@ -20,10 +20,8 @@ from focklab.oscillator import (
     _packing,
     apply_mode,
     check_quasi_symplectic,
-    coefficientwise_action,
     lift_derivation,
     module_commutator_sweep,
-    operator_equal_on_grade,
     osc_basis,
     realize_in_modes,
     series_multiply,
@@ -36,6 +34,31 @@ from focklab.ratfunc import DifferentialField
 from focklab.scalars import GaussianRational
 
 t = LaurentSeries.t_power
+
+
+def operator_equal_on_grade(p: QuadraticOperator, q, max_grade: int) -> bool:
+    """Compare operators on every basis vector of grade <= max_grade; q may
+    be a QuadraticOperator or a callable."""
+    qf = q.apply if isinstance(q, QuadraticOperator) else q
+    return all(
+        p.apply(OscFockVector.basis(key)) == qf(OscFockVector.basis(key))
+        for key in osc_basis(max_grade)
+    )
+
+
+def coefficientwise_action(D: Derivation, family: OscFockVector, basis: dict) -> OscFockVector:
+    """The (double-dagger) first summand: sum over slots replacing e_{k_i} by
+    D(e_{k_i}), realized in t-modes."""
+    out = OscFockVector()
+    for key, c in family.terms.items():
+        for idx in range(len(key)):
+            v = OscFockVector.vacuum(c)
+            for pos in range(len(key)):
+                lab = key[pos]
+                f = D.apply(basis[lab]) if pos == idx else basis[lab]
+                v = series_multiply(f, v)
+            out = out + v
+    return out
 
 
 def commutator_with_multiplication(op, f, v):
