@@ -31,7 +31,6 @@ from .laurent import (
     format_series,
     residue,
     residue_form,
-    selfadjoint_check,
 )
 from .fock import (
     FockVector,

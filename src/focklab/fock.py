@@ -300,12 +300,6 @@ class UElement(SparseVector):
                 out._accumulate(m, h, cc)
         return out
 
-    def parity(self):
-        parities = {len(m) % 2 for (m, _h) in self.terms}
-        if len(parities) > 1:
-            raise ValueError("mixed Z/2 parity")
-        return parities.pop() if parities else 0
-
     def __repr__(self):
         if not self.terms:
             return "0"

@@ -59,13 +59,6 @@ class Form:
         return Form(field, degree, shape, {})
 
     @staticmethod
-    def from_function(field, value) -> "Form":
-        """Degree-0 scalar form from a rational function."""
-        if not isinstance(value, RationalFunction):
-            value = field.const(value)
-        return Form(field, 0, (1, 1), {(): ExactMatrix([[value]])})
-
-    @staticmethod
     def d_param(field, name: str) -> "Form":
         """The 1-form dp for a declared parameter p."""
         k = field.params.index(name)

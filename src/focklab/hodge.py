@@ -43,7 +43,7 @@ from .fock import (
     rho_apply,
     rho_vector,
 )
-from .linalg import ExactMatrix, Inconsistent
+from .linalg import ExactMatrix
 from .ratfunc import DifferentialField, RationalFunction
 from .scalars import GaussianRational, IdentityFailed
 from .sparse import add_term
@@ -70,9 +70,8 @@ class HodgeFamily:
         if any(len(v) != 2 * self.g for v in self.frame):
             raise ValueError("frame vectors must have 2g flat coordinates")
         self.conj_frame = [[c.conj() for c in v] for v in self.frame]
-        self._frame_matrix = ExactMatrix(
-            [[col[i] for col in self.frame + self.conj_frame] for i in range(2 * self.g)]
-        )
+        # columns v_1..v_g, conj v_1..conj v_g in flat coordinates
+        self._frame_matrix = ExactMatrix(self.frame + self.conj_frame).transpose()
         self._certify()
 
     # -- basic pairings ---------------------------------------------------------
@@ -81,12 +80,14 @@ class HodgeFamily:
         gv = self.flat_gram.apply(v)
         return sum(a * b for a, b in zip(u, gv))
 
+    def _pairings(self, us, vs) -> ExactMatrix:
+        """The matrix [(u_a, v_b)] of flat pairings, U (G V^T)."""
+        return ExactMatrix(us) * (self.flat_gram * ExactMatrix(vs).transpose())
+
     def _certify(self):
         # F totally isotropic at the generic point
-        for i in range(self.g):
-            for j in range(self.g):
-                if self.pairing(self.frame[i], self.frame[j]):
-                    raise DegenerateFrame("F is not isotropic")
+        if not self._pairings(self.frame, self.frame).is_zero():
+            raise DegenerateFrame("F is not isotropic")
         if not self._frame_matrix.det():
             raise DegenerateFrame("F + conj(F) does not span at the generic point")
         # positivity at the declared sample point, exactly
@@ -99,49 +100,40 @@ class HodgeFamily:
 
     def hermitian_at_sample(self) -> ExactMatrix:
         i_unit = GaussianRational(0, 1)
-        rows = []
-        for a in range(self.g):
-            row = []
-            for b in range(self.g):
-                val = self.pairing(self.frame[a], self.conj_frame[b])
-                row.append(i_unit * val.evaluate(self.sample_point))
-            rows.append(row)
-        return ExactMatrix(rows)
+        return self._pairings(self.frame, self.conj_frame).map(
+            lambda c: i_unit * c.evaluate(self.sample_point)
+        )
 
     # -- the moving-frame symplectic space ---------------------------------------
 
     def moving_gram(self) -> ExactMatrix:
         cols = self.frame + self.conj_frame
-        return ExactMatrix(
-            [[self.pairing(cols[a], cols[b]) for b in range(2 * self.g)]
-             for a in range(2 * self.g)]
-        )
+        return self._pairings(cols, cols)
+
+    def _swap(self, zero, one) -> ExactMatrix:
+        """Conjugation in the moving frame: v_i <-> conj v_i."""
+        n = 2 * self.g
+        return ExactMatrix([[one if abs(i - j) == self.g else zero for j in range(n)] for i in range(n)])
 
     def probe_space(self) -> SymplecticSpace:
-        g = self.g
-        zero, one = self.field.zero, self.field.one
-        swap = [[zero] * (2 * g) for _ in range(2 * g)]
-        for i in range(g):
-            swap[g + i][i] = one
-            swap[i][g + i] = one
-        return SymplecticSpace(
-            g, self.moving_gram(), ExactMatrix(swap), check_positivity=False
-        )
+        swap = self._swap(self.field.zero, self.field.one)
+        return SymplecticSpace(self.g, self.moving_gram(), swap, check_positivity=False)
 
     def space_at_sample(self) -> SymplecticSpace:
-        g = self.g
         gram = self.moving_gram().map(lambda c: c.evaluate(self.sample_point))
-        mi = GaussianRational(0)
-        swap = [[mi] * (2 * g) for _ in range(2 * g)]
-        for i in range(g):
-            swap[g + i][i] = GaussianRational(1)
-            swap[i][g + i] = GaussianRational(1)
-        return SymplecticSpace(g, gram, ExactMatrix(swap))
+        return SymplecticSpace(self.g, gram, self._swap(GaussianRational(0), GaussianRational(1)))
 
 
 class ConnectionData:
     """Blocks of the flat connection in the moving frame, with the Sym^2
     coefficient matrices of s and s_bar.
+
+    With A the frame matrix (columns v_j, then conj v_j, in flat
+    coordinates), one certified inverse gives every block: per parameter p,
+    A^-1 [d_p v_1 ... d_p v_g] is the 2g x g matrix whose top g rows are
+    A^F_p and bottom g rows sigma_p.  With Gbar = [(conj v_b, v_d)],
+    s_bar_p = (1/2) sigma_p Gbar^-1, certified symmetric, and s_p is its
+    conjugate.
 
     The connection's operators on Fock vectors -- the derivation action of
     Abar^F_k, rho(s(k)) and rho(s_bar(k)), the parts of nabla^FF beside d --
@@ -156,30 +148,18 @@ class ConnectionData:
     def __init__(self, fam: HodgeFamily):
         self.fam = fam
         field, g = fam.field, fam.g
+        self._frame_inverse = fam._frame_matrix.inverse()
         a_blocks, sigma_blocks = {}, {}
-        pmat = fam._frame_matrix
         for k, p in enumerate(field.params):
-            a_cols, s_cols = [], []
-            for j in range(g):
-                rhs = [c.derivative(p) for c in fam.frame[j]]
-                sol = pmat.solve(rhs)
-                a_cols.append(sol[:g])
-                s_cols.append(sol[g:])
-            a_blocks[(k,)] = ExactMatrix(
-                [[a_cols[j][i] for j in range(g)] for i in range(g)]
-            )
-            sigma_blocks[(k,)] = ExactMatrix(
-                [[s_cols[j][i] for j in range(g)] for i in range(g)]
-            )
+            d_frame = ExactMatrix([[c.derivative(p) for c in v] for v in fam.frame]).transpose()
+            rows = (self._frame_inverse * d_frame).rows
+            a_blocks[(k,)], sigma_blocks[(k,)] = ExactMatrix(rows[:g]), ExactMatrix(rows[g:])
         self.a_f = Form(field, 1, (g, g), a_blocks)
         self.sigma = Form(field, 1, (g, g), sigma_blocks)
         self.a_f_bar = self.a_f.conj()
         self.sigma_bar = self.sigma.conj()
         # Gram between the conjugate frame and the frame: (vbar_b, v_d)
-        self.gbar = ExactMatrix(
-            [[fam.pairing(fam.conj_frame[b], fam.frame[d]) for d in range(g)]
-             for b in range(g)]
-        )
+        self.gbar = fam._pairings(fam.conj_frame, fam.frame)
         gbar_inv = self.gbar.inverse()
         self.sbar_coeff = {}
         self.s_coeff = {}
@@ -195,42 +175,27 @@ class ConnectionData:
 
     # -- operators on probes -------------------------------------------------------
 
-    def zero_matrix(self):
-        g = self.fam.g
-        z = self.fam.field.zero
-        return ExactMatrix([[z] * g for _ in range(g)])
-
-    def _sym2_tensor(self, coeff: ExactMatrix, barred: bool) -> ExactMatrix:
-        g = self.fam.g
-        z = self.fam.field.zero
-        out = [[z] * (2 * g) for _ in range(2 * g)]
-        off = g if barred else 0
-        for i in range(g):
-            for j in range(g):
-                out[off + i][off + j] = coeff[i, j]
-        return ExactMatrix(out)
+    def _rho(self, part: str, k: int, coeff, offset: int) -> UElement:
+        """The hat image of coeff (a g x g Sym^2 matrix, or None for zero)
+        embedded as the block at (offset, offset) of a 2g x 2g tensor; made
+        once per (part, k)."""
+        key = (part, k)
+        if key not in self._u_cache:
+            rho = UElement.zero(self._space)
+            if coeff is not None:
+                g, z = self.fam.g, self.fam.field.zero
+                tensor = [[z] * (2 * g) for _ in range(2 * g)]
+                for i, row in enumerate(coeff.rows):
+                    tensor[offset + i][offset:offset + g] = row
+                rho = UElement.from_tensor(self._space, ExactMatrix(tensor))
+            self._u_cache[key] = rho
+        return self._u_cache[key]
 
     def rho_s(self, k: int) -> UElement:
-        key = ("s", k)
-        if key not in self._u_cache:
-            c = self.s_coeff.get(k)
-            self._u_cache[key] = (
-                UElement.from_tensor(self._space, self._sym2_tensor(c, False))
-                if c is not None
-                else UElement.zero(self._space)
-            )
-        return self._u_cache[key]
+        return self._rho("s", k, self.s_coeff.get(k), 0)
 
     def rho_sbar(self, k: int) -> UElement:
-        key = ("sbar", k)
-        if key not in self._u_cache:
-            c = self.sbar_coeff.get(k)
-            self._u_cache[key] = (
-                UElement.from_tensor(self._space, self._sym2_tensor(c, True))
-                if c is not None
-                else UElement.zero(self._space)
-            )
-        return self._u_cache[key]
+        return self._rho("sbar", k, self.sbar_coeff.get(k), self.fam.g)
 
     def d_param(self, k: int, vec: FockVector) -> FockVector:
         p = self.fam.field.params[k]
@@ -439,12 +404,10 @@ def _skew_hermitian_at_sample(fam, conn, grade):
     space = fam.space_at_sample()
     point = fam.sample_point
     keys = fock_basis(space, grade)
+    probes = [FockVector.basis(space, key) for key in keys]
     for k in range(fam.field.nvars):
         su = conn.rho_s(k) + conn.rho_sbar(k)
-        u_eval = UElement(space)
-        for (modes, h), c in su.terms.items():
-            u_eval._accumulate(list(modes), h, c.evaluate(point))
-        probes = [FockVector.basis(space, key) for key in keys]
+        u_eval = UElement(space, {term: c.evaluate(point) for term, c in su.terms.items()})
         images = [rho_apply(u_eval, v) for v in probes]
         for kv, v, uv in zip(keys, probes, images):
             for kw, w, uw in zip(keys, probes, images):
@@ -457,93 +420,58 @@ def _skew_hermitian_at_sample(fam, conn, grade):
 
 
 def default_extension_frame(fam: HodgeFamily):
-    """e_i = v_i and e_{-i} in span(conj-frame) with (e_i, e_{-j}) = d_{ij}."""
-    g = fam.g
-    m = ExactMatrix(
-        [[fam.pairing(fam.frame[k], fam.conj_frame[b]) for b in range(g)]
-         for k in range(g)]
-    )
-    c = m.inverse()
-    neg = []
-    for j in range(g):
-        coords = [fam.field.zero] * (2 * g)
-        for b in range(g):
-            for r in range(2 * g):
-                coords[r] = coords[r] + c[b, j] * fam.conj_frame[b][r]
-        neg.append(coords)
-    return [list(v) for v in fam.frame], neg
+    """e_i = v_i and e_{-i} in span(conj-frame) with (e_i, e_{-j}) = d_{ij}:
+    with M = [(v_k, conj v_b)], the e_{-j} are the columns of
+    [conj v_1 ... conj v_g] M^-1."""
+    m = fam._pairings(fam.frame, fam.conj_frame)
+    neg = ExactMatrix(fam.conj_frame).transpose() * m.inverse()
+    return [list(v) for v in fam.frame], neg.transpose().rows
 
 
 def u_section(fam: HodgeFamily, extension=None) -> dict:
     """The Sym^2-valued 1-form u = 1/2 sum (nabla e_j, e_i) e_{-i} (x) e_{-j}.
 
     Returns the per-parameter coefficient matrices of u in the e_{-}-frame,
-    after certifying: the extension frame is symplectic with the unit
-    normalization, u is symmetric (flatness of the form), E(u) agrees with
-    the second fundamental form on F, and (when the negative frame lies in
-    the conjugate span) u equals s_bar exactly.
+    after certifying that the extension frame is symplectic with the unit
+    normalization.  With S_p = [(d_p e_a, e_b)], N = [(e_{-j}, e_a)] and,
+    when the negative frame lies in the conjugate span, C the coordinates of
+    e_{-i} in the conjugate frame (row i), the identities are:
+
+      * u_p = 1/2 S_p^T is symmetric (flatness of the form);
+      * E(u) agrees with the second fundamental form on F: 2 N^T u_p^T N = S_p;
+      * matches_sbar: C^T u_p C = s_bar_p.
+
+    Every symmetry check runs before any E(u) check.
     """
-    g = fam.g
+    g, one, zero = fam.g, fam.field.one, fam.field.zero
     pos, neg = extension if extension is not None else default_extension_frame(fam)
+    isotropy = (fam._pairings(pos, pos), fam._pairings(neg, neg))
+    dual = fam._pairings(pos, neg)
     for i in range(g):
         for j in range(g):
-            if fam.pairing(pos[i], pos[j]) or fam.pairing(neg[i], neg[j]):
+            if isotropy[0][i, j] or isotropy[1][i, j]:
                 raise NotSymplecticFrame("isotropy fails")
-            want = fam.field.one if i == j else fam.field.zero
-            if fam.pairing(pos[i], neg[j]) - want:
+            if dual[i, j] - (one if i == j else zero):
                 raise NotSymplecticFrame("(e_i, e_{-j}) != delta_ij")
     conn = ConnectionData(fam)
-    u_coeffs = {}
-    for k, p in enumerate(fam.field.params):
-        mat = [[None] * g for _ in range(g)]
-        for i in range(g):
-            for j in range(g):
-                nabla_ej = [c.derivative(p) for c in pos[j]]
-                mat[i][j] = fam.pairing(nabla_ej, pos[i]) * Fraction(1, 2)
-        u_k = ExactMatrix(mat)
-        if not u_k.is_symmetric():
-            raise IdentityFailed("u is not symmetric")
-        u_coeffs[k] = u_k
-    # E(u) agrees with sigma on F: (E(u)(e_k), e_l) = (nabla e_k, e_l)
-    for k, p in enumerate(fam.field.params):
-        for a in range(g):
-            for b in range(g):
-                lhs = 0
-                for i in range(g):
-                    for j in range(g):
-                        lhs = lhs + 2 * u_coeffs[k][i, j] * fam.pairing(
-                            neg[j], pos[a]
-                        ) * fam.pairing(neg[i], pos[b])
-                nabla_ea = [c.derivative(p) for c in pos[a]]
-                rhs = fam.pairing(nabla_ea, pos[b])
-                if lhs - rhs:
-                    raise IdentityFailed("E(u) does not reproduce sigma on F")
-    # when e_{-i} lies in the conjugate span, u = s_bar on the nose
+    s = {k: fam._pairings([[c.derivative(p) for c in e] for e in pos], pos)
+         for k, p in enumerate(fam.field.params)}
+    u_coeffs = {k: s_k.transpose() * Fraction(1, 2) for k, s_k in s.items()}
+    if not all(u_k.is_symmetric() for u_k in u_coeffs.values()):
+        raise IdentityFailed("u is not symmetric")
+    n = fam._pairings(neg, pos)
+    for k, s_k in s.items():
+        if n.transpose() * u_coeffs[k].transpose() * n * 2 != s_k:
+            raise IdentityFailed("E(u) does not reproduce sigma on F")
+    # when e_{-i} lies in the conjugate span, u = s_bar on the nose; the
+    # moving-frame coordinates of e_{-i} are column i of A^-1 [e_{-1} ... e_{-g}]
+    coords = (conn._frame_inverse * ExactMatrix(neg).transpose()).rows
     matches_sbar = None
-    cf = ExactMatrix(
-        [[fam.conj_frame[b][r] for b in range(g)] for r in range(2 * g)]
-    )
-    try:
-        coords = [cf.solve(v) for v in neg]
-        in_span = True
-    except Inconsistent:
-        in_span = False
-    if in_span:
-        matches_sbar = True
-        for k in range(fam.field.nvars):
-            sbar = conn.sbar_coeff.get(k)
-            got = [[fam.field.zero] * g for _ in range(g)]
-            for i in range(g):
-                for j in range(g):
-                    for bi in range(g):
-                        for bj in range(g):
-                            got[bi][bj] = got[bi][bj] + u_coeffs[k][i, j] * coords[i][
-                                bi
-                            ] * coords[j][bj]
-            if sbar is None:
-                sbar = conn.zero_matrix()
-            if not (ExactMatrix(got) - sbar).is_zero():
-                matches_sbar = False
+    if not any(any(row) for row in coords[:g]):
+        c_t, none = ExactMatrix(coords[g:]), ExactMatrix([[zero] * g] * g)
+        matches_sbar = all(
+            c_t * u_k * c_t.transpose() == conn.sbar_coeff.get(k, none) for k, u_k in u_coeffs.items()
+        )
     return {
         "u": u_coeffs,
         "extension": (pos, neg),

@@ -487,13 +487,6 @@ def pairing_with_form(D: Derivation, form_coeff: LaurentSeries) -> LaurentSeries
     return D.vertical_series() * form_coeff
 
 
-def selfadjoint_check(D: Derivation, alpha: LaurentSeries, beta: LaurentSeries) -> bool:
-    """res(<D,alpha> beta) == res(<D,beta> alpha) for forms alpha dt, beta dt."""
-    left = residue(pairing_with_form(D, alpha) * beta)
-    right = residue(pairing_with_form(D, beta) * alpha)
-    return not (left - right)
-
-
 # -- semi-local series --------------------------------------------------------
 
 

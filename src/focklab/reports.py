@@ -10,19 +10,21 @@ lives only in the text rendering.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 
 SCHEMA = "fock-lab/1"
 
 
-@dataclass
 class CheckRecord:
-    id: str
-    statement: str
-    status: str  # pass | fail | skipped
-    witness: str | None = None
-    detail: dict | None = None  # always serialized, e.g. certification records
+    __slots__ = ("id", "statement", "status", "witness", "detail")
+
+    def __init__(self, id: str, statement: str, status: str, witness: str | None = None,
+                 detail: dict | None = None):
+        self.id = id
+        self.statement = statement
+        self.status = status  # pass | fail | skipped
+        self.witness = witness
+        self.detail = detail  # always serialized, e.g. certification records
 
     def to_json(self) -> dict:
         out = {"id": self.id, "statement": self.statement, "status": self.status}
@@ -33,12 +35,12 @@ class CheckRecord:
         return out
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    params: dict
-    checks: list = field(default_factory=list)
-    wall_time: float = 0.0  # text rendering only; excluded from JSON
+    def __init__(self, suite: str, params: dict, checks: list | None = None, wall_time: float = 0.0):
+        self.suite = suite
+        self.params = params
+        self.checks = [] if checks is None else checks
+        self.wall_time = wall_time  # text rendering only; excluded from JSON
 
     def add(self, id: str, statement: str, ok, witness=None, detail=None):
         status = ok if isinstance(ok, str) else ("pass" if ok else "fail")

@@ -362,16 +362,6 @@ class QuotientSymplectic:
         lifts = self.neg_lifts[::-1] + self.pos_lifts
         return ExactMatrix([[residue_form(a, b) for b in lifts] for a in lifts])
 
-    def perp_spans_check(self, lo: int, hi: int, guard: int = 2) -> bool:
-        """A-perp = A + span(lifts) within the window: reduce each computed
-        perp basis element by A and the lifts; remainders must vanish."""
-        perp = compute_perp(self.a_sub, lo, hi, guard)
-        span = dict(self.kminus_by_ord)
-        for e in self.pos_lifts:
-            span[e.ord] = e
-        span = echelonize(list(span.values()))
-        return all(span_membership(f, span) is True for f in perp)
-
 
 def build_quotient(a_sub: FockSubalgebra, lo: int | None = None, hi: int | None = None,
                    guard: int = 2) -> QuotientSymplectic:

@@ -20,7 +20,7 @@ from focklab.hodge import (
     u_section,
     verify_theorem31,
 )
-from focklab.linalg import ExactMatrix
+from focklab.linalg import ExactMatrix, Inconsistent
 from focklab.ratfunc import DifferentialField
 from focklab.scalars import GaussianRational
 
@@ -98,7 +98,7 @@ def test_sigma_tensoriality():
 
 def test_curvature_of_scalar_form():
     field = DifferentialField(["x", "y"])
-    omega = Form.from_function(field, field.var("x")).wedge(Form.d_param(field, "y"))
+    omega = Form(field, 0, (1, 1), {(): ExactMatrix([[field.var("x")]])}).wedge(Form.d_param(field, "y"))
     c = curvature(omega)
     assert c.scalar_coefficient(("x", "y")) == field.one
 
@@ -321,13 +321,149 @@ def test_u_section_modular():
     fam = modular_family()
     out = u_section(fam)
     assert out["matches_sbar"] is True
-    # u = dtau vbar (x) vbar / (8 y^2): check the x-component coefficient
-    conn = out["connection"]
-    assert out["u"][0][0, 0] * fam.pairing(
-        out["extension"][1][0], fam.frame[0]
-    ) ** 0 is not None  # shape sanity
-    # compare through sbar directly
-    assert conn.sbar_coeff[0][0, 0] == fam.field.parse("1/(8*y^2)")
+    # u = s_bar = dtau vbar (x) vbar / (8 y^2) in the conjugate frame
+    assert out["connection"].sbar_coeff[0][0, 0] == fam.field.parse("1/(8*y^2)")
+
+
+FAMILIES = {
+    "modular": modular_family,
+    "siegel(0)": lambda: siegel_family(0),
+    "siegel(1)": lambda: siegel_family(1),
+    "constant": constant_family,
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES.values()), ids=list(FAMILIES))
+def test_u_matches_sbar_and_fails_on_a_doubled_sbar(monkeypatch, family):
+    """matches_sbar is True on every built-in family; with s_bar doubled it is
+    False wherever s_bar is nonzero (the constant family has none)."""
+    fam = family()
+    assert u_section(fam)["matches_sbar"] is True
+    init = ConnectionData.__init__
+
+    def doubled(self, fam):
+        init(self, fam)
+        self.sbar_coeff = {k: c * 2 for k, c in self.sbar_coeff.items()}
+
+    monkeypatch.setattr(ConnectionData, "__init__", doubled)
+    assert u_section(fam)["matches_sbar"] is (family is constant_family)
+
+
+def _reference_blocks(fam):
+    """(A^F, sigma, s_bar coefficients) by one solve of the frame matrix per
+    (parameter, frame vector) and entrywise pairings."""
+    g, field = fam.g, fam.field
+    a_blocks, sigma_blocks = {}, {}
+    for k, p in enumerate(field.params):
+        cols = [fam._frame_matrix.solve([c.derivative(p) for c in v]) for v in fam.frame]
+        a_blocks[(k,)] = ExactMatrix([[cols[j][i] for j in range(g)] for i in range(g)])
+        sigma_blocks[(k,)] = ExactMatrix([[cols[j][g + i] for j in range(g)] for i in range(g)])
+    sigma = Form(field, 1, (g, g), sigma_blocks)
+    gbar = ExactMatrix([[fam.pairing(fam.conj_frame[b], fam.frame[d]) for d in range(g)] for b in range(g)])
+    sbar = {key[0]: mat * gbar.inverse() * F(1, 2) for key, mat in sigma.terms.items()}
+    return Form(field, 1, (g, g), a_blocks), sigma, sbar
+
+
+def _reference_extension_frame(fam):
+    """e_i = v_i and e_{-j} = sum_b (M^-1)[b, j] conj v_b, summed entry by entry."""
+    g = fam.g
+    c = ExactMatrix([[fam.pairing(fam.frame[k], fam.conj_frame[b]) for b in range(g)] for k in range(g)]).inverse()
+    neg = []
+    for j in range(g):
+        coords = [fam.field.zero] * (2 * g)
+        for b in range(g):
+            for r in range(2 * g):
+                coords[r] = coords[r] + c[b, j] * fam.conj_frame[b][r]
+        neg.append(coords)
+    return [list(v) for v in fam.frame], neg
+
+
+def _reference_u_section(fam, sbar_coeff, extension):
+    """(u, matches_sbar) of the u-section by index loops: u[i][j] =
+    1/2 (d e_j, e_i), E(u) against (d e_a, e_b) and, when each e_{-i} solves
+    in the conjugate span, sum u[i][j] C[i][a] C[j][b] against s_bar."""
+    g, field = fam.g, fam.field
+    pos, neg = extension
+    u = {}
+    for k, p in enumerate(field.params):
+        u[k] = ExactMatrix([
+            [fam.pairing([c.derivative(p) for c in pos[j]], pos[i]) * F(1, 2) for j in range(g)] for i in range(g)
+        ])
+        assert u[k].is_symmetric()
+        for a in range(g):
+            for b in range(g):
+                lhs = sum(
+                    2 * u[k][i, j] * fam.pairing(neg[j], pos[a]) * fam.pairing(neg[i], pos[b])
+                    for i in range(g) for j in range(g)
+                )
+                assert lhs == fam.pairing([c.derivative(p) for c in pos[a]], pos[b])
+    cf = ExactMatrix([[fam.conj_frame[b][r] for b in range(g)] for r in range(2 * g)])
+    try:
+        coords = [cf.solve(v) for v in neg]
+    except Inconsistent:
+        return u, None
+    matches = True
+    for k in range(field.nvars):
+        got = ExactMatrix([
+            [sum(u[k][i, j] * coords[i][a] * coords[j][b] for i in range(g) for j in range(g)) for b in range(g)]
+            for a in range(g)
+        ])
+        want = sbar_coeff.get(k)
+        if not (got.is_zero() if want is None else got == want):
+            matches = False
+    return u, matches
+
+
+def sheared_siegel():
+    """siegel_family(1) in the holomorphic frame (v_1 + i v_2, v_2), where
+    the pairing matrix [(v_k, conj v_b)] is not symmetric."""
+    fam = siegel_family(1)
+    v1, v2 = fam.frame
+    sheared = [[a + fam.field.i * b for a, b in zip(v1, v2)], v2]
+    return HodgeFamily(fam.field, fam.flat_gram, sheared, fam.sample_point)
+
+
+@pytest.mark.parametrize(
+    "family", [*FAMILIES.values(), sheared_siegel], ids=[*FAMILIES, "siegel(1)-sheared"]
+)
+def test_matrix_connection_and_u_section_match_the_loop_reference(family):
+    """The frame inverse gives the per-column solves' A^F, sigma and s_bar,
+    and the u-section identities as matrix equalities give the index loops'
+    extension frame, u and matches_sbar: for the default frame, and for
+    e_{-i} + e_i, which stays symplectic but leaves the conjugate span."""
+    fam = family()
+    conn = ConnectionData(fam)
+    a_f, sigma, sbar = _reference_blocks(fam)
+    assert conn.a_f == a_f and conn.sigma == sigma and conn.sbar_coeff == sbar
+    pos, neg = _reference_extension_frame(fam)
+    assert default_extension_frame(fam) == (pos, neg)
+    shifted = [[a + b for a, b in zip(e_neg, e_pos)] for e_neg, e_pos in zip(neg, pos)]
+    for extension, matches in (((pos, neg), True), ((pos, shifted), None)):
+        out = u_section(fam, extension)
+        assert out["extension"] == extension
+        assert (out["u"], out["matches_sbar"]) == _reference_u_section(fam, sbar, extension)
+        assert out["matches_sbar"] is matches
+
+
+@pytest.mark.parametrize("family", list(FAMILIES.values()), ids=list(FAMILIES))
+def test_connection_data_inverts_the_frame_once(monkeypatch, family):
+    """A counting guard (calls, not time): ConnectionData makes no solve
+    call, one inverse of the frame matrix and one of Gbar."""
+    fam = family()
+    calls = {"solve": 0, "inverse": 0}
+
+    def counted(name):
+        inner = getattr(ExactMatrix, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return inner(self, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(ExactMatrix, name, counted(name))
+    ConnectionData(fam)
+    assert calls == {"solve": 0, "inverse": 2}
 
 
 def test_u_section_constant_family_zero():

@@ -16,8 +16,8 @@ from focklab.laurent import (
     integrate,
     parse_series,
     residue,
+    pairing_with_form,
     residue_form,
-    selfadjoint_check,
     semilocal_residue_form,
 )
 from focklab.ratfunc import DifferentialField
@@ -309,6 +309,13 @@ def test_derivation_from_series_matches_Dk():
     f = LaurentSeries.from_terms({-2: 5, 0: 1, 3: F(1, 2)}, 9)
     assert D.apply(f).agrees_with(Derivation.D(2).apply(f))
     assert D.order() == 2
+
+
+def selfadjoint_check(D: Derivation, alpha: LaurentSeries, beta: LaurentSeries) -> bool:
+    """res(<D,alpha> beta) == res(<D,beta> alpha) for forms alpha dt, beta dt."""
+    left = residue(pairing_with_form(D, alpha) * beta)
+    right = residue(pairing_with_form(D, beta) * alpha)
+    return not (left - right)
 
 
 def test_selfadjoint_direct():

@@ -16,11 +16,16 @@
   imports at its top, where the unused-import rule sees them;
 * no `raise IdentityFailed` in a function that contains `yield` -- a
   certificate that yields records reports a false identity as a False
-  record, so one failure cannot erase the records after it.
+  record, so one failure cannot erase the records after it;
+* no import of `dataclasses` -- it loads `inspect`, `ast`, `dis` and
+  `tokenize` into every `import focklab`, about 10 ms and 1 MB of resident
+  memory, for records that plain classes serve as well.
 """
 
 import ast
 import os
+import subprocess
+import sys
 
 import focklab
 
@@ -72,14 +77,15 @@ def drop_zero_pops(tree):
     return sorted(found)
 
 
-def regex_imports(tree):
-    """(line, rule) for every import of the re module."""
+def module_imports(tree, module):
+    """(line, rule) for every import of the top-level module `module`; a
+    relative import of a package module of that name is not one."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import) and any(a.name == "re" for a in node.names) or (
-            isinstance(node, ast.ImportFrom) and node.module == "re"
+        if isinstance(node, ast.Import) and any(a.name == module for a in node.names) or (
+            isinstance(node, ast.ImportFrom) and node.module == module and not node.level
         ):
-            found.append((node.lineno, "re imported outside scalars.py"))
+            found.append((node.lineno, f"{module} imported"))
     return found
 
 
@@ -132,7 +138,12 @@ def test_the_rules_catch_each_pattern():
     pops = "s = d.get(k, 0) + c\nif s:\n    d[k] = s\nelse:\n    d.pop(k, None)\nd.pop(k)\nd.pop(k, 0)\nq.pop()\n"
     assert drop_zero_pops(ast.parse(pops)) == [(5, "drop-zero pop outside sparse.add_term")]
     regexes = "import os, re as regex\nfrom re import compile\ndef f():\n    import re\nimport reprlib\n"
-    assert [line for line, _ in regex_imports(ast.parse(regexes))] == [1, 2, 4]
+    assert [line for line, _ in module_imports(ast.parse(regexes), "re")] == [1, 2, 4]
+    records = (
+        "import os, dataclasses as dc\nfrom dataclasses import dataclass\ndef f():\n    import dataclasses\n"
+        "import dataclasses_json\nfrom .dataclasses import x\n"
+    )
+    assert [line for line, _ in module_imports(ast.parse(records), "dataclasses")] == [1, 2, 4]
     local = (
         "import os\ndef f():\n    from .a import b\n    def g():\n        import c\n"
         "class K:\n    import d\n    def m(self):\n        import e\n"
@@ -162,13 +173,21 @@ def test_package_sources_keep_the_rules():
         found += [f"{name}:{line}: {why}" for line, why in violations(tree)]
         found += [f"{name}:{line}: {why}" for line, why in local_imports(tree)]
         found += [f"{name}:{line}: {why}" for line, why in generator_raises(tree)]
+        found += [f"{name}:{line}: {why}" for line, why in module_imports(tree, "dataclasses")]
         if name != "__init__.py":
             found += [f"{name}:{line}: {why}" for line, why in unused_imports(tree)]
         if name != "sparse.py":
             found += [f"{name}:{line}: {why}" for line, why in drop_zero_pops(tree)]
         if name != "scalars.py":
-            found += [f"{name}:{line}: {why}" for line, why in regex_imports(tree)]
+            found += [f"{name}:{line}: {why} outside scalars.py" for line, why in module_imports(tree, "re")]
     assert found == []
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    code = "import sys, focklab; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def report_writers(tree):

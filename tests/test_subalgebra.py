@@ -17,6 +17,7 @@ from focklab.subalgebra import (
     covariants,
     covariants_of_modes,
     echelon_reduce,
+    echelonize,
     genus0_subalgebra,
     mode_reduce,
     realize_kminus,
@@ -134,9 +135,20 @@ def test_build_quotient_on_curves_that_are_not_odd(f, g):
     assert main(argv) == 0
 
 
+def perp_spans_check(q: QuotientSymplectic, lo: int, hi: int, guard: int = 2) -> bool:
+    """A-perp = A + span(lifts) within the window: reduce each computed
+    perp basis element by A and the lifts; remainders must vanish."""
+    perp = compute_perp(q.a_sub, lo, hi, guard)
+    span = dict(q.kminus_by_ord)
+    for e in q.pos_lifts:
+        span[e.ord] = e
+    span = echelonize(list(span.values()))
+    return all(span_membership(f, span) is True for f in perp)
+
+
 def test_perp_span_check_g1():
     model, data, q = g1_quotient()
-    assert q.perp_spans_check(-8, 9)
+    assert perp_spans_check(q, -8, 9)
 
 
 def test_ft_certification_hyperelliptic():
