@@ -185,7 +185,8 @@ class FockSubalgebra(_FockType):
 
     _sources = basis_elements
 
-    _pairing = staticmethod(residue_form)
+    def _pairing(self, a, b):
+        return residue_form(a, b)
 
     @staticmethod
     def _orders(f):
@@ -264,7 +265,8 @@ class SemiLocalSubalgebra(_FockType):
     def _sources(self):
         return self.basis
 
-    _pairing = staticmethod(semilocal_residue_form)
+    def _pairing(self, a, b):
+        return semilocal_residue_form(a, b)
 
     def _orders(self, f):
         return tuple(f.parts[p].ord for p in self.punctures)

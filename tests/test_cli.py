@@ -484,3 +484,25 @@ def test_ft4_with_every_membership_undecided_fails(monkeypatch, capsys):
     rep = run_suite("fock-type", {})
     assert [c.id for c in rep.failed] == ["fock-type.01-genus0-perp", "fock-type.03-ft4"]
     assert main(["--suite", "fock-type"]) == 1
+
+
+# Mutations of a kernel under the name the subalgebra module calls it by,
+# each with exactly the fock-type ids it must fail: (name, wrapper of the
+# real callable, ids).
+FOCK_TYPE_MUTATIONS = {
+    # FT3 sees a nonzero pairing of two sources of C[t^-1]
+    "residue_form plus 1": (
+        "residue_form", lambda real: lambda f, g: real(f, g) + 1, ["fock-type.02-certificates"]),
+}
+
+
+@pytest.mark.parametrize("mutation", list(FOCK_TYPE_MUTATIONS))
+def test_each_fock_type_mutation_fails_exactly_its_ids(monkeypatch, capsys, mutation):
+    from focklab import subalgebra
+
+    name, make, ids = FOCK_TYPE_MUTATIONS[mutation]
+    monkeypatch.setattr(subalgebra, name, make(getattr(subalgebra, name)))
+    rep = run_suite("fock-type", {})
+    assert len(rep.checks) == 4
+    assert [c.id for c in rep.failed] == ids
+    assert main(["--suite", "fock-type"]) == 1

@@ -12,12 +12,14 @@ from focklab.laurent import (
     PrecisionExhausted,
     SemiLocalSeries,
     WindowTooNarrow,
+    _residue_exponents,
     format_series,
     integrate,
     parse_series,
     residue,
     pairing_with_form,
     residue_form,
+    residue_gram,
     semilocal_residue_form,
 )
 from focklab.ratfunc import DifferentialField
@@ -266,6 +268,97 @@ def test_residue_form_matches_the_fraction_loop(pair):
         return
     want = _residue_form_by_fractions(f, g)
     assert (got, type(got)) == (want, type(want))
+
+
+@st.composite
+def overlap_pairs(draw):
+    """Two series of up to 16 mostly stored exponents, so that the overlap
+    window is often shorter than f's dictionary: over Q, Q(i) or Q with Q(i)
+    in one series, each window cut anywhere or exact."""
+    domains = st.sampled_from(["Q", "Q(i)", "Q+Q(i)"])
+
+    def one():
+        coefficients = DOMAINS[draw(domains)]
+        floor = draw(st.integers(-10, 4))
+        width = draw(st.integers(0, 16))
+        exponents = st.integers(floor, floor + width - 1)
+        terms = draw(st.dictionaries(exponents, coefficients, min_size=width // 2, max_size=width)) if width else {}
+        prec = EXACT_PREC if draw(st.booleans()) else floor + width
+        return LaurentSeries(floor, prec, terms)
+
+    return one(), one()
+
+
+DENSE = LaurentSeries.from_terms({e: F(e + 20, 3) for e in range(-6, 10)}, 10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(overlap_pairs())
+# f's 15 stored exponents against an overlap window [-6, 1] of 8
+@example((DENSE, LaurentSeries(-1, 7, {-1: F(1, 2), 2: 3, 6: F(-2, 5)})))
+# an exact polynomial against a window of one exponent, which lies past -1
+@example((LaurentSeries.polynomial({-2: F(1, 3), 1: GaussianRational(1, 1)}), LaurentSeries(-1, 0, {-1: 2})))
+@example((LaurentSeries.polynomial({-2: F(1, 3), 1: GaussianRational(1, 1)}), LaurentSeries(-1, 1, {-1: 2})))
+# f's constant term drops out of df, so g's window sets the low end: [3, 3]
+@example((LaurentSeries.polynomial({0: 1, 3: 1}), LaurentSeries(-3, -2, {-3: 1})))
+def test_residue_form_scans_the_overlap_only(pair):
+    """Against the plain loop over every stored f_e: the same value and type,
+    WindowTooNarrow exactly where res(g df) is undetermined, and the same
+    stored pairs found in the exponents scanned."""
+    f, g = pair
+    got = _outcome(lambda: residue_form(f, g))
+    if _outcome(lambda: residue(g * f.derivative())) is WindowTooNarrow:
+        assert got is WindowTooNarrow
+        return
+    want = _residue_form_by_fractions(f, g)
+    assert (got, type(got)) == (want, type(want))
+    scanned = _residue_exponents(f, g, f.coeffs)
+    assert sorted(e for e in scanned if e and e in f.coeffs and -e in g.coeffs) == sorted(
+        e for e in f.coeffs if e and -e in g.coeffs
+    )
+
+
+def test_the_scan_takes_the_shorter_of_window_and_dictionary():
+    g = LaurentSeries(-1, 7, {-1: 1})
+    assert _residue_exponents(DENSE, g, DENSE.coeffs) == range(-6, 2)
+    cube = t(3)  # the window [3, 6] is longer than its one exponent
+    assert _residue_exponents(cube, DENSE, cube.coeffs) is cube.coeffs
+    assert _residue_exponents(t(-3), t(5), {-3: 1}) == range(-3, -4)  # empty: [-3, -5]
+
+
+@st.composite
+def gram_series(draw):
+    """One to four windowed series over Q, or each over its own domain."""
+    same = draw(st.integers(0, 2))
+    domains = st.sampled_from(sorted(DOMAINS))
+    size = draw(st.integers(1, 4))
+    return [draw(windowed_series(rationals if same else DOMAINS[draw(domains)])) for _ in range(size)]
+
+
+def _until_narrow(entries):
+    """(value, type) of each entry up to the first WindowTooNarrow, which
+    ends the list."""
+    out = []
+    try:
+        for value in entries:
+            out.append((value, type(value)))
+    except WindowTooNarrow:
+        out.append(WindowTooNarrow)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(gram_series())
+# every entry over Q; then a Q(i) series, whose pairs are residue_form's
+@example([LaurentSeries.polynomial({-2: F(1, 2), 2: F(3, 4)}), LaurentSeries.from_terms({2: F(1, 6), 3: 1}, 5)])
+@example([LaurentSeries.polynomial({-1: GaussianRational(0, 1)}), t(1)])
+# (f, f) is determined, (f, g) raises at entry (0, 1)
+@example([LaurentSeries(-2, 3, {-2: F(1, 3)}), LaurentSeries(0, 1, {0: 1})])
+def test_residue_gram_equals_the_entrywise_form(series):
+    """The Gram in (i, j) order equals residue_form entry by entry, value and
+    type, and raises WindowTooNarrow at the same first entry."""
+    entrywise = (residue_form(f, g) for f in series for g in series)
+    assert _until_narrow(residue_gram(series)) == _until_narrow(entrywise)
 
 
 def test_residue_antisymmetry_mod_constants():

@@ -1,14 +1,15 @@
 import ast
 import itertools
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from focklab import cli, oscillator
+from focklab import cli, laurent, oscillator
 from focklab.cli import main, run_suite
-from focklab.laurent import Derivation, LaurentSeries, PrecisionExhausted, residue_form
+from focklab.laurent import Derivation, LaurentSeries, PrecisionExhausted, WindowTooNarrow, residue_form
 from focklab.oscillator import (
     BasisNotQuasiSymplectic,
     OscFockVector,
@@ -261,6 +262,92 @@ def test_central_term_independent_of_basis():
             lhs = lift_k.apply(lift_l.apply(v)) - lift_l.apply(lift_k.apply(v))
             rhs = lift_kl.apply(v).scale(l - k) + v.scale(expected_central)
             assert lhs == rhs, (k, l, key)
+
+
+BASIS_LAMBDA_2 = substituted_basis(2, -12, 12, prec=60)
+
+
+def _narrow(i):
+    """e_i = t^i known only below t^(i+1): too short a window to pair with
+    t^-12 in either order."""
+    return LaurentSeries(i, i + 1, {i: 1})
+
+
+T12 = t_basis(-12, 12)
+# Mutated bases of index range -12..12 beside bad0 and bad1, each with the
+# verdict of the check in its (i, j) order: the first failing entry decides,
+# unless an entry before it lies outside its window.
+QUASI_SYMPLECTIC_BREAKS = {
+    # (e_-12, e_12) = -24
+    "e_-12 doubled": (lambda: {**T12, -12: T12[-12].scale(2)}, False),
+    "e_-12 doubled, substituted": (
+        lambda: {**BASIS_LAMBDA_2, -12: BASIS_LAMBDA_2[-12].scale(2)}, False),
+    # (e_-3, e_-2) = 2 from the added t^2; in the substituted basis an earlier
+    # (e_i, e_-3) pairs the t^-2 of e_i with it
+    "negative pair nonzero": (lambda: {**T12, -3: LaurentSeries.polynomial({-3: 1, 2: 1})}, False),
+    "negative pair nonzero, substituted": (
+        lambda: {**BASIS_LAMBDA_2, -3: BASIS_LAMBDA_2[-3] + t(2)}, False),
+    # (e_-12, e_-11) = -12 fails before (e_-12, e_5) would raise
+    "narrow after a failing pair": (
+        lambda: {**T12, -11: LaurentSeries.polynomial({-11: 1, 12: 1}), 5: _narrow(5)}, False),
+    # (e_-12, e_5) raises before (e_-3, e_-2) would fail
+    "narrow before a failing pair": (
+        lambda: {**T12, -3: LaurentSeries.polynomial({-3: 1, 2: 1}), 5: _narrow(5)}, WindowTooNarrow),
+}
+
+
+@pytest.mark.parametrize("name", list(QUASI_SYMPLECTIC_BREAKS))
+def test_each_broken_basis_keeps_its_verdict(name):
+    """The lazy residue Gram keeps the entrywise check's precedence: False at
+    the first failing entry, WindowTooNarrow at an earlier undetermined one;
+    a lift refuses each false basis."""
+    build, want = QUASI_SYMPLECTIC_BREAKS[name]
+    basis = build()
+    if want is WindowTooNarrow:
+        with pytest.raises(WindowTooNarrow):
+            check_quasi_symplectic(basis)
+        return
+    assert check_quasi_symplectic(basis) is want
+    with pytest.raises(BasisNotQuasiSymplectic):
+        lift_derivation(Derivation.D(2), basis)
+
+
+def _count_residue_forms(monkeypatch):
+    """Patch residue_form where laurent and oscillator name it; the returned
+    Counter counts calls per (id(f), id(g)), the operands kept alive."""
+    calls, keep = Counter(), []
+
+    def counted(real):
+        def wrapper(f, g):
+            keep.append((f, g))
+            calls[id(f), id(g)] += 1
+            return real(f, g)
+        return wrapper
+
+    monkeypatch.setattr(laurent, "residue_form", counted(laurent.residue_form))
+    monkeypatch.setattr(oscillator, "residue_form", counted(oscillator.residue_form))
+    return calls
+
+
+def test_the_quasi_symplectic_check_makes_no_residue_form_call(monkeypatch):
+    """The 25-series basis e_i = (t + 2t^2)^i, window 60, is checked through
+    its residue Gram, each series written in numerators once."""
+    calls = _count_residue_forms(monkeypatch)
+    assert check_quasi_symplectic(BASIS_LAMBDA_2)
+    assert sum(calls.values()) == 0
+
+
+def test_the_lifted_identity_pairs_each_basis_series_once_per_lift(monkeypatch):
+    """[T(D_2), T(D_-2)] = -4 T(D_0) + 1/2 on every probe of grade <= 3, with
+    at most one (D e_i, e_j) per (lift, i, j): D e_i is one object per lift,
+    e_j one per basis."""
+    calls = _count_residue_forms(monkeypatch)
+    lift_k, lift_l, lift_kl = (lift_derivation(Derivation.D(k), BASIS_LAMBDA_2) for k in (2, -2, 0))
+    for key in osc_basis(3):
+        v = OscFockVector.basis(key)
+        lhs = lift_k.apply(lift_l.apply(v)) - lift_l.apply(lift_k.apply(v))
+        assert lhs == lift_kl.apply(v).scale(-4) + v.scale(Fraction(1, 2))
+    assert calls and max(calls.values()) == 1
 
 
 def test_series_multiply_window_guard():

@@ -19,7 +19,11 @@
   record, so one failure cannot erase the records after it;
 * no import of `dataclasses` -- it loads `inspect`, `ast`, `dis` and
   `tokenize` into every `import focklab`, about 10 ms and 1 MB of resident
-  memory, for records that plain classes serve as well.
+  memory, for records that plain classes serve as well;
+* no class attribute `staticmethod(<imported name>)` -- it binds the
+  imported function when the class is made, so a test that patches the
+  module's name (a mutation row) never reaches the code that calls it; a
+  method that names the function looks it up at each call.
 """
 
 import ast
@@ -126,6 +130,32 @@ def generator_raises(tree):
     return sorted(found)
 
 
+def imported_staticmethods(tree):
+    """(line, rule) for every class attribute `staticmethod(x)` where x, or
+    the root of a dotted x, is a name a module-level import binds."""
+    imported = {
+        a.asname or a.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for a in node.names
+    }
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+            if not (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                    and value.func.id == "staticmethod" and len(value.args) == 1):
+                continue
+            root = value.args[0]
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in imported:
+                found.append((node.lineno, "staticmethod of an imported name"))
+    return found
+
+
 def test_the_rules_catch_each_pattern():
     bad = "try:\n    pass\nexcept:\n    pass\ntry:\n    pass\nexcept (ValueError, Exception):\n    pass\nassert 1\n"
     assert [why for _, why in violations(ast.parse(bad))] == [
@@ -160,6 +190,14 @@ def test_the_rules_catch_each_pattern():
     assert generator_raises(ast.parse(raises)) == [
         (3, "IdentityFailed raised in a generator"), (6, "IdentityFailed raised in a generator")
     ]
+    bindings = (
+        "import laurent\nfrom .laurent import residue_form as rf\ndef local(f, g):\n    pass\n"
+        "class A:\n    _pairing = staticmethod(rf)\n    _form = staticmethod(laurent.residue_form)\n"
+        "    _local = staticmethod(local)\n    _fn = staticmethod(lambda f: f)\n"
+        "    def _method(self, f, g):\n        return rf(f, g)\n"
+        "class B:\n    kernel: object = staticmethod(rf)\n"
+    )
+    assert [line for line, _ in imported_staticmethods(ast.parse(bindings))] == [6, 7, 13]
 
 
 def test_package_sources_keep_the_rules():
@@ -174,6 +212,7 @@ def test_package_sources_keep_the_rules():
         found += [f"{name}:{line}: {why}" for line, why in local_imports(tree)]
         found += [f"{name}:{line}: {why}" for line, why in generator_raises(tree)]
         found += [f"{name}:{line}: {why}" for line, why in module_imports(tree, "dataclasses")]
+        found += [f"{name}:{line}: {why}" for line, why in imported_staticmethods(tree)]
         if name != "__init__.py":
             found += [f"{name}:{line}: {why}" for line, why in unused_imports(tree)]
         if name != "sparse.py":

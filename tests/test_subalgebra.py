@@ -428,3 +428,16 @@ def test_scalar_action_is_exact():
     ]
     lam = scalar_action(model.tangent_field(), q, probes)
     assert lam == 0 and not isinstance(lam, float)
+
+
+@pytest.mark.parametrize("kernel", ["residue_form", "semilocal_residue_form"])
+def test_ft3_reads_the_pairing_kernel_at_call_time(monkeypatch, kernel):
+    """FT3 of both classes calls its kernel by the name the subalgebra module
+    gives it, so a patch of that name reaches the isotropy check."""
+    from focklab import subalgebra
+
+    sub = dict(zip(("residue_form", "semilocal_residue_form"), _genus0_pair()))[kernel]
+    assert sub.certify()["ft3"] is True
+    real = getattr(subalgebra, kernel)
+    monkeypatch.setattr(subalgebra, kernel, lambda f, g: real(f, g) + 1)
+    assert sub.certify()["ft3"] is False
