@@ -30,6 +30,7 @@ from .fock import (
     E_inverse,
     E_map,
     FockVector,
+    SpElement,
     UElement,
     adjoint_failures,
     bracket_TT_probes,
@@ -91,6 +92,33 @@ def _seeded_sym_tensor(space, rng, size=None, f_stable=False):
     return ExactMatrix(c)
 
 
+def _tau_failure(sp):
+    """The first ordered pair (A, B), in row-major order over the span of
+    the E(e_a e_b + e_b e_a), with [tau(A), tau(B)] != tau([A, B]), or None.
+    The pairs are grouped by the nonzero entries of their bracket; each group
+    builds tau of that bracket once and is released when it is checked."""
+    units = [(sp.basis_vector(la), sp.basis_vector(lb)) for la in sp.labels() for lb in sp.labels() if la <= lb]
+    span = [E_map(sp, ExactMatrix([[a * y + b * x for x, y in zip(u, v)] for a, b in zip(u, v)])) for u, v in units]
+    taus = [tau(sp, x) for x in span]
+    n, groups = 2 * sp.g, {}  # the nonzero (row * n + col, entry) of [A, B] -> its pairs
+    for i, x in enumerate(span):
+        for j, y in enumerate(span):
+            rows = x.bracket(y).matrix.rows
+            key = tuple((r * n + c, v) for r, row in enumerate(rows) for c, v in enumerate(row) if v)
+            groups.setdefault(key, []).append((i, j))
+    first, dom = None, span[0].matrix.domain  # every bracket's domain
+    while groups:  # popping frees each group's pairs once they are checked
+        entries, pairs = groups.popitem()
+        z = dict(entries)
+        bracket = ExactMatrix._over([[z.get(r * n + c, dom.zero) for c in range(n)] for r in range(n)], dom)
+        tau_z = tau(sp, SpElement(sp, bracket, check=False))
+        for i, j in pairs:
+            if taus[i].bracket(taus[j]) != tau_z:
+                first = min(first or (i, j), (i, j))
+                break
+    return first and (span[first[0]], span[first[1]])
+
+
 # -- suites ---------------------------------------------------------------------
 
 
@@ -131,20 +159,8 @@ def suite_fock_basics(g, seed):
                     lhs = rho_vector(sp, a, bv) - rho_vector(sp, b, av)
                     if lhs != v.scale(sp.pairing_labels(la, lb)):
                         fail.setdefault("03-heisenberg", f"g={k}, a=e_{la}, b=e_{lb}, v={key}")
-        span = []
-        for la in sp.labels():
-            for lb in sp.labels():
-                if (la, lb) <= (lb, la):
-                    n = 2 * k
-                    c = [[0] * n for _ in range(n)]
-                    c[sp.pos(la)][sp.pos(lb)] += 1
-                    c[sp.pos(lb)][sp.pos(la)] += 1
-                    span.append(E_map(sp, ExactMatrix(c)))
-        taus = [tau(sp, x) for x in span]
-        for x, tau_x in zip(span, taus):
-            for y, tau_y in zip(span, taus):
-                if tau_x.bracket(tau_y) != tau(sp, x.bracket(y)):
-                    fail.setdefault("04-tau-homomorphism", f"g={k}, A={x.matrix}, B={y.matrix}")
+        if pair := _tau_failure(sp):
+            fail.setdefault("04-tau-homomorphism", f"g={k}, A={pair[0].matrix}, B={pair[1].matrix}")
         for _ in range(3):
             a = E_map(sp, _seeded_sym_tensor(sp, rng))
             dev = tau_hat(sp, a) - tau(sp, a)

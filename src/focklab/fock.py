@@ -9,9 +9,11 @@ Hermitian form positive definite.
 
 Elements of the enveloping algebra U(H^) are kept in normal form with modes
 sorted in nondecreasing label order and explicit hbar powers; the rewriting
-rule is a.b - b.a = (a,b)*hbar.  The Fock space Sym(F') is modelled by
-finitely supported maps from multisets of negative labels to scalars;
-hbar acts as 1 there.
+rule is a.b - b.a = (a,b)*hbar.  A product moves only the left factor's
+letters into each normal monomial of the right factor, and a bracket writes
+both orders of each term pair into one dictionary.  The Fock space Sym(F')
+is modelled by finitely supported maps from multisets of negative labels to
+scalars; hbar acts as 1 there.
 
 The inner product of two basis monomials of grade n is the permanent of
 their n x n matrix of Hermitian pairings.  A key repeats labels, so that
@@ -218,18 +220,18 @@ class UElement(SparseVector):
         self.space = space
         self.terms = {}
         for (modes, h), c in (terms or {}).items():
-            if not c:
-                continue
-            self._accumulate(list(modes), h, c)
+            if c:
+                self._accumulate(modes, (), h, c)
 
     def _same_module(self, other) -> bool:
         # spaces are compared by genus, not identity: equal spaces built twice must add
         return super()._same_module(other) and other.space.g == self.space.g
 
-    def _accumulate(self, modes, h, coeff):
-        """Rewrite into normal form (nondecreasing labels) and add."""
-        words = {((), 0): coeff}
-        for x in reversed(list(modes)):
+    def _accumulate(self, left, right, h, coeff):
+        """Add coeff * left.right * hbar^h in normal form: right is a normal
+        monomial already, so only the letters of left are moved into place."""
+        words = {(right, 0): coeff}
+        for x in reversed(left):
             nxt: dict = {}
             for (m, dh), c in words.items():
                 for m2, dh2, c2 in self.space._lmul(x, m):
@@ -254,7 +256,7 @@ class UElement(SparseVector):
         for label in space.labels():
             c = coords[space.pos(label)]
             if c:
-                u._accumulate([label], 0, c)
+                u._accumulate((), (label,), 0, c)
         return u
 
     @staticmethod
@@ -265,7 +267,7 @@ class UElement(SparseVector):
         for a, row in zip(labels, tensor.rows):
             for b, c in zip(labels, row):
                 if c:
-                    u._accumulate([a, b], hpow, c)
+                    u._accumulate((a,), (b,), hpow, c)
         return u
 
     # -- algebra ----------------------------------------------------------------
@@ -276,11 +278,18 @@ class UElement(SparseVector):
         out = UElement(self.space)
         for (m1, h1), c1 in self.terms.items():
             for (m2, h2), c2 in other.terms.items():
-                out._accumulate(list(m1) + list(m2), h1 + h2, c1 * c2)
+                out._accumulate(m1, m2, h1 + h2, c1 * c2)
         return out
 
     def bracket(self, other):
-        return self * other - other * self
+        """self * other - other * self, both orders written into one dictionary."""
+        out = UElement(self.space)
+        for (m1, h1), c1 in self.terms.items():
+            for (m2, h2), c2 in other.terms.items():
+                c = c1 * c2
+                out._accumulate(m1, m2, h1 + h2, c)
+                out._accumulate(m2, m1, h1 + h2, -c)
+        return out
 
     def bar(self):
         """The anti-involution: conjugate entries, reverse factor order."""
@@ -297,7 +306,7 @@ class UElement(SparseVector):
                             new.append((prefix + [lab2], cc * w))
                 expansions = new
             for m, cc in expansions:
-                out._accumulate(m, h, cc)
+                out._accumulate(m, (), h, cc)
         return out
 
     def __repr__(self):

@@ -257,9 +257,10 @@ class ExactMatrix:
 
     # -- elimination --------------------------------------------------------
 
-    def _echelon(self, rhs=None):
+    def _echelon(self, rhs=None, swaps=True):
         """Fraction-free forward elimination (Bareiss); returns
-        (work rows, rhs rows, pivot column list, sign of the row swaps)."""
+        (work rows, rhs rows, pivot column list, sign of the row swaps).
+        Without swaps it stops at the first zero on the diagonal."""
         m = [list(r) for r in self.rows]
         b = [list(r) for r in rhs] if rhs is not None else None
         nr, nc = len(m), self.ncols
@@ -270,11 +271,13 @@ class ExactMatrix:
         row = 0
         for col in range(nc):
             piv = None
-            for r in range(row, nr):
+            for r in range(row, nr if swaps else row + 1):
                 if m[r][col]:
                     piv = r
                     break
             if piv is None:
+                if not swaps:
+                    break
                 continue
             if piv != row:
                 m[row], m[piv] = m[piv], m[row]
@@ -373,10 +376,13 @@ class ExactMatrix:
         return inv
 
     def leading_principal_minors(self):
-        return [
-            ExactMatrix([r[: k + 1] for r in self.rows[: k + 1]]).det()
-            for k in range(min(self.nrows, self.ncols))
-        ]
+        """det(self[:k, :k]) for k = 1 .. min(nrows, ncols), read from one
+        fraction-free elimination without row swaps, whose k-th pivot is the
+        k-th minor.  Only the minors after a zero pivot take a det each."""
+        n = min(self.nrows, self.ncols)
+        lead = lambda k: ExactMatrix._over([r[:k] for r in self.rows[:k]], self.domain)
+        m, _, pivots, _ = lead(n)._echelon(swaps=False)
+        return [m[k][k] for k in pivots] + [lead(k).det() for k in range(len(pivots) + 1, n + 1)]
 
     def __str__(self):
         return "[" + "; ".join(", ".join(str(a) for a in r) for r in self.rows) + "]"

@@ -153,17 +153,110 @@ def test_a_broken_check_fails_alone_with_its_witness(monkeypatch, check):
     assert rep.failed[0].witness
 
 
+def _tau_span(sp):
+    """Check 04's spanning set: E(e_a (x) e_b + e_b (x) e_a), one per unordered
+    label pair."""
+    from focklab.fock import E_map
+    from focklab.linalg import ExactMatrix
+
+    n, span = 2 * sp.g, []
+    for la in sp.labels():
+        for lb in sp.labels():
+            if (la, lb) <= (lb, la):
+                c = [[0] * n for _ in range(n)]
+                c[sp.pos(la)][sp.pos(lb)] += 1
+                c[sp.pos(lb)][sp.pos(la)] += 1
+                span.append(E_map(sp, ExactMatrix(c)))
+    return span
+
+
+def _tau_witness_by_pairs(g):
+    """The reference for check 04: every ordered pair, in row-major order,
+    building tau of its own bracket; the first failing pair's witness."""
+    from focklab import cli
+
+    for k in range(1, g + 1):
+        sp = cli.standard_space(k)
+        span = _tau_span(sp)
+        for x in span:
+            for y in span:
+                if cli.tau(sp, x).bracket(cli.tau(sp, y)) != cli.tau(sp, x.bracket(y)):
+                    return f"g={k}, A={x.matrix}, B={y.matrix}"
+    return None
+
+
+def _only_tau_check_fails_with(want):
+    rep = run_suite("fock-basics", {"g": 3})
+    assert [(c.id, c.witness) for c in rep.failed] == [("fock-basics.04-tau-homomorphism", want)]
+    assert main(["--suite", "fock-basics", "--param", "g=3"]) == 1
+
+
+def test_grouped_tau_check_reports_the_first_failing_pair(monkeypatch):
+    """With tau wrong on one nonzero bracket of g = 3 that three pairs
+    share, only fock-basics.04 fails, its witness is the first failing pair
+    of the per-pair loop, and main exits 1.  The chosen bracket is not the
+    first nonzero one, so the witness is not the first pair with a nonzero
+    bracket either."""
+    from focklab import cli
+
+    sp = cli.standard_space(3)
+    span = _tau_span(sp)
+    pairs_of = {}  # bracket matrix (as text) -> its ordered pairs, row-major
+    for x in span:
+        for y in span:
+            z = x.bracket(y).matrix
+            if not z.is_zero():
+                pairs_of.setdefault(str(z), (z, []))[1].append((x, y))
+    wrong_on = [z for z, pairs in pairs_of.values() if len(pairs) > 2][1]
+    real = cli.tau
+    monkeypatch.setattr(cli, "tau", lambda space, a: real(space, a) * (
+        2 if space.g == 3 and a.matrix == wrong_on else 1))
+    want = _tau_witness_by_pairs(3)
+    first_nonzero = next(iter(pairs_of.values()))[1][0]
+    assert want.startswith("g=3, ")
+    assert want != f"g=3, A={first_nonzero[0].matrix}, B={first_nonzero[1].matrix}"
+    _only_tau_check_fails_with(want)
+
+
+@pytest.mark.parametrize("wrong", ["bracket-reversed", 1, 4])
+def test_grouped_tau_check_witness_is_the_per_pair_loops(monkeypatch, wrong):
+    """With the U(H^) bracket reversed, every group with a nonzero bracket
+    fails, the first one at g = 1.  With tau doubled on one spanning element
+    of g = 3, only the pairs containing it fail, so a group can fail on a
+    later pair than its first: on element 4 the first failing pair is not
+    the first of its group, and on element 1 a group inserted later holds an
+    earlier failing pair.  Either way the witness is the per-pair loop's
+    first failing pair."""
+    from focklab import cli
+
+    if wrong == "bracket-reversed":
+        real_bracket = cli.UElement.bracket
+        monkeypatch.setattr(cli.UElement, "bracket", lambda x, y: real_bracket(y, x))
+    else:
+        wrong_on = _tau_span(cli.standard_space(3))[wrong].matrix
+        real_tau = cli.tau
+        monkeypatch.setattr(cli, "tau", lambda space, a: real_tau(space, a) * (
+            2 if space.g == 3 and a.matrix == wrong_on else 1))
+    want = _tau_witness_by_pairs(3)
+    assert want.startswith("g=1, " if wrong == "bracket-reversed" else "g=3, ")
+    _only_tau_check_fails_with(want)
+
+
 def test_finite_fock_suites_build_each_image_once(monkeypatch):
     """A counting guard (calls, not time) at g = 3, seed 64: adjoint made 2296
     rho_vector calls and 156 from_tensor builds when each pair and probe
     rebuilt its images, and fock-basics 1872 rho_vector calls; one image per
     (label, probe) and one operator pair per (c1, c2) need 340, 24 and 1026.
-    E_inverse, one per tau, stays at 620.  Adjoint's inner products meet 35
-    distinct key pairs with a nonzero pairing, and computed a nonzero
+    Fock-basics built tau 593 times (E_inverse 620) when each of the 550
+    ordered pairs of check 04 built tau of its own bracket, and formed each
+    bracket from two products (1,100 UElement.__mul__ calls); one tau per
+    distinct bracket (207 over g = 1..3) brings that to 250 (E_inverse 277),
+    and the one-pass bracket needs no product.  Adjoint's inner products
+    meet 35 distinct key pairs with a nonzero pairing, and computed a nonzero
     permanent 324 times when no space kept its pairings."""
     from focklab import cli, fock
 
-    calls = dict.fromkeys(["rho_vector", "from_tensor", "E_inverse", "nonzero_permanent"], 0)
+    calls = dict.fromkeys(["rho_vector", "from_tensor", "E_inverse", "nonzero_permanent", "tau", "mul"], 0)
 
     def counted(name, inner):
         def wrapper(*args, **kwargs):
@@ -184,6 +277,8 @@ def test_finite_fock_suites_build_each_image_once(monkeypatch):
     monkeypatch.setattr(fock.UElement, "from_tensor",
                         staticmethod(counted("from_tensor", fock.UElement.from_tensor)))
     monkeypatch.setattr(fock, "_grouped_permanent", counted_permanent)
+    monkeypatch.setattr(cli, "tau", counted("tau", cli.tau))
+    monkeypatch.setattr(fock.UElement, "__mul__", counted("mul", fock.UElement.__mul__))
     rep = run_suite("adjoint", {"g": 3, "grade": 4, "seed": 64})
     assert not rep.failed and len(rep.checks) == 3
     assert calls["rho_vector"] <= 340 and calls["from_tensor"] <= 24, calls
@@ -191,7 +286,8 @@ def test_finite_fock_suites_build_each_image_once(monkeypatch):
     calls.update(dict.fromkeys(calls, 0))
     rep = run_suite("fock-basics", {"g": 3, "seed": 64})
     assert not rep.failed and len(rep.checks) == 8
-    assert calls["rho_vector"] <= 1026 and calls["E_inverse"] <= 620, calls
+    assert calls["rho_vector"] <= 1026 and calls["tau"] <= 250 and calls["E_inverse"] <= 277, calls
+    assert calls["mul"] == 0, calls
 
 
 @pytest.mark.parametrize("family", ["modular_family", "constant_family"])

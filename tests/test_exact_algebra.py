@@ -6,7 +6,7 @@ import textwrap
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from focklab.forms import DegreeOverflow, Form
 from focklab.linalg import ExactMatrix, Inconsistent
@@ -108,6 +108,40 @@ def test_det_and_minors():
     assert m.det() == 3
     assert m.leading_principal_minors() == [2, 3]
     assert m.inverse() * m == ExactMatrix.identity(2)
+
+
+MINOR_ENTRIES = {
+    "Q": st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+    "Q(i)": st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2)),
+    "Q(x,y)": st.builds(lambda a, b: XY.parse(f"({a}*x + y)/({b} + x^2)"), st.integers(-2, 2), st.integers(1, 3)),
+}
+
+
+@st.composite
+def minor_matrices(draw):
+    """A matrix over Q, Q(i) or Q(x, y), square or not, with many zeros; often
+    one leading block is made singular (row k a multiple of row 0 on the
+    first k + 1 columns), so a zero pivot has minors after it."""
+    entries = MINOR_ENTRIES[draw(st.sampled_from(sorted(MINOR_ENTRIES)))]
+    nr, nc = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows = [[draw(st.one_of(st.just(0), entries)) for _ in range(nc)] for _ in range(nr)]
+    if min(nr, nc) > 1 and draw(st.booleans()):
+        k = draw(st.integers(1, min(nr, nc) - 1))
+        c = draw(entries)
+        rows[k][: k + 1] = [c * x for x in rows[0][: k + 1]]
+    return ExactMatrix(rows)
+
+
+@given(minor_matrices())
+@example(ExactMatrix([[0, 1], [1, 0]]))
+@example(ExactMatrix([[1, 2, 3], [2, 4, 5], [3, 5, 7]]))
+@example(ExactMatrix([[2, 1, 0], [4, 2, 1], [0, 1, 3], [1, 1, 1]]))
+def test_leading_minors_equal_one_det_per_minor(m):
+    """The minors read from one elimination equal the definition, a det of
+    each leading block, including every minor after a zero pivot."""
+    n = min(m.nrows, m.ncols)
+    oracle = [ExactMatrix([r[: k + 1] for r in m.rows[: k + 1]]).det() for k in range(n)]
+    assert m.leading_principal_minors() == oracle
 
 
 # -- differential forms -------------------------------------------------------

@@ -499,6 +499,41 @@ def sheared_space(shear=1):
     return SymplecticSpace(2, p.transpose() * sp.gram * p, p.inverse() * sp.conj_matrix * p.map(conj))
 
 
+PRODUCT_SPACES = {"standard": standard_space(2), "sheared": sheared_space()}
+
+
+@st.composite
+def u_elements(draw, space):
+    """A U(H^) element from words of up to three modes in any order, with
+    hbar powers -1..1 and scalar (empty-word) terms."""
+    words = st.lists(st.sampled_from(space.labels()), max_size=3).map(tuple)
+    coeffs = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2))
+    terms = draw(st.dictionaries(st.tuples(words, st.integers(-1, 1)), coeffs, max_size=4))
+    return UElement(space, terms)
+
+
+@st.composite
+def u_element_pairs(draw):
+    space = PRODUCT_SPACES[draw(st.sampled_from(sorted(PRODUCT_SPACES)))]
+    return draw(u_elements(space)), draw(u_elements(space))
+
+
+@settings(max_examples=150, deadline=None)
+@given(u_element_pairs())
+def test_products_equal_the_full_word_rewrite(pair):
+    """a * b rewrites only a's letters into b's normal monomials; it equals
+    rewriting each concatenated word m1 m2 from the empty word.  The one-pass
+    bracket equals a * b - b * a, on a pairing that is not diagonal too."""
+    a, b = pair
+    space = a.space
+    full = UElement(space, {})
+    for (m1, h1), c1 in a.terms.items():
+        for (m2, h2), c2 in b.terms.items():
+            full = full + UElement(space, {(m1 + m2, h1 + h2): c1 * c2})
+    assert a * b == full
+    assert a.bracket(b) == a * b - b * a
+
+
 @pytest.mark.parametrize("make", [
     lambda: standard_space(1), lambda: standard_space(2), lambda: standard_space(3),
     sheared_space,
