@@ -272,6 +272,17 @@ def suite_virasoro(kmax, grade):
     yield "virasoro.04-positive-order-vacuum", "T(D) v_0 = 0 for D of positive order", wit is None, wit
 
 
+def _ft4_verdict(record, name):
+    """(ok, witness) of the FT4 flags certify recorded for derivation name: a
+    False flag fails, a None flag (nothing certified) is skipped, naming it."""
+    names = ("preserves_A", "maps_perp_to_A")
+    flags = [record["ft4"][name][flag] for flag in names]
+    undecided = [flag for flag, value in zip(names, flags) if value is None]
+    if False in flags or not undecided:
+        return False not in flags, None
+    return "skipped", f"FT4 for {name}: nothing certified for {' and '.join(undecided)}"
+
+
 def suite_fock_type(window, bound):
     sub = genus0_subalgebra(window=window, degree_bound=bound)
     perp = compute_perp(sub, -bound, bound + 1)
@@ -286,11 +297,7 @@ def suite_fock_type(window, bound):
         "FT2 (A cap O = R, finite corank) and FT3 (isotropy) hold exactly",
         record["ft2"]["A_cap_O_is_R"] and record["ft3"],
     )
-    yield (
-        "fock-type.03-ft4",
-        "D_1 preserves A and maps A-perp into A",
-        record["ft4"]["D1"]["preserves_A"] and record["ft4"]["D1"]["maps_perp_to_A"],
-    )
+    yield "fock-type.03-ft4", "D_1 preserves A and maps A-perp into A", *_ft4_verdict(record, "D1")
     lam = scalar_action(Derivation.D(1), build_quotient(sub), [KMinusVector.vacuum()])
     yield (
         "fock-type.04-scalar-action",
@@ -314,16 +321,18 @@ def suite_hyperelliptic(f, g, N):
         derivations={"tangent": model.tangent_field()},
         perp_reps=list(data.phis.values()),
     )
+    ft4, undecided = _ft4_verdict(record, "tangent")
     yield (
         "hyperelliptic.02-fock-type",
         "A_p passes the FT certificates (rank g corank, isotropy, FT4 for the tangent field)",
-        record["ft1_surrogate"]["products_in_A"]
-        and record["ft2"]["A_cap_O_is_R"]
-        and record["ft2"]["quotient_rank"] == g
-        and record["ft3"]
-        and record["ft4"]["tangent"]["preserves_A"]
-        and record["ft4"]["tangent"]["maps_perp_to_A"],
-        json.dumps(record, default=str),
+        bool(
+            record["ft1_surrogate"]["products_in_A"]
+            and record["ft2"]["A_cap_O_is_R"]
+            and record["ft2"]["quotient_rank"] == g
+            and record["ft3"]
+        )
+        and ft4,
+        undecided or json.dumps(record, default=str),
         record,
     )
     rg = data.residue_gram_mod_A()
@@ -401,6 +410,8 @@ WZW_GRAM = {
 
 
 def suite_wzw_gram(f, g, N, seed):
+    if g < 1:
+        raise ValueError(f"g must be at least 1, got {g}")
     model = build_model(f, g, N)
     rng = random.Random(seed)
     derivations = {
@@ -504,15 +515,18 @@ def run_suite(name: str, params: dict | None = None) -> SuiteReport:
 
 
 def _parse_ebar_monomial(space, text: str):
+    if space.g < 1:
+        raise ValueError(f"g must be at least 1, got {space.g}")
     indices = []
     for tok in text.replace(",", " ").split():
-        tok = tok.strip()
         for prefix in ("ē", "ebar", "eb"):
             if tok.startswith(prefix):
                 indices.append(int(tok[len(prefix):]))
                 break
         else:
             raise ValueError(f"cannot parse generator {tok!r}; use ē1 / ebar1 / eb1")
+        if not 1 <= indices[-1] <= space.g:
+            raise ValueError(f"generator {tok!r} is not one of ē1 .. ē{space.g}")
     return ebar_monomial(space, indices)
 
 

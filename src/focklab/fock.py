@@ -223,9 +223,14 @@ class UElement(SparseVector):
             if c:
                 self._accumulate(modes, (), h, c)
 
-    def _same_module(self, other) -> bool:
-        # spaces are compared by genus, not identity: equal spaces built twice must add
-        return super()._same_module(other) and other.space.g == self.space.g
+    @staticmethod
+    def _order(key):
+        return len(key[0]), key
+
+    @staticmethod
+    def _text(key) -> str:
+        modes, h = key
+        return ("∘".join(f"e_{{{i}}}" for i in modes) or "1") + (f"·ħ^{h}" if h else "")
 
     def _accumulate(self, left, right, h, coeff):
         """Add coeff * left.right * hbar^h in normal form: right is a normal
@@ -308,17 +313,6 @@ class UElement(SparseVector):
             for m, cc in expansions:
                 out._accumulate(m, (), h, cc)
         return out
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (m, h), c in sorted(self.terms.items(), key=lambda kv: (len(kv[0][0]), kv[0])):
-            mono = "∘".join(f"e_{{{i}}}" for i in m) or "1"
-            if h:
-                mono += f"·ħ^{h}"
-            bits.append(f"({c})·{mono}")
-        return " + ".join(bits)
 
 
 # -- sp(H) and the E-correspondence -------------------------------------------
@@ -428,10 +422,6 @@ class FockVector(SparseVector):
         self.space = space
         super().__init__(terms)
 
-    def _same_module(self, other) -> bool:
-        # spaces are compared by genus, not identity: equal spaces built twice must add
-        return super()._same_module(other) and other.space.g == self.space.g
-
     @staticmethod
     def _key(key) -> tuple:
         key = tuple(sorted(key))
@@ -440,24 +430,20 @@ class FockVector(SparseVector):
         return key
 
     @staticmethod
+    def _order(key):
+        return len(key), key
+
+    @staticmethod
+    def _text(key) -> str:
+        return "".join(f"e_{{{i}}}" for i in key) + "v_o"
+
+    @staticmethod
     def vacuum(space):
         return FockVector(space, {(): 1})
 
     @staticmethod
     def basis(space, key):
         return FockVector(space, {tuple(sorted(key)): 1})
-
-    def max_grade(self):
-        return max((len(k) for k in self.terms), default=0)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for k, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
-            mono = "".join(f"e_{{{i}}}" for i in k)
-            bits.append(f"({c})·{mono}v_o" if mono else f"({c})·v_o")
-        return " + ".join(bits)
 
 
 def rho_apply(u: UElement, v: FockVector) -> FockVector:

@@ -95,14 +95,13 @@ class OscFockVector(SparseVector):
     def grade(self) -> int:
         return max((sum(-m for m in k) for k in self.terms), default=0)
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for k, c in sorted(self.terms.items(), key=lambda kv: (sum(-m for m in kv[0]), kv[0])):
-            mono = "".join(f"e_{{{m}}}" for m in k)
-            bits.append(f"({c})·{mono}v_0" if mono else f"({c})·v_0")
-        return " + ".join(bits)
+    @staticmethod
+    def _order(key):
+        return -sum(key), key
+
+    @staticmethod
+    def _text(key) -> str:
+        return "".join(f"e_{{{m}}}" for m in key) + "v_0"
 
 
 def apply_mode(m: int, v: OscFockVector) -> OscFockVector:

@@ -1,7 +1,8 @@
 """Rational-function differential fields in named real parameters.
 
-Elements are quotients of sparse multivariate polynomials over Q(sqrt(-1)).
-The parameters are treated as real: conjugation fixes them and conjugates
+Elements are quotients of sparse multivariate polynomials over Q(sqrt(-1));
+Polynomial is a SparseVector (sparse.py) keyed by exponent vectors.  The
+parameters are treated as real: conjugation fixes them and conjugates
 coefficients.  There is no general multivariate gcd.  Every RationalFunction
 is stored in one normal form, which `_normalize` computes in three steps:
 
@@ -42,7 +43,7 @@ from fractions import Fraction
 from operator import lt, sub
 
 from .scalars import ONE, ZERO, GaussianRational, conj as _conj_scalar, parse_expression
-from .sparse import add_term
+from .sparse import SparseVector, add_term
 
 _SCALARS = (int, Fraction, GaussianRational)
 _new = object.__new__
@@ -105,41 +106,24 @@ class DifferentialField:
         return f"DifferentialField(params={self.params})"
 
 
-class Polynomial:
+class Polynomial(SparseVector):
     """Sparse multivariate polynomial: exponent tuple -> GaussianRational."""
 
-    __slots__ = ("field", "terms")
+    __slots__ = ("field",)
 
     def __init__(self, field: DifferentialField, terms: dict):
         self.field = field
         self.terms = {e: c for e, c in terms.items() if c}
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.terms == other.terms
+    def _like(self, terms: dict):
+        return _poly(self.field, terms)
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            add_term(out, e, c)
-        return _poly(self.field, out)
-
-    def __neg__(self):
-        return _poly(self.field, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, GaussianRational):
-            if not other:
-                return _poly(self.field, {})
-            return _poly(self.field, {e: c * other for e, c in self.terms.items()})
+            return self.scale(other)
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -220,27 +204,22 @@ class Polynomial:
             rem = rem - divisor * Polynomial(self.field, {qe: qc})
         return Polynomial(self.field, quot)
 
+    def _text(self, e) -> str:
+        return "*".join(f"{n}^{p}" if p > 1 else n for n, p in zip(self.field.params, e) if p) or "1"
+
     def __str__(self):
         if not self.terms:
             return "0"
         bits = []
         for e, c in sorted(self.terms.items(), reverse=True):
-            mono = "*".join(
-                f"{n}^{p}" if p > 1 else n
-                for n, p in zip(self.field.params, e)
-                if p
-            )
             cs = str(c)
-            if mono:
-                if cs == "1":
-                    bits.append(mono)
-                elif cs == "-1":
-                    bits.append(f"-{mono}")
-                else:
-                    cs = f"({cs})" if ("+" in cs[1:] or "-" in cs[1:]) else cs
-                    bits.append(f"{cs}*{mono}")
+            cs = f"({cs})" if ("+" in cs[1:] or "-" in cs[1:]) else cs
+            if not any(e):
+                bits.append(cs)
+            elif cs in ("1", "-1"):
+                bits.append(cs[:-1] + self._text(e))
             else:
-                bits.append(f"({cs})" if ("+" in cs[1:] or "-" in cs[1:]) else cs)
+                bits.append(f"{cs}*{self._text(e)}")
         out = bits[0]
         for b in bits[1:]:
             out += f" + {b}" if not b.startswith("-") else f" - {b[1:]}"

@@ -2,10 +2,12 @@
 
 The Fock modules of the package -- Sym(F'-bar) for the finite blocks,
 Sym(R((t))^-) for the oscillator, Sym(K^-) for the covariants -- and the
-normal-form elements of U(H^) all store a dictionary from multisets (sorted
-tuples) to scalars.  SparseVector holds that dictionary and the linear
-structure on it once, in the manner of sympy's SDM; each subclass keeps only
-its key convention, its constructors and what is its own.
+normal-form elements of U(H^) store a dictionary from multisets (sorted
+tuples) to scalars; the polynomials of ratfunc store one from exponent
+vectors.  SparseVector holds that dictionary and the linear structure on it
+once, in the manner of sympy's SDM, with one printer and one module rule;
+each subclass keeps only its key convention, its constructors and what is
+its own.
 
 Invariant: no entry is ever stored as zero.  Every write goes through
 add_term or skips a zero value, so two vectors are equal exactly when their
@@ -55,8 +57,9 @@ class SparseVector:
 
     def _same_module(self, other) -> bool:
         """Whether other is a vector of this module: of this class, and over
-        the same space where a subclass has one."""
-        return type(other) is type(self)
+        a space of the same genus where the class has one (spaces compare by
+        genus, not identity: equal spaces built twice must add)."""
+        return type(other) is type(self) and ("space" not in self.__slots__ or other.space.g == self.space.g)
 
     def __add__(self, other):
         if not self._same_module(other):
@@ -93,3 +96,19 @@ class SparseVector:
         if type(other) is not type(self):
             return NotImplemented
         return self.terms == other.terms
+
+    @staticmethod
+    def _order(key):
+        """Where the printer puts the term of key: keys print in this order."""
+        return key
+
+    @staticmethod
+    def _text(key) -> str:
+        """The basis vector of key as the printer writes it: the multiset's
+        entries joined by '·', the empty key as the vacuum v_0."""
+        return "·".join(map(str, key)) or "v_0"
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join(f"({self.terms[k]})·{self._text(k)}" for k in sorted(self.terms, key=self._order))

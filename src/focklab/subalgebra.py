@@ -430,13 +430,6 @@ class KMinusVector(SparseVector):
     def prepend(self, label):
         return self._like({tuple(sorted(k + (label,))): c for k, c in self.terms.items()})
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"({c})·{'·'.join(map(str, k)) or 'v_0'}" for k, c in sorted(self.terms.items())
-        )
-
 
 def label_series(q: QuotientSymplectic, label) -> LaurentSeries:
     kind, v = label

@@ -545,6 +545,60 @@ def test_connection_below_grade_0_is_invalid(capsys):
     assert "invalid parameters: grade must be at least 0, got -1" in capsys.readouterr().err
 
 
+def test_wzw_gram_without_a_genus_is_invalid(capsys):
+    """g = 0 leaves every wzw-gram check a 0 x 0 Gram: invalid input, not 3 passes."""
+    assert main(["--suite", "wzw-gram", "--param", "g=0", "--param", "f=[0,1]"]) == 2
+    assert "invalid parameters: g must be at least 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", [["v=eb3"], ["g=0"], ["v=eb0"], ["v=eb-1"]])
+def test_inner_product_refuses_a_generator_outside_the_genus(capsys, params):
+    """Each index of a ē monomial lies in 1..g, and g is at least 1."""
+    assert main(["--compute", "inner-product", *(a for arg in params for a in ("--param", arg))]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("invalid parameters: ") and "Traceback" not in out.err
+
+
+def test_an_undetermined_ft4_check_is_skipped_with_a_witness(capsys):
+    """bound = 0: D_1 of the constants is 0 and the perp is empty, so FT4
+    certifies nothing; fock-type.03 is skipped, naming both flags, not failed."""
+    rep = run_suite("fock-type", {"bound": 0})
+    (ft4,) = [c for c in rep.checks if c.id == "fock-type.03-ft4"]
+    assert (ft4.status, ft4.witness) == ("skipped", "FT4 for D1: nothing certified for preserves_A and maps_perp_to_A")
+    assert not rep.failed
+    assert main(["--suite", "fock-type", "--param", "bound=0"]) == 0
+
+
+@pytest.mark.parametrize("flags, status", [
+    ({"preserves_A": None}, "skipped"),
+    ({"maps_perp_to_A": None}, "skipped"),
+    ({"preserves_A": None, "maps_perp_to_A": False}, "fail"),
+    ({"preserves_A": False}, "fail"),
+])
+def test_hyperelliptic_fock_type_reads_an_undetermined_ft4_flag_as_skipped(monkeypatch, capsys, flags, status):
+    """A None FT4 flag of the tangent field skips hyperelliptic.02 with a
+    witness naming it; a False flag still fails it."""
+    from focklab import subalgebra
+
+    real = subalgebra._FockType.certify
+
+    def certify(self, *args, **kwargs):
+        record = real(self, *args, **kwargs)
+        record["ft4"]["tangent"].update(flags)
+        return record
+
+    monkeypatch.setattr(subalgebra._FockType, "certify", certify)
+    rep = run_suite("hyperelliptic", {})
+    (check,) = [c for c in rep.checks if c.id == "hyperelliptic.02-fock-type"]
+    assert check.status == status
+    assert [c.id for c in rep.failed] == (["hyperelliptic.02-fock-type"] if status == "fail" else [])
+    if status == "skipped":
+        assert check.witness == f"FT4 for tangent: nothing certified for {next(iter(flags))}"
+    else:
+        assert json.loads(check.witness)["ft4"]["tangent"] == check.detail["ft4"]["tangent"]
+    assert main(["--suite", "hyperelliptic"]) == (1 if status == "fail" else 0)
+
+
 def test_prec_and_param_N_together_are_invalid(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--suite", "wzw-gram", "--param", "N=44", "--prec", "30"])

@@ -378,6 +378,16 @@ def printable(draw):
     return RationalFunction(field, Polynomial(field, num), Polynomial(field, den))
 
 
+def test_printed_polynomials_and_quotients():
+    x, y, i = XY.var("x"), XY.var("y"), XY.i
+    assert str((x**2 * y - 3 * x + 1 + 2 * i).num) == "x^2*y - 3*x + (1+2i)"
+    assert str((-x + (i - 1) * y**3 - 1).num) == "-x + (-1+i)*y^3 - 1"
+    assert str(Polynomial(XY, {})) == "0" and str(XY.zero) == "0"
+    assert str((x - i * y + 1) / (x * y**2 + 2)) == "(x - i*y + 1)/(x*y^2 + 2)"
+    assert str((x + 1) / y**2) == "(x + 1)/y^2"
+    assert str(-x / (2 * y)) == "-1/2*x/y"
+
+
 @settings(max_examples=200, deadline=None)
 @given(printable())
 @example(XY.const(GaussianRational(0, F(-1, 4))) / XY.var("y") ** 2)  # the modular curvature scalar

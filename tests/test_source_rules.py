@@ -23,7 +23,11 @@
 * no class attribute `staticmethod(<imported name>)` -- it binds the
   imported function when the class is made, so a test that patches the
   module's name (a mutation row) never reaches the code that calls it; a
-  method that names the function looks it up at each call.
+  method that names the function looks it up at each call;
+* a class that stores a `terms` dictionary -- in its `__slots__` or as
+  `self.terms = ...` -- derives from `SparseVector`, so the linear structure,
+  the printer and the module rule of a sparse vector exist once; `Form` is
+  exempt because its values are matrices, not scalars.
 """
 
 import ast
@@ -156,6 +160,43 @@ def imported_staticmethods(tree):
     return found
 
 
+def stores_terms(node) -> bool:
+    """Whether node is an assignment `__slots__ = (..., "terms", ...)` or
+    `self.terms = ...`, annotated or not."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign) and node.value is not None:
+        targets = [node.target]
+    else:
+        return False
+    for target in targets:
+        if isinstance(target, ast.Name) and target.id == "__slots__":
+            if any(isinstance(c, ast.Constant) and c.value == "terms" for c in ast.walk(node.value)):
+                return True
+        elif isinstance(target, ast.Attribute) and target.attr == "terms":
+            if isinstance(target.value, ast.Name) and target.value.id == "self":
+                return True
+    return False
+
+
+def sparse_vector_copies(tree, exempt=()):
+    """(line, rule) for every class that stores a `terms` attribute and
+    neither is SparseVector nor derives from it, through a base named
+    SparseVector or a class of this module that does; a class named in
+    exempt is not judged."""
+    derived = {"SparseVector"}
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        bases = {getattr(b, "id", getattr(b, "attr", None)) for b in cls.bases}
+        if cls.name in derived or bases & derived:
+            derived.add(cls.name)
+        elif cls.name not in exempt and any(stores_terms(node) for node in ast.walk(cls)):
+            found.append((cls.lineno, "terms stored outside SparseVector"))
+    return found
+
+
 def test_the_rules_catch_each_pattern():
     bad = "try:\n    pass\nexcept:\n    pass\ntry:\n    pass\nexcept (ValueError, Exception):\n    pass\nassert 1\n"
     assert [why for _, why in violations(ast.parse(bad))] == [
@@ -198,6 +239,19 @@ def test_the_rules_catch_each_pattern():
         "class B:\n    kernel: object = staticmethod(rf)\n"
     )
     assert [line for line, _ in imported_staticmethods(ast.parse(bindings))] == [6, 7, 13]
+    vectors = (
+        "class SparseVector:\n    __slots__ = ('terms',)\n"
+        "class Poly:\n    __slots__ = ('field', 'terms')\n"
+        "class Vec(sparse.SparseVector):\n    def __init__(self):\n        self.terms = {}\n"
+        "class Sub(Vec):\n    def grow(self):\n        self.terms = dict(self.terms)\n"
+        "class Copy:\n    def __init__(self, terms):\n        self.terms: dict = terms\n"
+        "class Form:\n    __slots__ = ('shape', 'terms')\n"
+        "class Other:\n    __slots__ = ('coeffs',)\n    def f(self, v):\n        v.terms = {}\n"
+        "class Bare:\n    terms: dict\n"
+    )
+    assert sparse_vector_copies(ast.parse(vectors), exempt={"Form"}) == [
+        (3, "terms stored outside SparseVector"), (11, "terms stored outside SparseVector")
+    ]
 
 
 def test_package_sources_keep_the_rules():
@@ -213,6 +267,7 @@ def test_package_sources_keep_the_rules():
         found += [f"{name}:{line}: {why}" for line, why in generator_raises(tree)]
         found += [f"{name}:{line}: {why}" for line, why in module_imports(tree, "dataclasses")]
         found += [f"{name}:{line}: {why}" for line, why in imported_staticmethods(tree)]
+        found += [f"{name}:{line}: {why}" for line, why in sparse_vector_copies(tree, exempt={"Form"})]
         if name != "__init__.py":
             found += [f"{name}:{line}: {why}" for line, why in unused_imports(tree)]
         if name != "sparse.py":

@@ -12,14 +12,17 @@ from hypothesis import given, settings, strategies as st
 
 from focklab.fock import FockVector, UElement, standard_space
 from focklab.oscillator import OscFockVector
+from focklab.ratfunc import DifferentialField, Polynomial
 from focklab.scalars import GaussianRational
 from focklab.sparse import SparseVector, add_term
 from focklab.subalgebra import KMinusVector
 
 SPACE = standard_space(2)
+FIELD = DifferentialField(["x", "y"])
 
 # normal keys of each class: sorted multisets (for UElement sorted modes with
-# an hbar power, which normal ordering leaves unchanged)
+# an hbar power, which normal ordering leaves unchanged; for Polynomial
+# exponent vectors)
 CLASSES = {
     "FockVector": (
         lambda terms: FockVector(SPACE, terms),
@@ -36,6 +39,10 @@ CLASSES = {
     "UElement": (
         lambda terms: UElement(SPACE, terms),
         [((), 0), ((-1,), 0), ((1,), -1), ((-2, 1), 0), ((-1, -1), 1), ((-2, -1, 2), -1)],
+    ),
+    "Polynomial": (
+        lambda terms: Polynomial(FIELD, terms),
+        [(0, 0), (1, 0), (0, 1), (2, 1), (1, 1), (0, 3)],
     ),
 }
 
@@ -87,6 +94,8 @@ def test_linear_structure_matches_the_dict_model(name, data):
         assert got == make(want), label
         if isinstance(x, (FockVector, UElement)):
             assert got.space is SPACE, label
+        if isinstance(x, Polynomial):
+            assert got.field is FIELD, label
     assert (x == y) == (a == b)
     assert (x != y) == (a != b)
 
@@ -116,11 +125,25 @@ def test_add_term_drops_a_cancelled_entry():
     assert terms == {"j": 3}
 
 
-def test_the_four_vectors_share_the_base():
-    for cls in (FockVector, OscFockVector, KMinusVector, UElement):
+def test_the_vectors_share_the_base():
+    inherited = {"__add__", "__neg__", "__sub__", "scale", "map_coefficients", "__bool__", "__eq__", "__repr__",
+                 "_same_module"}
+    for cls in (FockVector, OscFockVector, KMinusVector, UElement, Polynomial):
         assert issubclass(cls, SparseVector)
-        own = set(vars(cls))
-        assert not own & {"__add__", "__neg__", "__sub__", "scale", "map_coefficients", "__bool__", "__eq__"}
+        assert not set(vars(cls)) & inherited, cls.__name__
+
+
+def test_each_vector_prints_in_its_own_notation():
+    i = GaussianRational(0, 1)
+    v = FockVector(SPACE, {(-1, -2): Fraction(-1, 2), (): 3, (-2,): i, (-1, -1, -2): GaussianRational(1, -2)})
+    assert repr(v) == "(3)·v_o + (i)·e_{-2}v_o + (-1/2)·e_{-2}e_{-1}v_o + (1-2i)·e_{-2}e_{-1}e_{-1}v_o"
+    v = OscFockVector({(-3,): 2, (-1, -1): Fraction(1, 3), (): -1, (-2, -1, -1): i})
+    assert repr(v) == "(-1)·v_0 + (1/3)·e_{-1}e_{-1}v_0 + (2)·e_{-3}v_0 + (i)·e_{-2}e_{-1}e_{-1}v_0"
+    u = UElement(SPACE, {((), 0): 5, ((-1,), 1): Fraction(2, 3), ((-2, 1), -1): -i, ((-1, -1), 0): 1})
+    assert repr(u) == "(5)·1 + (2/3)·e_{-1}·ħ^1 + (-i)·e_{-2}∘e_{1}·ħ^-1 + (1)·e_{-1}∘e_{-1}"
+    k = KMinusVector({(): 1, (("q", 1), ("a", -2)): Fraction(-3, 4), (("q", 2),): i})
+    assert repr(k) == "(1)·v_0 + (-3/4)·('a', -2)·('q', 1) + (i)·('q', 2)"
+    assert [repr(z) for z in (FockVector(SPACE), OscFockVector(), UElement(SPACE), KMinusVector())] == ["0"] * 4
 
 
 @pytest.mark.parametrize("name", sorted(CLASSES))
