@@ -13,9 +13,12 @@ exact zero test.
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from fractions import Fraction
 
-from .ratfunc import RationalFunction
+from .ratfunc import DifferentialField, RationalFunction
 from .scalars import QQ, QQ_I, GaussianRational, IdentityFailed, conj as _conj
 
 
@@ -303,16 +306,31 @@ class ExactMatrix:
     def rank(self):
         return len(self._echelon()[2])
 
+    def _cleared(self):
+        """This matrix with each row scaled to polynomial entries, and the
+        row scales, over a rational-function field; itself and None over
+        the constants.  There is no gcd to cancel the common factors of a
+        quotient, so Bareiss on quotients grows them step by step; on
+        polynomials each Bareiss division is exact and every entry stays a
+        minor."""
+        if not isinstance(self.domain, DifferentialField):
+            return self, None
+        pairs = [self.domain.clear_denominators(r) for r in self.rows]
+        return ExactMatrix._over([r for _, r in pairs], self.domain), [s for s, _ in pairs]
+
     def det(self):
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         n = self.nrows
         if n == 0:
             return self.domain.one
-        m, _, pivots, sign = self._echelon()
+        cleared, scales = self._cleared()
+        m, _, pivots, sign = cleared._echelon()
         if len(pivots) < n:
             return self.domain.zero
         d = m[n - 1][n - 1]
+        if scales is not None:
+            d = d / math.prod(scales, start=self.domain.one)
         return -d if sign < 0 else d
 
     def solve(self, b):
@@ -378,11 +396,17 @@ class ExactMatrix:
     def leading_principal_minors(self):
         """det(self[:k, :k]) for k = 1 .. min(nrows, ncols), read from one
         fraction-free elimination without row swaps, whose k-th pivot is the
-        k-th minor.  Only the minors after a zero pivot take a det each."""
+        k-th minor (times the scales of rows 0..k over a rational-function
+        field).  Only the minors after a zero pivot take a det each."""
         n = min(self.nrows, self.ncols)
         lead = lambda k: ExactMatrix._over([r[:k] for r in self.rows[:k]], self.domain)
-        m, _, pivots, _ = lead(n)._echelon(swaps=False)
-        return [m[k][k] for k in pivots] + [lead(k).det() for k in range(len(pivots) + 1, n + 1)]
+        cleared, scales = lead(n)._cleared()
+        m, _, pivots, _ = cleared._echelon(swaps=False)
+        minors = [m[k][k] for k in pivots]
+        if scales is not None:
+            # the k-th pivot of the cleared rows carries the scales of rows 0..k
+            minors = [p / s for p, s in zip(minors, itertools.accumulate(scales, operator.mul))]
+        return minors + [lead(k).det() for k in range(len(pivots) + 1, n + 1)]
 
     def __str__(self):
         return "[" + "; ".join(", ".join(str(a) for a in r) for r in self.rows) + "]"

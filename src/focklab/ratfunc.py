@@ -28,7 +28,8 @@ conjugation, a ring automorphism that keeps every exponent, every exact
 division and the denominator's lead coefficient 1; scaling by a nonzero
 constant, which moves no exponent or exact division and leaves the
 denominator alone; adding zero, which returns the other operand; and the
-constants and variables of a field, whose denominator is 1.
+constants, variables and cleared values (`clear_denominators`) of a field,
+whose denominator is 1.
 tests/test_ratfunc.py checks that every operation returns a fixed point of
 `_normalize`.
 
@@ -40,9 +41,9 @@ num/den and parenthesises a sum or a product of several factors, and
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import lt, sub
+from operator import add, lt, sub
 
-from .scalars import ONE, ZERO, GaussianRational, conj as _conj_scalar, parse_expression
+from .scalars import ONE, ZERO, GaussianRational, conj as _conj_scalar, from_parts, integer_parts, parse_expression
 from .sparse import SparseVector, add_term
 
 _SCALARS = (int, Fraction, GaussianRational)
@@ -89,6 +90,24 @@ class DifferentialField:
             return x
         return self.const(x) if x else self.zero
 
+    def clear_denominators(self, values):
+        """(D, [v * D for v in values]) for D the product of the distinct
+        denominators of values.  Each v * D is a polynomial, its numerator
+        times the other denominators, so no division is tried."""
+        one = self._one_poly()
+        dens = list(dict.fromkeys(v.den for v in values if v.num and v.den != one))
+        out = []
+        for v in values:
+            p = v.num
+            for d in dens:
+                if d != v.den:
+                    p = p * d
+            out.append(_normal(self, p, one))
+        scale = one
+        for d in dens:
+            scale = scale * d
+        return _normal(self, scale, one), out
+
     def parse(self, text: str) -> "RationalFunction":
         """Read text in the grammar of scalars.parse_expression: the names
         are the parameters and i (or I), the imaginary unit."""
@@ -124,11 +143,27 @@ class Polynomial(SparseVector):
     def __mul__(self, other):
         if isinstance(other, GaussianRational):
             return self.scale(other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return _poly(self.field, out)
+        small, large = sorted((self.terms, other.terms), key=len)
+        if len(small) <= 1:
+            # zero or a monomial times a polynomial: the exponents shift
+            # apart, so no two products meet and none is zero
+            return _poly(self.field, {
+                tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in small.items() for e2, c2 in large.items()
+            })
+        # the products run on Gaussian integers over the two lcm
+        # denominators, and each coefficient cancels once at the end
+        d1, xs = integer_parts(small.values())
+        d2, ys = integer_parts(large.values())
+        ys = list(zip(large, ys))
+        real: dict = {}
+        imag: dict = {}
+        for e1, (a1, b1) in zip(small, xs):
+            for e2, (a2, b2) in ys:
+                e = tuple(map(add, e1, e2))
+                real[e] = real.get(e, 0) + a1 * a2 - b1 * b2
+                imag[e] = imag.get(e, 0) + a1 * b2 + b1 * a2
+        d = d1 * d2
+        return _poly(self.field, {e: from_parts(a, imag[e], d) for e, a in real.items() if a or imag[e]})
 
     def conj(self):
         return _poly(self.field, {e: c.conj() for e, c in self.terms.items()})
@@ -191,18 +226,20 @@ class Polynomial(SparseVector):
                     return None
                 out[tuple(map(sub, e, de))] = c / dc
             return _poly(self.field, out)
-        rem = self
+        # the remainder is updated in place; its lead falls at every step,
+        # so each quotient exponent comes once
+        rem = dict(self.terms)
+        de, dc = divisor._lead()
         quot: dict = {}
         while rem:
-            e, c = rem._lead()
-            de, dc = divisor._lead()
-            qe = tuple(a - b for a, b in zip(e, de))
+            e = max(rem)
+            qe = tuple(map(sub, e, de))
             if any(v < 0 for v in qe):
                 return None
-            qc = c / dc
-            quot[qe] = quot.get(qe, ZERO) + qc
-            rem = rem - divisor * Polynomial(self.field, {qe: qc})
-        return Polynomial(self.field, quot)
+            qc = quot[qe] = rem[e] / dc
+            for e2, c2 in divisor.terms.items():
+                add_term(rem, tuple(map(add, qe, e2)), -(qc * c2))
+        return _poly(self.field, quot)
 
     def _text(self, e) -> str:
         return "*".join(f"{n}^{p}" if p > 1 else n for n, p in zip(self.field.params, e) if p) or "1"
