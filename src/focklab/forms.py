@@ -79,12 +79,10 @@ class Form:
         return bool(self.terms)
 
     def __eq__(self, other):
+        # no coefficient is stored as zero, so equal forms hold equal terms
         if not isinstance(other, Form):
             return NotImplemented
-        if self.degree != other.degree or self.shape != other.shape:
-            return False
-        keys = set(self.terms) | set(other.terms)
-        return all(self.coefficient(k) == other.coefficient(k) for k in keys)
+        return self.degree == other.degree and self.shape == other.shape and self.terms == other.terms
 
     def __add__(self, other):
         if self.degree != other.degree or self.shape != other.shape:
@@ -97,21 +95,19 @@ class Form:
             {k: self.coefficient(k) + other.coefficient(k) for k in keys},
         )
 
+    def _map(self, fn, shape=None) -> "Form":
+        """The form with each coefficient m replaced by fn(m), of this shape
+        unless shape is given."""
+        return Form(self.field, self.degree, shape or self.shape, {k: fn(m) for k, m in self.terms.items()})
+
     def __neg__(self):
-        return Form(
-            self.field, self.degree, self.shape, {k: -m for k, m in self.terms.items()}
-        )
+        return self._map(lambda m: -m)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, scalar):
-        return Form(
-            self.field,
-            self.degree,
-            self.shape,
-            {k: m * scalar for k, m in self.terms.items()},
-        )
+        return self._map(lambda m: m * scalar)
 
     __rmul__ = __mul__
 
@@ -133,26 +129,14 @@ class Form:
         return Form(self.field, self.degree + other.degree, shape, out)
 
     def trace(self) -> "Form":
-        return Form(
-            self.field,
-            self.degree,
-            (1, 1),
-            {k: ExactMatrix([[m.trace()]]) for k, m in self.terms.items()},
-        )
+        return self._map(lambda m: ExactMatrix([[m.trace()]]), (1, 1))
 
     def conj(self) -> "Form":
         """Coefficientwise conjugation; the real parameters (hence the dp) are fixed."""
-        return Form(
-            self.field, self.degree, self.shape, {k: m.conj() for k, m in self.terms.items()}
-        )
+        return self._map(ExactMatrix.conj)
 
     def transpose(self) -> "Form":
-        return Form(
-            self.field,
-            self.degree,
-            (self.shape[1], self.shape[0]),
-            {k: m.transpose() for k, m in self.terms.items()},
-        )
+        return self._map(ExactMatrix.transpose, self.shape[::-1])
 
     # -- calculus -----------------------------------------------------------
 
@@ -202,7 +186,3 @@ class Form:
 
 def exterior_derivative(form: Form) -> Form:
     return form.exterior_derivative()
-
-
-def conj(form: Form) -> Form:
-    return form.conj()

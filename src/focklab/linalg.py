@@ -13,9 +13,7 @@ exact zero test.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from fractions import Fraction
 
 from .ratfunc import DifferentialField, RationalFunction
@@ -307,16 +305,22 @@ class ExactMatrix:
         return len(self._echelon()[2])
 
     def _cleared(self):
-        """This matrix with each row scaled to polynomial entries, and the
-        row scales, over a rational-function field; itself and None over
-        the constants.  There is no gcd to cancel the common factors of a
-        quotient, so Bareiss on quotients grows them step by step; on
-        polynomials each Bareiss division is exact and every entry stays a
-        minor."""
-        if not isinstance(self.domain, DifferentialField):
+        """(self with each row times the product of its distinct
+        denominators, the row scales) over a rational-function field, and
+        (self, None) over the constants.  With no gcd to cancel their common
+        factors, the quotients of Bareiss over the field grow step by step;
+        on the cleared rows, polynomials, every Bareiss division is exact."""
+        dom = self.domain
+        if not isinstance(dom, DifferentialField):
             return self, None
-        pairs = [self.domain.clear_denominators(r) for r in self.rows]
-        return ExactMatrix._over([r for _, r in pairs], self.domain), [s for s, _ in pairs]
+        one, rows, scales = dom.one.den, [], []
+        for r in self.rows:  # each v times the other denominators, with no division
+            dens = list(dict.fromkeys(v.den for v in r))
+            rows.append([
+                RationalFunction(dom, math.prod((d for d in dens if d != v.den), start=v.num), one) for v in r
+            ])
+            scales.append(RationalFunction(dom, math.prod(dens, start=one), one))
+        return ExactMatrix._over(rows, dom), scales
 
     def det(self):
         if self.nrows != self.ncols:
@@ -328,9 +332,7 @@ class ExactMatrix:
         m, _, pivots, sign = cleared._echelon()
         if len(pivots) < n:
             return self.domain.zero
-        d = m[n - 1][n - 1]
-        if scales is not None:
-            d = d / math.prod(scales, start=self.domain.one)
+        d = m[n - 1][n - 1] / math.prod(scales) if scales else m[n - 1][n - 1]
         return -d if sign < 0 else d
 
     def solve(self, b):
@@ -402,10 +404,7 @@ class ExactMatrix:
         lead = lambda k: ExactMatrix._over([r[:k] for r in self.rows[:k]], self.domain)
         cleared, scales = lead(n)._cleared()
         m, _, pivots, _ = cleared._echelon(swaps=False)
-        minors = [m[k][k] for k in pivots]
-        if scales is not None:
-            # the k-th pivot of the cleared rows carries the scales of rows 0..k
-            minors = [p / s for p, s in zip(minors, itertools.accumulate(scales, operator.mul))]
+        minors = [m[k][k] / math.prod(scales[: k + 1]) if scales else m[k][k] for k in pivots]
         return minors + [lead(k).det() for k in range(len(pivots) + 1, n + 1)]
 
     def __str__(self):

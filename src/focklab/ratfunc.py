@@ -28,8 +28,7 @@ conjugation, a ring automorphism that keeps every exponent, every exact
 division and the denominator's lead coefficient 1; scaling by a nonzero
 constant, which moves no exponent or exact division and leaves the
 denominator alone; adding zero, which returns the other operand; and the
-constants, variables and cleared values (`clear_denominators`) of a field,
-whose denominator is 1.
+constants and variables of a field, whose denominator is 1.
 tests/test_ratfunc.py checks that every operation returns a fixed point of
 `_normalize`.
 
@@ -43,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, lt, sub
 
-from .scalars import ONE, ZERO, GaussianRational, conj as _conj_scalar, from_parts, integer_parts, parse_expression
+from .scalars import ONE, ZERO, GaussianRational, conj as _conj_scalar, parse_expression
 from .sparse import SparseVector, add_term
 
 _SCALARS = (int, Fraction, GaussianRational)
@@ -90,24 +89,6 @@ class DifferentialField:
             return x
         return self.const(x) if x else self.zero
 
-    def clear_denominators(self, values):
-        """(D, [v * D for v in values]) for D the product of the distinct
-        denominators of values.  Each v * D is a polynomial, its numerator
-        times the other denominators, so no division is tried."""
-        one = self._one_poly()
-        dens = list(dict.fromkeys(v.den for v in values if v.num and v.den != one))
-        out = []
-        for v in values:
-            p = v.num
-            for d in dens:
-                if d != v.den:
-                    p = p * d
-            out.append(_normal(self, p, one))
-        scale = one
-        for d in dens:
-            scale = scale * d
-        return _normal(self, scale, one), out
-
     def parse(self, text: str) -> "RationalFunction":
         """Read text in the grammar of scalars.parse_expression: the names
         are the parameters and i (or I), the imaginary unit."""
@@ -143,27 +124,11 @@ class Polynomial(SparseVector):
     def __mul__(self, other):
         if isinstance(other, GaussianRational):
             return self.scale(other)
-        small, large = sorted((self.terms, other.terms), key=len)
-        if len(small) <= 1:
-            # zero or a monomial times a polynomial: the exponents shift
-            # apart, so no two products meet and none is zero
-            return _poly(self.field, {
-                tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in small.items() for e2, c2 in large.items()
-            })
-        # the products run on Gaussian integers over the two lcm
-        # denominators, and each coefficient cancels once at the end
-        d1, xs = integer_parts(small.values())
-        d2, ys = integer_parts(large.values())
-        ys = list(zip(large, ys))
-        real: dict = {}
-        imag: dict = {}
-        for e1, (a1, b1) in zip(small, xs):
-            for e2, (a2, b2) in ys:
-                e = tuple(map(add, e1, e2))
-                real[e] = real.get(e, 0) + a1 * a2 - b1 * b2
-                imag[e] = imag.get(e, 0) + a1 * b2 + b1 * a2
-        d = d1 * d2
-        return _poly(self.field, {e: from_parts(a, imag[e], d) for e, a in real.items() if a or imag[e]})
+        out: dict = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                add_term(out, tuple(map(add, e1, e2)), c1 * c2)
+        return _poly(self.field, out)
 
     def conj(self):
         return _poly(self.field, {e: c.conj() for e, c in self.terms.items()})
@@ -226,11 +191,8 @@ class Polynomial(SparseVector):
                     return None
                 out[tuple(map(sub, e, de))] = c / dc
             return _poly(self.field, out)
-        # the remainder is updated in place; its lead falls at every step,
-        # so each quotient exponent comes once
-        rem = dict(self.terms)
-        de, dc = divisor._lead()
-        quot: dict = {}
+        # the remainder is updated in place; its lead falls at every step
+        rem, (de, dc), quot = dict(self.terms), divisor._lead(), {}
         while rem:
             e = max(rem)
             qe = tuple(map(sub, e, de))

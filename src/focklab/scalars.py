@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 class NotASquare(ValueError):
@@ -71,19 +71,6 @@ def _reduce(a: int, b: int, d: int) -> "GaussianRational":
             b //= g
             d //= g
     return _make(a, b, d)
-
-
-# the one lowest-terms constructor, for callers that add products of
-# integer_parts and cancel once
-from_parts = _reduce
-
-
-def integer_parts(values) -> tuple:
-    """Values of Q(sqrt(-1)) over their lcm denominator D: (D, [(a, b), ...])
-    with each value (a + b*i)/D, so that sums of products can run on
-    integers and cancel once at the end."""
-    d = lcm(*[z._d for z in values])
-    return d, [(z._a * (d // z._d), z._b * (d // z._d)) for z in values]
 
 
 class GaussianRational:

@@ -569,15 +569,17 @@ def test_an_undetermined_ft4_check_is_skipped_with_a_witness(capsys):
     assert main(["--suite", "fock-type", "--param", "bound=0"]) == 0
 
 
-@pytest.mark.parametrize("flags, status", [
-    ({"preserves_A": None}, "skipped"),
-    ({"maps_perp_to_A": None}, "skipped"),
-    ({"preserves_A": None, "maps_perp_to_A": False}, "fail"),
-    ({"preserves_A": False}, "fail"),
+@pytest.mark.parametrize("flags, other, status", [
+    ({"preserves_A": None}, {}, "skipped"),
+    ({"maps_perp_to_A": None}, {}, "skipped"),
+    ({"preserves_A": None, "maps_perp_to_A": False}, {}, "fail"),
+    ({"preserves_A": False}, {}, "fail"),
+    ({"preserves_A": None}, {"ft3": False}, "fail"),
 ])
-def test_hyperelliptic_fock_type_reads_an_undetermined_ft4_flag_as_skipped(monkeypatch, capsys, flags, status):
+def test_hyperelliptic_fock_type_reads_an_undetermined_ft4_flag_as_skipped(monkeypatch, capsys, flags, other, status):
     """A None FT4 flag of the tangent field skips hyperelliptic.02 with a
-    witness naming it; a False flag still fails it."""
+    witness naming it; a False flag still fails it, and so does a failed
+    FT3 beside a None flag, with the certificate record as its witness."""
     from focklab import subalgebra
 
     real = subalgebra._FockType.certify
@@ -585,6 +587,7 @@ def test_hyperelliptic_fock_type_reads_an_undetermined_ft4_flag_as_skipped(monke
     def certify(self, *args, **kwargs):
         record = real(self, *args, **kwargs)
         record["ft4"]["tangent"].update(flags)
+        record.update(other)
         return record
 
     monkeypatch.setattr(subalgebra._FockType, "certify", certify)
@@ -595,7 +598,9 @@ def test_hyperelliptic_fock_type_reads_an_undetermined_ft4_flag_as_skipped(monke
     if status == "skipped":
         assert check.witness == f"FT4 for tangent: nothing certified for {next(iter(flags))}"
     else:
-        assert json.loads(check.witness)["ft4"]["tangent"] == check.detail["ft4"]["tangent"]
+        witness = json.loads(check.witness)
+        assert witness["ft4"]["tangent"] == check.detail["ft4"]["tangent"]
+        assert {key: witness[key] for key in other} == other
     assert main(["--suite", "hyperelliptic"]) == (1 if status == "fail" else 0)
 
 

@@ -1,3 +1,5 @@
+import itertools
+import math
 import os
 import random
 import subprocess
@@ -6,7 +8,7 @@ import textwrap
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from focklab.forms import DegreeOverflow, Form
 from focklab.linalg import ExactMatrix, Inconsistent
@@ -142,6 +144,21 @@ def test_leading_minors_equal_one_det_per_minor(m):
     n = min(m.nrows, m.ncols)
     oracle = [ExactMatrix([r[: k + 1] for r in m.rows[: k + 1]]).det() for k in range(n)]
     assert m.leading_principal_minors() == oracle
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.just(0), MINOR_ENTRIES["Q(x,y)"]), min_size=n, max_size=n), min_size=n, max_size=n
+)))
+def test_det_over_a_field_is_the_permutation_sum(rows):
+    """det over Q(x, y), which eliminates on rows cleared of their
+    denominators and divides by the row scales, is the Leibniz sum."""
+    n = len(rows)
+    leibniz = sum(
+        (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)) * math.prod(r[c] for r, c in zip(rows, p))
+        for p in itertools.permutations(range(n))
+    )
+    assert ExactMatrix(rows).det() == leibniz
 
 
 # -- differential forms -------------------------------------------------------

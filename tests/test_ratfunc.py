@@ -275,16 +275,6 @@ def test_field_constructors_are_normal():
         assert_matches(value, ref_normalize(value.num.terms, value.den.terms))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(rfs(), max_size=4))
-def test_clear_denominators_scales_to_normal_polynomials(values):
-    scale, cleared = XY.clear_denominators(values)
-    assert_matches(scale, ref_normalize(scale.num.terms, REF_ONE))
-    for v, c in zip(values, cleared, strict=True):
-        assert_matches(c, ref_normalize(c.num.terms, REF_ONE))
-        assert c == v * scale
-
-
 def test_scalar_fast_paths():
     f = XY.parse("(x + 1)/y")
     assert f + 0 is f and 0 + f is f and f - 0 is f
