@@ -10,10 +10,13 @@ bounded grade only finitely many monomials act, so the action is exact with
 no window error; a window enters only through the coefficient series of a
 derivation, and exhaustion raises instead of truncating silently.  Two
 in-place kernels on integer codes (below) serve every caller: _emit_doubled
-decodes a basis key once and adds 2 w T(D_k) of it to a dictionary per
-target (k, w), and _emit_series adds f times it for a series f.  apply and
-virasoro_sweep run on the first, series_multiply on the second, and
-module_commutator_sweep, which certifies [T(D_k), t^m] = D_k(t^m), on both.
+adds 2 w T(D_k) of each entry of a decoded column to a dictionary per target
+(k, w), reading per-weight move tables built once per packing, and
+_emit_series adds f times a code for a series f.  apply and virasoro_sweep
+run on the first, series_multiply on the second, and module_commutator_sweep,
+which certifies [T(D_k), t^m] = D_k(t^m), on both.  _emit_doubled writes
+acc[t] = get(t, 0) + c inline, so an entry that cancels stays in its private
+accumulator as 0 until the reader drops it; no vector ever holds a zero.
 
 tau_hat(D_k) = -(1/2) sum_{a+b=k, a,b != 0} :e_a e_b: reproduces
 [tau_hat(D_k), f] = D_k(f) and the central term (k^3 - k)/12 delta_{k+l,0}.
@@ -32,20 +35,18 @@ plus the most negative m's and weight's |.| for module_commutator_sweep); a
 multiplicity is at most the grade, below 2^S, so no slot carries.
 
 virasoro_bracket certifies one (k, l) pair; virasoro_sweep certifies every
-pair with |k|, |l| <= kmax at once.  Following the grade decomposition of the
-oscillator representation (T(D_k) maps grade n to grade n - k; Kac and Raina,
-Bombay Lectures, 1987), it takes one probe at a time, decodes each key once to
-emit every weight's image, and sums each unordered pair in one integer
-dictionary.  Every nonzero vector it compares comes from applying the
-operators, never from the bracket formula.
+pair with |k|, |l| <= kmax at once, one probe at a time (T(D_k) maps grade n
+to grade n - k; Kac and Raina, Bombay Lectures, 1987) and pair by pair, in
+one reused accumulator.  Every nonzero vector it compares comes from
+applying the operators, never from the bracket formula.
 
 check_quasi_symplectic reads the residue Gram of its basis lazily, in (i, j)
 order; a lift pairs each (D e_i, e_j) once and keeps it beside D e_i.
 
-No column is cached.  A cache of every (k, key) column of the sweep made
-before the packing raised peak resident memory from 18 to 66 MB at grade 16
-(about 11 MB more at grades 8 and 11) to save less time than the packing
-saves with no memory growth.
+No column is cached: images repeat too little to pay for one.  At grade 11
+(kmax 6) the sweep's 5,595 image visits hit 3,787 distinct (l, code), and
+within one probe grade an image recurs at most 1.64 times; a cache of every
+(k, key) column raised peak resident memory from 18 to 66 MB at grade 16.
 """
 
 from __future__ import annotations
@@ -192,38 +193,64 @@ def _half(c):
     return c / 2
 
 
-def _emit_doubled(code: int, x, targets, packing):
-    """acc += w * x * 2 tau_hat(D_k)(code) in place for each target (k, w, acc),
-    the code decoded once for all; a target (None, c, acc) is a central term,
-    adding 2 c x code.  Integer w, c and x add only integers.
+def _column(codes: dict, packing) -> list:
+    """The nonzero entries of codes, decoded once for every job that reads
+    them: (code, x, parts), parts a triple (b, n, -2 b n) for each part b the
+    code holds n > 0 times, b ascending."""
+    s = packing[0]
+    mask = (1 << s) - 1
+    return [(code, x, [(b, n, -2 * b * n) for b in range(1, code.bit_length() // s + 2)
+                       if (n := code >> s * (b - 1) & mask)]) for code, x in codes.items() if x]
 
-    2 tau_hat(D_k) = -sum_{a<b} 2 :e_a e_b: - :e_{k/2} e_{k/2}: over
-    a+b = k, a, b != 0, and only the monomials that act on the key are
-    visited: a part b > k becomes b - k through e_{k-b} e_b; present parts
-    a = k - b and b, 0 < a <= b, are annihilated by e_a e_b; for k < 0 the
-    pairs a <= b < 0 create two modes.  Taking e_b from a key holding the
-    part b n times gives the factor b n.
+
+def _moves(packing, ks) -> dict:
+    """The move tables of 2 tau_hat(D_k) under packing, per weight k:
+    shift[b] = ONE[b-k] - ONE[b], the code change of e_{k-b} e_b on a part
+    b > k (read only there), and the creation pairs (code change, factor) of
+    :e_a e_b:, a <= b < 0, a + b = k."""
+    one = packing[1]
+    top = len(one) - 1
+    return {k: ([one[b - k] - one[b] if b > k else 0 for b in range(top + 1 + min(k, 0))],
+                [(one[b - k] + one[-b], -1 if 2 * b == k else -2) for b in range((k + 1) // 2, 0)])
+            for k in ks}
+
+
+def _emit_doubled(jobs, moves, packing):
+    """acc += w * x * 2 tau_hat(D_k)(code) in place for each job (column,
+    targets), each target (k, w, acc) and each entry (code, x, parts) of the
+    column; a target (None, c, acc) is a central term, adding 2 c x code.
+    Integer w, c and x add only integers; an entry that cancels stays as 0.
+
+    2 tau_hat(D_k) = -sum_{a<b} 2 :e_a e_b: - :e_{k/2} e_{k/2}: over a+b = k,
+    a, b != 0, visiting only the monomials that act on the code: a part b > k
+    held n times becomes b - k through e_{k-b} e_b (code + shift[b], factor
+    -2 b n); present parts a = k - b and b, 0 < a <= b, are annihilated by
+    e_a e_b; for k < 0 the creation pairs of moves[k] create two modes.
     """
     s, one = packing
     mask = (1 << s) - 1
-    parts = [(b, n) for b in range(1, code.bit_length() // s + 2) if (n := code >> s * (b - 1) & mask)]
-    for k, w, acc in targets:
-        wx = w * x
-        if k is None:
-            add_term(acc, code, 2 * wx)
-            continue
-        for b, n in parts:
-            if b > k:
-                add_term(acc, code - one[b] + one[b - k], -2 * b * n * wx)
-            elif 2 * b >= k and b != k:
-                a = k - b
-                if a == b and n >= 2:
-                    add_term(acc, code - 2 * one[b], -b * n * a * (n - 1) * wx)
-                elif a != b and (na := code >> s * (a - 1) & mask):
-                    add_term(acc, code - one[b] - one[a], -2 * b * n * a * na * wx)
-        for b in range((k + 1) // 2, 0):
-            a = k - b
-            add_term(acc, code + one[-a] + one[-b], (-1 if a == b else -2) * wx)
+    for column, targets in jobs:
+        for k, w, acc in targets:
+            get = acc.get
+            if k is None:
+                for code, x, _ in column:
+                    acc[code] = get(code, 0) + 2 * w * x
+                continue
+            shift, create = moves[k]
+            for code, x, parts in column:
+                wx = w * x
+                for b, n, m in parts:
+                    if b > k:
+                        t = code + shift[b]
+                        acc[t] = get(t, 0) + m * wx
+                    elif b < k <= 2 * b:  # e_a e_b, a = k - b <= b; for a = b, -b^2 n (n - 1)
+                        a = k - b
+                        if na := (code >> s * (a - 1) & mask) - (a == b):
+                            t = code - one[a] - one[b]
+                            acc[t] = get(t, 0) + m * a * na // (1 + (a == b)) * wx
+                for d, f in create:
+                    t = code + d
+                    acc[t] = get(t, 0) + f * wx
 
 
 def _emit_series(code: int, x, terms, acc: dict, packing):
@@ -256,23 +283,10 @@ class QuadraticOperator:
         self.khi = khi
         self.central = central
 
-    @staticmethod
-    def zero():
-        return QuadraticOperator({}, -_UNBOUNDED, _UNBOUNDED)
-
     def scale(self, c) -> "QuadraticOperator":
         return QuadraticOperator(
             {k: v * c for k, v in self.weights.items()}, self.klo, self.khi,
             self.central * c,
-        )
-
-    def __add__(self, other: "QuadraticOperator") -> "QuadraticOperator":
-        w = dict(self.weights)
-        for k, c in other.weights.items():
-            add_term(w, k, c)
-        return QuadraticOperator(
-            w, max(self.klo, other.klo), min(self.khi, other.khi),
-            self.central + other.central,
         )
 
     def plus_central(self, c) -> "QuadraticOperator":
@@ -302,22 +316,16 @@ class QuadraticOperator:
             raise PrecisionExhausted(f"operator weights determined for k < {self.khi}, "
                                      f"but grade needs k <= {needed_hi}")
 
-    def _add_doubled(self, terms: dict, v_codes: dict, packing):
-        """terms += 2 * self * v in place, v given by its codes under packing,
-        one _emit_doubled pass per code."""
-        if not v_codes:
-            return
-        needed_hi = 2 * -(-max(v_codes).bit_length() // packing[0])  # 2 * largest mode
-        self._check_determined(needed_hi)
-        targets = [t for t in self._targets(terms) if t[0] is None or t[0] <= needed_hi]  # k > 2n: no monomial
-        for code, x in v_codes.items():
-            _emit_doubled(code, x, targets, packing)
-
     def apply(self, v: OscFockVector) -> OscFockVector:
         packing = _packing(v.grade() + max(0, -min(self.weights, default=0)))
         doubled = {}
-        self._add_doubled(doubled, {_encode(key, packing): x for key, x in v.terms.items()}, packing)
-        return v._like({_decode(code, packing): _half(c) for code, c in doubled.items()})
+        if v.terms:
+            needed_hi = 2 * v.max_mode()
+            self._check_determined(needed_hi)
+            targets = [t for t in self._targets(doubled) if t[0] is None or t[0] <= needed_hi]  # k > 2n: no monomial
+            column = _column({_encode(key, packing): x for key, x in v.terms.items()}, packing)
+            _emit_doubled([(column, targets)], _moves(packing, self.weights), packing)
+        return v._like({_decode(code, packing): _half(c) for code, c in doubled.items() if c})
 
     def __repr__(self):
         bits = [f"({c})·T[{k}]" for k, c in sorted(self.weights.items())]
@@ -380,46 +388,44 @@ def virasoro_sweep(kmax: int, probe_grade: int) -> list:
     on every vector of grade <= probe_grade; returns the failing
     (k, l, probe key) triples in sweep order, empty when all hold.
 
-    Per probe v, one _emit_doubled pass over its key gives 2 T(D_m) v for
-    every |m| <= 2 kmax, and one pass over each key of 2 T_l v gives 2 T_k of
-    it for every k != l, added with sign + into the dictionary of the pair
-    (k, l) if k < l and - into that of (l, k) if k > l.  Less
-    2 (l - k) (2 T_{k+l} v), the pair k < l holds when its dictionary equals
-    4 central(k, l) v and (l, k) when it equals -4 central(l, k) v; both are
-    integers, so on basis probes every comparison runs in ints.  A diagonal
-    pair forms no product ([T_k, T_k] = 0), so it holds exactly when its
-    central term vanishes.  Target lists and dictionaries are made once per
-    sweep and emptied per probe.
+    Per probe v, one _emit_doubled pass gives 2 T(D_m) v for every m = k or
+    k + l, and each image of |m| <= kmax is decoded once.  Then, per pair
+    k < l, one kernel call adds 2 T_k (2 T_l v) - 2 T_l (2 T_k v) to the
+    reused accumulator, the sweep adds -2 (l - k) (2 T_{k+l} v), and one pass
+    checks it: (k, l) holds when it equals 4 central(k, l) v, (l, k) when it
+    equals -4 central(l, k) v, both integers.  A diagonal pair forms no product ([T_k, T_k] = 0), so it
+    holds exactly when its central term vanishes.
     """
     ks = range(-kmax, kmax + 1)
-    ops = {m: tau_hat_Dk(m) for m in range(-2 * kmax, 2 * kmax + 1)}
+    top_m = max(2 * kmax - 1, kmax)  # the largest |k| and |k + l|, k < l
+    ops = {m: tau_hat_Dk(m) for m in range(-top_m, top_m + 1)}
     central4 = {(k, l): _whole(4 * _virasoro_central(k, l)) for k in ks for l in ks}
     packing = _packing(probe_grade + 2 * kmax)  # T_k T_l v reaches this grade
-    tv = {m: {} for m in ops}
-    acc = {(k, l): {} for k in ks for l in ks if k < l}
+    moves = _moves(packing, {k for op in ops.values() for k in op.weights})
+    tv, acc = {m: {} for m in ops}, {}
     image_targets = [t for m, op in ops.items() for t in op._targets(tv[m])]
-    pair_targets = {l: [t for k in ks if k != l for t in ops[k]._targets(
-        acc[min(k, l), max(k, l)], 1 if k < l else -1)] for l in ks}
-    failures = []
+    rows = [(k, central4[k, k], [(l, ops[k]._targets(acc), ops[l]._targets(acc, -1), 2 * (k - l),
+                                  central4[k, l], -central4[l, k]) for l in ks if l > k]) for k in ks]
+    failures, get = [], acc.get
     for key in osc_basis(probe_grade):
         code = _encode(key, packing)
-        for d in (*tv.values(), *acc.values()):
+        for d in tv.values():
             d.clear()
-        _emit_doubled(code, 1, image_targets, packing)
-        for l, targets in pair_targets.items():
-            for image, x in tv[l].items():
-                _emit_doubled(image, x, targets, packing)
-        for i, k in enumerate(ks):
-            if central4[k, k]:
+        _emit_doubled([(_column({code: 1}, packing), image_targets)], moves, packing)
+        cols = {m: _column(tv[m], packing) for m in ks}
+        for k, diagonal, pairs in rows:
+            if diagonal:
                 failures.append((k, k, key))
-            for l in ks[i + 1:]:
-                pair = acc[k, l]
-                c = 2 * (k - l)
+            for l, plus_k, minus_l, c, want_kl, want_lk in pairs:
+                acc.clear()
+                _emit_doubled(((cols[l], plus_k), (cols[k], minus_l)), moves, packing)
                 for image, x in tv[k + l].items():
-                    add_term(pair, image, c * x)
-                for a, b, want in ((k, l, central4[k, l]), (l, k, -central4[l, k])):
-                    if pair != ({code: want} if want else {}):
-                        failures.append((a, b, key))
+                    acc[image] = get(image, 0) + c * x
+                at, rest = acc.pop(code, 0), any(acc.values())
+                if rest or at != want_kl:
+                    failures.append((k, l, key))
+                if rest or at != want_lk:
+                    failures.append((l, k, key))
     return failures
 
 
@@ -440,6 +446,7 @@ def module_commutator_sweep(ops: dict, ms: list, probe_grade: int) -> list:
         op._check_determined(2 * max(probe_grade, -low_m))
     derived = {(k, m): [(e, 2 * _whole(c)) for e, c in Derivation.D(k).apply(LaurentSeries.t_power(m)).coeffs.items()]
                for k in ops for m in ms}
+    moves = _moves(packing, {k for op in ops.values() for k in op.weights})
     image, comm = {k: {} for k in ops}, {k: {} for k in ops}
     image_targets = [t for k, op in ops.items() for t in op._targets(image[k])]
     comm_targets = [t for k, op in ops.items() for t in op._targets(comm[k])]
@@ -448,20 +455,19 @@ def module_commutator_sweep(ops: dict, ms: list, probe_grade: int) -> list:
         code = _encode(key, packing)
         for d in image.values():
             d.clear()
-        _emit_doubled(code, 1, image_targets, packing)
+        _emit_doubled([(_column({code: 1}, packing), image_targets)], moves, packing)
         for m in ms:
             for d in comm.values():
                 d.clear()
             f_v = {}
             _emit_series(code, 1, [(m, 1)], f_v, packing)
-            for f_code, x in f_v.items():
-                _emit_doubled(f_code, x, comm_targets, packing)
+            _emit_doubled([(_column(f_v, packing), comm_targets)], moves, packing)
             for k, acc in comm.items():
                 for image_code, x in image[k].items():
                     _emit_series(image_code, -x, [(m, 1)], acc, packing)
                 want = {}
                 _emit_series(code, 1, derived[k, m], want, packing)
-                if acc != want:
+                if {t: c for t, c in acc.items() if c} != want:
                     failing[k, m].append(key)
     return [(k, m, key) for (k, m), keys in failing.items() for key in keys]
 
@@ -533,12 +539,13 @@ class LiftedDerivation:
         self._d_images, self._pairings = {}, {}
 
     def pairing_coefficient(self, i: int, j: int):
-        """(D e_i, e_j) / (i j), the tau-hat weight of :b_{-i} b_{-j}:/2; each
-        D e_i is applied and each pair is paired once per lift."""
+        """(D e_i, e_j) / (2 i j), the tau-hat weight of :b_{-i} b_{-j}:, halved
+        once when cached; each D e_i is applied and each pair is paired once
+        per lift."""
         if (i, j) not in self._pairings:
             if i not in self._d_images:
                 self._d_images[i] = self.D.apply(self.basis[i])
-            self._pairings[i, j] = residue_form(self._d_images[i], self.basis[j]) / Fraction(i * j)
+            self._pairings[i, j] = residue_form(self._d_images[i], self.basis[j]) / Fraction(2 * i * j)
         return self._pairings[i, j]
 
     def apply(self, family: OscFockVector) -> OscFockVector:
@@ -563,11 +570,10 @@ class LiftedDerivation:
                     raise PrecisionExhausted(
                         f"basis must cover index range [{-n}, {top}] for this grade"
                     )
-                c = self.pairing_coefficient(i, j)
-                if not c:
+                half = self.pairing_coefficient(i, j)
+                if not half:
                     continue
                 lo, hi = min(-i, -j), max(-i, -j)
-                half = c * Fraction(1, 2)
                 for key, x in apply_mode(lo, apply_mode(hi, family)).terms.items():
                     add_term(out.terms, key, x * half)
         return out

@@ -9,9 +9,11 @@ once, in the manner of sympy's SDM, with one printer and one module rule;
 each subclass keeps only its key convention, its constructors and what is
 its own.
 
-Invariant: no entry is ever stored as zero.  Every write goes through
+Invariant: no vector ever stores an entry as zero.  Every write goes through
 add_term or skips a zero value, so two vectors are equal exactly when their
-term dictionaries are.
+term dictionaries are.  A kernel's private integer accumulator (laurent's
+product, oscillator's _emit_doubled) may hold zeros until its reader drops
+them on the way to a vector.
 """
 
 from __future__ import annotations

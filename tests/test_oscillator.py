@@ -14,10 +14,12 @@ from focklab.oscillator import (
     BasisNotQuasiSymplectic,
     OscFockVector,
     QuadraticOperator,
+    _column,
     _decode,
     _emit_doubled,
     _encode,
     _half,
+    _moves,
     _packing,
     apply_mode,
     check_quasi_symplectic,
@@ -418,14 +420,15 @@ def test_sweep_agrees_with_per_pair_brackets(monkeypatch, broken):
     assert bool(failing) == bool(broken)
 
 
-# Deliberate defects in the per-key kernel the sweep accumulates with: each
-# target (k, w, acc) adds w x 2 T(D_k)(code) into acc.
+# Deliberate defects in the kernel the sweep accumulates with: each target
+# (k, w, acc) of a job adds w x 2 T(D_k)(code) into acc for each entry of the
+# job's column.
 KERNEL_BREAKS = {
-    "drops the sign": lambda real: lambda code, x, targets, packing: real(
-        code, x, [(k, abs(w), acc) for k, w, acc in targets], packing
+    "drops the sign": lambda real: lambda jobs, moves, packing: real(
+        [(column, [(k, abs(w), acc) for k, w, acc in targets]) for column, targets in jobs], moves, packing
     ),
-    "skips -T_l T_k v": lambda real: lambda code, x, targets, packing: real(
-        code, x, [(k, w, acc) for k, w, acc in targets if w > 0], packing
+    "skips -T_l T_k v": lambda real: lambda jobs, moves, packing: real(
+        [(column, [(k, w, acc) for k, w, acc in targets if w > 0]) for column, targets in jobs], moves, packing
     ),
 }
 
@@ -454,6 +457,79 @@ def test_apply_and_sweep_share_one_kernel(monkeypatch, broken):
     _break_kernel(monkeypatch, broken)
     assert op.apply(v) != _monomial_sum(op, v)
     assert virasoro_sweep(3, 4)
+
+
+def _reference_sweep(kmax, probe_grade):
+    """The l-major sweep that the pair-major virasoro_sweep replaced, on the
+    same kernel: per probe and per l, one _emit_doubled pass over the images
+    of 2 T_l adds +-2 T_k of them into a dictionary per unordered pair, and
+    each ordered pair is compared on its own.  Every name a BREAKS or
+    KERNEL_BREAKS row patches is read from the module at call time."""
+    ks = range(-kmax, kmax + 1)
+    ops = {m: oscillator.tau_hat_Dk(m) for m in range(-2 * kmax, 2 * kmax + 1)}
+    central4 = {(k, l): oscillator._whole(4 * oscillator._virasoro_central(k, l)) for k in ks for l in ks}
+    packing = _packing(probe_grade + 2 * kmax)
+    moves = _moves(packing, {k for op in ops.values() for k in op.weights})
+    tv = {m: {} for m in ops}
+    acc = {(k, l): {} for k in ks for l in ks if k < l}
+    image_targets = [t for m, op in ops.items() for t in op._targets(tv[m])]
+    pair_targets = {l: [t for k in ks if k != l for t in ops[k]._targets(
+        acc[min(k, l), max(k, l)], 1 if k < l else -1)] for l in ks}
+    failures = []
+    for key in osc_basis(probe_grade):
+        code = _encode(key, packing)
+        for d in (*tv.values(), *acc.values()):
+            d.clear()
+        oscillator._emit_doubled([(_column({code: 1}, packing), image_targets)], moves, packing)
+        for l, targets in pair_targets.items():
+            oscillator._emit_doubled([(_column(tv[l], packing), targets)], moves, packing)
+        for i, k in enumerate(ks):
+            if central4[k, k]:
+                failures.append((k, k, key))
+            for l in ks[i + 1:]:
+                pair = acc[k, l]
+                for image, x in tv[k + l].items():
+                    pair[image] = pair.get(image, 0) + 2 * (k - l) * x
+                pair = {t: c for t, c in pair.items() if c}
+                for a, b, want in ((k, l, central4[k, l]), (l, k, -central4[l, k])):
+                    if pair != ({code: want} if want else {}):
+                        failures.append((a, b, key))
+    return failures
+
+
+@pytest.mark.parametrize("kmax, grade", [(0, 3), (3, 4), (6, 6)])
+def test_sweep_equals_the_l_major_reference(kmax, grade):
+    assert virasoro_sweep(kmax, grade) == _reference_sweep(kmax, grade) == []
+
+
+@pytest.mark.parametrize("broken", [*sorted(BREAKS), *sorted(KERNEL_BREAKS)])
+def test_sweep_equals_the_l_major_reference_under_every_break(monkeypatch, broken):
+    (_break if broken in BREAKS else _break_kernel)(monkeypatch, broken)
+    want = _reference_sweep(3, 4)
+    assert want
+    assert virasoro_sweep(3, 4) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(0, 6))
+def test_sweep_keeps_each_ordered_pair_its_own_check(data, kmax, grade):
+    """A central term perturbed at one ordered pair (k, l), not at (l, k):
+    the sweep's failure list, order included, is the reference's."""
+    k, l = (data.draw(st.integers(-kmax, kmax)) for _ in range(2))
+    delta = data.draw(st.sampled_from([1, -1, Fraction(1, 2), Fraction(-1, 4)]))
+    real = oscillator._virasoro_central
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oscillator, "_virasoro_central", lambda a, b: real(a, b) + (delta if (a, b) == (k, l) else 0))
+        want = _reference_sweep(kmax, grade)
+        assert virasoro_sweep(kmax, grade) == want
+    assert {(a, b) for a, b, _ in want} == {(k, l)}
+
+
+def test_the_sweep_makes_no_add_term_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(oscillator, "add_term", lambda *args: calls.append(args))
+    assert virasoro_sweep(6, 11) == []
+    assert not calls
 
 
 @pytest.mark.parametrize("broken", sorted(BREAKS))
@@ -533,7 +609,8 @@ def test_packed_kernel_matches_the_monomial_sum():
     for key in keys:
         # one pass over the key emits the column of every weight
         columns = {k: {} for k in range(-12, 13)}
-        _emit_doubled(_encode(key, packing), 1, [(k, 1, column) for k, column in columns.items()], packing)
+        _emit_doubled([(_column({_encode(key, packing): 1}, packing), [(k, 1, column) for k, column in columns.items()])],
+                      _moves(packing, columns), packing)
         for k, column in columns.items():
             assert all(type(c) is int and c for c in column.values()), (k, key)
             want = _monomial_sum(tau_hat_Dk(k), OscFockVector.basis(key)).scale(2)
@@ -543,7 +620,8 @@ def test_packed_kernel_matches_the_monomial_sum():
 def test_one_multi_target_pass_equals_separate_applications():
     """Targets of several operators, a scaled weight and a central term among
     them, some sharing one dictionary: one _emit_doubled call per key adds
-    what applying each operator on its own adds."""
+    what applying each operator on its own adds (an entry that cancels in a
+    shared dictionary may stay as 0; OscFockVector drops it)."""
     ops = [
         tau_hat_Dk(3),
         tau_hat_Dk(-2).scale(Fraction(-3, 2)),
@@ -554,7 +632,8 @@ def test_one_multi_target_pass_equals_separate_applications():
     for key in osc_basis(6):
         shared = [{}, {}, {}]
         targets = [t for op, acc in zip(ops, [shared[0], shared[1], shared[0], shared[2]]) for t in op._targets(acc)]
-        _emit_doubled(_encode(key, packing), Fraction(2, 3), targets, packing)
+        _emit_doubled([(_column({_encode(key, packing): Fraction(2, 3)}, packing), targets)],
+                      _moves(packing, range(-4, 4)), packing)
         got = [OscFockVector({_decode(code, packing): _half(c) for code, c in acc.items()}) for acc in shared]
         v = OscFockVector({key: Fraction(2, 3)})
         assert got == [ops[0].apply(v) + ops[2].apply(v), ops[1].apply(v), ops[3].apply(v)], key

@@ -6,8 +6,9 @@
 * no module-level import that the module never names -- except in
   `__init__.py`, whose imports are the package's re-exports;
 * no `<dict>.pop(<key>, None)` call -- the accumulate-and-drop-zero idiom --
-  outside `sparse.py`: every sparse sum goes through `sparse.add_term`, so no
-  hand-written loop can store a zero again;
+  outside `sparse.py`: a sparse sum goes through `sparse.add_term`, or into a
+  kernel's private integer accumulator whose reader drops the zeros, so no
+  hand-written loop can store a zero in a vector again;
 * in cli.py, no `SuiteReport(...)` and no `.add(...)` call outside
   `run_suite` -- a suite yields checks, and only the runner makes records;
 * no import of `re` outside `scalars.py` -- `scalars.parse_expression` is
