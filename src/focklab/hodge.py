@@ -364,32 +364,36 @@ def _probe_identities(conn: ConnectionData, keys, sigma_sigma_bar: Form, tr_sbs:
 
 def _probe_pass(conn: ConnectionData, k1: int, k2: int, key):
     """(curvature, lemma, covariant) term dictionaries on the basis probe key
-    from one composition of nabla^FF over (x, y, sign) = (k1, k2, +1),
-    (k2, k1, -1) and the parts b in (Abar^F, s, s_bar) of nabla^FF_y(key)
-    (a constant probe takes no derivative).  Each term also enters at most
-    one more dictionary: nabla^Fbar_x of the s image and rho(s(x)) of the
-    Abar^F image make [nabla^Fbar, rho(s)] (likewise s_bar), and rho(s(x))
-    of the s_bar image and rho(s_bar(x)) of the s image make s^s_bar +
-    s_bar^s."""
-    curv, lemma, covariant = {}, {}, {"s": {}, "sbar": {}}
-    for x, y, sign in ((k1, k2, 1), (k2, k1, -1)):
+    from one composition of nabla^FF per ordered pair (x, y) of (k1, k2):
+    nabla^FF_x of the parts b in (Abar^F, s, s_bar) of nabla^FF_y(key) (a
+    constant probe takes no derivative).  Each term is written once, into its
+    role: nabla^Fbar_x of the s image and rho(s(x)) of the Abar^F image make
+    [nabla^Fbar, rho(s)] (likewise s_bar); rho(s(x)) of the s_bar image and
+    rho(s_bar(x)) of the s image make s^s_bar + s_bar^s; the rest is the
+    curvature's own.  The (k2, k1) half is subtracted per key, and the
+    curvature is the sum of the four roles."""
+    halves = []
+    for x, y in ((k1, k2), (k2, k1)):
+        own, lemma, cov = {}, {}, {"s": {}, "sbar": {}}
         for b in ("abar", "s", "sbar"):
             image = conn._image(b, y, key)
-            if sign < 0:
-                image = -image
+            into = own if b == "abar" else cov[b]
             for kk, c in conn.nabla_fbar(x, image).terms.items():
-                add_term(curv, kk, c)
-                if b != "abar":
-                    add_term(covariant[b], kk, c)
+                add_term(into, kk, c)
             for a in ("s", "sbar"):
-                also = covariant[a] if b == "abar" else None if b == a else lemma
+                into = cov[a] if b == "abar" else own if b == a else lemma
                 for ki, c in image.terms.items():
                     for kk, w in conn._image(a, x, ki).terms.items():
-                        cw = c * w
-                        add_term(curv, kk, cw)
-                        if also is not None:
-                            add_term(also, kk, cw)
-    return curv, lemma, covariant
+                        add_term(into, kk, c * w)
+        halves.append((own, lemma, cov["s"], cov["sbar"]))
+    curv = {}
+    for role, minus in zip(*halves):
+        for kk, c in minus.items():
+            add_term(role, kk, -c)
+        for kk, c in role.items():
+            add_term(curv, kk, c)
+    _, lemma, cov_s, cov_sbar = halves[0]
+    return curv, lemma, {"s": cov_s, "sbar": cov_sbar}
 
 
 def verify_theorem31(fam: HodgeFamily, probe_grade: int = 4) -> dict:

@@ -4,33 +4,27 @@ Elements are quotients of sparse multivariate polynomials over Q(sqrt(-1));
 Polynomial is a SparseVector (sparse.py) keyed by exponent vectors.  The
 parameters are treated as real: conjugation fixes them and conjugates
 coefficients.  There is no general multivariate gcd.  Every RationalFunction
-is stored in one normal form, which `_normalize` computes in three steps:
+is stored in the normal form that `_normalize` computes.  Over a one-term
+denominator c*x^d it is one rule: cancel the monomial content (componentwise
+least exponent) that the numerator shares with x^d, and divide the numerator
+by c.  Over a longer denominator the shared monomial content cancels too;
+then an exact lex long division leaves the quotient over 1, and otherwise
+both are scaled so that the denominator's lex-leading coefficient is 1.  The
+polarized families' denominators are monomials in the imaginary parts.
+Equality never needs a gcd: equal denominators compare numerators, others
+cross multiply.  The hash is built from the lex lead exponent and lead
+coefficient ratio of numerator over denominator, which a common factor
+cannot change (lex is a monomial order), so equal values hash equally.
 
-1. cancel the monomial content: the componentwise least exponent that the
-   numerator and the denominator share;
-2. try exact division of the numerator by the denominator; when it succeeds
-   the quotient is the numerator and the denominator is 1.  A single-term
-   divisor c*x^d divides in closed form: the quotient is {e - d: a / c} when
-   every exponent e of the numerator is at least d, and the division is not
-   exact otherwise.  Longer divisors run lex long division;
-3. otherwise scale both so that the denominator's lex-leading coefficient
-   is 1.
-
-This reduces the quotients of the polarized-family computations, whose
-denominators are monomials in the imaginary parts, completely.  Equality
-never needs a gcd: equal denominators compare numerators, others cross
-multiply.  The hash is built from the lex lead exponent and lead coefficient
-ratio of numerator over denominator, which a common factor cannot change
-(lex is a monomial order), so equal values hash equally.
-
-Some results are in normal form already and skip `_normalize`: negation;
-conjugation, a ring automorphism that keeps every exponent, every exact
-division and the denominator's lead coefficient 1; scaling by a nonzero
-constant, which moves no exponent or exact division and leaves the
-denominator alone; adding zero, which returns the other operand; and the
-constants and variables of a field, whose denominator is 1.
-tests/test_ratfunc.py checks that every operation returns a fixed point of
-`_normalize`.
+Some results skip `_normalize`.  Already normal: negation; conjugation, a
+ring automorphism that keeps every exponent, every exact division and the
+denominator's lead coefficient 1; scaling by a nonzero constant; adding
+zero; a product with a zero factor; the constants and variables of a field.
+Over monomial denominators x^d1, x^d2 the monomial rule applies directly:
+to the product over x^(d1 + d2), the sum over x^max(d1, d2), and the
+derivative d(n/x^d)/dx_k = (x_k dn/dx_k - d_k n) / x^(d + e_k), or
+dn/dx_k / x^d when d_k = 0.  tests/test_ratfunc.py checks that every
+operation returns a fixed point of `_normalize`.
 
 The text format is the grammar of `scalars.parse_expression`.  `str` writes
 num/den and parenthesises a sum or a product of several factors, and
@@ -40,9 +34,9 @@ num/den and parenthesises a sum or a product of several factors, and
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, lt, sub
+from operator import add, sub
 
-from .scalars import ONE, ZERO, GaussianRational, conj as _conj_scalar, parse_expression
+from .scalars import ONE, ZERO, GaussianRational, parse_expression
 from .sparse import SparseVector, add_term
 
 _SCALARS = (int, Fraction, GaussianRational)
@@ -124,6 +118,8 @@ class Polynomial(SparseVector):
     def __mul__(self, other):
         if isinstance(other, GaussianRational):
             return self.scale(other)
+        if not (self.terms and other.terms):
+            return _poly(self.field, {})
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -153,44 +149,16 @@ class Polynomial(SparseVector):
             total = total + term
         return total
 
-    def monomial_content(self):
-        """Componentwise min exponent over all terms (0-tuple if empty)."""
-        if not self.terms:
-            return self.field._zero_exp
-        mins = None
-        for e in self.terms:
-            mins = e if mins is None else tuple(map(min, mins, e))
-        return mins
-
-    def shift_down(self, exp):
-        if exp == self.field._zero_exp:
-            return self
-        return _poly(
-            self.field, {tuple(map(sub, e, exp)): c for e, c in self.terms.items()}
-        )
-
     def _lead(self):
         # lex-largest exponent
         e = max(self.terms)
         return e, self.terms[e]
 
     def divide_exact(self, divisor: "Polynomial"):
-        """Return self/divisor if the division is exact, else None.
-
-        A single-term divisor c*x^d divides in closed form, {e - d: a / c},
-        which is what long division computes for it; longer divisors run lex
-        long division.
-        """
+        """Return self/divisor if the division is exact (lex long division),
+        else None."""
         if not divisor:
             raise ZeroDivisionError("polynomial division by zero")
-        if len(divisor.terms) == 1:
-            ((de, dc),) = divisor.terms.items()
-            out = {}
-            for e, c in self.terms.items():
-                if any(map(lt, e, de)):
-                    return None
-                out[tuple(map(sub, e, de))] = c / dc
-            return _poly(self.field, out)
         # the remainder is updated in place; its lead falls at every step
         rem, (de, dc), quot = dict(self.terms), divisor._lead(), {}
         while rem:
@@ -292,6 +260,11 @@ class RationalFunction:
             return self
         if not self.num:
             return other
+        if len(self.den.terms) == 1 == len(other.den.terms):
+            (d1,), (d2,) = self.den.terms, other.den.terms
+            d = tuple(map(max, d1, d2))
+            num = _shift(self.num, tuple(map(sub, d, d1)), add) + _shift(other.num, tuple(map(sub, d, d2)), add)
+            return _normal(self.field, *_monomial_normal(num, d))
         if self.den == other.den:
             return RationalFunction(self.field, self.num + other.num, self.den)
         return RationalFunction(
@@ -318,6 +291,11 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not (self.num and other.num):
+            return self.field.zero
+        if len(self.den.terms) == 1 == len(other.den.terms):
+            (d1,), (d2,) = self.den.terms, other.den.terms
+            return _normal(self.field, *_monomial_normal(self.num * other.num, tuple(map(add, d1, d2))))
         return RationalFunction(self.field, self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -352,6 +330,14 @@ class RationalFunction:
 
     def derivative(self, param: str) -> "RationalFunction":
         k = self.field.params.index(param)
+        if len(self.den.terms) == 1:
+            (d,) = self.den.terms
+            dk = d[k]
+            if not dk:
+                return _normal(self.field, *_monomial_normal(self.num.derivative(k), d))
+            num = {e: c * (e[k] - dk) for e, c in self.num.terms.items() if e[k] != dk}
+            d = d[:k] + (dk + 1,) + d[k + 1:]
+            return _normal(self.field, *_monomial_normal(_poly(self.field, num), d))
         num = self.num.derivative(k) * self.den - self.num * self.den.derivative(k)
         return RationalFunction(self.field, num, self.den * self.den)
 
@@ -363,18 +349,14 @@ class RationalFunction:
 
     @property
     def is_constant(self) -> bool:
+        # a constant's normal denominator is 1
         zero = self.field._zero_exp
-        return (not self.num or set(self.num.terms) == {zero}) and set(
-            self.den.terms
-        ) == {zero}
+        return set(self.den.terms) == {zero} and set(self.num.terms) <= {zero}
 
     def constant_value(self) -> GaussianRational:
         if not self.is_constant:
             raise ValueError(f"{self} is not constant")
-        if not self.num:
-            return ZERO
-        zero = self.field._zero_exp
-        return self.num.terms[zero] / self.den.terms[zero]
+        return self.num.terms.get(self.field._zero_exp, ZERO)
 
     def __str__(self):
         if not self.num:
@@ -391,13 +373,16 @@ class RationalFunction:
 
 
 def _normalize(num: Polynomial, den: Polynomial):
+    if len(den.terms) == 1:
+        ((d, c),) = den.terms.items()
+        return _monomial_normal(num, d, c)
     field = den.field
     if not num:
         return num, field._one_poly()
     # cancel common monomial factor
-    cm = tuple(map(min, num.monomial_content(), den.monomial_content()))
+    cm = tuple(map(min, *num.terms, *den.terms))
     if any(cm):
-        num, den = num.shift_down(cm), den.shift_down(cm)
+        num, den = _shift(num, cm, sub), _shift(den, cm, sub)
     # opportunistic exact division
     q = num.divide_exact(den)
     if q is not None:
@@ -408,6 +393,24 @@ def _normalize(num: Polynomial, den: Polynomial):
         inv = lead.inverse()
         num, den = num * inv, den * inv
     return num, den
+
+
+def _monomial_normal(num: Polynomial, d, c=ONE):
+    """The normal (num, den) of num / (c x^d): the shared monomial content
+    cancels and c moves into the numerator."""
+    if not num:
+        return num, num.field._one_poly()
+    cm = tuple(map(min, d, *num.terms))
+    if any(cm):
+        num, d = _shift(num, cm, sub), tuple(map(sub, d, cm))
+    return num if c == ONE else num * c.inverse(), _poly(num.field, {d: ONE})
+
+
+def _shift(p: Polynomial, k, op) -> Polynomial:
+    """p * x^k for op = add, p / x^k for op = sub."""
+    if not any(k):
+        return p
+    return _poly(p.field, {tuple(map(op, e, k)): c for e, c in p.terms.items()})
 
 
 def _poly(field, terms: dict) -> Polynomial:
@@ -425,7 +428,3 @@ def _normal(field, num: Polynomial, den: Polynomial) -> RationalFunction:
     rf.num = num
     rf.den = den
     return rf
-
-
-def conj(x):
-    return _conj_scalar(x)

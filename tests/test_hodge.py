@@ -21,7 +21,7 @@ from focklab.hodge import (
     verify_theorem31,
 )
 from focklab.linalg import ExactMatrix, Inconsistent
-from focklab.ratfunc import DifferentialField
+from focklab.ratfunc import DifferentialField, Polynomial
 from focklab.scalars import GaussianRational
 
 F = Fraction
@@ -515,3 +515,28 @@ def test_curvature_failure_is_a_fail_record_and_exit_1(monkeypatch):
         for check in ("det_curvature_is_minus_trace", "flatness", "scalar_equals_half_det_curvature")
     ]
     assert cli.main(["--suite", "connection", "--param", "grade=2"]) == 1
+
+
+def test_theorem31_divides_by_no_polynomial(monkeypatch):
+    """A counting guard (calls, not time): every denominator of the Siegel
+    family is a monomial, so verify_theorem31(siegel_family(1), 4) makes no
+    Polynomial.divide_exact call (1,879 when a one-term denominator went
+    through exact division) and at most 1500 products of two polynomials
+    (4,804 when the monomial denominators were multiplied out too)."""
+    fam = siegel_family(1)
+    calls = {"products": 0, "divide_exact": 0}
+    mul, divide_exact = Polynomial.__mul__, Polynomial.divide_exact
+
+    def counted_mul(a, b):
+        calls["products"] += isinstance(b, Polynomial)
+        return mul(a, b)
+
+    def counted_divide_exact(a, b):
+        calls["divide_exact"] += 1
+        return divide_exact(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted_mul)
+    monkeypatch.setattr(Polynomial, "divide_exact", counted_divide_exact)
+    report = verify_theorem31(fam, 4)
+    assert all(report.values()), report
+    assert calls["divide_exact"] == 0 and calls["products"] <= 1500, calls

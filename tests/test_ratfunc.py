@@ -236,6 +236,10 @@ BINARY = {
 @example("*", XY.parse("x/y"), 0)
 @example("*", GaussianRational(0, 1), XY.parse("(x + 1)/y^2"))
 @example("-", F(1, 2), XY.parse("x/(x + y)"))
+@example("*", XY.parse("y/x"), XY.parse("x/y"))  # monomial denominators, the product is a constant
+@example("+", XY.parse("1/y"), XY.parse("1/(x*y^2)"))  # over the componentwise max x*y^2
+@example("-", XY.parse("1/y"), XY.parse("1/y"))  # a sum that cancels to zero
+@example("/", XY.var("x"), XY.parse("2*y"))  # a one-term denominator 2*y reaches _normalize
 def test_operations_match_long_division(op, a, b):
     if not (isinstance(a, RationalFunction) or isinstance(b, RationalFunction)):
         b = XY.const(b)
@@ -257,6 +261,8 @@ def test_pow_matches_long_division(a, n):
 
 @settings(max_examples=200, deadline=None)
 @given(rfs(), st.sampled_from(["x", "y"]))
+@example(XY.parse("x/y^2"), "y")  # the derivative in a denominator variable
+@example(XY.parse("x/y^2"), "x")  # and in a numerator-only one
 def test_unary_operations_match_long_division(a, param):
     assert_matches(-a, r_neg(ref(a)))
     assert_matches(a.conj(), r_conj(ref(a)))

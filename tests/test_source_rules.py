@@ -28,7 +28,9 @@
 * a class that stores a `terms` dictionary -- in its `__slots__` or as
   `self.terms = ...` -- derives from `SparseVector`, so the linear structure,
   the printer and the module rule of a sparse vector exist once; `Form` is
-  exempt because its values are matrices, not scalars.
+  exempt because its values are matrices, not scalars;
+* the modules together hold at most SOURCE_LINE_GATE lines -- a change that
+  adds source lines pays for them with deletions.
 """
 
 import ast
@@ -39,6 +41,7 @@ import sys
 import focklab
 
 PACKAGE = os.path.dirname(os.path.abspath(focklab.__file__))
+SOURCE_LINE_GATE = 5602
 
 
 def violations(tree):
@@ -276,6 +279,15 @@ def test_package_sources_keep_the_rules():
         if name != "scalars.py":
             found += [f"{name}:{line}: {why} outside scalars.py" for line, why in module_imports(tree, "re")]
     assert found == []
+
+
+def test_package_sources_stay_within_the_line_gate():
+    total = 0
+    for name in os.listdir(PACKAGE):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                total += sum(1 for _ in fh)
+    assert total <= SOURCE_LINE_GATE, total
 
 
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
