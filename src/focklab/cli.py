@@ -10,9 +10,10 @@ invalid parameters, among them a ``--param`` key that no run reads, a
 ``--seed`` (``--prec``) where no run reads ``seed`` (``N``), one parameter
 given two values, and a genus, grade or ``kmax`` that leaves a suite nothing
 to check (a suite raises ValueError before its first check).  A suite
-that raises one of ``FAILURES`` (IdentityFailed, NoIsotropicLift, NotScalar)
-ends with a failed ``<suite>.run`` record; one whose window cannot determine
-a coefficient (PrecisionExhausted) ends with a skipped one naming the window.
+that raises one of ``FAILURES`` (IdentityFailed, NoIsotropicLift, NotScalar,
+NotSymmetric) ends with a failed ``<suite>.run`` record; one whose window
+cannot determine a coefficient (PrecisionExhausted) ends with a skipped one
+naming the window.
 ``--suite all`` goes on with the next suite.  ``--compute`` exits 0 with its
 result printed, 1 with the exception of ``FAILURES`` it raised, 2 as above.
 """
@@ -30,6 +31,7 @@ from .fock import (
     E_inverse,
     E_map,
     FockVector,
+    NotSymmetric,
     SpElement,
     UElement,
     adjoint_failures,
@@ -92,20 +94,32 @@ def _seeded_sym_tensor(space, rng, size=None, f_stable=False):
     return ExactMatrix(c)
 
 
+def _bracket_entries(xs, ys, n):
+    """The nonzero (row * n + col, entry) of A B - B A, in row-major order,
+    for n x n matrices A and B given by their nonzero (row, col, entry)."""
+    acc = {}
+    for left, right, sign in ((xs, ys, 1), (ys, xs, -1)):
+        for r, k, a in left:
+            for k2, c, b in right:
+                if k == k2:
+                    acc[r * n + c] = acc.get(r * n + c, 0) + sign * (a * b)
+    return tuple((rc, v) for rc, v in sorted(acc.items()) if v)
+
+
 def _tau_failure(sp):
     """The first ordered pair (A, B), in row-major order over the span of
     the E(e_a e_b + e_b e_a), with [tau(A), tau(B)] != tau([A, B]), or None.
-    The pairs are grouped by the nonzero entries of their bracket; each group
-    builds tau of that bracket once and is released when it is checked."""
+    The pairs are grouped by the nonzero entries of their bracket, formed
+    from the at most two nonzero entries of each operand; each group builds
+    tau of that bracket once and is released when it is checked."""
     units = [(sp.basis_vector(la), sp.basis_vector(lb)) for la in sp.labels() for lb in sp.labels() if la <= lb]
     span = [E_map(sp, ExactMatrix([[a * y + b * x for x, y in zip(u, v)] for a, b in zip(u, v)])) for u, v in units]
     taus = [tau(sp, x) for x in span]
+    support = [[(r, c, v) for r, row in enumerate(x.matrix.rows) for c, v in enumerate(row) if v] for x in span]
     n, groups = 2 * sp.g, {}  # the nonzero (row * n + col, entry) of [A, B] -> its pairs
-    for i, x in enumerate(span):
-        for j, y in enumerate(span):
-            rows = x.bracket(y).matrix.rows
-            key = tuple((r * n + c, v) for r, row in enumerate(rows) for c, v in enumerate(row) if v)
-            groups.setdefault(key, []).append((i, j))
+    for i, xs in enumerate(support):
+        for j, ys in enumerate(support):
+            groups.setdefault(_bracket_entries(xs, ys, n), []).append((i, j))
     first, dom = None, span[0].matrix.domain  # every bracket's domain
     while groups:  # popping frees each group's pairs once they are checked
         entries, pairs = groups.popitem()
@@ -454,7 +468,7 @@ ALL = [(name, {}, "") for name in SUITES if name != "hyperelliptic"] + [
 
 
 # A suite or computation that raises one of these has found a false identity.
-FAILURES = (IdentityFailed, NoIsotropicLift, NotScalar)
+FAILURES = (IdentityFailed, NoIsotropicLift, NotScalar, NotSymmetric)
 
 
 def _exact(c) -> Fraction:

@@ -22,8 +22,7 @@ copies of each distinct column a subset takes, each count weighted by an
 exact binomial product.  The sum is the permanent exactly, term for term,
 with prod_c (m_c + 1) terms for column multiplicities m_c against the 2^n
 subsets of the plain formula (3 against 8 for e_{-1}^3).  A space pairs
-each ordered key pair once and keeps only nonzero values; sp(H) brackets
-are formed from nonzero entries.
+each ordered key pair once and keeps every value, zero or not.
 """
 
 from __future__ import annotations
@@ -177,7 +176,7 @@ class SymplecticSpace:
 
     def key_pairing(self, kv: tuple, kw: tuple):
         """<e_kv v_o, e_kw v_o> for Fock keys of one grade: the permanent of
-        their Hermitian pairings, kept when nonzero for the ordered pair, as
+        their Hermitian pairings, kept for the ordered pair (zero or not), as
         the form need not be diagonal."""
         hit = self._key_pair_cache.get((kv, kw))
         if hit is not None:
@@ -185,8 +184,7 @@ class SymplecticSpace:
         (labels, mult), (w_labels, w_mult) = _multiset(kv), _multiset(kw)
         rows = [[self.hermitian_pair(a, b) for b in w_labels] for a in labels]
         value = _grouped_permanent(rows, mult, w_mult)
-        if value:
-            self._key_pair_cache[(kv, kw)] = value
+        self._key_pair_cache[(kv, kw)] = value
         return value
 
 
@@ -341,7 +339,8 @@ class SpElement:
         return SpElement(self.space, self.matrix * c, check=False)
 
     def bracket(self, other):
-        return SpElement(self.space, self.matrix.commutator(other.matrix), check=False)
+        a, b = self.matrix, other.matrix
+        return SpElement(self.space, a * b - b * a, check=False)
 
     def trace_on_complement(self):
         """trace(A^{F'}): restriction to F' followed by projection onto F'."""

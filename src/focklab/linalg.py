@@ -184,25 +184,6 @@ class ExactMatrix:
             out.append(acc)
         return ExactMatrix._over(out, dom)
 
-    def commutator(self, other):
-        """self * other - other * self, in one pass over the nonzero entries
-        of each square operand."""
-        n = self.nrows
-        if not self.ncols == other.nrows == other.ncols == n:
-            raise ValueError("dimension mismatch")
-        support = [[(k, x) for k, x in enumerate(r) if x] for r in self.rows + other.rows]
-        left, right = support[:n], support[n:]
-        dom = _join(self.domain, other.domain)
-        out = [[dom.zero] * n for _ in range(n)]
-        for acc, ls, rs in zip(out, left, right):
-            for k, a in ls:
-                for j, b in right[k]:
-                    acc[j] = acc[j] + a * b
-            for k, b in rs:
-                for j, a in left[k]:
-                    acc[j] = acc[j] - b * a
-        return ExactMatrix._over(out, dom)
-
     def __rmul__(self, other):
         return self._scale(other)
 

@@ -114,6 +114,21 @@ def test_hyperelliptic_covariant_scalar_failure_is_a_fail_record(monkeypatch, ca
     assert "invalid parameters" not in capsys.readouterr().err
 
 
+def test_a_failed_symmetry_certificate_is_a_fail_record(monkeypatch, capsys):
+    """No parameter reaches NotSymmetric, so an E^{-1} image that is not
+    symmetric is a false identity: a failed fock-basics.run record naming
+    it and exit 1, not the "invalid parameters" exit 2 of bad input."""
+    from focklab import cli, fock
+
+    monkeypatch.setattr(cli, "E_inverse", lambda sp, a: fock.normal_order_tensor(sp, fock.E_inverse(sp, a)))
+    rep = cli.run_suite("fock-basics", {"g": 1})
+    assert [(c.id, c.status, c.witness) for c in rep.checks] == [
+        ("fock-basics.run", "fail", "NotSymmetric: coefficient matrix is not symmetric")
+    ]
+    assert main(["--suite", "fock-basics", "--param", "g=1"]) == 1
+    assert "invalid parameters" not in capsys.readouterr().err
+
+
 # One deliberate defect per fock-basics and adjoint check, in a name the cli
 # module imports (or a method of one), keyed by the one record it must break:
 # (name, attribute or None, wrapper of the real callable).
@@ -185,6 +200,28 @@ def _tau_witness_by_pairs(g):
     return None
 
 
+def test_tau_groups_from_nonzero_entries_are_the_matrix_brackets():
+    """Check 04's groups, keyed by _bracket_entries on each spanning
+    matrix's nonzero entries, are the groups keyed by the nonzero entries of
+    SpElement.bracket: the same keys with the same pair lists, in the same
+    order (155 groups of 441 pairs at g = 3)."""
+    from focklab import cli
+
+    for g in (1, 2, 3):
+        sp, n = cli.standard_space(g), 2 * g
+        span = _tau_span(sp)
+        support = [[(r, c, v) for r, row in enumerate(x.matrix.rows) for c, v in enumerate(row) if v] for x in span]
+        by_entries, by_matrix = {}, {}
+        for i, x in enumerate(span):
+            for j, y in enumerate(span):
+                by_entries.setdefault(cli._bracket_entries(support[i], support[j], n), []).append((i, j))
+                rows = x.bracket(y).matrix.rows
+                key = tuple((r * n + c, v) for r, row in enumerate(rows) for c, v in enumerate(row) if v)
+                by_matrix.setdefault(key, []).append((i, j))
+        assert list(by_entries.items()) == list(by_matrix.items())
+    assert len(by_entries) == 155
+
+
 def _only_tau_check_fails_with(want):
     rep = run_suite("fock-basics", {"g": 3})
     assert [(c.id, c.witness) for c in rep.failed] == [("fock-basics.04-tau-homomorphism", want)]
@@ -251,12 +288,17 @@ def test_finite_fock_suites_build_each_image_once(monkeypatch):
     ordered pairs of check 04 built tau of its own bracket, and formed each
     bracket from two products (1,100 UElement.__mul__ calls); one tau per
     distinct bracket (207 over g = 1..3) brings that to 250 (E_inverse 277),
-    and the one-pass bracket needs no product.  Adjoint's inner products
-    meet 35 distinct key pairs with a nonzero pairing, and computed a nonzero
-    permanent 324 times when no space kept its pairings."""
+    and the one-pass bracket needs no product.  Check 04 keys its groups by
+    brackets formed from the spanning matrices' nonzero entries, with no
+    SpElement.bracket call (550 when each pair formed a matrix commutator).
+    Adjoint's inner products meet 181 distinct key pairs, 35 of them with a
+    nonzero pairing: it computed a nonzero permanent 324 times when no space
+    kept its pairings, and 1,281 permanents when a space kept only nonzero
+    ones.  Fock-basics computes 431 permanents."""
     from focklab import cli, fock
 
-    calls = dict.fromkeys(["rho_vector", "from_tensor", "E_inverse", "nonzero_permanent", "tau", "mul"], 0)
+    calls = dict.fromkeys(
+        ["rho_vector", "from_tensor", "E_inverse", "permanent", "nonzero_permanent", "tau", "mul", "sp_bracket"], 0)
 
     def counted(name, inner):
         def wrapper(*args, **kwargs):
@@ -268,6 +310,7 @@ def test_finite_fock_suites_build_each_image_once(monkeypatch):
 
     def counted_permanent(*args):
         value = permanent(*args)
+        calls["permanent"] += 1
         calls["nonzero_permanent"] += bool(value)
         return value
 
@@ -279,15 +322,16 @@ def test_finite_fock_suites_build_each_image_once(monkeypatch):
     monkeypatch.setattr(fock, "_grouped_permanent", counted_permanent)
     monkeypatch.setattr(cli, "tau", counted("tau", cli.tau))
     monkeypatch.setattr(fock.UElement, "__mul__", counted("mul", fock.UElement.__mul__))
+    monkeypatch.setattr(fock.SpElement, "bracket", counted("sp_bracket", fock.SpElement.bracket))
     rep = run_suite("adjoint", {"g": 3, "grade": 4, "seed": 64})
     assert not rep.failed and len(rep.checks) == 3
     assert calls["rho_vector"] <= 340 and calls["from_tensor"] <= 24, calls
-    assert calls["nonzero_permanent"] <= 35, calls
+    assert calls["permanent"] <= 181 and calls["nonzero_permanent"] <= 35, calls
     calls.update(dict.fromkeys(calls, 0))
     rep = run_suite("fock-basics", {"g": 3, "seed": 64})
     assert not rep.failed and len(rep.checks) == 8
     assert calls["rho_vector"] <= 1026 and calls["tau"] <= 250 and calls["E_inverse"] <= 277, calls
-    assert calls["mul"] == 0, calls
+    assert calls["mul"] == 0 and calls["sp_bracket"] == 0 and calls["permanent"] <= 431, calls
 
 
 @pytest.mark.parametrize("family", ["modular_family", "constant_family"])
