@@ -9,11 +9,14 @@ u = (t^{2g+1} f(1/t))^{-1/2} is a unit.  From the expansions:
     phi_{2i-1} primitives with phi' = u(t^2) t^{2i-2}, i = 1-g .. g
     K^-      = A_p + span(phi_{-1}, phi_{-3}, ..., phi_{1-2g})
 
-The tangent field 2y d/dx + f'(x) d/dy reads D(t) = -t^{2-2g} u(t^2)^{-1} and
-preserves A_p; its A_p-multiples supply vertical derivations for the FT4 and
-scalar-action checks.  The residue Gram of a vertical derivation against the
-holomorphic basis is symmetric by selfadjointness, and with de_j = j omega_j
-the per-entry sign identity is res(e_j d(D e_i)) = -i j res(<D,omega_i> omega_j).
+A rational f keeps the model in Q, where laurent runs in integers: one square
+root r = sqrt(w) = 1/u of w(t) = t^{2g+1} f(1/t), one inverse, u = r/w, and y
+read off r(t^2).  The tangent field 2y d/dx + f'(x) d/dy reads D(t) =
+-t^{2-2g} u(t^2)^{-1} = -t^3 y and preserves A_p; its A_p-multiples supply
+vertical derivations for the FT4 and scalar-action checks.  The residue Gram
+of a vertical derivation against the holomorphic basis is symmetric by
+selfadjointness, and with de_j = j omega_j the per-entry sign identity is
+res(e_j d(D e_i)) = -i j res(<D,omega_i> omega_j).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .laurent import (
     residue_form,
 )
 from .linalg import ExactMatrix
-from .scalars import GaussianRational, IdentityFailed
+from .scalars import QQ, GaussianRational, IdentityFailed
 from .subalgebra import FockSubalgebra, echelon_reduce, echelonize
 
 
@@ -57,7 +60,8 @@ class HyperellipticModel:
     def __init__(self, f_coeffs, genus: int, window: int):
         """f_coeffs[k] is the x^k coefficient of f; deg f = 2g+1 and the
         leading coefficient must be an exact square (1 for monic f)."""
-        self.f = {k: GaussianRational.coerce(c) for k, c in enumerate(f_coeffs) if c}
+        convert = GaussianRational.coerce if any(isinstance(c, GaussianRational) for c in f_coeffs) else QQ.convert
+        self.f = {k: convert(c) for k, c in enumerate(f_coeffs) if c}
         self.g = genus
         self.window = window
         deg = max(self.f, default=-1)
@@ -67,21 +71,21 @@ class HyperellipticModel:
         if not _resultant(self.f, {k - 1: c * k for k, c in self.f.items() if k}):
             raise RepeatedRoots("gcd(f, f') is not constant")
         # w = t^{2g+1} f(1/t): exact polynomial with w(0) = leading coefficient
-        w = LaurentSeries.polynomial(
-            {2 * genus + 1 - k: c for k, c in self.f.items()}
-        )
-        self.u = w.sqrt_unit(prec=window).inv(prec=window)
+        w = LaurentSeries.polynomial({2 * genus + 1 - k: c for k, c in self.f.items()})
+        # u = root/w: 1/w keeps w's small denominators, where 1/root would carry root's
+        root = w.sqrt_unit(prec=window)
+        self.u = root * w.inv(prec=window)
         self.u2 = self.u.compose_monomial(2).truncate(window)
         self.x = LaurentSeries.t_power(-2)
-        self.y = self.u2.inv(prec=window).shift(-1 - 2 * genus)
+        self.y = root.compose_monomial(2).truncate(window).shift(-1 - 2 * genus)
         self._validate()
 
     def _validate(self):
-        fx = LaurentSeries.zero()
-        for k, c in self.f.items():
-            fx = fx + LaurentSeries.t_power(-2 * k).scale(c)
+        fx = LaurentSeries.polynomial({-2 * k: c for k, c in self.f.items()})
         if not (self.y * self.y - fx).is_zero():
             raise IdentityFailed("y(t)^2 != f(x(t)) within the window")
+        if not (self.u2 * self.y - LaurentSeries.t_power(-1 - 2 * self.g)).is_zero():
+            raise IdentityFailed("u(t^2) y(t) != t^(-1-2g) within the window")
         if self.u.coefficient(0) * self.u.coefficient(0) * self.f[2 * self.g + 1] != 1:
             raise IdentityFailed("u(0)^2 * lead(f) != 1")
 
@@ -94,9 +98,9 @@ class HyperellipticModel:
         return integrate(self.omega_coefficient(i))
 
     def tangent_field(self) -> Derivation:
-        """The vector field 2y d/dx + f'(x) d/dy in the local coordinate."""
-        gd = self.u2.inv(prec=self.window).shift(2 - 2 * self.g).scale(-1)
-        return Derivation.from_series(gd)
+        """The vector field 2y d/dx + f'(x) d/dy in the local coordinate:
+        dx/dt = -2 t^-3, so 2y d/dx = -t^3 y d/dt."""
+        return Derivation.from_series(self.y.shift(3).scale(-1))
 
 
 def build_model(f_coeffs, genus: int, window: int) -> HyperellipticModel:
@@ -113,15 +117,9 @@ class CurveFockData:
         self.model = model
         self.degree_bound = degree_bound
         g = model.g
-        self.a_basis = []
-        k = 0
-        while 2 * k <= degree_bound:
-            self.a_basis.append(LaurentSeries.t_power(-2 * k).truncate(model.window))
-            k += 1
-        k = 0
-        while 2 * k + 2 * g + 1 <= degree_bound:
-            self.a_basis.append(model.y * LaurentSeries.t_power(-2 * k))
-            k += 1
+        # x^k (degree 2k), then x^k y (degree 2k + 2g + 1), up to the bound
+        self.a_basis = [LaurentSeries.t_power(-2 * k).truncate(model.window) for k in range(degree_bound // 2 + 1)]
+        self.a_basis += [model.y.shift(-2 * k) for k in range((degree_bound - 2 * g - 1) // 2 + 1)]
         self.phis = {2 * i - 1: model.phi(i) for i in range(1 - g, g + 1)}
         self.omega_curve = [model.omega_coefficient(i) for i in range(1, g + 1)]
         self.kminus_extra = [self.phis[1 - 2 * i] for i in range(1, g + 1)]

@@ -14,12 +14,15 @@ Also here: finite direct sums over a puncture set (SemiLocalSeries), the
 residue form (f,g) = res(g df), derivations D = g(t) d/dt with an optional
 horizontal part acting on coefficient parameters, and formal integration.
 
-Products and residue forms over Q run in integers, with the values of the
-Fraction loops: a product convolves each operand's integer numerators over
-its lcm denominator.  A residue form scans only the overlap window, where f_e
-and g_{-e} can both be stored, or f's exponents where they are fewer, and
-residue_gram writes each series of a Gram once in numerators, as for the 576
-entries of a loop-oscillator basis check.  Q(i) and Q(x) keep generic loops.
+Products, residue forms, inverses and square roots over Q run in integers,
+with the values of the Fraction loops: a product convolves each operand's
+integer numerators over its lcm denominator, and inv and sqrt_unit run their
+recurrences on the unit's numerators over d with a power of d (of 4d for the
+root) as the scale, building each coefficient once.  A residue form scans only
+the overlap window, where f_e and g_{-e} can both be stored, or f's exponents
+where they are fewer, and residue_gram writes each series of a Gram once in
+numerators, as for the 576 entries of a loop-oscillator basis check.  Q(i)
+and Q(x) share the recurrences with d = 1, and keep generic loops.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .scalars import GaussianRational, NotASquare, conj as _conj
+from .scalars import GaussianRational, NotASquare, conj as _conj, fraction_sqrt
 from .ratfunc import DifferentialField, RationalFunction
 from .sparse import add_term
 
@@ -210,11 +213,11 @@ class LaurentSeries:
         )
 
     def _unit(self, prec, what):
-        """(a, lead, width, u) for f = lead t^a u: the order, the leading
-        coefficient, the target window width and the unit u, u_0 = 1, on
-        exponents [0, width).  The width is the number of coefficients from
-        the result's order: f's own, capped by prec; an exactly known
-        polynomial needs prec."""
+        """(a, lead, width, u, d) for f = lead t^a u/d, u_0 = d, on exponents
+        [0, width): over Q, u holds f's integer numerators over their lcm and
+        d = u_0; otherwise u = f/(lead t^a) and d = 1.  The width is the number
+        of coefficients from the result's order: f's own, capped by prec; an
+        exactly known polynomial needs prec."""
         a = self.ord
         lead = self.coeffs[a]
         width = self.prec - a
@@ -228,27 +231,26 @@ class LaurentSeries:
             width = min(width, prec)
         if width < 1:
             raise WindowTooNarrow(f"the {what} is not determined in a window of {width} coefficients")
-        inv_lead = 1 / lead
-        return a, lead, width, {e - a: c * inv_lead for e, c in self.coeffs.items() if e - a < width}
+        part = {e - a: c for e, c in self.coeffs.items() if e - a < width}
+        if (over_q := _numerators(part)) is None:
+            inv_lead = 1 / lead
+            return a, lead, width, {k: c * inv_lead for k, c in part.items()}, 1
+        ((u, _),) = over_q
+        return a, lead, width, u, u[0]
 
     def inv(self, prec: int | None = None) -> "LaurentSeries":
         """Exact inverse within the window (see _unit for prec)."""
         if self.is_zero():
             raise NotInvertible("series is zero within its window")
-        a, lead, width, u = self._unit(prec, "inverse")
-        # 1/u by recursion from v_0 = u_0 = 1, in the scalars' own type
-        v = {0: u[0]}
-        for n in range(1, width):
-            s = 0
-            for k, uk in u.items():
-                if 0 < k <= n:
-                    vk = v.get(n - k)
-                    if vk is not None:
-                        s = s + uk * vk
-            if s:
-                v[n] = -s
+        a, lead, width, u, d = self._unit(prec, "inverse")
+        # d/u = sum_m V_m (t/d)^m: V_0 = 1, V_m = -sum_k u_k d^(k-1) V_(m-k)
+        w = [(k, c * d ** (k - 1)) for k, c in u.items() if k]
+        v = {0: 1}
+        for m in range(1, width):
+            if s := sum(c * x for k, c in w if k <= m and (x := v.get(m - k)) is not None):
+                v[m] = -s
         inv_lead = 1 / lead
-        return LaurentSeries(-a, -a + width, {e - a: c * inv_lead for e, c in v.items()})
+        return LaurentSeries(-a, -a + width, {m - a: _over(x, d**m, inv_lead) for m, x in v.items()})
 
     def sqrt_unit(self, prec: int | None = None) -> "LaurentSeries":
         """Square root with principal branch on the leading coefficient.
@@ -260,20 +262,18 @@ class LaurentSeries:
             return LaurentSeries(self.prec, self.prec, {})
         if self.ord % 2:
             raise NotASquare(f"odd order {self.ord}")
-        a, lead, width, u = self._unit(prec, "square root")
-        root = _scalar_sqrt(lead)
-        # s^2 = u with s_0 = 1:  2 s_n = u_n - sum_{0<k<n} s_k s_{n-k}
-        s = {0: u[0]}
+        a, lead, width, u, d = self._unit(prec, "square root")
+        # sqrt(u/d) = sum_n S_n (t/b)^n: S_0 = 1, 2 S_n = (b^n/d) u_n - sum_{0<k<n} S_k S_(n-k).
+        # Over Q, b = 4d keeps S_n an even integer for n > 0; otherwise b = d = 1
+        ints = type(u[0]) is int
+        b, s = 4 * d if ints else 1, {0: 1}
         for n in range(1, width):
-            acc = u.get(n, 0)
-            for k in range(1, n):
-                sk, snk = s.get(k), s.get(n - k)
-                if sk is not None and snk is not None:
-                    acc = acc - sk * snk
-            half = acc / 2 if acc else 0
-            if half:
-                s[n] = half
-        return LaurentSeries(a // 2, a // 2 + width, {e + a // 2: c * root for e, c in s.items()})
+            acc = u[n] * (b**n // d) if n in u else 0
+            acc -= sum(x * y for k in range(1, n) if (x := s.get(k)) is not None and (y := s.get(n - k)) is not None)
+            if acc:
+                s[n] = acc >> 1 if ints else acc / 2
+        root = _scalar_sqrt(lead)
+        return LaurentSeries(a // 2, a // 2 + width, {n + a // 2: _over(x, b**n, root) for n, x in s.items()})
 
     def compose_monomial(self, m: int) -> "LaurentSeries":
         """Substitute t -> t^m for a nonzero integer m.
@@ -329,11 +329,17 @@ def _numerators(*parts: dict):
     return out
 
 
+def _over(n, d, c):
+    """(n / d) * c, one Fraction for integers n, d and a Fraction c."""
+    if type(n) is int and type(c) is Fraction:
+        return Fraction(n * c.numerator, d * c.denominator)
+    return n * c if d == 1 else Fraction(n, d) * c
+
+
 def _scalar_sqrt(c):
-    if isinstance(c, int):
-        c = GaussianRational(c)
+    """The principal root of a lead; a Fraction for a positive rational square."""
     if isinstance(c, Fraction):
-        c = GaussianRational(c)
+        return fraction_sqrt(c) if c > 0 else GaussianRational(c).sqrt()
     if isinstance(c, GaussianRational):
         return c.sqrt()
     if isinstance(c, RationalFunction) and c.is_constant:

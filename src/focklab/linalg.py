@@ -8,7 +8,8 @@ Products and applications skip zero operands.
 
 Solutions, kernels and inverses are certified by exact back-multiplication;
 there is no pivoting heuristic to go wrong because every comparison is an
-exact zero test.
+exact zero test.  det, rank, kernel and the leading minors eliminate rows
+cleared of denominators: integers over Q, polynomials over a field Q(x, ...).
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def _eliminate(xs, ys, p, factor, prev, start=0):
             num = x * p
         else:
             continue
-        xs[c] = num / prev if prev is not None else num
+        xs[c] = num if prev is None else num // prev if type(prev) is int else num / prev
 
 
 def _back_substitute(m, pivots, b, x):
@@ -283,15 +284,19 @@ class ExactMatrix:
         return m, b, pivots, sign
 
     def rank(self):
-        return len(self._echelon()[2])
+        return len(self._cleared()[0]._echelon()[2])
 
     def _cleared(self):
-        """(self with each row times the product of its distinct
-        denominators, the row scales) over a rational-function field, and
-        (self, None) over the constants.  With no gcd to cancel their common
-        factors, the quotients of Bareiss over the field grow step by step;
-        on the cleared rows, polynomials, every Bareiss division is exact."""
+        """(self with each row cleared of its denominators, the row scales),
+        or (self, None) over Q(sqrt(-1)).  Over Q a row is integers over its
+        lcm, a Fraction scale.  Over a field Q(x, ...), which has no gcd to
+        cancel common factors, a row is multiplied by the product of its
+        distinct denominators; on the cleared rows every Bareiss division is exact."""
         dom = self.domain
+        if dom is QQ:
+            lcms = [math.lcm(*[v.denominator for v in r]) for r in self.rows]
+            rows = [[v.numerator * (d // v.denominator) for v in r] for r, d in zip(self.rows, lcms)]
+            return ExactMatrix._over(rows, dom), [Fraction(d) for d in lcms]
         if not isinstance(dom, DifferentialField):
             return self, None
         one, rows, scales = dom.one.den, [], []
@@ -341,7 +346,7 @@ class ExactMatrix:
 
     def kernel(self):
         """Exact basis of the null space (list of coordinate vectors)."""
-        m, _, pivots, _ = self._echelon()
+        m, _, pivots, _ = self._cleared()[0]._echelon()
         nc = self.ncols
         zero, one = self.domain.zero, self.domain.one
         rhs = [zero] * len(pivots)

@@ -120,11 +120,11 @@ MINOR_ENTRIES = {
 
 
 @st.composite
-def minor_matrices(draw):
+def minor_matrices(draw, domains=tuple(sorted(MINOR_ENTRIES))):
     """A matrix over Q, Q(i) or Q(x, y), square or not, with many zeros; often
     one leading block is made singular (row k a multiple of row 0 on the
     first k + 1 columns), so a zero pivot has minors after it."""
-    entries = MINOR_ENTRIES[draw(st.sampled_from(sorted(MINOR_ENTRIES)))]
+    entries = MINOR_ENTRIES[draw(st.sampled_from(domains))]
     nr, nc = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     rows = [[draw(st.one_of(st.just(0), entries)) for _ in range(nc)] for _ in range(nr)]
     if min(nr, nc) > 1 and draw(st.booleans()):
@@ -159,6 +159,61 @@ def test_det_over_a_field_is_the_permutation_sum(rows):
         for p in itertools.permutations(range(n))
     )
     assert ExactMatrix(rows).det() == leibniz
+
+
+def _fraction_bareiss(rows):
+    """(echelon rows, pivot columns, sign of the swaps) by fraction-free
+    elimination on Fraction entries, each step divided by the last pivot:
+    the oracle for elimination over Q on integer rows."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots, sign, prev = [], 1, Fraction(1)
+    for col in range(len(m[0])):
+        row = len(pivots)
+        piv = next((r for r in range(row, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        if piv != row:
+            m[row], m[piv], sign = m[piv], m[row], -sign
+        p = m[row][col]
+        for r in range(row + 1, len(m)):
+            m[r] = [(x * p - m[r][col] * y) / prev for x, y in zip(m[r], m[row])]
+        prev = p
+        pivots.append(col)
+    return m, pivots, sign
+
+
+def _fraction_kernel(m, pivots, nc):
+    """The kernel vector with a 1 at each free column and 0 at the others."""
+    basis = []
+    for fc in (c for c in range(nc) if c not in pivots):
+        x = [Fraction(0)] * nc
+        x[fc] = Fraction(1)
+        for r in range(len(pivots) - 1, -1, -1):
+            col = pivots[r]
+            x[col] = -sum(m[r][c] * x[c] for c in range(col + 1, nc)) / m[r][col]
+        basis.append(x)
+    return basis
+
+
+@given(minor_matrices(("Q",)))
+@example(ExactMatrix([[Fraction(1, 2), Fraction(1, 3), 0], [Fraction(3, 4), Fraction(1, 2), 0], [0, Fraction(2, 3), Fraction(5, 6)]]))
+@example(ExactMatrix([[Fraction(2, 3), Fraction(4, 3), Fraction(-1, 2), 1], [Fraction(1, 3), Fraction(2, 3), Fraction(1, 5), 0], [1, 2, 0, Fraction(3, 7)]]))
+@example(ExactMatrix([[0, 0], [0, 0]]))
+def test_elimination_over_q_on_integer_rows_matches_fraction_bareiss(m):
+    """det, rank and kernel over Q eliminate each row as integers over its lcm;
+    they equal fraction-free elimination on the Fraction entries, and every
+    value is a Fraction: a float would mean that / ran on two integers."""
+    ech, pivots, sign = _fraction_bareiss(m.rows)
+    assert m.rank() == len(pivots)
+    kernel = m.kernel()
+    assert kernel == _fraction_kernel(ech, pivots, m.ncols)
+    assert all(type(v) is Fraction for x in kernel for v in x)
+    if m.nrows == m.ncols:
+        n = m.nrows
+        want = sign * ech[n - 1][n - 1] if len(pivots) == n else 0
+        got = m.det()
+        assert got == want and type(got) is Fraction
+        assert all(type(v) is Fraction for v in m.leading_principal_minors())
 
 
 # -- differential forms -------------------------------------------------------

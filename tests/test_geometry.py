@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -259,3 +260,40 @@ def test_generic_curves_certify_or_exhaust_the_window(curve):
     assert not rep.failed, (f, [(c.id, c.witness) for c in rep.failed])
     last = rep.checks[-1]
     assert [c.status for c in rep.checks] == ["pass"] * 6 or (last.id, last.status) == ("hyperelliptic.run", "skipped")
+
+
+def test_a_model_takes_one_root_and_one_inverse(monkeypatch):
+    """build_model makes one sqrt_unit and one inv call, and tangent_field()
+    none: y and the tangent field come from the root.  A rational f keeps
+    u and y in Fractions, on the integer paths of laurent."""
+    calls = []
+    for name in ("inv", "sqrt_unit"):
+        real = getattr(LaurentSeries, name)
+        monkeypatch.setattr(LaurentSeries, name, lambda self, *a, _r=real, _n=name, **k: calls.append(_n) or _r(self, *a, **k))
+    model = build_model([0, -1, 0, 0, 0, F(9, 4)], 2, 60)  # a non-monic square lead
+    assert sorted(calls) == ["inv", "sqrt_unit"]
+    D = model.tangent_field()
+    assert sorted(calls) == ["inv", "sqrt_unit"]
+    assert {type(c) for s in (model.u, model.u2, model.y, D.series) for c in s.coeffs.values()} == {F}
+
+
+def test_the_model_certifies_u2_times_y():
+    """y no longer comes from inverting u2, so the model checks u(t^2) y(t) =
+    t^(-1-2g) within the window; an altered u2 fails it."""
+    model = build_model(CURVE_G1, 1, 40)
+    model._validate()
+    model.u2 = model.u2 + LaurentSeries(38, 40, {38: 1})
+    with pytest.raises(IdentityFailed, match=r"u\(t\^2\) y\(t\)"):
+        model._validate()
+
+
+def test_curve_suites_at_the_benchmark_sizes_match_the_pinned_reports():
+    """hyperelliptic and wzw-gram on x^7 - x (g = 3, N = 68) and x^9 - x
+    (g = 4, N = 76), the sizes the benchmark runs and --suite all does not
+    reach, give the reports pinned in tests/data/curves_g3_g4.json."""
+    with open(os.path.join(os.path.dirname(__file__), "data", "curves_g3_g4.json")) as fh:
+        want = json.load(fh)
+    for g in (3, 4):
+        f = [0, -1] + [0] * (2 * g - 1) + [1]
+        for suite in ("hyperelliptic", "wzw-gram"):
+            assert cli.run_suite(suite, {"f": f, "g": g, "N": 44 + 8 * g}).to_json() == want[f"{suite}.g{g}"]

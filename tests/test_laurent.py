@@ -649,3 +649,136 @@ def test_residues_match_the_sympy_product(f, g):
     for got, product in pairs:
         want = sympy.expand(product).coeff(T, -1)
         assert sympy.expand(_sympy_scalar(got, sympy) - want) == 0
+
+
+# -- inv and sqrt_unit over Q in integers, against the generic recurrences -------------
+
+
+def _width(f, prec):
+    """The result's window width, as _unit sets it (None: no window given)."""
+    width = f.prec - f.ord
+    if width >= 1 << 20:
+        return prec
+    return width if prec is None else min(width, prec)
+
+
+def _inv_by_recurrence(f, prec):
+    """1/f by the recurrence in the scalars' own type, from the unit
+    u = f/(lead t^a) with v_0 = u_0: the oracle for the integer path."""
+    a, width = f.ord, _width(f, prec)
+    inv_lead = 1 / f.coeffs[a]
+    u = {e - a: c * inv_lead for e, c in f.coeffs.items() if e - a < width}
+    v = {0: u[0]}
+    for n in range(1, width):
+        s = 0
+        for k, uk in u.items():
+            if 0 < k <= n and (vk := v.get(n - k)) is not None:
+                s = s + uk * vk
+        if s:
+            v[n] = -s
+    return LaurentSeries(-a, -a + width, {e - a: c * inv_lead for e, c in v.items()})
+
+
+def _sqrt_by_recurrence(f, prec):
+    """sqrt(f) by 2 s_n = u_n - sum_{0<k<n} s_k s_{n-k} in the scalars' own
+    type, with the principal root of the lead taken in Q(i) (or the constants
+    of Q(x)): the oracle for the integer path."""
+    a, width = f.ord, _width(f, prec)
+    lead = f.coeffs[a]
+    inv_lead = 1 / lead
+    u = {e - a: c * inv_lead for e, c in f.coeffs.items() if e - a < width}
+    if isinstance(lead, Fraction):
+        root = GaussianRational(lead).sqrt()
+    elif isinstance(lead, GaussianRational):
+        root = lead.sqrt()
+    else:
+        root = lead.field.const(lead.constant_value().sqrt())
+    s = {0: u[0]}
+    for n in range(1, width):
+        acc = u.get(n, 0)
+        for k in range(1, n):
+            if (sk := s.get(k)) is not None and (snk := s.get(n - k)) is not None:
+                acc = acc - sk * snk
+        if acc:
+            s[n] = acc / 2
+    return LaurentSeries(a // 2, a // 2 + width, {e + a // 2: c * root for e, c in s.items()})
+
+
+def _over_q(f):
+    return all(type(c) is Fraction for c in f.coeffs.values())
+
+
+UNIT_DOMAINS = ["Q", "Q", "Q", "Q(i)", "Q(x)"]  # mostly Q, the integer path
+
+
+def _target(draw, domain):
+    """A window for the result; short over Q(x), whose sums grow in degree."""
+    return draw(st.integers(1, 5 if domain == "Q(x)" else 10))
+
+
+@st.composite
+def invertible_series(draw):
+    domain = draw(st.sampled_from(UNIT_DOMAINS))
+    f = draw(windowed_series(COEFFICIENTS[domain]))
+    assume(f)
+    prec = None if draw(st.booleans()) else _target(draw, domain)
+    assume(_width(f, prec) is not None and _width(f, prec) >= 1)
+    return f, prec
+
+
+THIN_UNIT = LaurentSeries.from_terms({1: 1, 2: 2}, 60)  # t + 2 t^2, the loop-oscillator basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(invertible_series())
+@example((LaurentSeries.polynomial({0: F(9, 4), 1: F(1, 3), 3: F(-2, 5)}), 8))  # a non-monic square lead
+@example((LaurentSeries.polynomial({0: -1, 2: F(1, 2)}), 6))  # lead -1
+@example((LaurentSeries.polynomial({0: X.const(2), 1: X.var("x")}), 5))  # Q(x)
+@example((LaurentSeries.polynomial({0: 1, 2: -3, 5: 2}), 9))  # integer coefficients, d = 1
+@example((THIN_UNIT, None))
+def test_inv_over_q_equals_the_generic_recurrence(case):
+    """inv over Q runs on integer numerators; it equals the generic
+    recurrence, is an inverse in the window, and over Q every coefficient is
+    a Fraction."""
+    f, prec = case
+    got, want = f.inv(prec=prec), _inv_by_recurrence(f, prec)
+    assert (got.floor, got.prec) == (want.floor, want.prec) and got == want
+    assert (got * f).agrees_with(LaurentSeries.one())
+    if _over_q(f):
+        assert _over_q(got)
+
+
+@st.composite
+def square_lead_series(draw):
+    """A series of even order whose lead is the square of a nonzero scalar, or
+    over Q its negative, with a root in Q(i); over Q(x) the lead is constant."""
+    domain = draw(st.sampled_from(UNIT_DOMAINS))
+    root = draw(COEFFICIENTS["Q" if domain == "Q(x)" else domain].filter(bool))
+    lead = root * root if domain != "Q" or draw(st.booleans()) else -root * root
+    if domain == "Q(x)":
+        lead = X.const(lead)
+    a = 2 * draw(st.integers(-2, 2))
+    width = draw(st.integers(1, 9))
+    rest = draw(st.dictionaries(st.integers(a + 1, a + width), COEFFICIENTS[domain], max_size=4))
+    prec = EXACT_PREC if draw(st.booleans()) else a + width
+    f = LaurentSeries(a, prec, {a: lead, **{e: c for e, c in rest.items() if e < prec}})
+    return f, _target(draw, domain)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_lead_series())
+@example((LaurentSeries.polynomial({0: F(9, 4), 1: F(1, 3), 3: F(-2, 5)}), 8))
+@example((LaurentSeries.polynomial({0: -1, 2: F(1, 2)}), 6))  # root i: Q(i) coefficients
+@example((LaurentSeries.polynomial({2: X.const(4), 3: X.var("x")}), 5))
+@example((LaurentSeries.polynomial({0: 1, 2: -3, 5: 2}), 9))
+@example((LaurentSeries.polynomial({2: 1, 3: 4, 4: 4}), 60))  # THIN_UNIT squared
+def test_sqrt_unit_over_q_equals_the_generic_recurrence(case):
+    """sqrt_unit over Q runs on integer numerators and halves even integers;
+    it equals the generic recurrence.  Over Q a lead with a rational root
+    gives Fraction coefficients, and a negative lead Q(i) ones."""
+    f, prec = case
+    got, want = f.sqrt_unit(prec=prec), _sqrt_by_recurrence(f, prec)
+    assert (got.floor, got.prec) == (want.floor, want.prec) and got == want
+    if _over_q(f):
+        types = {type(c) for c in got.coeffs.values()}
+        assert types == ({Fraction} if f.coeffs[f.ord] > 0 else {GaussianRational})
