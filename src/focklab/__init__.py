@@ -5,7 +5,7 @@ Layout:
   ratfunc     rational-function differential fields in named real parameters
   linalg      exact matrices: solve / kernel / det, certified by back-substitution
   forms       matrix-valued exterior differential forms, d and wedge
-  laurent     truncated Laurent series, residues, derivations, semi-local sums
+  laurent     truncated Laurent series, residues, derivations
   fock        finite symplectic Fock spaces, normal ordering, tau / tau-hat
   oscillator  oscillator algebra of R((t)), Virasoro brackets, lifted derivations
   subalgebra  Fock-type subalgebras, symplectic quotients, covariants
@@ -24,7 +24,6 @@ from .laurent import (
     NonzeroResidue,
     NotInvertible,
     PrecisionExhausted,
-    SemiLocalSeries,
     WindowTooNarrow,
     integrate,
     parse_series,
@@ -70,7 +69,6 @@ from .subalgebra import (
     NotReduced,
     NotScalar,
     QuotientSymplectic,
-    SemiLocalSubalgebra,
     build_quotient,
     compute_perp,
     covariants,

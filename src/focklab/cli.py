@@ -319,6 +319,8 @@ def suite_fock_type(window, bound):
 
 
 def suite_hyperelliptic(f, g, N):
+    if g < 1:
+        raise ValueError(f"g must be at least 1, got {g}")
     check = "hyperelliptic.01-model", "y(t)^2 = f(x(t)) and u(0) = 1 within the window"
     try:
         model = build_model(f, g, N)

@@ -10,9 +10,9 @@ Exact Laurent polynomials are represented with a very large prec (their
 coefficients are sparse, so this costs nothing); inversion and square roots
 on such inputs require an explicit target window.
 
-Also here: finite direct sums over a puncture set (SemiLocalSeries), the
-residue form (f,g) = res(g df), derivations D = g(t) d/dt with an optional
-horizontal part acting on coefficient parameters, and formal integration.
+Also here: the residue form (f,g) = res(g df), derivations D = g(t) d/dt
+with an optional horizontal part acting on coefficient parameters, and formal
+integration.
 
 Products, residue forms, inverses and square roots over Q run in integers,
 with the values of the Fraction loops: a product convolves each operand's
@@ -513,58 +513,6 @@ class Derivation:
 def pairing_with_form(D: Derivation, form_coeff: LaurentSeries) -> LaurentSeries:
     """<D, h dt> = g*h for the vertical part g d/dt of D."""
     return D.vertical_series() * form_coeff
-
-
-# -- semi-local series --------------------------------------------------------
-
-
-class SemiLocalSeries:
-    """Finite direct sum of Laurent series over a puncture index set."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: dict):
-        if not parts:
-            raise ValueError("puncture set must be nonempty")
-        self.parts = dict(parts)
-
-    @property
-    def punctures(self):
-        return tuple(sorted(self.parts))
-
-    def _zip(self, other, op):
-        if set(self.parts) != set(other.parts):
-            raise ValueError("puncture sets differ")
-        return SemiLocalSeries({p: op(self.parts[p], other.parts[p]) for p in self.parts})
-
-    def __add__(self, other):
-        return self._zip(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._zip(other, lambda a, b: a - b)
-
-    def __mul__(self, other):
-        if isinstance(other, SemiLocalSeries):
-            return self._zip(other, lambda a, b: a * b)
-        return SemiLocalSeries({p: f * other for p, f in self.parts.items()})
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return SemiLocalSeries({p: -f for p, f in self.parts.items()})
-
-    def derivative(self):
-        return SemiLocalSeries({p: f.derivative() for p, f in self.parts.items()})
-
-    def is_zero(self):
-        return all(f.is_zero() for f in self.parts.values())
-
-
-def semilocal_residue_form(f: SemiLocalSeries, g: SemiLocalSeries):
-    """Sum over the punctures of the component forms residue_form(f_p, g_p)."""
-    if set(f.parts) != set(g.parts):
-        raise ValueError("puncture sets differ")
-    return sum(residue_form(fp, g.parts[p]) for p, fp in f.parts.items())
 
 
 # -- text format --------------------------------------------------------------

@@ -6,15 +6,14 @@ a certified leading-term reduction.  All claims carry the window they were
 proved in; a nonzero remainder coefficient inside a valid window certifies
 non-membership exactly.
 
-Both FockSubalgebra and SemiLocalSubalgebra certify FT1-FT4 through one
-implementation over `member(f) -> True | False | None`.  The FT4 rule: an image
-that `member` cannot decide counts under `unchecked` and clears its flag,
-unless the map is a Derivation D whose own order puts the image past the
-bound, -(ord f + ord D) > degree_bound.  Such an image lies outside
-D(A_{<=N+ord D}) in A, the statement the window determines; it still counts
-under `unchecked` but leaves the flag alone.  A flag that no decided nonzero
-image supports reads None (undetermined): a zero image, such as D(1) = 0,
-proves nothing.
+FockSubalgebra.certify decides FT1-FT4 through `member(f) -> True | False |
+None`.  The FT4 rule: an image that `member` cannot decide counts under
+`unchecked` and clears its flag, unless the map is a Derivation D whose own
+order puts the image past the bound, -(ord f + ord D) > degree_bound.  Such
+an image lies outside D(A_{<=N+ord D}) in A, the statement the window
+determines; it still counts under `unchecked` but leaves the flag alone.  A
+flag that no decided nonzero image supports reads None (undetermined): a zero
+image, such as D(1) = 0, proves nothing.
 
 The symplectic quotient H_A = A-perp / A is built following the lift recipe:
 choose negative lifts spanning K/(A+O), correct them to make A + sum(R e_{-i})
@@ -29,15 +28,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .laurent import (
-    Derivation,
-    LaurentSeries,
-    SemiLocalSeries,
-    WindowTooNarrow,
-    residue_form,
-    semilocal_residue_form,
-)
-from .linalg import ExactMatrix, Inconsistent
+from .laurent import Derivation, LaurentSeries, WindowTooNarrow, residue_form
+from .linalg import ExactMatrix
 from .fock import FockVector, standard_space
 from .oscillator import OscFockVector, realize_in_modes, tau_hat_D
 from .sparse import SparseVector, add_term
@@ -94,62 +86,7 @@ def span_membership(f: LaurentSeries, by_ord: dict):
     return False
 
 
-class _FockType:
-    """The one FT1-FT4 certificate of both subalgebra classes.  Each supplies
-    its sources, `member(f) -> True | False | None`, its pairing, the pole
-    orders of an element (one per puncture) and the record head with FT2."""
-
-    def certify(self, derivations=(), perp_reps=()) -> dict:
-        """Certified FT checks within the window.
-
-        FT1 is not machine-checkable (flatness / finite type); the surrogate
-        checks that each product of two sources lies in A, skipping before
-        multiplying a product whose pole orders add up past the bound.  FT3
-        is isotropy of the sources; FT4 follows the rule of the module doc.
-        """
-        record = self._head()
-        record["ft3"] = True
-        record["ft4"] = {}
-        bound = self.degree_bound
-        sources = self._sources()
-        for i, a in enumerate(sources):
-            for b in sources[i:]:
-                if self._pairing(a, b):
-                    record["ft3"] = False
-                if any(
-                    x is not None and y is not None and -(x + y) > bound
-                    for x, y in zip(self._orders(a), self._orders(b))
-                ):
-                    continue
-                if self.member(a * b) is not True:
-                    record["ft1_surrogate"]["products_in_A"] = False
-        for name, d in (
-            derivations.items() if isinstance(derivations, dict) else enumerate(derivations)
-        ):
-            apply = d.apply if isinstance(d, Derivation) else d if callable(d) else None
-            n = d.order() if isinstance(d, Derivation) else None
-            entry = {"preserves_A": True, "maps_perp_to_A": True, "unchecked": 0}
-            for flag, fs in (("preserves_A", sources), ("maps_perp_to_A", perp_reps)):
-                supported = False
-                for f in fs:
-                    img = None if apply is None else apply(f)
-                    verdict = None if img is None else self.member(img)
-                    if verdict is None:
-                        entry["unchecked"] += 1
-                        if n is not None and any(
-                            o is not None and -(o + n) > bound for o in self._orders(f)
-                        ):
-                            continue  # D(f) lies past the bound by D's own order
-                    if verdict is not True:
-                        entry[flag] = False
-                    supported |= verdict is True and not img.is_zero()
-                entry[flag] = entry[flag] and (supported or None)  # None: nothing certified
-            record["ft4"][str(name)] = entry
-        self.certification = record
-        return record
-
-
-class FockSubalgebra(_FockType):
+class FockSubalgebra:
     """Subalgebra given by an order-echelon basis within a window.
 
     degree_bound is the largest represented pole order; window the ambient
@@ -164,7 +101,6 @@ class FockSubalgebra(_FockType):
             raise ValueError("the unit (order 0) must be present")
         self.window = window
         self.degree_bound = degree_bound
-        self.certification: dict = {}
 
     def basis_elements(self):
         return [self.by_ord[o] for o in sorted(self.by_ord, reverse=True)]
@@ -183,102 +119,60 @@ class FockSubalgebra(_FockType):
         """True / False / None: `span_membership` in the stored echelon."""
         return span_membership(f, self.by_ord)
 
-    _sources = basis_elements
+    def certify(self, derivations: dict, perp_reps=()) -> dict:
+        """Certified FT checks within the window, for the named maps in
+        derivations.
 
-    def _pairing(self, a, b):
-        return residue_form(a, b)
-
-    @staticmethod
-    def _orders(f):
-        return (f.ord,)
-
-    def _head(self) -> dict:
-        return {
+        FT1 is not machine-checkable (flatness / finite type); the surrogate
+        checks that each product of two basis elements lies in A, skipping
+        before multiplying a product whose pole orders add up past the bound.
+        FT3 is isotropy of the basis; FT4 follows the rule of the module doc.
+        """
+        bound = self.degree_bound
+        record = {
             "window": self.window,
-            "degree_bound": self.degree_bound,
+            "degree_bound": bound,
             "ft1_surrogate": {"independent_per_degree": True, "products_in_A": True},
             # A cap O = R: the echelon has exactly the unit at order >= 0
             "ft2": {
                 "A_cap_O_is_R": set(o for o in self.by_ord if o >= 0) == {0},
                 "quotient_rank": self.quotient_rank(),
             },
+            "ft3": True,
+            "ft4": {},
         }
-
-    def to_json(self) -> dict:
-        return {
-            "window": self.window,
-            "degree_bound": self.degree_bound,
-            "orders": sorted(self.by_ord),
-            "quotient_rank": self.quotient_rank(),
-            "certification": self.certification,
-        }
+        basis = self.basis_elements()
+        for i, a in enumerate(basis):
+            for b in basis[i:]:
+                if residue_form(a, b):
+                    record["ft3"] = False
+                if -(a.ord + b.ord) <= bound and self.member(a * b) is not True:
+                    record["ft1_surrogate"]["products_in_A"] = False
+        for name, d in derivations.items():
+            apply = d.apply if isinstance(d, Derivation) else d if callable(d) else None
+            n = d.order() if isinstance(d, Derivation) else None
+            entry = {"preserves_A": True, "maps_perp_to_A": True, "unchecked": 0}
+            for flag, fs in (("preserves_A", basis), ("maps_perp_to_A", perp_reps)):
+                supported = False
+                for f in fs:
+                    img = None if apply is None else apply(f)
+                    verdict = None if img is None else self.member(img)
+                    if verdict is None:
+                        entry["unchecked"] += 1
+                        if n is not None and -(f.ord + n) > bound:
+                            continue  # D(f) lies past the bound by D's own order
+                    if verdict is not True:
+                        entry[flag] = False
+                    supported |= verdict is True and not img.is_zero()
+                entry[flag] = entry[flag] and (supported or None)  # None: nothing certified
+            record["ft4"][name] = entry
+        return record
 
 
 def genus0_subalgebra(window: int, degree_bound: int) -> FockSubalgebra:
     """The polynomial subalgebra C[t^{-1}] of the one-point genus-0 model."""
     basis = [LaurentSeries.t_power(-k) for k in range(degree_bound + 1)]
     return FockSubalgebra(basis, window, degree_bound)
-
-
-class SemiLocalSubalgebra(_FockType):
-    """Fock-type certification over a finite puncture set.
-
-    Generators are SemiLocalSeries; membership and corank are decided by
-    exact linear algebra on the stacked coordinate windows, and the residue
-    form is the sum of the component residues.  The quotient construction
-    itself ships only for the one-puncture models.
-    """
-
-    def __init__(self, basis, window: int, degree_bound: int):
-        if not basis or not isinstance(basis[0], SemiLocalSeries):
-            raise TypeError("SemiLocalSubalgebra takes SemiLocalSeries generators")
-        self.basis = list(basis)
-        self.punctures = basis[0].punctures
-        self.window = window
-        self.degree_bound = degree_bound
-        self.certification: dict = {}
-
-    def _coords(self, f, hi: int) -> list:
-        bound = self.degree_bound
-        return [f.parts[p].coeffs.get(e, 0) for p in self.punctures for e in range(-bound, hi)]
-
-    def member(self, f):
-        """True / False / None: membership on the common knowledge window of
-        all participants; None when f has a pole deeper than degree_bound,
-        which the represented basis cannot decide."""
-        if any(c.ord is not None and c.ord < -self.degree_bound for c in f.parts.values()):
-            return None
-        precs = [b.parts[p].prec for b in self.basis + [f] for p in self.punctures]
-        hi = min([self.window] + precs)
-        m = ExactMatrix([self._coords(b, hi) for b in self.basis]).transpose()
-        try:
-            m.solve(self._coords(f, hi))
-            return True
-        except Inconsistent:
-            return False
-
-    def quotient_rank(self) -> int:
-        """Corank of the negative part of A + O within the degree bound."""
-        rank = ExactMatrix([self._coords(b, 0) for b in self.basis]).rank()
-        return self.degree_bound * len(self.punctures) - rank
-
-    def _sources(self):
-        return self.basis
-
-    def _pairing(self, a, b):
-        return semilocal_residue_form(a, b)
-
-    def _orders(self, f):
-        return tuple(f.parts[p].ord for p in self.punctures)
-
-    def _head(self) -> dict:
-        return {
-            "window": self.window,
-            "degree_bound": self.degree_bound,
-            "punctures": list(self.punctures),
-            "ft1_surrogate": {"products_in_A": True},
-            "ft2": {"quotient_rank": self.quotient_rank()},
-        }
 
 
 # -- A-perp ----------------------------------------------------------------------

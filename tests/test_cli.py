@@ -595,6 +595,18 @@ def test_wzw_gram_without_a_genus_is_invalid(capsys):
     assert "invalid parameters: g must be at least 1, got 0" in capsys.readouterr().err
 
 
+def test_hyperelliptic_without_a_genus_is_invalid(monkeypatch, capsys):
+    """g = 0 is refused before the model is built, not after records 01, 02
+    and 04 of a curve that has no genus."""
+    from focklab import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "build_model", lambda *args: calls.append(args))
+    assert main(["--suite", "hyperelliptic", "--param", "f=[1,1]", "--param", "g=0"]) == 2
+    assert "invalid parameters: g must be at least 1, got 0" in capsys.readouterr().err
+    assert calls == []
+
+
 @pytest.mark.parametrize("params", [["v=eb3"], ["g=0"], ["v=eb0"], ["v=eb-1"]])
 def test_inner_product_refuses_a_generator_outside_the_genus(capsys, params):
     """Each index of a ē monomial lies in 1..g, and g is at least 1."""
@@ -626,7 +638,7 @@ def test_hyperelliptic_fock_type_reads_an_undetermined_ft4_flag_as_skipped(monke
     FT3 beside a None flag, with the certificate record as its witness."""
     from focklab import subalgebra
 
-    real = subalgebra._FockType.certify
+    real = subalgebra.FockSubalgebra.certify
 
     def certify(self, *args, **kwargs):
         record = real(self, *args, **kwargs)
@@ -634,7 +646,7 @@ def test_hyperelliptic_fock_type_reads_an_undetermined_ft4_flag_as_skipped(monke
         record.update(other)
         return record
 
-    monkeypatch.setattr(subalgebra._FockType, "certify", certify)
+    monkeypatch.setattr(subalgebra.FockSubalgebra, "certify", certify)
     rep = run_suite("hyperelliptic", {})
     (check,) = [c for c in rep.checks if c.id == "hyperelliptic.02-fock-type"]
     assert check.status == status

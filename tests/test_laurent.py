@@ -10,7 +10,6 @@ from focklab.laurent import (
     NonzeroResidue,
     NotInvertible,
     PrecisionExhausted,
-    SemiLocalSeries,
     WindowTooNarrow,
     _residue_exponents,
     format_series,
@@ -20,19 +19,12 @@ from focklab.laurent import (
     pairing_with_form,
     residue_form,
     residue_gram,
-    semilocal_residue_form,
 )
 from focklab.ratfunc import DifferentialField
 from focklab.scalars import GaussianRational, NotASquare
 
 F = Fraction
 t = LaurentSeries.t_power
-
-
-def residue_sum(f: SemiLocalSeries):
-    """Sum of the exact component residues of f dt (the oracle for
-    semilocal_residue_form)."""
-    return sum(residue(fp) for fp in f.parts.values())
 
 
 def geometric(prec):
@@ -450,57 +442,12 @@ def test_precision_soundness():
     assert lo.agrees_with(hi)
 
 
-def test_semilocal_residue_sum_of_exact_differential():
-    f = SemiLocalSeries(
-        {
-            "p": LaurentSeries.polynomial({-3: 2, 1: 5}),
-            "q": LaurentSeries.polynomial({-1: 7, 2: 1}),
-        }
-    )
-    assert residue_sum(f.derivative()) == 0
-    g = SemiLocalSeries(
-        {"p": LaurentSeries.polynomial({-1: 1}), "q": LaurentSeries.polynomial({0: 1})}
-    )
-    # pairing sums component residues
-    assert semilocal_residue_form(f, g) == residue_form(
-        LaurentSeries.polynomial({-3: 2, 1: 5}), LaurentSeries.polynomial({-1: 1})
-    ) + residue_form(
-        LaurentSeries.polynomial({-1: 7, 2: 1}), LaurentSeries.polynomial({0: 1})
-    )
-
-
 def _outcome(fn):
     """The value of fn(), or the class of the error it raised."""
     try:
         return fn()
     except (WindowTooNarrow, ValueError) as exc:
         return type(exc)
-
-
-@st.composite
-def semilocal_pairs(draw):
-    """Two semi-local series on one puncture set, or on two different ones."""
-    coefficients = COEFFICIENTS[draw(st.sampled_from(sorted(COEFFICIENTS)))]
-    names = draw(st.lists(st.sampled_from("pqr"), min_size=1, max_size=3, unique=True))
-    f = {p: draw(windowed_series(coefficients)) for p in names}
-    g = {p: draw(windowed_series(coefficients)) for p in names}
-    if draw(st.integers(0, 5)) == 0:
-        g[draw(st.sampled_from("pqrs"))] = draw(windowed_series(coefficients))
-    return SemiLocalSeries(f), SemiLocalSeries(g)
-
-
-@settings(max_examples=200, deadline=None)
-@given(semilocal_pairs())
-@example((SemiLocalSeries({"p": t(1)}), SemiLocalSeries({"q": t(-1)})))
-@example((SemiLocalSeries({"p": t(1), "q": LaurentSeries(-1, 1, {-1: 1})}),
-          SemiLocalSeries({"p": t(-1), "q": LaurentSeries(1, 1, {})})))
-def test_semilocal_residue_form_matches_product(pair):
-    """Sum of component residue_form values against residue_sum(g * df)."""
-    f, g = pair
-    got = _outcome(lambda: semilocal_residue_form(f, g))
-    want = _outcome(lambda: residue_sum(g * f.derivative()))
-    assert got == want
-    assert bool(got) == bool(want)
 
 
 @st.composite

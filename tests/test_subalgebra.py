@@ -267,126 +267,47 @@ def test_scalar_action_rejects_horizontal():
         scalar_action(Derivation(k=1, horizontal={"x": 1}), q, [KMinusVector.vacuum()])
 
 
-def test_semilocal_two_puncture_rational_model():
-    """C[x, 1/x] on the two-point rational model: isotropic for the summed
-    residue form and of corank zero, with x d/dx preserving it."""
-    from focklab.laurent import SemiLocalSeries
-    from focklab.subalgebra import SemiLocalSubalgebra
-
-    bound, window = 6, 12
-
-    def xpow(k):
-        # x = t at the origin puncture, x = 1/t at infinity
-        return SemiLocalSeries(
-            {
-                "0": LaurentSeries.t_power(k).truncate(window),
-                "inf": LaurentSeries.t_power(-k).truncate(window),
-            }
-        )
-
-    basis = [xpow(k) for k in range(-bound, bound + 1)]
-    sub = SemiLocalSubalgebra(basis, window=window, degree_bound=bound)
-
-    def euler_field(f):
-        # x d/dx reads t d/dt at 0 and -t d/dt at infinity
-        return SemiLocalSeries(
-            {
-                "0": Derivation.D(0).apply(f.parts["0"]),
-                "inf": Derivation.D(0).apply(f.parts["inf"]).scale(-1),
-            }
-        )
-
-    record = sub.certify(derivations={"euler": euler_field})
-    assert record["ft3"]  # summed residues cancel between the two punctures
-    assert record["ft2"]["quotient_rank"] == 0
-    assert record["ft1_surrogate"]["products_in_A"]
-    assert record["ft4"]["euler"]["preserves_A"]
-    # a single-puncture residue does NOT vanish: the cancellation is global
-    from focklab.laurent import residue_form as rf
-
-    assert rf(xpow(2).parts["0"], xpow(-2).parts["0"]) == 2
-
-
-def test_semilocal_membership_below_the_degree_bound_is_undetermined():
+def test_membership_below_the_degree_bound_is_undetermined():
     """A pole deeper than degree_bound lies outside the represented basis, so
     membership there is undetermined, never a certified member."""
-    from focklab.laurent import SemiLocalSeries
-    from focklab.subalgebra import SemiLocalSubalgebra
-
-    def pair(p, q):
-        return SemiLocalSeries({"p": LaurentSeries.from_terms(p, 8), "q": LaurentSeries.from_terms(q, 8)})
-
-    one = pair({0: 1}, {0: 1})
-    deep = pair({-5: 1, 0: 1}, {0: 1})  # (t^-5 + 1) + 1
-    sub = SemiLocalSubalgebra([one], window=8, degree_bound=3)
-    assert sub.member(one) is True
-    assert sub.member(pair({-2: 1, 0: 1}, {0: 1})) is False
-    assert sub.member(deep) is None
-    record = sub.certify(derivations={"to-deep": lambda f: deep}, perp_reps=[one])
-    assert record["ft4"]["to-deep"] == {"preserves_A": False, "maps_perp_to_A": False, "unchecked": 2}
+    sub = genus0_subalgebra(window=24, degree_bound=10)
+    assert sub.member(LaurentSeries.from_terms({-2: 1, 0: 1}, 24)) is True
+    assert sub.member(LaurentSeries.t_power(1)) is False
+    assert sub.member(LaurentSeries.t_power(-12)) is None
 
 
-def test_semilocal_ft4_counts_images_it_did_not_compute():
+def test_ft4_counts_images_it_did_not_compute():
     """A derivation that is not callable yields no image: each basis element
-    and each A-perp representative counts as unchecked, never as a pass."""
-    from focklab.laurent import SemiLocalSeries
-    from focklab.subalgebra import SemiLocalSubalgebra
-
-    one = SemiLocalSeries({"p": LaurentSeries.from_terms({0: 1}, 8)})
-    sub = SemiLocalSubalgebra([one], window=8, degree_bound=3)
-    record = sub.certify(derivations={"not-callable": 5}, perp_reps=[one, one])
-    assert record["ft4"]["not-callable"] == {"preserves_A": False, "maps_perp_to_A": False, "unchecked": 3}
-    record = sub.certify(derivations={"zero": lambda f: f.derivative()}, perp_reps=[one])
+    and each A-perp representative counts as unchecked, never as a pass; a
+    map whose every image is zero certifies nothing."""
+    sub = genus0_subalgebra(window=24, degree_bound=10)
+    one = LaurentSeries.t_power(0)
+    record = sub.certify(derivations={"not-callable": 5}, perp_reps=[one])
+    assert record["ft4"]["not-callable"] == {"preserves_A": False, "maps_perp_to_A": False, "unchecked": 12}
+    record = sub.certify(derivations={"zero": lambda f: f.scale(0)}, perp_reps=[one])
     assert record["ft4"]["zero"] == {"preserves_A": None, "maps_perp_to_A": None, "unchecked": 0}
 
 
-def _genus0_pair(window=24, bound=10):
-    """C[t^-1] as a FockSubalgebra and as a one-puncture SemiLocalSubalgebra."""
-    from focklab.laurent import SemiLocalSeries
-    from focklab.subalgebra import SemiLocalSubalgebra
-
-    basis = [LaurentSeries.t_power(-k).truncate(window) for k in range(bound + 1)]
-    local = SemiLocalSubalgebra(
-        [SemiLocalSeries({"p": f}) for f in basis], window=window, degree_bound=bound
-    )
-    return FockSubalgebra(basis, window, bound), local
-
-
-def test_ft4_rule_is_the_same_for_both_subalgebra_classes():
-    """The same image maps give equal FT4 entries on C[t^-1], whether A is a
-    FockSubalgebra or a one-puncture SemiLocalSubalgebra."""
-    from focklab.laurent import SemiLocalSeries
-
+def test_ft4_entries_of_a_preserving_and_a_deepening_map():
+    """On C[t^-1], D_1 given as a plain map preserves A and maps A-perp into
+    it; a map onto a pole past the bound decides nothing and fails both flags."""
     window, bound = 24, 10
-    fock, local = _genus0_pair(window, bound)
+    sub = genus0_subalgebra(window, bound)
     deep = LaurentSeries.from_terms({-(bound + 2): 1, 0: 1}, window)
-
-    def on_parts(h):
-        # one map for both classes: a SemiLocalSeries is mapped part by part
-        def image(f):
-            if isinstance(f, SemiLocalSeries):
-                return SemiLocalSeries({p: h(c) for p, c in f.parts.items()})
-            return h(f)
-        return image
-
-    maps = {"D1": on_parts(Derivation.D(1).apply), "to-deep": on_parts(lambda f: deep)}
+    maps = {"D1": Derivation.D(1).apply, "to-deep": lambda f: deep}
     perp = [LaurentSeries.t_power(-k).truncate(window) for k in (1, 3)]
-    got_fock = fock.certify(derivations=maps, perp_reps=perp)["ft4"]
-    got_local = local.certify(
-        derivations=maps, perp_reps=[SemiLocalSeries({"p": f}) for f in perp]
-    )["ft4"]
-    assert got_fock == got_local
-    assert got_fock["D1"] == {"preserves_A": True, "maps_perp_to_A": True, "unchecked": 0}
-    assert got_fock["to-deep"] == {"preserves_A": False, "maps_perp_to_A": False, "unchecked": bound + 3}
+    got = sub.certify(derivations=maps, perp_reps=perp)["ft4"]
+    assert got["D1"] == {"preserves_A": True, "maps_perp_to_A": True, "unchecked": 0}
+    assert got["to-deep"] == {"preserves_A": False, "maps_perp_to_A": False, "unchecked": bound + 3}
 
 
 def test_ft4_leaves_the_flag_only_for_images_a_derivation_puts_past_the_bound():
     """D_{-1} = d/dt sends t^-N one order past the bound N: as a Derivation
     that image is unchecked and D_{-1}(A_{<=N-1}) in A is certified; the same
     map given as a plain callable cannot vouch for its image and fails."""
-    fock, _local = _genus0_pair()
+    sub = genus0_subalgebra(window=24, degree_bound=10)
     d = Derivation.D(-1)
-    record = fock.certify(derivations={"derivation": d, "callable": d.apply})["ft4"]
+    record = sub.certify(derivations={"derivation": d, "callable": d.apply})["ft4"]
     assert record["derivation"] == {"preserves_A": True, "maps_perp_to_A": None, "unchecked": 1}
     assert record["callable"] == {"preserves_A": False, "maps_perp_to_A": None, "unchecked": 1}
 
@@ -430,14 +351,14 @@ def test_scalar_action_is_exact():
     assert lam == 0 and not isinstance(lam, float)
 
 
-@pytest.mark.parametrize("kernel", ["residue_form", "semilocal_residue_form"])
+@pytest.mark.parametrize("kernel", ["residue_form"])
 def test_ft3_reads_the_pairing_kernel_at_call_time(monkeypatch, kernel):
-    """FT3 of both classes calls its kernel by the name the subalgebra module
-    gives it, so a patch of that name reaches the isotropy check."""
+    """FT3 calls its kernel by the name the subalgebra module gives it, so a
+    patch of that name reaches the isotropy check."""
     from focklab import subalgebra
 
-    sub = dict(zip(("residue_form", "semilocal_residue_form"), _genus0_pair()))[kernel]
-    assert sub.certify()["ft3"] is True
+    sub = genus0_subalgebra(window=24, degree_bound=10)
+    assert sub.certify({})["ft3"] is True
     real = getattr(subalgebra, kernel)
     monkeypatch.setattr(subalgebra, kernel, lambda f, g: real(f, g) + 1)
-    assert sub.certify()["ft3"] is False
+    assert sub.certify({})["ft3"] is False
