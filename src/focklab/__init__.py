@@ -3,7 +3,7 @@
 Layout:
   scalars     Q(sqrt(-1)) arithmetic, scalar domains, the text grammar of exact values
   ratfunc     rational-function differential fields in named real parameters
-  linalg      exact matrices: solve / kernel / det, certified by back-substitution
+  linalg      exact matrices: kernel / inverse / det, certified by back-substitution
   forms       matrix-valued exterior differential forms, d and wedge
   laurent     truncated Laurent series, residues, derivations
   fock        finite symplectic Fock spaces, normal ordering, tau / tau-hat
@@ -16,7 +16,7 @@ Layout:
 
 from .scalars import GaussianRational, I, NotASquare, conj, parse_gaussian
 from .ratfunc import DifferentialField, Polynomial, RationalFunction
-from .linalg import ExactMatrix, Inconsistent
+from .linalg import ExactMatrix
 from .forms import DegreeOverflow, Form, exterior_derivative
 from .laurent import (
     Derivation,
@@ -94,7 +94,6 @@ from .hodge import (
     HodgeFamily,
     NotSymplecticFrame,
     connection_blocks,
-    constant_family,
     curvature,
     modular_family,
     siegel_family,

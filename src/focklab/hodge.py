@@ -516,12 +516,3 @@ def siegel_family(coupling=0) -> HodgeFamily:
     v1 = [field.one, field.zero, t1, c]
     v2 = [field.zero, field.one, c, t2]
     return HodgeFamily(field, flat, [v1, v2], {"x1": 0, "y1": 1, "x2": 0, "y2": 2})
-
-
-def constant_family() -> HodgeFamily:
-    """Parameter-independent frame: sigma = 0 and every curvature vanishes."""
-    field = DifferentialField(["x", "y"])
-    flat = ExactMatrix([[GaussianRational(0), GaussianRational(1)],
-                        [GaussianRational(-1), GaussianRational(0)]])
-    v = [field.one, field.i]
-    return HodgeFamily(field, flat, [v], {"x": 0, "y": 1})

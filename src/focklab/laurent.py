@@ -15,20 +15,27 @@ with an optional horizontal part acting on coefficient parameters, and formal
 integration.
 
 Products, residue forms, inverses and square roots over Q run in integers,
-with the values of the Fraction loops: a product convolves each operand's
-integer numerators over its lcm denominator, and inv and sqrt_unit run their
-recurrences on the unit's numerators over d with a power of d (of 4d for the
-root) as the scale, building each coefficient once.  A residue form scans only
-the overlap window, where f_e and g_{-e} can both be stored, or f's exponents
-where they are fewer, and residue_gram writes each series of a Gram once in
-numerators, as for the 576 entries of a loop-oscillator basis check.  Q(i)
-and Q(x) share the recurrences with d = 1, and keep generic loops.
+with the values of the Fraction loops.  A series over Q keeps its integer
+form ({e: n}, d), d the lcm of its denominators and coeffs[e] = n / d at the
+same exponents, from its first product on; a product is built from its
+operands' forms and keeps its own.  When both operands store at least 12
+terms in an exponent span at most twice their count, the product packs each
+form into one int at 2^W per exponent and multiplies once (Kronecker
+substitution); shorter or sparser operands, such as 1 + t^100000, are
+convolved term by term.  inv and sqrt_unit run their recurrences on the unit's
+numerators over d with a power of d (of 4d for the root) as the scale,
+building each coefficient once.  A residue form scans only the overlap
+window, where f_e and g_{-e} can both be stored, or f's exponents where they
+are fewer, and residue_gram reads each series of a Gram in its integer form,
+as for the 576 entries of a loop-oscillator basis check.  Q(i) and Q(x) share
+the recurrences with d = 1, keep no integer form and keep generic loops.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import count, repeat
+from math import gcd, lcm
 
 from .scalars import GaussianRational, NotASquare, conj as _conj, fraction_sqrt
 from .ratfunc import DifferentialField, RationalFunction
@@ -55,7 +62,7 @@ class NonzeroResidue(ValueError):
 
 
 class LaurentSeries:
-    __slots__ = ("floor", "prec", "coeffs")
+    __slots__ = ("floor", "prec", "coeffs", "_ints")
 
     def __init__(self, floor: int, prec: int, coeffs: dict):
         if prec < floor:
@@ -75,6 +82,31 @@ class LaurentSeries:
         self.floor = floor
         self.prec = prec
         self.coeffs = clean
+        self._ints = None
+
+    @classmethod
+    def _from_ints(cls, prec: int, nums: dict, d: int) -> "LaurentSeries":
+        """sum_e (nums[e] / d) t^e up to prec, for nonzero integers nums at
+        exponents below prec, keeping its integer form over the lcm of its
+        denominators; the checks of __init__ are skipped."""
+        if d > 1 and (g := gcd(d, *nums.values())) > 1:
+            d //= g
+            nums = {e: n // g for e, n in nums.items()}
+        f = object.__new__(cls)
+        f.floor = min(nums, default=prec)
+        f.prec = prec
+        # over d = 1 each Fraction shares its numerator object with the form
+        f.coeffs = (dict(zip(nums, map(Fraction, nums.values()))) if d == 1
+                    else {e: Fraction(n, d) for e, n in nums.items()})
+        f._ints = nums, d
+        return f
+
+    def _integer_form(self):
+        """_numerators(self.coeffs), kept after the first call; None, and
+        nothing kept, unless every coefficient is a Fraction."""
+        if self._ints is None:
+            self._ints = _numerators(self.coeffs)
+        return self._ints
 
     # -- constructors -------------------------------------------------------
 
@@ -176,13 +208,13 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         prec = min(self.floor + other.prec, other.floor + self.prec)
-        floor = min(self.floor + other.floor, prec)
-        # other's exponents ascend, so each row stops at the first e2 with
-        # e1 + e2 >= prec; every output exponent still sums its terms in the
-        # order of self's exponents
-        over_q = _numerators(self.coeffs, other.coeffs)
-        out: dict = {}
-        if over_q is None:
+        qa = self._integer_form()
+        qb = other._integer_form() if qa else None
+        if qb is None:
+            # other's exponents ascend, so each row stops at the first e2 with
+            # e1 + e2 >= prec; every output exponent still sums its terms in
+            # the order of self's exponents
+            out: dict = {}
             row = sorted(other.coeffs.items())
             for e1, c1 in self.coeffs.items():
                 stop = prec - e1
@@ -190,8 +222,11 @@ class LaurentSeries:
                     if e2 >= stop:
                         break
                     add_term(out, e1 + e2, c1 * c2)
-            return LaurentSeries(floor, prec, out)
-        (na, da), (nb, db) = over_q
+            return LaurentSeries(min(self.floor + other.floor, prec), prec, out)
+        (na, da), (nb, db) = qa, qb
+        if _dense(na) and _dense(nb):
+            return LaurentSeries._from_ints(prec, _packed_product(na, nb, prec), da * db)
+        out = {}
         nb = sorted(nb.items())
         for e1, a in na.items():
             stop = prec - e1
@@ -200,8 +235,7 @@ class LaurentSeries:
                     break
                 e = e1 + e2
                 out[e] = out.get(e, 0) + a * b
-        d = da * db
-        return LaurentSeries(floor, prec, {e: Fraction(n, d) for e, n in out.items() if n})
+        return LaurentSeries._from_ints(prec, {e: n for e, n in out.items() if n}, da * db)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -235,7 +269,7 @@ class LaurentSeries:
         if (over_q := _numerators(part)) is None:
             inv_lead = 1 / lead
             return a, lead, width, {k: c * inv_lead for k, c in part.items()}, 1
-        ((u, _),) = over_q
+        u, _ = over_q
         return a, lead, width, u, u[0]
 
     def inv(self, prec: int | None = None) -> "LaurentSeries":
@@ -316,17 +350,55 @@ class LaurentSeries:
     __repr__ = __str__
 
 
-def _numerators(*parts: dict):
-    """Each part {e: Fraction} as ({e: integer numerator}, d) over d, the lcm
-    of its denominators; None, converting nothing, when any value of any part
-    is not a Fraction."""
-    if not all(type(c) is Fraction for part in parts for c in part.values()):
+def _numerators(part: dict):
+    """{e: Fraction} as ({e: integer numerator}, d) over d, the lcm of its
+    denominators; None when any value is not a Fraction."""
+    if not all(type(c) is Fraction for c in part.values()):
         return None
-    out = []
-    for part in parts:
-        d = lcm(*[c.denominator for c in part.values()])
-        out.append(({e: c.numerator * (d // c.denominator) for e, c in part.items()}, d))
-    return out
+    d = lcm(*[c.denominator for c in part.values()])
+    return {e: c.numerator * (d // c.denominator) for e, c in part.items()}, d
+
+
+_DENSE_TERMS = 12  # fewest stored terms for which packing beats the dict loop
+
+
+def _dense(n: dict) -> bool:
+    """Long enough, and with few enough gaps, for _packed_product: at least
+    _DENSE_TERMS terms and an exponent span at most twice the term count."""
+    return len(n) >= _DENSE_TERMS and max(n) - min(n) < 2 * len(n)
+
+
+def _packed_product(a: dict, b: dict, prec: int) -> dict:
+    """The nonzero coefficients below prec of the product of integer series a
+    and b ({e: n}), from one big-integer multiply (Kronecker substitution).
+
+    Each series is packed as sum_e n_e 2^(W (e - floor)) with W a whole number
+    of bytes: no coefficient of the product reaches 2^(W-1), since it sums at
+    most min(len(a), len(b)) products each below 2^(bits(a) + bits(b)).  A
+    digit is stored plus 2^(W-1), so it is one unsigned W-bit field; adding
+    that offset to every kept digit of the product, and masking (a remainder
+    of a negative int is a long division), turns the signed digits into
+    fields that the bytes of the int hold in place.
+    """
+    fa, fb = min(a), min(b)
+    size = min(max(a) - fa + max(b) - fb + 1, prec - fa - fb)  # digits kept
+    bits = max(map(int.bit_length, a.values())) + max(map(int.bit_length, b.values()))
+    width = (bits + min(len(a), len(b)).bit_length() + 2 + 7) >> 3  # W / 8
+    half = 1 << (8 * width - 1)
+    offset = b"\0" * (width - 1) + b"\x80"  # one digit's 2^(W-1), little-endian
+
+    def pack(n, lo):
+        row = [half] * min(size, max(n) - lo + 1)
+        for e, v in n.items():
+            if e - lo < size:
+                row[e - lo] += v
+        fields = b"".join(map(int.to_bytes, row, repeat(width), repeat("little")))
+        return int.from_bytes(fields, "little") - int.from_bytes(offset * len(row), "little")
+
+    product = pack(a, fa) * pack(b, fb) + int.from_bytes(offset * size, "little")
+    raw = (product & ((1 << 8 * width * size) - 1)).to_bytes(width * size, "little")
+    fields = map(int.from_bytes, (raw[i:i + width] for i in range(0, len(raw), width)), repeat("little"))
+    return {e: v - half for e, v in zip(count(fa + fb), fields) if v != half}
 
 
 def _over(n, d, c):
@@ -397,14 +469,14 @@ def residue_form(f: LaurentSeries, g: LaurentSeries):
 def residue_gram(series: list):
     """Yield residue_form(f, g) for f, then g, in series: the Gram in (i, j)
     order, lazily, so a caller that stops early computes no later entry.  Each
-    series over Q is written once in integer numerators over its lcm."""
-    ints = [_numerators(f.coeffs) for f in series]
+    series over Q is read in its kept integer form (see _integer_form)."""
+    ints = [f._integer_form() for f in series]
     for f, nf in zip(series, ints):
         for g, ng in zip(series, ints):
             if not (nf and ng):
                 yield residue_form(f, g)
                 continue
-            (a, da), (b, db) = nf[0], ng[0]
+            (a, da), (b, db) = nf, ng
             n = 0
             for e in _residue_exponents(f, g, a):
                 if e and (x := a.get(e)) and (y := b.get(-e)):

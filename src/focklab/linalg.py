@@ -6,9 +6,9 @@ domain on construction, a product works in the larger of its operands'
 domains, and an entry that no product reaches is the domain's zero.
 Products and applications skip zero operands.
 
-Solutions, kernels and inverses are certified by exact back-multiplication;
-there is no pivoting heuristic to go wrong because every comparison is an
-exact zero test.  det, rank, kernel and the leading minors eliminate rows
+Kernels and inverses are certified by exact back-multiplication; there is no
+pivoting heuristic to go wrong because every comparison is an exact zero
+test.  det, kernel and the leading minors eliminate rows
 cleared of denominators: integers over Q, polynomials over a field Q(x, ...).
 """
 
@@ -19,10 +19,6 @@ from fractions import Fraction
 
 from .ratfunc import DifferentialField, RationalFunction
 from .scalars import QQ, QQ_I, GaussianRational, IdentityFailed, conj as _conj
-
-
-class Inconsistent(ValueError):
-    """A linear system with no solution."""
 
 
 _DOMAIN_OF_TYPE = {
@@ -283,9 +279,6 @@ class ExactMatrix:
                 break
         return m, b, pivots, sign
 
-    def rank(self):
-        return len(self._cleared()[0]._echelon()[2])
-
     def _cleared(self):
         """(self with each row cleared of its denominators, the row scales),
         or (self, None) over Q(sqrt(-1)).  Over Q a row is integers over its
@@ -320,29 +313,6 @@ class ExactMatrix:
             return self.domain.zero
         d = m[n - 1][n - 1] / math.prod(scales) if scales else m[n - 1][n - 1]
         return -d if sign < 0 else d
-
-    def solve(self, b):
-        """One exact solution of self * x = b, certified by back-multiplication.
-
-        Raises Inconsistent when none exists, and IdentityFailed when the
-        solution fails its certification although the echelon proved the
-        system consistent.  For underdetermined systems the free variables
-        are set to zero.
-        """
-        if len(b) != self.nrows:
-            raise ValueError("dimension mismatch")
-        dom = _domain_of_all(b, self.domain)
-        m, rhs, pivots, _ = self._echelon(rhs=[[dom.convert(v)] for v in b])
-        # rows beyond the pivot rows must have zero rhs
-        for r in range(len(pivots), self.nrows):
-            if rhs[r][0]:
-                raise Inconsistent("no exact solution")
-        x = _back_substitute(m, pivots, [r[0] for r in rhs], [dom.zero] * self.ncols)
-        # certification
-        for got, want in zip(self.apply(x), b):
-            if got - want:
-                raise IdentityFailed("solve certification failed: A x != b")
-        return x
 
     def kernel(self):
         """Exact basis of the null space (list of coordinate vectors)."""

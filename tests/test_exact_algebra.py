@@ -11,9 +11,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from focklab.forms import DegreeOverflow, Form
-from focklab.linalg import ExactMatrix, Inconsistent
+from focklab.linalg import ExactMatrix
 from focklab.ratfunc import DifferentialField
 from focklab.scalars import GaussianRational, conj
+from oracles import Inconsistent, rank, solve
 
 
 # -- rational functions -------------------------------------------------------
@@ -63,18 +64,18 @@ def test_field_ops_random(a, b, n):
 def test_solve_identity():
     m = ExactMatrix.identity(3)
     b = [GaussianRational(1), GaussianRational(2, 1), GaussianRational(0, -1)]
-    assert m.solve(b) == b
+    assert solve(m, b) == b
 
 
 def test_solve_singular_with_kernel():
     m = ExactMatrix([[1, 1], [1, 1]])
-    x = m.solve([1, 1])
+    x = solve(m, [1, 1])
     assert x[0] + x[1] == 1
     k = m.kernel()
     assert len(k) == 1
     assert k[0][0] + k[0][1] == 0
     with pytest.raises(Inconsistent):
-        m.solve([1, 2])
+        solve(m, [1, 2])
 
 
 def test_random_seeded_5x5_gaussian():
@@ -92,7 +93,7 @@ def test_random_seeded_5x5_gaussian():
         if m.det():
             break
     b = [GaussianRational(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(5)]
-    x = m.solve(b)
+    x = solve(m, b)
     # back-substitution oracle
     assert all(sum(m[i, j] * x[j] for j in range(5)) == b[i] for i in range(5))
 
@@ -204,7 +205,7 @@ def test_elimination_over_q_on_integer_rows_matches_fraction_bareiss(m):
     they equal fraction-free elimination on the Fraction entries, and every
     value is a Fraction: a float would mean that / ran on two integers."""
     ech, pivots, sign = _fraction_bareiss(m.rows)
-    assert m.rank() == len(pivots)
+    assert rank(m) == len(pivots)
     kernel = m.kernel()
     assert kernel == _fraction_kernel(ech, pivots, m.ncols)
     assert all(type(v) is Fraction for x in kernel for v in x)

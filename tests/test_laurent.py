@@ -11,6 +11,8 @@ from focklab.laurent import (
     NotInvertible,
     PrecisionExhausted,
     WindowTooNarrow,
+    _dense,
+    _numerators,
     _residue_exponents,
     format_series,
     integrate,
@@ -244,6 +246,110 @@ def test_windowed_product_matches_the_double_loop(pair):
     f, g = pair
     assert _typed(f * g) == _typed(_product_by_fractions(f, g))
     assert _typed(g * f) == _typed(_product_by_fractions(g, f))
+
+
+# signed numerators of 1 to 300 bits over mixed denominators
+wide_rationals = st.builds(
+    lambda bits, n, sign, d: F(sign * (n % (1 << bits) or 1), d),
+    st.integers(1, 300), st.integers(1, 1 << 300), st.sampled_from((1, -1)),
+    st.sampled_from((1, 1, 2, 3, 12, 35, (1 << 61) - 1)),
+)
+
+
+@st.composite
+def dense_series(draw):
+    """A series over Q above the packing line: 12 to 40 stored terms in a span
+    at most twice their count, a floor that may be negative, and a window that
+    may cut a product, or an exact polynomial."""
+    count = draw(st.integers(12, 40))
+    floor = draw(st.integers(-30, 5))
+    steps = draw(st.sets(st.integers(1, 2 * count - 1), min_size=count - 1, max_size=count - 1))
+    terms = {floor + k: draw(wide_rationals) for k in (0, *steps)}
+    prec = EXACT_PREC if draw(st.integers(0, 3)) == 0 else max(terms) + draw(st.integers(1, 6))
+    return LaurentSeries(floor, prec, terms)
+
+
+def _alternating(big, small, n):
+    return {e: big if e % 2 == 0 else small for e in range(n)}
+
+
+# h alternates 2^300 and -1; with g = (1 - t) h the product (1 + ... + t^11) g
+# is (1 - t^12) h: digits 2^300, -1, ... that borrow from their neighbours,
+# then cancellations to zero
+H = _alternating(1 << 300, -1, 14)
+G = LaurentSeries.polynomial({e: H.get(e, 0) - H.get(e - 1, 0) for e in range(15)})
+ONES = LaurentSeries.polynomial(dict.fromkeys(range(12), 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_series(), dense_series())
+@example(ONES, G)
+@example(LaurentSeries.from_terms(dict.fromkeys(range(12), F(1, 3)), 12), -G)
+@example(LaurentSeries.polynomial(H), LaurentSeries.polynomial(_alternating(-1, 1 << 300, 13)))
+@example(LaurentSeries.from_terms(_alternating(F(-1, 2), F(1 << 299, 3), 14), 14), ONES.shift(-5))
+def test_packed_product_matches_the_fraction_loop(f, g):
+    """Dense operands over Q take the one-multiply product: the same floor,
+    prec and coefficients as the double loop, no stored zero, and a kept
+    integer form equal to the coefficients' numerators over their lcm."""
+    assert _dense(f._integer_form()[0]) and _dense(g._integer_form()[0])
+    product = f * g
+    assert _typed(product) == _typed(_product_by_fractions(f, g))
+    assert all(product.coeffs.values())
+    assert product._ints == _numerators(product.coeffs)
+
+
+def test_sparse_long_span_operands_take_the_dict_loop(monkeypatch):
+    """An operand whose exponent span is far above its term count is never
+    packed: 1 + t^100000 would take a 100,000-digit pack."""
+    from focklab import laurent
+
+    def refuse(*args):
+        raise AssertionError("a sparse operand was packed")
+
+    monkeypatch.setattr(laurent, "_packed_product", refuse)
+    sparse = LaurentSeries.polynomial({1000 * k: F(k + 1, 3) for k in range(12)})
+    spike = LaurentSeries.polynomial({0: 1, 100000: 1})
+    dense = LaurentSeries.from_terms({e: F(e - 7, e + 5) for e in range(-3, 40)}, 40)
+    for f, g in ((sparse, dense), (dense, spike), (sparse, sparse)):
+        assert _typed(f * g) == _typed(_product_by_fractions(f, g))
+
+
+def test_a_product_chain_converts_each_series_once(monkeypatch):
+    """A counting guard (calls, not time): building e_-12..e_12 for
+    e_i = (t + 2t^2)^i at window 60 converts each series that enters a product
+    without a kept integer form once (156 conversions before forms were kept),
+    every kept form equals the coefficients' numerators over their lcm, and
+    products over Q(i) and Q(x) keep none."""
+    from focklab import laurent
+
+    base = LaurentSeries.from_terms({1: 1, 2: 2}, 60)
+    inv = base.inv()
+    calls = []
+    numerators = laurent._numerators
+    monkeypatch.setattr(laurent, "_numerators", lambda part: calls.append(1) or numerators(part))
+    unformed = {}  # id -> series, each held so that no id is reused
+    product = LaurentSeries.__mul__
+
+    def counted(f, g):
+        unformed.update((id(s), s) for s in (f, g) if s._ints is None)
+        return product(f, g)
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", counted)
+    basis = {}
+    for i in range(-12, 13):
+        v = LaurentSeries.one()
+        for _ in range(abs(i)):
+            v = v * (base if i > 0 else inv)
+        basis[i] = v
+    assert len(calls) <= len(unformed) == 26  # base, inv and 24 ones
+    assert all(v._ints == numerators(v.coeffs) for i, v in basis.items() if i)
+    x = X.var("x")
+    gauss = LaurentSeries.polynomial({e: GaussianRational(e, 1) for e in range(14)})
+    funcs = LaurentSeries.polynomial({e: (x * e + 1) / (x + 2) for e in range(14)})
+    over_q = basis[-3]
+    for f, g in ((gauss, gauss), (funcs, funcs), (gauss, over_q), (over_q, gauss), (funcs, over_q)):
+        assert (f * g)._ints is None
+    assert gauss._ints is None and funcs._ints is None
 
 
 @settings(max_examples=300, deadline=None)

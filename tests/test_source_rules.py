@@ -48,12 +48,12 @@ SOURCE_LINE_GATE = 5602
 PUBLIC_SURFACE = """
     BasisNotQuasiSymplectic ConnectionData CurveFockData DegenerateFrame DegreeOverflow
     Derivation DifferentialField E_inverse E_map ExactMatrix FockSubalgebra FockVector Form
-    GaussianRational HodgeFamily HyperellipticModel I Inconsistent KMinusVector LaurentSeries
+    GaussianRational HodgeFamily HyperellipticModel I KMinusVector LaurentSeries
     NoIsotropicLift NonzeroResidue NotASquare NotInvertible NotReduced NotScalar
     NotSymplecticFrame OscFockVector Polynomial PrecisionExhausted QuadraticOperator
     QuotientSymplectic RationalFunction RepeatedRoots SpElement SymplecticSpace UElement
     WindowTooNarrow WrongDegree build_model build_quotient check_quasi_symplectic
-    closure_falsifier compute compute_perp conj connection_blocks constant_family covariants
+    closure_falsifier compute compute_perp conj connection_blocks covariants
     covariants_of_modes curvature curve_fock_data ebar_monomial exterior_derivative fock_basis
     format_series genus0_subalgebra inner_product integrate lift_derivation mode_reduce
     modular_family normal_order_tensor osc_basis parse_gaussian parse_series permanent residue
