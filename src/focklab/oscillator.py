@@ -35,7 +35,7 @@ plus the most negative m's and weight's |.| for module_commutator_sweep); a
 multiplicity is at most the grade, below 2^S, so no slot carries.
 
 virasoro_bracket certifies one (k, l) pair; virasoro_sweep certifies every
-pair with |k|, |l| <= kmax at once, one probe at a time (T(D_k) maps grade n
+pair with |k|, |l| <= kmax at once, in blocks of probes (T(D_k) maps grade n
 to grade n - k; Kac and Raina, Bombay Lectures, 1987) and pair by pair, in
 one reused accumulator.  Every nonzero vector it compares comes from
 applying the operators, never from the bracket formula.
@@ -47,6 +47,12 @@ No column is cached: images repeat too little to pay for one.  At grade 11
 (kmax 6) the sweep's 5,595 image visits hit 3,787 distinct (l, code), and
 within one probe grade an image recurs at most 1.64 times; a cache of every
 (k, key) column raised peak resident memory from 18 to 66 MB at grade 16.
+What the sweeps share instead is the kernel call: both run _BLOCK
+consecutive probes through each call, probe i of a block tagged by i in the
+bits above every slot (code | i << S max(top, 1)).  No move reaches the
+tag, so every image keeps its probe's tag, _column reads parts below it, and
+a verdict reads an entry's probe as t >> S max(top, 1).  Per call the
+accumulators hold a block's entries, so _BLOCK stays small (see there).
 """
 
 from __future__ import annotations
@@ -193,14 +199,45 @@ def _half(c):
     return c / 2
 
 
+def _tag_shift(packing) -> int:
+    """S max(top, 1), the lowest bit of a probe's tag: above every slot of
+    packing, so no move of the kernels reaches it."""
+    return packing[0] * max(len(packing[1]) - 1, 1)
+
+
 def _column(codes: dict, packing) -> list:
     """The nonzero entries of codes, decoded once for every job that reads
     them: (code, x, parts), parts a triple (b, n, -2 b n) for each part b the
-    code holds n > 0 times, b ascending."""
+    code holds n > 0 times, b ascending, read below the tag only."""
     s = packing[0]
-    mask = (1 << s) - 1
-    return [(code, x, [(b, n, -2 * b * n) for b in range(1, code.bit_length() // s + 2)
-                       if (n := code >> s * (b - 1) & mask)]) for code, x in codes.items() if x]
+    mask, below = (1 << s) - 1, (1 << _tag_shift(packing)) - 1
+    return [(code, x, [(b, n, -2 * b * n) for b in range(1, low.bit_length() // s + 2)
+                       if (n := low >> s * (b - 1) & mask)])
+            for code, x in codes.items() if x for low in (code & below,)]
+
+
+# B, the probes a sweep carries through the kernel at once.  A block shares
+# each kernel call, and its accumulators hold B probes' entries, so B stays
+# small: at (kmax, grade) = (6, 11) the traced peak of virasoro_sweep is
+# 96 KiB one probe at a time, 221 KiB at B = 8 and 383 KiB at B = 16, and one
+# block per probe grade reached 1.3 MB (3.4 MB at grade 14, against 268 KiB
+# at B = 8).
+_BLOCK = 8
+
+
+def _probe_blocks(probe_grade: int, packing, moves, images: dict, targets: list):
+    """The probes of grade <= probe_grade in blocks of _BLOCK consecutive
+    keys in osc_basis order: yields (keys, tags), tags[i] the code of keys[i]
+    with i in the bits from _tag_shift(packing) up, once one _emit_doubled
+    pass through targets has refilled the dictionaries of images."""
+    keys, shift = osc_basis(probe_grade), _tag_shift(packing)
+    for j in range(0, len(keys), _BLOCK):
+        block = keys[j:j + _BLOCK]
+        tags = [_encode(key, packing) | i << shift for i, key in enumerate(block)]
+        for d in images.values():
+            d.clear()
+        _emit_doubled([(_column(dict.fromkeys(tags, 1), packing), targets)], moves, packing)
+        yield block, tags
 
 
 def _moves(packing, ks) -> dict:
@@ -388,13 +425,18 @@ def virasoro_sweep(kmax: int, probe_grade: int) -> list:
     on every vector of grade <= probe_grade; returns the failing
     (k, l, probe key) triples in sweep order, empty when all hold.
 
-    Per probe v, one _emit_doubled pass gives 2 T(D_m) v for every m = k or
-    k + l, and each image of |m| <= kmax is decoded once.  Then, per pair
-    k < l, one kernel call adds 2 T_k (2 T_l v) - 2 T_l (2 T_k v) to the
-    reused accumulator, the sweep adds -2 (l - k) (2 T_{k+l} v), and one pass
-    checks it: (k, l) holds when it equals 4 central(k, l) v, (l, k) when it
-    equals -4 central(l, k) v, both integers.  A diagonal pair forms no product ([T_k, T_k] = 0), so it
-    holds exactly when its central term vanishes.
+    The probes run in tagged blocks (_probe_blocks), so each kernel call
+    serves a whole block.  Per block, one _emit_doubled pass gives 2 T(D_m) v
+    for every m = k or k + l and every probe v, and each image of |m| <= kmax
+    is decoded once.  Then, per pair k < l, one kernel call adds
+    2 T_k (2 T_l v) - 2 T_l (2 T_k v) to the reused accumulator, the sweep
+    adds -2 (l - k) (2 T_{k+l} v), and one pass checks it: (k, l) holds on v
+    when the entries tagged with v's index equal 4 central(k, l) v, (l, k)
+    when they equal -4 central(l, k) v, both integers: the entry at v's own
+    tagged code is popped and compared, and any other nonzero entry t fails
+    probe t >> tag in both orders.  A diagonal pair forms no product
+    ([T_k, T_k] = 0), so it holds exactly when its central term vanishes.
+    Each block's failures are listed probe by probe, in sweep order.
     """
     ks = range(-kmax, kmax + 1)
     top_m = max(2 * kmax - 1, kmax)  # the largest |k| and |k + l|, k < l
@@ -406,26 +448,30 @@ def virasoro_sweep(kmax: int, probe_grade: int) -> list:
     image_targets = [t for m, op in ops.items() for t in op._targets(tv[m])]
     rows = [(k, central4[k, k], [(l, ops[k]._targets(acc), ops[l]._targets(acc, -1), 2 * (k - l),
                                   central4[k, l], -central4[l, k]) for l in ks if l > k]) for k in ks]
-    failures, get = [], acc.get
-    for key in osc_basis(probe_grade):
-        code = _encode(key, packing)
-        for d in tv.values():
-            d.clear()
-        _emit_doubled([(_column({code: 1}, packing), image_targets)], moves, packing)
+    failures, get, shift = [], acc.get, _tag_shift(packing)
+    for block, tags in _probe_blocks(probe_grade, packing, moves, tv, image_targets):
         cols = {m: _column(tv[m], packing) for m in ks}
+        found = [[] for _ in block]
         for k, diagonal, pairs in rows:
             if diagonal:
-                failures.append((k, k, key))
+                for out, key in zip(found, block):
+                    out.append((k, k, key))
             for l, plus_k, minus_l, c, want_kl, want_lk in pairs:
                 acc.clear()
                 _emit_doubled(((cols[l], plus_k), (cols[k], minus_l)), moves, packing)
                 for image, x in tv[k + l].items():
                     acc[image] = get(image, 0) + c * x
-                at, rest = acc.pop(code, 0), any(acc.values())
-                if rest or at != want_kl:
-                    failures.append((k, l, key))
-                if rest or at != want_lk:
-                    failures.append((l, k, key))
+                at = [acc.pop(t, 0) for t in tags]
+                if any(acc.values()) or want_kl != want_lk or at.count(want_kl) < len(at):
+                    bad = {t >> shift for t, x in acc.items() if x}
+                    for i, key in enumerate(block):
+                        if i in bad or at[i] != want_kl:
+                            found[i].append((k, l, key))
+                        if i in bad or at[i] != want_lk:
+                            found[i].append((l, k, key))
+        for out in found:
+            failures += out
+        cols.clear()  # before the next block's image pass, so the peak holds one block's columns
     return failures
 
 
@@ -434,41 +480,40 @@ def module_commutator_sweep(ops: dict, ms: list, probe_grade: int) -> list:
     m in ms and vector of grade <= probe_grade; returns the failing
     (k, m, probe key) triples in (k, m, key) order, empty when all hold.
 
-    Per probe v, one _emit_doubled pass gives 2 T_k v for every k; per m, one
-    pass over the code of t^m v adds 2 T_k (t^m v) into the dictionary of k,
-    _emit_series subtracts t^m (2 T_k v), and the result must equal
-    2 D_k(t^m) v, with D_k(t^m) from Derivation.D(k).apply.  An operator not
-    determined on the largest mode it meets raises PrecisionExhausted.
+    The probes run in tagged blocks (_probe_blocks), as in virasoro_sweep.
+    Per block, one _emit_doubled pass gives 2 T_k v for every k and probe v;
+    per m, one pass over the codes of every t^m v adds 2 T_k (t^m v) into the
+    dictionary of k, and _emit_series subtracts t^m (2 T_k v) and
+    2 D_k(t^m) v, with D_k(t^m) from Derivation.D(k).apply.  Any nonzero
+    entry t left fails probe t >> tag.  An operator not determined on the
+    largest mode it meets raises PrecisionExhausted.
     """
     low_m = min(0, *ms)  # t^m v gains at most -low_m in grade and in its largest mode
     packing = _packing(probe_grade - low_m - min(0, *ops, *(k for op in ops.values() for k in op.weights)))
     for op in ops.values():
         op._check_determined(2 * max(probe_grade, -low_m))
-    derived = {(k, m): [(e, 2 * _whole(c)) for e, c in Derivation.D(k).apply(LaurentSeries.t_power(m)).coeffs.items()]
-               for k in ops for m in ms}
+    top = len(packing[1]) - 1  # no code holds a part e > top, so t^e acts as 0 and must not read the tag
+    derived = {(k, m): [(e, -2 * _whole(c)) for e, c in Derivation.D(k).apply(LaurentSeries.t_power(m)).coeffs.items()
+                        if e <= top] for k in ops for m in ms}
     moves = _moves(packing, {k for op in ops.values() for k in op.weights})
     image, comm = {k: {} for k in ops}, {k: {} for k in ops}
     image_targets = [t for k, op in ops.items() for t in op._targets(image[k])]
     comm_targets = [t for k, op in ops.items() for t in op._targets(comm[k])]
-    failing = {(k, m): [] for k in ops for m in ms}
-    for key in osc_basis(probe_grade):
-        code = _encode(key, packing)
-        for d in image.values():
-            d.clear()
-        _emit_doubled([(_column({code: 1}, packing), image_targets)], moves, packing)
+    failing, shift = {(k, m): [] for k in ops for m in ms}, _tag_shift(packing)
+    for block, tags in _probe_blocks(probe_grade, packing, moves, image, image_targets):
         for m in ms:
             for d in comm.values():
                 d.clear()
-            f_v = {}
-            _emit_series(code, 1, [(m, 1)], f_v, packing)
+            f_v, t_m = {}, [(m, 1)] if m <= top else []
+            for tag in tags:
+                _emit_series(tag, 1, t_m, f_v, packing)
             _emit_doubled([(_column(f_v, packing), comm_targets)], moves, packing)
             for k, acc in comm.items():
                 for image_code, x in image[k].items():
-                    _emit_series(image_code, -x, [(m, 1)], acc, packing)
-                want = {}
-                _emit_series(code, 1, derived[k, m], want, packing)
-                if {t: c for t, c in acc.items() if c} != want:
-                    failing[k, m].append(key)
+                    _emit_series(image_code, -x, t_m, acc, packing)
+                for tag in tags:
+                    _emit_series(tag, 1, derived[k, m], acc, packing)
+                failing[k, m] += [block[i] for i in sorted({t >> shift for t, c in acc.items() if c})]
     return [(k, m, key) for (k, m), keys in failing.items() for key in keys]
 
 

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -504,10 +505,15 @@ def test_sweep_equals_the_l_major_reference(kmax, grade):
 
 @pytest.mark.parametrize("broken", [*sorted(BREAKS), *sorted(KERNEL_BREAKS)])
 def test_sweep_equals_the_l_major_reference_under_every_break(monkeypatch, broken):
+    """(3, 4) runs one block; (6, 8) has 67 probes, eight blocks of 8 and a
+    last one of 3, and every block's failures come back in the reference's
+    order."""
     (_break if broken in BREAKS else _break_kernel)(monkeypatch, broken)
-    want = _reference_sweep(3, 4)
-    assert want
-    assert virasoro_sweep(3, 4) == want
+    for kmax, grade in ((3, 4), (6, 8)):
+        want = _reference_sweep(kmax, grade)
+        assert want
+        assert virasoro_sweep(kmax, grade) == want
+    assert len({key for _, _, key in want}) > 8
 
 
 @settings(max_examples=40, deadline=None)
@@ -530,6 +536,65 @@ def test_the_sweep_makes_no_add_term_call(monkeypatch):
     monkeypatch.setattr(oscillator, "add_term", lambda *args: calls.append(args))
     assert virasoro_sweep(6, 11) == []
     assert not calls
+
+
+# The probes a sweep carries through the kernel at once.
+BLOCK = 8
+
+
+def _count_kernel_calls(monkeypatch) -> list:
+    calls, real = [], oscillator._emit_doubled
+    monkeypatch.setattr(oscillator, "_emit_doubled", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_the_sweep_makes_one_kernel_call_per_block_and_pair(monkeypatch):
+    """Per block of BLOCK probes: one image pass and one call per pair k < l."""
+    calls = _count_kernel_calls(monkeypatch)
+    assert virasoro_sweep(6, 11) == []
+    assert len(osc_basis(11)) == 195
+    assert len(calls) <= -(-195 // BLOCK) * (1 + 13 * 12 // 2)
+
+
+def test_the_module_sweep_makes_one_kernel_call_per_block_and_m(monkeypatch):
+    """The virasoro suite's run at grade 5: per block of BLOCK probes, one
+    image pass and one pass per m."""
+    calls = _count_kernel_calls(monkeypatch)
+    ms = [m for m in range(-4, 5) if m]
+    assert module_commutator_sweep({k: tau_hat_Dk(k) for k in range(-4, 5)}, ms, 5) == []
+    assert len(osc_basis(5)) == 19
+    assert len(calls) <= -(-19 // BLOCK) * (1 + len(ms))
+
+
+def test_the_sweep_holds_little_memory_at_grade_14():
+    """The accumulators of a block hold BLOCK probes' entries, not a grade's."""
+    tracemalloc.start()
+    try:
+        assert virasoro_sweep(6, 14) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(osc_basis(9)), st.integers(-6, 6), st.integers(0, 63))
+def test_a_tag_rides_above_every_slot(key, k, i):
+    """A probe's tag i sits above the code: the kernel moves a tagged code as
+    it moves the bare one, every image keeps the tag, and _column reads the
+    key's parts with or without it.  The packing is as tight as apply's, so
+    an image or a key may fill the top slot."""
+    packing = _packing(-sum(key) + max(0, -k))
+    shift, code = oscillator._tag_shift(packing), _encode(key, packing)
+    tag = i << shift
+    parts = [(b, n, -2 * b * n) for b, n in sorted(Counter(-m for m in key).items())]
+    assert _column({code | tag: 1}, packing) == [(code | tag, 1, parts)]
+    assert _column({code: 1}, packing) == [(code, 1, parts)]
+    bare, tagged = {}, {}
+    for c, acc in ((code, bare), (code | tag, tagged)):
+        _emit_doubled([(_column({c: 1}, packing), [(k, 1, acc)])], _moves(packing, [k]), packing)
+    assert all(image >> shift == 0 for image in bare)
+    assert tagged == {image | tag: x for image, x in bare.items()}
 
 
 @pytest.mark.parametrize("broken", sorted(BREAKS))
@@ -809,10 +874,16 @@ COMMUTATOR_OPS = {
 
 @pytest.mark.parametrize("kind", sorted(COMMUTATOR_OPS))
 def test_module_commutator_sweep_equals_the_composition(kind):
+    """Grade 3 runs one block of probes.  Grade 4 has 12 probes, two blocks,
+    and t^8, t^9 and D_k(t^m) up to t^12 hold modes above every code of the
+    sweep: they act as 0 and must not read a probe's tag."""
     ops = {k: COMMUTATOR_OPS[kind](k) for k in COMMUTATOR_KS}
     want = _module_commutator_by_modes(ops, COMMUTATOR_MS, 3)
     assert module_commutator_sweep(ops, COMMUTATOR_MS, 3) == want
     assert bool(want) == (kind in ("scaled", "tau_hat_D"))
+    ms = [*COMMUTATOR_MS, 8, 9]
+    assert len(osc_basis(4)) == 12
+    assert module_commutator_sweep(ops, ms, 4) == _module_commutator_by_modes(ops, ms, 4)
 
 
 def test_module_commutator_sweep_keeps_the_window_guard():
