@@ -187,20 +187,17 @@ def closure_falsifier(model: HyperellipticModel, data: CurveFockData | None = No
 # -- the residue Gram of the connection operator --------------------------------------
 
 
-def wzw_gram_entries(model: HyperellipticModel, D: Derivation, omegas=None):
-    """(M, sign_witness) for a vertical derivation, with
-    M_ij = res(<D, omega_i> omega_j) / (i j).
+def wzw_gram_entries(model: HyperellipticModel, D: Derivation):
+    """(M, sign_witness) for a derivation D, with
+    M_ij = res(<D, omega_i> omega_j) / (i j), omega_i = model.omega_coefficient(i).
 
     sign_witness is None when the per-entry sign identity
     res(e_j d(D e_i)) = -i j res(<D,omega_i> omega_j), e_j = j phi_{2j-1} (so
     that de_j = j omega_j), holds at every entry, and otherwise describes the
     first entry where it fails.  Symmetry of M is left to the caller.
     """
-    if not D.is_vertical:
-        raise ValueError("wzw_gram takes a vertical derivation")
     g = model.g
-    if omegas is None:
-        omegas = [model.omega_coefficient(i) for i in range(1, g + 1)]
+    omegas = [model.omega_coefficient(i) for i in range(1, g + 1)]
     e = [model.phi(j).scale(j) for j in range(1, g + 1)]
     m = [[None] * g for _ in range(g)]
     witness = None
@@ -218,14 +215,14 @@ def wzw_gram_entries(model: HyperellipticModel, D: Derivation, omegas=None):
     return ExactMatrix(m), witness
 
 
-def wzw_gram(model: HyperellipticModel, D: Derivation, omegas=None) -> ExactMatrix:
-    """M_ij = res(<D, omega_i> omega_j) / (i j) for a vertical derivation.
+def wzw_gram(model: HyperellipticModel, D: Derivation) -> ExactMatrix:
+    """M_ij = res(<D, omega_i> omega_j) / (i j) for a derivation D.
 
     Certifies symmetry (selfadjointness of D for the residue pairing) and the
     per-entry sign identity of wzw_gram_entries; raises IdentityFailed when
     either fails.
     """
-    mat, witness = wzw_gram_entries(model, D, omegas)
+    mat, witness = wzw_gram_entries(model, D)
     if witness is not None:
         raise IdentityFailed(witness)
     if not mat.is_symmetric():

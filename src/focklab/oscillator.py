@@ -377,13 +377,10 @@ def tau_hat_Dk(k: int) -> QuadraticOperator:
 
 
 def tau_hat_D(D: Derivation) -> QuadraticOperator:
-    """tau_hat of a vertical derivation; the window of its coefficient series
-    bounds the determined weight range."""
-    if not D.is_vertical:
-        raise ValueError("tau_hat takes a vertical derivation")
+    """tau_hat of D = g d/dt; the window of g bounds the determined weights."""
     if D.k is not None:
         return tau_hat_Dk(D.k)
-    g = D.series if D.series is not None else LaurentSeries.zero()
+    g = D.series
     weights = {e - 1: c for e, c in g.coeffs.items()}
     return QuadraticOperator(weights, g.floor - 1, g.prec - 1)
 
@@ -520,12 +517,18 @@ def module_commutator_sweep(ops: dict, ms: list, probe_grade: int) -> list:
 # -- quasi-symplectic bases and lifted derivations --------------------------------
 
 
-def check_quasi_symplectic(basis: dict, index_range=None, consequence_range=3) -> bool:
-    """Exact check of the defining conditions on the supplied index range:
-    e_0 = 1, e_i in m for i > 0, (e_i, e_j) = i delta_{i+j,0}; additionally
-    verifies the topology-encoding consequence that e_i lands in m^{k+1} once
-    the negative part up to N_k covers m^{-k}/O."""
-    idx = sorted(index_range if index_range is not None else basis.keys())
+# The consequence is checked for k <= 3 only: the Gram condition implies it (an
+# e_i of order o <= k pairs with the e_{-j} of order -o to a nonzero residue),
+# so it is a cross-check, and a shallow depth keeps it cheap.
+_CONSEQUENCE_DEPTH = 3
+
+
+def check_quasi_symplectic(basis: dict) -> bool:
+    """Exact check of the defining conditions on the basis's indices: e_0 = 1,
+    e_i in m for i > 0, (e_i, e_j) = i delta_{i+j,0}; additionally verifies
+    the topology-encoding consequence that e_i lands in m^{k+1} once the
+    negative part up to N_k covers m^{-k}/O, for k <= _CONSEQUENCE_DEPTH."""
+    idx = sorted(basis)
     if 0 in idx:
         e0 = basis[0]
         if not (e0 - 1).is_zero():
@@ -543,7 +546,7 @@ def check_quasi_symplectic(basis: dict, index_range=None, consequence_range=3) -
     # i > N must lie in m^{k+1}
     negs = sorted((i for i in idx if i < 0), reverse=True)
     pos = sorted(i for i in idx if i > 0)
-    for k in range(1, consequence_range + 1):
+    for k in range(1, _CONSEQUENCE_DEPTH + 1):
         nk = None
         covered = set()
         for count, i in enumerate(negs, start=1):
@@ -562,9 +565,9 @@ def check_quasi_symplectic(basis: dict, index_range=None, consequence_range=3) -
 
 
 class LiftedDerivation:
-    """Action of a derivation with horizontal part on Fock families expressed
-    in a quasi-symplectic basis: tau_hat of the basis-vertical part plus
-    coefficientwise horizontal derivation.
+    """tau_hat of a derivation D = g d/dt on Fock families expressed in a
+    quasi-symplectic basis: (1/2) sum c_ij :e_{-i} e_{-j}: with c_ij =
+    (D e_i, e_j) / (i j).
 
     Requires ord(e_i) = i on the supplied range, which makes the pairing
     coefficients (D e_i, e_j) vanish for i + j > -order(D) and the monomial
@@ -596,19 +599,14 @@ class LiftedDerivation:
     def apply(self, family: OscFockVector) -> OscFockVector:
         n = family.max_mode()
         out = OscFockVector()
-        # horizontal part: coefficientwise derivation of the family
-        if self.D.horizontal:
-            out = out + family.map_coefficients(self.D.apply_horizontal_scalar)
-        # basis-vertical part through tau_hat: (1/2) sum c_ij :e_{-i} e_{-j}:
         dv = self.D.order()
-        if dv is None and not self.D.horizontal:
+        if dv is None:
             return out
-        dmin = 0 if dv is None else (min(dv, 0) if self.D.horizontal else dv)
-        top = -dmin + n  # (D e_i, e_j) = 0 once i + j > -dmin since ord(e_i) = i
+        top = -dv + n  # (D e_i, e_j) = 0 once i + j > -dv since ord(e_i) = i
         for i in range(-n, top + 1):
             if i == 0:
                 continue
-            for j in range(-n, min(top, -dmin - i) + 1):
+            for j in range(-n, min(top, -dv - i) + 1):
                 if j == 0:
                     continue
                 if i not in self.basis or j not in self.basis:

@@ -36,11 +36,11 @@ class CheckRecord:
 
 
 class SuiteReport:
-    def __init__(self, suite: str, params: dict, checks: list | None = None, wall_time: float = 0.0):
+    def __init__(self, suite: str, params: dict):
         self.suite = suite
         self.params = params
-        self.checks = [] if checks is None else checks
-        self.wall_time = wall_time  # text rendering only; excluded from JSON
+        self.checks = []
+        self.wall_time = 0.0  # text rendering only; excluded from JSON
 
     def add(self, id: str, statement: str, ok, witness=None, detail=None):
         status = ok if isinstance(ok, str) else ("pass" if ok else "fail")

@@ -178,14 +178,14 @@ def genus0_subalgebra(window: int, degree_bound: int) -> FockSubalgebra:
 # -- A-perp ----------------------------------------------------------------------
 
 
-def compute_perp(a_sub: FockSubalgebra, lo: int, hi: int, guard: int = 2):
+def compute_perp(a_sub: FockSubalgebra, lo: int, hi: int):
     """Degree-filtered basis of the A-perp solution space on the coordinate
     window [lo, hi).
 
     Constraints come from basis elements whose pole order is below hi (deeper
     elements pair with the unknown tail, so including them would wrongly
     discard truncations of genuine A-perp elements); the returned basis drops
-    leading orders inside the top guard zone, where the window cannot
+    leading orders hi - 2 and hi - 1, a guard zone where the window cannot
     distinguish junk from truncations.
     """
     unknowns = list(range(lo, hi))
@@ -205,7 +205,7 @@ def compute_perp(a_sub: FockSubalgebra, lo: int, hi: int, guard: int = 2):
         LaurentSeries(lo, hi, {e: c for e, c in zip(unknowns, vec)}) for vec in kernel
     ]
     filtered = [
-        f for f in echelonize(series).values() if f.ord is not None and f.ord < hi - guard
+        f for f in echelonize(series).values() if f.ord is not None and f.ord < hi - 2
     ]
     return sorted(filtered, key=lambda f: f.ord)
 
@@ -259,14 +259,9 @@ class QuotientSymplectic:
         return ExactMatrix([[residue_form(a, b) for b in lifts] for a in lifts])
 
 
-def build_quotient(a_sub: FockSubalgebra, lo: int | None = None, hi: int | None = None,
-                   guard: int = 2) -> QuotientSymplectic:
+def build_quotient(a_sub: FockSubalgebra) -> QuotientSymplectic:
     """Construct the quotient lifts from A alone, per the explicit recipe."""
-    if lo is None:
-        lo = -a_sub.degree_bound
-    if hi is None:
-        hi = min(a_sub.window, a_sub.degree_bound + 1)
-    perp = compute_perp(a_sub, lo, hi, guard)
+    perp = compute_perp(a_sub, -a_sub.degree_bound, min(a_sub.window, a_sub.degree_bound + 1))
     neg, pos = [], []
     for f in perp:
         rem, _ = echelon_reduce(f, a_sub.by_ord)
@@ -400,12 +395,10 @@ def covariants_of_modes(q: QuotientSymplectic, v: OscFockVector) -> FockVector:
 def scalar_action(D: Derivation, q: QuotientSymplectic, probes):
     """Certified scalar of the induced action of tau_hat(D) on covariants.
 
-    D must be vertical and is expected to preserve A (certify with FT4).
-    Probes are KMinusVector instances with nonzero covariant image; the same
-    scalar must work for all of them, else NotScalar reports two witnesses.
+    D is expected to preserve A (certify with FT4).  Probes are KMinusVector
+    instances with nonzero covariant image; the same scalar must work for all
+    of them, else NotScalar reports two witnesses.
     """
-    if not D.is_vertical:
-        raise ValueError("scalar_action takes a vertical derivation")
     op = tau_hat_D(D)
     scalar = None
     witness = None

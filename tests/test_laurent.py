@@ -22,6 +22,7 @@ from focklab.laurent import (
     residue_form,
     residue_gram,
 )
+from focklab.oscillator import OscFockVector, osc_basis, tau_hat_D
 from focklab.ratfunc import DifferentialField
 from focklab.scalars import GaussianRational, NotASquare
 
@@ -500,6 +501,37 @@ def test_derivation_from_series_matches_Dk():
     f = LaurentSeries.from_terms({-2: 5, 0: 1, 3: F(1, 2)}, 9)
     assert D.apply(f).agrees_with(Derivation.D(2).apply(f))
     assert D.order() == 2
+
+
+def test_a_derivation_is_given_by_exactly_one_of_k_and_series():
+    """Neither D_k nor a series, or both, is no derivation; the zero
+    derivation is the zero series."""
+    with pytest.raises(ValueError):
+        Derivation()
+    with pytest.raises(ValueError):
+        Derivation(k=1, series=t(2))
+    assert Derivation.from_series(LaurentSeries.zero(8)).order() is None
+
+
+WINDOWED = st.sampled_from(["Q", "Q(i)"]).flatmap(
+    lambda name: windowed_series(COEFFICIENTS[name]).filter(lambda f: f.prec < EXACT_PREC)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-6, 6), WINDOWED)
+def test_symbolic_Dk_equals_the_series_t_power(k, f):
+    """D_k and t^(k+1) d/dt are one derivation in two representations: the
+    same order, the same image of a windowed series, coefficients and prec
+    (on an exact polynomial the two prec differ, though both are exact),
+    and the same tau_hat on every probe of grade <= 4."""
+    sym, ser = Derivation.D(k), Derivation.from_series(t(k + 1))
+    assert sym.order() == ser.order() == k
+    a, b = sym.apply(f), ser.apply(f)
+    assert (a.coeffs, a.prec) == (b.coeffs, b.prec)
+    for key in osc_basis(4):
+        v = OscFockVector.basis(key)
+        assert tau_hat_D(sym).apply(v) == tau_hat_D(ser).apply(v)
 
 
 def selfadjoint_check(D: Derivation, alpha: LaurentSeries, beta: LaurentSeries) -> bool:
