@@ -28,6 +28,8 @@ each ordered key pair once and keeps every value, zero or not.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from math import comb, prod
 
 from .linalg import ExactMatrix
 from .scalars import GaussianRational, conj as _conj
@@ -515,50 +517,26 @@ def _grouped_permanent(rows, row_mult, col_mult):
 
     Every term is an exact integer times a product of exact scalars, so the
     value is the permanent itself, with prod_c (m_c + 1) terms against 2^n.
-    The walk over s is a reflected mixed-radix Gray code: each step moves one
-    s_c by one, so the row sums change by one column and the signed weight by
-    the exact integer ratio C(m_c, s_c +- 1) / C(m_c, s_c).  An all-zero
-    row or column meets every permutation, so the value is 0 without a walk.
+    A term stops at its first zero row sum.  An all-zero row or column meets
+    every permutation, so the value is 0 without a sum.
     """
     n = sum(col_mult)
     if n != sum(row_mult):
         raise ValueError("permanent of a non-square matrix")
-    cols = list(zip(*rows))
-    if not all(map(any, rows)) or not all(map(any, cols)):
+    if not all(map(any, rows)) or not all(map(any, zip(*rows))):
         return 0
-    s = [0] * len(col_mult)
-    step = [1] * len(col_mult)
-    sums = [0] * len(rows)
-    weight = -1 if n % 2 else 1  # (-1)^(n - |s|) prod_c C(m_c, s_c)
-    total = 1 if n == 0 else 0
-    while True:
-        # move the first digit that can move; reverse the ones before it
-        for c, m in enumerate(col_mult):
-            if 0 <= s[c] + step[c] <= m:
-                break
-            step[c] = -step[c]
-        else:
-            return total
-        sc = s[c]
-        if step[c] > 0:
-            weight = -weight * (m - sc) // (sc + 1)
-            for r, a in enumerate(cols[c]):
-                if a:
-                    sums[r] = sums[r] + a
-        else:
-            weight = -weight * sc // (m - sc + 1)
-            for r, a in enumerate(cols[c]):
-                if a:
-                    sums[r] = sums[r] - a
-        s[c] = sc + step[c]
-        term = weight
-        for x, p in zip(sums, row_mult):
+    total = 0
+    for s in product(*(range(m + 1) for m in col_mult)):
+        term = (-1) ** (n - sum(s)) * prod(map(comb, col_mult, s))
+        for row, p in zip(rows, row_mult):
+            x = sum(c * a for c, a in zip(s, row) if c and a)
             if not x:
                 break
             for _ in range(p):
                 term = x * term
         else:
             total = total + term
+    return total
 
 
 def _multiset(key):

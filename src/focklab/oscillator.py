@@ -517,17 +517,12 @@ def module_commutator_sweep(ops: dict, ms: list, probe_grade: int) -> list:
 # -- quasi-symplectic bases and lifted derivations --------------------------------
 
 
-# The consequence is checked for k <= 3 only: the Gram condition implies it (an
-# e_i of order o <= k pairs with the e_{-j} of order -o to a nonzero residue),
-# so it is a cross-check, and a shallow depth keeps it cheap.
-_CONSEQUENCE_DEPTH = 3
-
-
 def check_quasi_symplectic(basis: dict) -> bool:
     """Exact check of the defining conditions on the basis's indices: e_0 = 1,
-    e_i in m for i > 0, (e_i, e_j) = i delta_{i+j,0}; additionally verifies
-    the topology-encoding consequence that e_i lands in m^{k+1} once the
-    negative part up to N_k covers m^{-k}/O, for k <= _CONSEQUENCE_DEPTH."""
+    e_i in m for i > 0, (e_i, e_j) = i delta_{i+j,0}.  They imply that e_i
+    lies in m^{k+1} once e_{-1}..e_{-N} cover m^{-k}/O and i > N: an e_i of
+    order o <= k pairs with the e_{-j} (j <= N) of order -o to
+    o lead(e_i) lead(e_{-j}) != 0, where the Gram needs 0 as i != j."""
     idx = sorted(basis)
     if 0 in idx:
         e0 = basis[0]
@@ -540,28 +535,7 @@ def check_quasi_symplectic(basis: dict) -> bool:
                 return False
     nonzero = [i for i in idx if i]
     gram = residue_gram([basis[i] for i in nonzero])
-    if any(next(gram) - (i if i + j == 0 else 0) for i in nonzero for j in nonzero):
-        return False
-    # consequence: once e_{-1}..e_{-N} cover m^{-k}/O, any later e_i with
-    # i > N must lie in m^{k+1}
-    negs = sorted((i for i in idx if i < 0), reverse=True)
-    pos = sorted(i for i in idx if i > 0)
-    for k in range(1, _CONSEQUENCE_DEPTH + 1):
-        nk = None
-        covered = set()
-        for count, i in enumerate(negs, start=1):
-            o = basis[i].ord
-            if o is not None and -k <= o <= -1:
-                covered.add(o)
-            if {-d for d in range(1, k + 1)} <= covered:
-                nk = count
-                break
-        if nk is None:
-            continue
-        for i in pos:
-            if i > nk and basis[i].ord is not None and basis[i].ord < k + 1:
-                return False
-    return True
+    return not any(next(gram) - (i if i + j == 0 else 0) for i in nonzero for j in nonzero)
 
 
 class LiftedDerivation:

@@ -1,8 +1,10 @@
 """Reference routines that only the tests use: an exact solve and the rank of
-an ExactMatrix, and a Hodge family whose frame does not depend on its
-parameters (sigma = 0 and every curvature vanishes)."""
+an ExactMatrix, a Hodge family whose frame does not depend on its parameters
+(sigma = 0 and every curvature vanishes), and the quasi-symplectic check with
+the consequence loop that its Gram condition makes redundant."""
 
 from focklab.hodge import HodgeFamily
+from focklab.laurent import residue_gram
 from focklab.linalg import ExactMatrix, _back_substitute, _domain_of_all
 from focklab.ratfunc import DifferentialField
 from focklab.scalars import GaussianRational, IdentityFailed
@@ -46,3 +48,33 @@ def constant_family() -> HodgeFamily:
                         [GaussianRational(-1), GaussianRational(0)]])
     v = [field.one, field.i]
     return HodgeFamily(field, flat, [v], {"x": 0, "y": 1})
+
+
+def check_quasi_symplectic(basis: dict, consequence_depth: int = 3) -> bool:
+    """The defining conditions on the basis's indices (e_0 = 1, e_i in m for
+    i > 0, (e_i, e_j) = i delta_{i+j,0}), and then the consequence that e_i
+    lies in m^{k+1} once e_{-1}..e_{-N} cover m^{-k}/O and i > N, for
+    k <= consequence_depth, tested on the orders directly."""
+    idx = sorted(basis)
+    if 0 in idx and not (basis[0] - 1).is_zero():
+        return False
+    if any(basis[i].is_zero() or basis[i].ord < 1 for i in idx if i > 0):
+        return False
+    nonzero = [i for i in idx if i]
+    gram = residue_gram([basis[i] for i in nonzero])
+    if any(next(gram) - (i if i + j == 0 else 0) for i in nonzero for j in nonzero):
+        return False
+    negs = sorted((i for i in idx if i < 0), reverse=True)
+    pos = [i for i in idx if i > 0]
+    for k in range(1, consequence_depth + 1):
+        covered, nk = set(), None
+        for count, i in enumerate(negs, start=1):
+            o = basis[i].ord
+            if o is not None and -k <= o <= -1:
+                covered.add(o)
+            if len(covered) == k:
+                nk = count
+                break
+        if nk is not None and any(i > nk and basis[i].ord < k + 1 for i in pos):
+            return False
+    return True

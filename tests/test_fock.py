@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from focklab import fock
 from focklab.fock import (
     E_inverse,
     E_map,
@@ -460,6 +462,11 @@ def _permutation_sum(rows):
     return total
 
 
+def _expand(rows, row_mult, col_mult):
+    """The n x n matrix with each distinct row and column repeated."""
+    return [[a for a, m in zip(row, col_mult) for _ in range(m)] for row, p in zip(rows, row_mult) for _ in range(p)]
+
+
 @st.composite
 def compositions(draw, n):
     """Positive multiplicities summing to n, in a random number of parts."""
@@ -481,13 +488,44 @@ def grouped_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(grouped_matrices())
 def test_grouped_permanent_matches_the_expanded_sum_over_permutations(case):
-    rows, row_mult, col_mult = case
-    expanded = [
-        [a for a, m in zip(row, col_mult) for _ in range(m)]
-        for row, p in zip(rows, row_mult)
-        for _ in range(p)
-    ]
-    assert _grouped_permanent(rows, row_mult, col_mult) == _permutation_sum(expanded)
+    assert _grouped_permanent(*case) == _permutation_sum(_expand(*case))
+
+
+def _ryser(rows):
+    """Ryser's formula over the 2^n column subsets of the expanded matrix."""
+    n, total = len(rows), 0
+    for subset in itertools.product((0, 1), repeat=n):
+        term = (-1) ** (n - sum(subset))
+        for row in rows:
+            term = term * sum(a for a, b in zip(row, subset) if b)
+        total = total + term
+    return total
+
+
+@st.composite
+def repeated_columns(draw):
+    """One or two distinct columns of multiplicity up to 8, n <= 8, rows
+    grouped at random."""
+    col_mult = draw(st.lists(st.integers(1, 8), min_size=1, max_size=2).filter(lambda m: sum(m) <= 8))
+    row_mult = draw(compositions(sum(col_mult)))
+    entry = st.one_of(st.just(0), ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))])
+    return [[draw(entry) for _ in col_mult] for _ in row_mult], row_mult, col_mult
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_columns())
+def test_grouped_permanent_matches_ryser_on_the_expanded_matrix(case):
+    assert _grouped_permanent(*case) == _ryser(_expand(*case))
+
+
+def test_one_label_of_multiplicity_8_visits_9_multiplicity_vectors(monkeypatch):
+    """perm of the 8 x 8 matrix of one entry a is 8! a^8, summed over the 9
+    vectors s = (0)..(8), each with one binomial, not over 256 subsets."""
+    calls = []
+    monkeypatch.setattr(fock, "comb", lambda m, k: calls.append(k) or math.comb(m, k))
+    a = GaussianRational(1, 1)
+    assert _grouped_permanent([[a]], [8], [8]) == math.factorial(8) * a ** 8
+    assert calls == list(range(9))
 
 
 def sheared_space(shear=1):

@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from focklab import cli, laurent, oscillator
 from focklab.cli import main, run_suite
@@ -36,6 +36,7 @@ from focklab.oscillator import (
 )
 from focklab.ratfunc import DifferentialField
 from focklab.scalars import GaussianRational
+import oracles
 
 t = LaurentSeries.t_power
 
@@ -287,6 +288,13 @@ QUASI_SYMPLECTIC_BREAKS = {
 }
 
 
+def _verdict(check, basis):
+    try:
+        return check(basis)
+    except WindowTooNarrow:
+        return WindowTooNarrow
+
+
 @pytest.mark.parametrize("name", list(QUASI_SYMPLECTIC_BREAKS))
 def test_each_broken_basis_keeps_its_verdict(name):
     """The lazy residue Gram keeps the entrywise check's precedence: False at
@@ -294,6 +302,7 @@ def test_each_broken_basis_keeps_its_verdict(name):
     a lift refuses each false basis."""
     build, want = QUASI_SYMPLECTIC_BREAKS[name]
     basis = build()
+    assert _verdict(oracles.check_quasi_symplectic, basis) is want
     if want is WindowTooNarrow:
         with pytest.raises(WindowTooNarrow):
             check_quasi_symplectic(basis)
@@ -301,6 +310,50 @@ def test_each_broken_basis_keeps_its_verdict(name):
     assert check_quasi_symplectic(basis) is want
     with pytest.raises(BasisNotQuasiSymplectic):
         lift_derivation(Derivation.D(2), basis)
+
+
+COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+
+
+@st.composite
+def perturbed_bases(draw):
+    """T12 or BASIS_LAMBDA_2 with one to four changes: a positive e_i moved
+    to a lower order, scaled or given an extra term; a negative e_-j given
+    extra terms; or any e_i cut to a window of one to three exponents."""
+    basis = dict(draw(st.sampled_from([T12, BASIS_LAMBDA_2])))
+    for _ in range(draw(st.integers(1, 4))):
+        # narrow drawn twice as often: a cut window decides a verdict only
+        # beside another change that fails an entry
+        kind = draw(st.sampled_from(["lower", "scale", "extra", "negative", "narrow", "narrow"]))
+        i = draw(st.integers(1, 12))
+        e = basis[i]
+        if kind == "lower":
+            basis[i] = e.shift(draw(st.integers(-1, i - 1)) - i).scale(draw(COEFFS))
+        elif kind == "scale":
+            basis[i] = e.scale(draw(COEFFS))
+        elif kind == "extra":
+            basis[i] = e + t(draw(st.integers(-2, 20)), draw(COEFFS))
+        elif kind == "negative":
+            for p in draw(st.lists(st.integers(-12, 20), min_size=1, max_size=2)):
+                basis[-i] = basis[-i] + t(p, draw(COEFFS))
+        else:
+            i = draw(st.sampled_from([-i, i]))
+            e = basis[i]
+            basis[i] = e.truncate(min(e.prec, e.floor + draw(st.integers(1, 3))))
+    return basis
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_bases())
+@example({**T12, 1: T12[1].scale(2), 5: _narrow(5)})  # (e_-12, e_5) raises before (e_1, e_-1) fails
+def test_the_gram_check_gives_the_consequence_loops_verdict(basis):
+    """The Gram condition implies the consequence that the oracle also checks
+    on the orders (see check_quasi_symplectic), at depth 3, as the package
+    once did, and at depth 12: the same verdict, with WindowTooNarrow at the
+    same precedence."""
+    got = _verdict(check_quasi_symplectic, basis)
+    for depth in (3, 12):
+        assert got == _verdict(lambda b: oracles.check_quasi_symplectic(b, depth), basis)
 
 
 def _count_residue_forms(monkeypatch):
