@@ -557,8 +557,8 @@ def parse_series(text: str) -> LaurentSeries:
     truncated with '+ ...'.
 
     The body is read as a rational function of t (scalars.parse_expression);
-    it must be a Laurent polynomial, whose normal form has a monomial
-    denominator c*t^d, and each numerator term a*t^e is the term (a/c)*t^(e-d).
+    it must be a Laurent polynomial, whose normal form has denominator 1 and
+    whose numerator's terms are the series' terms.
     """
     text = text.strip()
     prec = EXACT_PREC
@@ -572,10 +572,9 @@ def parse_series(text: str) -> LaurentSeries:
     if text.rstrip().endswith("..."):
         raise ValueError("series text is truncated ('+ ...'); its terms are not all known")
     f = DifferentialField(["t"]).parse(text)
-    if len(f.den.terms) != 1:
+    if f.den != f.field.one.den:
         raise ValueError(f"{text!r} is not a Laurent polynomial in t: its denominator is {f.den}")
-    (((d,), c),) = f.den.terms.items()
-    return LaurentSeries.from_terms({e - d: a / c for (e,), a in f.num.terms.items()}, prec)
+    return LaurentSeries.from_terms({e: a for (e,), a in f.num.terms.items()}, prec)
 
 
 def format_series(f: LaurentSeries, max_terms: int = 12) -> str:

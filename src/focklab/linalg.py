@@ -284,7 +284,9 @@ class ExactMatrix:
         or (self, None) over Q(sqrt(-1)).  Over Q a row is integers over its
         lcm, a Fraction scale.  Over a field Q(x, ...), which has no gcd to
         cancel common factors, a row is multiplied by the product of its
-        distinct denominators; on the cleared rows every Bareiss division is exact."""
+        distinct denominators, less each one that divides another of them; a
+        row over 1 stays as it is.  On the cleared rows, Laurent polynomials
+        over 1, every Bareiss division is exact."""
         dom = self.domain
         if dom is QQ:
             lcms = [math.lcm(*[v.denominator for v in r]) for r in self.rows]
@@ -293,12 +295,12 @@ class ExactMatrix:
         if not isinstance(dom, DifferentialField):
             return self, None
         one, rows, scales = dom.one.den, [], []
-        for r in self.rows:  # each v times the other denominators, with no division
-            dens = list(dict.fromkeys(v.den for v in r))
-            rows.append([
-                RationalFunction(dom, math.prod((d for d in dens if d != v.den), start=v.num), one) for v in r
-            ])
-            scales.append(RationalFunction(dom, math.prod(dens, start=one), one))
+        for r in self.rows:
+            dens = list(dict.fromkeys(v.den for v in r if v.den != one))
+            dens = [d for d in dens if not any(e != d and e.divide_exact(d) is not None for e in dens)]
+            scale = math.prod(dens, start=one)
+            rows.append([RationalFunction(dom, v.num * scale, v.den) for v in r] if dens else r)
+            scales.append(RationalFunction(dom, scale, one))
         return ExactMatrix._over(rows, dom), scales
 
     def det(self):

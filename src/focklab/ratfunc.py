@@ -1,33 +1,34 @@
 """Rational-function differential fields in named real parameters.
 
-Elements are quotients of sparse multivariate polynomials over Q(sqrt(-1));
-Polynomial is a SparseVector (sparse.py) keyed by exponent vectors.  The
-parameters are treated as real: conjugation fixes them and conjugates
-coefficients.  There is no general multivariate gcd.  Every RationalFunction
-is stored in the normal form that `_normalize` computes.  Over a one-term
-denominator c*x^d it is one rule: cancel the monomial content (componentwise
-least exponent) that the numerator shares with x^d, and divide the numerator
-by c.  Over a longer denominator the shared monomial content cancels too;
-then an exact lex long division leaves the quotient over 1, and otherwise
-both are scaled so that the denominator's lex-leading coefficient is 1.  The
-polarized families' denominators are monomials in the imaginary parts.
-Equality never needs a gcd: equal denominators compare numerators, others
-cross multiply.  The hash is built from the lex lead exponent and lead
-coefficient ratio of numerator over denominator, which a common factor
-cannot change (lex is a monomial order), so equal values hash equally.
+Elements are quotients of sparse multivariate Laurent polynomials over
+Q(sqrt(-1)); Polynomial is a SparseVector (sparse.py) keyed by exponent
+vectors.  The parameters are treated as real: conjugation fixes them and
+conjugates coefficients.  There is no general multivariate gcd.
+
+Normal form (what `_normalize` computes): the numerator is a Laurent
+polynomial, whose exponents may be negative; the denominator is the field's
+shared 1, or a lex-monic polynomial with no monomial factor that lex long
+division found not to divide the numerator.  A monomial denominator is never
+stored: it is a negative exponent of the numerator.  The polarized
+families' denominators are monomials in the imaginary parts, so all their
+values are Laurent polynomials over 1.  Equality never needs a gcd: equal
+denominators compare numerators, others cross multiply.  The hash is built
+from the lex lead exponent and lead coefficient ratio of numerator over
+denominator, which a common factor cannot change (lex is a monomial order),
+so equal values hash equally.
 
 Some results skip `_normalize`.  Already normal: negation; conjugation, a
 ring automorphism that keeps every exponent, every exact division and the
 denominator's lead coefficient 1; scaling by a nonzero constant; adding
 zero; a product with a zero factor; the constants and variables of a field.
-Over monomial denominators x^d1, x^d2 the monomial rule applies directly:
-to the product over x^(d1 + d2), the sum over x^max(d1, d2), and the
-derivative d(n/x^d)/dx_k = (x_k dn/dx_k - d_k n) / x^(d + e_k), or
-dn/dx_k / x^d when d_k = 0.  tests/test_ratfunc.py checks that every
-operation returns a fixed point of `_normalize`.
+Over denominators 1 the Laurent ring is a domain whose dict form is
+canonical, so a product, a sum and a derivative are its ring operations.
+tests/test_ratfunc.py checks that every operation returns a fixed point of
+`_normalize`.
 
 The text format is the grammar of `scalars.parse_expression`.  `str` writes
-num/den and parenthesises a sum or a product of several factors, and
+num/den with the numerator's negative exponents moved into the denominator,
+parenthesises a sum or a product of several factors, and
 `DifferentialField.parse` reads what it writes back to an equal value.
 """
 
@@ -59,22 +60,21 @@ class DifferentialField:
         self.params = params
         self.nvars = len(params)
         self._zero_exp = (0,) * self.nvars
-        self.zero = _normal(self, _poly(self, {}), self._one_poly())
+        # the denominator of every value whose denominator is 1
+        self._one = _poly(self, {self._zero_exp: ONE})
+        self.zero = _normal(self, _poly(self, {}), self._one)
         self.one = self.const(ONE)
         self.i = self.const(GaussianRational(0, 1))
-
-    def _one_poly(self):
-        return _poly(self, {self._zero_exp: ONE})
 
     def var(self, name: str) -> "RationalFunction":
         k = self.params.index(name)
         exp = tuple(1 if j == k else 0 for j in range(self.nvars))
-        return _normal(self, _poly(self, {exp: ONE}), self._one_poly())
+        return _normal(self, _poly(self, {exp: ONE}), self._one)
 
     def const(self, c) -> "RationalFunction":
         c = GaussianRational.coerce(c)
         num = _poly(self, {self._zero_exp: c} if c else {})
-        return _normal(self, num, self._one_poly())
+        return _normal(self, num, self._one)
 
     def convert(self, x) -> "RationalFunction":
         if isinstance(x, RationalFunction):
@@ -101,7 +101,8 @@ class DifferentialField:
 
 
 class Polynomial(SparseVector):
-    """Sparse multivariate polynomial: exponent tuple -> GaussianRational."""
+    """Sparse multivariate Laurent polynomial: exponent tuple ->
+    GaussianRational."""
 
     __slots__ = ("field",)
 
@@ -156,7 +157,8 @@ class Polynomial(SparseVector):
 
     def divide_exact(self, divisor: "Polynomial"):
         """Return self/divisor if the division is exact (lex long division),
-        else None."""
+        else None.  Both have no negative exponent: over Laurent polynomials
+        lex division need not end (1/(x + 1))."""
         if not divisor:
             raise ZeroDivisionError("polynomial division by zero")
         # the remainder is updated in place; its lead falls at every step
@@ -167,12 +169,13 @@ class Polynomial(SparseVector):
             if any(v < 0 for v in qe):
                 return None
             qc = quot[qe] = rem[e] / dc
+            qc = -qc
             for e2, c2 in divisor.terms.items():
-                add_term(rem, tuple(map(add, qe, e2)), -(qc * c2))
+                add_term(rem, tuple(map(add, qe, e2)), qc * c2)
         return _poly(self.field, quot)
 
     def _text(self, e) -> str:
-        return "*".join(f"{n}^{p}" if p > 1 else n for n, p in zip(self.field.params, e) if p) or "1"
+        return "*".join(n if p == 1 else f"{n}^{p}" for n, p in zip(self.field.params, e) if p) or "1"
 
     def __str__(self):
         if not self.terms:
@@ -260,11 +263,8 @@ class RationalFunction:
             return self
         if not self.num:
             return other
-        if len(self.den.terms) == 1 == len(other.den.terms):
-            (d1,), (d2,) = self.den.terms, other.den.terms
-            d = tuple(map(max, d1, d2))
-            num = _shift(self.num, tuple(map(sub, d, d1)), add) + _shift(other.num, tuple(map(sub, d, d2)), add)
-            return _normal(self.field, *_monomial_normal(num, d))
+        if self.den is other.den is self.field._one:
+            return _normal(self.field, self.num + other.num, self.den)
         if self.den == other.den:
             return RationalFunction(self.field, self.num + other.num, self.den)
         return RationalFunction(
@@ -293,9 +293,8 @@ class RationalFunction:
             return NotImplemented
         if not (self.num and other.num):
             return self.field.zero
-        if len(self.den.terms) == 1 == len(other.den.terms):
-            (d1,), (d2,) = self.den.terms, other.den.terms
-            return _normal(self.field, *_monomial_normal(self.num * other.num, tuple(map(add, d1, d2))))
+        if self.den is other.den is self.field._one:
+            return _normal(self.field, self.num * other.num, self.den)
         return RationalFunction(self.field, self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -306,6 +305,8 @@ class RationalFunction:
             return NotImplemented
         if not other.num:
             raise ZeroDivisionError("division by zero rational function")
+        if self.den is other.den is self.field._one:
+            return RationalFunction(self.field, self.num, other.num)
         return RationalFunction(self.field, self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
@@ -326,32 +327,32 @@ class RationalFunction:
     # -- differential/involution structure ---------------------------------
 
     def conj(self):
-        return _normal(self.field, self.num.conj(), self.den.conj())
+        den = self.den
+        return _normal(self.field, self.num.conj(), den if den is self.field._one else den.conj())
 
     def derivative(self, param: str) -> "RationalFunction":
         k = self.field.params.index(param)
-        if len(self.den.terms) == 1:
-            (d,) = self.den.terms
-            dk = d[k]
-            if not dk:
-                return _normal(self.field, *_monomial_normal(self.num.derivative(k), d))
-            num = {e: c * (e[k] - dk) for e, c in self.num.terms.items() if e[k] != dk}
-            d = d[:k] + (dk + 1,) + d[k + 1:]
-            return _normal(self.field, *_monomial_normal(_poly(self.field, num), d))
+        if self.den is self.field._one:
+            return _normal(self.field, self.num.derivative(k), self.den)
         num = self.num.derivative(k) * self.den - self.num * self.den.derivative(k)
         return RationalFunction(self.field, num, self.den * self.den)
 
+    def _fraction(self):
+        """(num, den) times x^s, where s holds the numerator's negative
+        exponents: two polynomials in the parameters."""
+        s = _negative_part(self.num)
+        return _shift(self.num, s, sub), _shift(self.den, s, sub)
+
     def evaluate(self, point: dict) -> GaussianRational:
-        d = self.den.evaluate(point)
+        num, den = self._fraction()
+        d = den.evaluate(point)
         if not d:
             raise ZeroDivisionError("denominator vanishes at sample point")
-        return self.num.evaluate(point) / d
+        return num.evaluate(point) / d
 
     @property
     def is_constant(self) -> bool:
-        # a constant's normal denominator is 1
-        zero = self.field._zero_exp
-        return set(self.den.terms) == {zero} and set(self.num.terms) <= {zero}
+        return self.den is self.field._one and set(self.num.terms) <= {self.field._zero_exp}
 
     def constant_value(self) -> GaussianRational:
         if not self.is_constant:
@@ -361,10 +362,11 @@ class RationalFunction:
     def __str__(self):
         if not self.num:
             return "0"
-        ns = str(self.num)
-        if self.den == self.field._one_poly():
+        num, den = self._fraction()
+        ns = str(num)
+        if den is self.field._one:
             return ns
-        ds = str(self.den)
+        ds = str(den)
         ns = f"({ns})" if " " in ns else ns
         ds = f"({ds})" if " " in ds or "*" in ds else ds
         return f"{ns}/{ds}"
@@ -373,20 +375,21 @@ class RationalFunction:
 
 
 def _normalize(num: Polynomial, den: Polynomial):
-    if len(den.terms) == 1:
-        ((d, c),) = den.terms.items()
-        return _monomial_normal(num, d, c)
     field = den.field
     if not num:
-        return num, field._one_poly()
-    # cancel common monomial factor
-    cm = tuple(map(min, *num.terms, *den.terms))
-    if any(cm):
-        num, den = _shift(num, cm, sub), _shift(den, cm, sub)
-    # opportunistic exact division
-    q = num.divide_exact(den)
+        return num, field._one
+    # the denominator's monomial content moves into the numerator
+    cm = tuple(map(min, zip(*den.terms)))
+    num, den = _shift(num, cm, sub), _shift(den, cm, sub)
+    if len(den.terms) == 1:
+        (c,) = den.terms.values()
+        return num if c == ONE else num * c.inverse(), field._one
+    # opportunistic exact division, on the numerator shifted to no negative
+    # exponent (den has none, and no monomial factor)
+    s = _negative_part(num)
+    q = _shift(num, s, sub).divide_exact(den)
     if q is not None:
-        return q, field._one_poly()
+        return _shift(q, s, add), field._one
     # make denominator lex-monic
     _, lead = den._lead()
     if lead != ONE:
@@ -395,15 +398,9 @@ def _normalize(num: Polynomial, den: Polynomial):
     return num, den
 
 
-def _monomial_normal(num: Polynomial, d, c=ONE):
-    """The normal (num, den) of num / (c x^d): the shared monomial content
-    cancels and c moves into the numerator."""
-    if not num:
-        return num, num.field._one_poly()
-    cm = tuple(map(min, d, *num.terms))
-    if any(cm):
-        num, d = _shift(num, cm, sub), tuple(map(sub, d, cm))
-    return num if c == ONE else num * c.inverse(), _poly(num.field, {d: ONE})
+def _negative_part(p: Polynomial):
+    """The least exponent of each variable in p where it is below 0, else 0."""
+    return tuple(min(0, *col) for col in zip(*p.terms))
 
 
 def _shift(p: Polynomial, k, op) -> Polynomial:

@@ -537,3 +537,39 @@ def test_theorem31_divides_by_no_polynomial(monkeypatch):
     report = verify_theorem31(fam, 4)
     assert all(report.values()), report
     assert calls["divide_exact"] == 0 and calls["products"] <= 1500, calls
+
+
+def test_theorem31_stays_in_the_laurent_ring(monkeypatch):
+    """A counting guard (calls, not time): every family's denominators are
+    monomials in the imaginary parts, which the normal form keeps as negative
+    exponents, so across verify_theorem31 at grade 4 no sum, product or
+    derivative has a denominator other than 1 (3,035 did when a monomial
+    denominator was stored) and no Polynomial.divide_exact call is made."""
+    from focklab.ratfunc import RationalFunction
+
+    families = [modular_family(), siegel_family(0), siegel_family(1), constant_family()]
+    calls = {"results": 0, "den_not_1": 0, "divide_exact": 0}
+
+    def counted(method):
+        def wrapped(*args):
+            out = method(*args)
+            if isinstance(out, RationalFunction):
+                calls["results"] += 1
+                calls["den_not_1"] += out.den != out.field.one.den
+            return out
+
+        return wrapped
+
+    for name in ("__add__", "__mul__", "derivative"):
+        monkeypatch.setattr(RationalFunction, name, counted(getattr(RationalFunction, name)))
+    divide_exact = Polynomial.divide_exact
+
+    def counted_divide_exact(a, b):
+        calls["divide_exact"] += 1
+        return divide_exact(a, b)
+
+    monkeypatch.setattr(Polynomial, "divide_exact", counted_divide_exact)
+    for fam in families:
+        report = verify_theorem31(fam, 4)
+        assert all(report.values()), report
+    assert calls["results"] > 1000 and calls["den_not_1"] == 0 and calls["divide_exact"] == 0, calls
