@@ -140,9 +140,10 @@ class ConnectionData:
     are linear over the coefficient field.  _images holds each one's image of
     FockVector.basis(space, key), made the first time a key of any grade
     meets it, and _act extends those images by linearity to the exact value
-    endomorphism_action or rho_apply gives on the whole vector.  The
-    curvature and lemma checks apply a few operators to the same keys many
-    times over; each image is built once per ConnectionData.
+    endomorphism_action or rho_apply gives on the whole vector; nabla_fbar
+    writes the coefficients' derivatives beside the Abar^F images, into one
+    dictionary.  The curvature and lemma checks apply a few operators to the
+    same keys many times over; each image is built once per ConnectionData.
     """
 
     def __init__(self, fam: HodgeFamily):
@@ -197,12 +198,6 @@ class ConnectionData:
     def rho_sbar(self, k: int) -> UElement:
         return self._rho("sbar", k, self.sbar_coeff.get(k), self.fam.g)
 
-    def d_param(self, k: int, vec: FockVector) -> FockVector:
-        p = self.fam.field.params[k]
-        return vec.map_coefficients(
-            lambda c: c.derivative(p) if isinstance(c, RationalFunction) else 0
-        )
-
     def _image(self, part: str, k: int, key) -> FockVector:
         entry = (part, k, key)
         if entry not in self._images:
@@ -224,7 +219,15 @@ class ConnectionData:
         return vec._like(terms)
 
     def nabla_fbar(self, k: int, vec: FockVector) -> FockVector:
-        return self.d_param(k, vec) + self._act("abar", k, vec)
+        """d_k + Abar^F_k as a derivation, in one dictionary: per term (key, c),
+        the derivative of c (a constant has none), then c times key's image."""
+        p, terms = self.fam.field.params[k], {}
+        for key, c in vec.terms.items():
+            if isinstance(c, RationalFunction):
+                add_term(terms, key, c.derivative(p))
+            for kk, w in self._image("abar", k, key).terms.items():
+                add_term(terms, kk, c * w)
+        return vec._like(terms)
 
     def nabla_ff(self, k: int, vec: FockVector) -> FockVector:
         return self.nabla_fbar(k, vec) + self._act("s", k, vec) + self._act("sbar", k, vec)

@@ -15,14 +15,18 @@ values are Laurent polynomials over 1.  Equality never needs a gcd: equal
 denominators compare numerators, others cross multiply.  The hash is built
 from the lex lead exponent and lead coefficient ratio of numerator over
 denominator, which a common factor cannot change (lex is a monomial order),
-so equal values hash equally.
+so equal values hash equally.  A binary operation first tests for a value
+of the very same field object; only then does it try a scalar, or convert
+a value of an equal field built separately (another field is a ValueError).
 
 Some results skip `_normalize`.  Already normal: negation; conjugation, a
 ring automorphism that keeps every exponent, every exact division and the
 denominator's lead coefficient 1; scaling by a nonzero constant; adding
 zero; a product with a zero factor; the constants and variables of a field.
 Over denominators 1 the Laurent ring is a domain whose dict form is
-canonical, so a product, a sum and a derivative are its ring operations.
+canonical, so a product, a sum and a derivative are its ring operations: a
+sum adds one numerator's terms into a copy of the other's, and a one-term
+factor shifts the other's terms (Polynomial.__mul__).
 tests/test_ratfunc.py checks that every operation returns a fixed point of
 `_normalize`.
 
@@ -117,13 +121,20 @@ class Polynomial(SparseVector):
         return hash(frozenset(self.terms.items()))
 
     def __mul__(self, other):
+        """By a constant, or by a polynomial.  A one-term factor c*x^e sends
+        each term c2*x^e2 of the other to (c*c2)*x^(e+e2): the exponents stay
+        distinct and Q(sqrt(-1)) is a domain, so only longer ones convolve."""
         if isinstance(other, GaussianRational):
             return self.scale(other)
-        if not (self.terms and other.terms):
-            return _poly(self.field, {})
+        a, b = self.terms, other.terms
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            ((e1, c1),) = a.items()
+            return _poly(self.field, {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in b.items()})
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 add_term(out, tuple(map(add, e1, e2)), c1 * c2)
         return _poly(self.field, out)
 
@@ -212,13 +223,8 @@ class RationalFunction:
     # -- coercion ---------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            if other.field != self.field:
-                raise ValueError("mixing different differential fields")
-            return other
-        if isinstance(other, _SCALARS):
-            return self.field.const(other)
-        return None
+        """other as a value of this field, or None for a foreign type."""
+        return self.field.convert(other) if isinstance(other, (RationalFunction, *_SCALARS)) else None
 
     def _scale(self, c):
         """self * c for a constant c of Q(sqrt(-1)): only the numerator moves,
@@ -232,14 +238,14 @@ class RationalFunction:
     # -- ring/field ops ----------------------------------------------------
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.num.terms)
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.den == other.den:
-            return self.num == other.num
+        if type(other) is not RationalFunction or other.field is not self.field:
+            if (other := self._coerce(other)) is None:
+                return NotImplemented
+        if self.den.terms == other.den.terms:
+            return self.num.terms == other.num.terms
         return not (self.num * other.den - other.num * self.den)
 
     def __hash__(self):
@@ -254,22 +260,23 @@ class RationalFunction:
         return hash((shift, ratio)) if any(shift) else hash(ratio)
 
     def __add__(self, other):
-        if isinstance(other, _SCALARS) and not other:
+        if type(other) is not RationalFunction or other.field is not self.field:
+            if isinstance(other, _SCALARS) and not other:
+                return self
+            if (other := self._coerce(other)) is None:
+                return NotImplemented
+        if not other.num.terms:
             return self
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other.num:
-            return self
-        if not self.num:
+        if not self.num.terms:
             return other
         if self.den is other.den is self.field._one:
-            return _normal(self.field, self.num + other.num, self.den)
+            terms = dict(self.num.terms)
+            for e, c in other.num.terms.items():
+                add_term(terms, e, c)
+            return _normal(self.field, _poly(self.field, terms), self.den)
         if self.den == other.den:
             return RationalFunction(self.field, self.num + other.num, self.den)
-        return RationalFunction(
-            self.field, self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        return RationalFunction(self.field, self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
@@ -277,21 +284,21 @@ class RationalFunction:
         return _normal(self.field, -self.num, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not RationalFunction or other.field is not self.field:
+            if (other := self._coerce(other)) is None:
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self._scale(other)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not (self.num and other.num):
+        if type(other) is not RationalFunction or other.field is not self.field:
+            if isinstance(other, _SCALARS):
+                return self._scale(other)
+            if (other := self._coerce(other)) is None:
+                return NotImplemented
+        if not (self.num.terms and other.num.terms):
             return self.field.zero
         if self.den is other.den is self.field._one:
             return _normal(self.field, self.num * other.num, self.den)
@@ -300,17 +307,17 @@ class RationalFunction:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other.num:
+        if type(other) is not RationalFunction or other.field is not self.field:
+            if (other := self._coerce(other)) is None:
+                return NotImplemented
+        if not other.num.terms:
             raise ZeroDivisionError("division by zero rational function")
         if self.den is other.den is self.field._one:
             return RationalFunction(self.field, self.num, other.num)
         return RationalFunction(self.field, self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        return NotImplemented if (other := self._coerce(other)) is None else other / self
 
     def __pow__(self, n: int):
         if n < 0:

@@ -20,12 +20,16 @@ from __future__ import annotations
 
 
 def add_term(terms: dict, key, c):
-    """terms[key] += c in place, dropping the entry when the sum is zero."""
-    s = terms.get(key, 0) + c
-    if s:
+    """terms[key] += c in place, dropping the entry when the sum is zero.  A
+    new key stores c itself, when it is nonzero: no 0 + c is formed."""
+    s = terms.get(key)
+    if s is None:
+        if c:
+            terms[key] = c
+    elif s := s + c:
         terms[key] = s
     else:
-        terms.pop(key, None)
+        del terms[key]
 
 
 class SparseVector:

@@ -1,12 +1,13 @@
 """Reference routines that only the tests use: an exact solve and the rank of
 an ExactMatrix, a Hodge family whose frame does not depend on its parameters
-(sigma = 0 and every curvature vanishes), and the quasi-symplectic check with
-the consequence loop that its Gram condition makes redundant."""
+(sigma = 0 and every curvature vanishes), the coefficientwise derivative of a
+Fock vector over a family, and the quasi-symplectic check with the
+consequence loop that its Gram condition makes redundant."""
 
 from focklab.hodge import HodgeFamily
 from focklab.laurent import residue_gram
 from focklab.linalg import ExactMatrix, _back_substitute, _domain_of_all
-from focklab.ratfunc import DifferentialField
+from focklab.ratfunc import DifferentialField, RationalFunction
 from focklab.scalars import GaussianRational, IdentityFailed
 
 
@@ -48,6 +49,14 @@ def constant_family() -> HodgeFamily:
                         [GaussianRational(-1), GaussianRational(0)]])
     v = [field.one, field.i]
     return HodgeFamily(field, flat, [v], {"x": 0, "y": 1})
+
+
+def d_param(conn, k: int, vec):
+    """d/dp_k of each coefficient of a Fock vector over conn's family: the
+    flat part of nabla^Fbar (a constant coefficient has derivative 0).  As a
+    ConnectionData method it is nabla^Fbar with A^F-bar dropped."""
+    p = conn.fam.field.params[k]
+    return vec.map_coefficients(lambda c: c.derivative(p) if isinstance(c, RationalFunction) else 0)
 
 
 def check_quasi_symplectic(basis: dict, consequence_depth: int = 3) -> bool:

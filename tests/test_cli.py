@@ -435,6 +435,7 @@ def test_each_connection_mutation_fails_exactly_its_identities(monkeypatch, caps
     from focklab.fock import UElement
     from focklab.forms import Form
     from focklab.hodge import ConnectionData
+    from oracles import d_param
 
     rho_s = ConnectionData.rho_s
     if mutation == "rho_sbar dropped":
@@ -444,7 +445,7 @@ def test_each_connection_mutation_fails_exactly_its_identities(monkeypatch, caps
     elif mutation == "curvature is the identity":
         monkeypatch.setattr(hodge, "curvature", lambda omega: omega)
     elif mutation == "A^F-bar dropped from nabla_fbar":
-        monkeypatch.setattr(ConnectionData, "nabla_fbar", lambda self, k, v: self.d_param(k, v))
+        monkeypatch.setattr(ConnectionData, "nabla_fbar", d_param)
     else:
         d = Form.exterior_derivative
         monkeypatch.setattr(Form, "exterior_derivative", lambda self: -d(self))

@@ -22,7 +22,7 @@ from focklab.hodge import (
 from focklab.linalg import ExactMatrix
 from focklab.ratfunc import DifferentialField, Polynomial
 from focklab.scalars import GaussianRational
-from oracles import Inconsistent, constant_family, solve
+from oracles import Inconsistent, constant_family, d_param, solve
 
 F = Fraction
 
@@ -129,7 +129,7 @@ def test_verify_theorem31_siegel_block():
 def _nabla_by_formula(conn, k, vec, with_rho):
     """d + Abar^F_k acting as a derivation, plus rho(s(k) + s_bar(k)) for
     nabla^FF: each operator applied to the whole vector."""
-    out = conn.d_param(k, vec) + endomorphism_action(conn._space, conn.a_f_bar.coefficient((k,)), vec)
+    out = d_param(conn, k, vec) + endomorphism_action(conn._space, conn.a_f_bar.coefficient((k,)), vec)
     if with_rho:
         out = out + rho_apply(conn.rho_s(k) + conn.rho_sbar(k), vec)
     return out
@@ -163,7 +163,7 @@ def _mutate(monkeypatch, mutation):
     if mutation == "rho(s) counted twice":
         monkeypatch.setattr(ConnectionData, "rho_s", lambda self, k: rho_s(self, k).scale(2))
     elif mutation == "A^F-bar dropped from nabla_fbar":
-        monkeypatch.setattr(ConnectionData, "nabla_fbar", lambda self, k, v: self.d_param(k, v))
+        monkeypatch.setattr(ConnectionData, "nabla_fbar", d_param)
     else:
         monkeypatch.setattr(ConnectionData, "rho_sbar", lambda self, k: UElement.zero(self._space))
 
@@ -297,6 +297,33 @@ def test_theorem31_composes_nabla_ff_once(monkeypatch):
     checks = list(theorem31_checks(fam, 4))
     assert all(holds for _, holds, _ in checks), checks
     assert calls["products"] <= 1520 and calls["derivative"] <= 760, calls
+
+
+def test_theorem31_stays_in_one_field_and_one_dictionary(monkeypatch):
+    """A counting guard (calls, not time): theorem31_checks(siegel_family(1), 4)
+    made 600 map_coefficients calls (one d_param vector per nabla^Fbar) and
+    about 3,500 DifferentialField.__eq__ calls when every rational-function
+    operation coerced its operand; nabla^Fbar writing one dictionary and
+    same-field operands dispatching first need 0 and about 800."""
+    from focklab.sparse import SparseVector
+
+    fam = siegel_family(1)
+    calls = {"map_coefficients": 0, "field_eq": 0}
+    map_coefficients, field_eq = SparseVector.map_coefficients, DifferentialField.__eq__
+
+    def counted_map(vec, fn):
+        calls["map_coefficients"] += 1
+        return map_coefficients(vec, fn)
+
+    def counted_eq(a, b):
+        calls["field_eq"] += 1
+        return field_eq(a, b)
+
+    monkeypatch.setattr(SparseVector, "map_coefficients", counted_map)
+    monkeypatch.setattr(DifferentialField, "__eq__", counted_eq)
+    checks = list(theorem31_checks(fam, 4))
+    assert all(holds for _, holds, _ in checks), checks
+    assert calls["map_coefficients"] == 0 and calls["field_eq"] <= 1000, calls
 
 
 def test_theorem31_makes_no_curvature_on_probe_call(monkeypatch):

@@ -329,6 +329,68 @@ def test_evaluate_where_a_negative_exponent_vanishes():
     assert ((XY.var("x") + 1) / XY.var("y")).evaluate({"x": 1, "y": 2}) == 1
 
 
+# -- dispatch: this field, an equal field, a scalar --------------------------------------
+
+XY_AGAIN = DifferentialField(["x", "y"])  # equal to XY, built separately
+XZ = DifferentialField(["x", "z"])
+DISPATCHED = dict(BINARY, **{"==": (lambda a, b: a == b, None)})
+
+
+def variants(b):
+    """b as a value of XY, as a value of XY_AGAIN with the same stored terms,
+    and as a scalar when it is constant."""
+    b = XY.convert(b)
+    again = RationalFunction(XY_AGAIN, Polynomial(XY_AGAIN, b.num.terms), Polynomial(XY_AGAIN, b.den.terms))
+    return [b, again] + ([b.constant_value()] if b.is_constant else [])
+
+
+def stored(x):
+    return (x.num.terms, x.den.terms) if isinstance(x, RationalFunction) else x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(DISPATCHED)), rfs(), operands)
+@example("*", XY.parse("2*x/y"), XY.parse("x + y^2 - 3"))  # a one-term factor times three terms
+@example("*", XY.parse("x + y^2 - 3"), XY.parse("2*x/y"))  # and in the other order
+@example("*", XY.parse("3*x/y^2"), XY.parse("(1/2)i*y^2/x"))  # one-term factors, exponents cancel to 0
+@example("+", XY.parse("x/y"), GaussianRational(2))
+@example("==", XY.parse("(x + 1)/(x + y)"), XY.parse("(x + 1)/(x + y)"))
+def test_an_operand_of_this_field_an_equal_field_or_a_scalar_gives_one_result(op, a, b):
+    """Whichever of the three routes the other operand takes -- the same
+    DifferentialField object, an equal one built separately, or a scalar --
+    an operation stores the same terms and hashes alike, on either side; the
+    first route matches the long-division reference.  A value of a field with
+    other parameters is a ValueError."""
+    fn, want = DISPATCHED[op]
+    vs = variants(b)
+    assert len({hash(v) for v in vs}) == 1
+    for pairs in ([(a, v) for v in vs], [(v, a) for v in vs]):
+        if op == "/" and not pairs[0][1]:
+            continue
+        results = [fn(x, y) for x, y in pairs]
+        assert all(stored(r) == stored(results[0]) for r in results), (pairs, results)
+        assert len({hash(r) for r in results}) == 1
+        if want is None:
+            assert results[0] == (not (pairs[0][0] - pairs[0][1]))
+        else:
+            assert_matches(results[0], want(*pairs[0]))
+    with pytest.raises(ValueError, match="different differential fields"):
+        fn(a, XZ.var("z"))
+    with pytest.raises(ValueError, match="different differential fields"):
+        fn(XZ.var("z"), a)
+
+
+
+@pytest.mark.parametrize("foreign", ["a", [1], None])
+def test_a_foreign_operand_is_a_type_error(foreign):
+    """An operand of no supported type returns NotImplemented, so Python
+    raises TypeError, on either side."""
+    x = XY.var("x")
+    for fn in (lambda: x + foreign, lambda: foreign * x, lambda: x / foreign, lambda: foreign / x):
+        with pytest.raises(TypeError):
+            fn()
+    assert x != foreign
+
 # -- against sympy ----------------------------------------------------------------------
 
 
