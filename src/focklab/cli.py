@@ -1,9 +1,11 @@
 """Batch verification suites and example computations.
 
-A suite is a generator of checks ``(id, statement, ok[, witness[, detail]])``:
-``ok`` is a bool or "skipped", the witness is the first failing case.  Only
-``run_suite`` resolves parameters (the ``SUITES`` table), makes records and
-times the run.  Every suite is deterministic given its parameters and seed.
+A suite is a generator of ``CheckRecord``s.  A record passes until
+``fail(witness)`` or ``skip(witness)``: a failure outranks a skip, and the
+record keeps the first witness of its final status.  Only ``run_suite``
+resolves parameters (the ``SUITES`` table), suffixes the ids of ``ALL``,
+writes the report and times the run.  Every suite is deterministic given
+its parameters and seed.
 
 Exit codes: 0 all non-skipped checks pass, 1 a check fails, 2 usage error or
 invalid parameters, among them a ``--param`` key that no run reads, a
@@ -60,7 +62,7 @@ from .hodge import THEOREM31_STATEMENTS, modular_family, siegel_family, theorem3
 from .laurent import Derivation, LaurentSeries, PrecisionExhausted, format_series
 from .linalg import ExactMatrix
 from .oscillator import OscFockVector, module_commutator_sweep, tau_hat_Dk, virasoro_bracket, virasoro_sweep
-from .reports import SuiteReport
+from .reports import CheckRecord, SuiteReport
 from .scalars import GaussianRational, IdentityFailed
 from .subalgebra import (
     KMinusVector,
@@ -152,17 +154,17 @@ def suite_fock_basics(g, seed):
     if g < 1:
         raise ValueError(f"g must be at least 1, got {g}")
     rng = random.Random(seed)
-    fail = {}  # check -> its first failing case
+    checks = {name: CheckRecord(f"fock-basics.{name}", statement) for name, statement in FOCK_BASICS.items()}
     for k in range(1, g + 1):
         sp = standard_space(k)
         for _ in range(3):
             a = E_map(sp, _seeded_sym_tensor(sp, rng))
             if E_map(sp, E_inverse(sp, a)).matrix != a.matrix:
-                fail.setdefault("01-e-roundtrip", f"g={k}, A={a.matrix}")
+                checks["01-e-roundtrip"].fail(f"g={k}, A={a.matrix}")
             t = _seeded_sym_tensor(sp, rng)
             no = normal_order_tensor(sp, t)
             if normal_order_tensor(sp, no) != no:
-                fail.setdefault("02-normal-order-projector", f"g={k}, C={t}")
+                checks["02-normal-order-projector"].fail(f"g={k}, C={t}")
         probes = [(key, FockVector.basis(sp, key)) for key in fock_basis(sp, 2)]
         # rho(e_b) v once per (label, probe): the inner factor of every bracket
         first = {lb: [rho_vector(sp, sp.basis_vector(lb), v) for _, v in probes] for lb in sp.labels()}
@@ -172,17 +174,17 @@ def suite_fock_basics(g, seed):
                 for (key, v), bv, av in zip(probes, first[lb], first[la]):
                     lhs = rho_vector(sp, a, bv) - rho_vector(sp, b, av)
                     if lhs != v.scale(sp.pairing_labels(la, lb)):
-                        fail.setdefault("03-heisenberg", f"g={k}, a=e_{la}, b=e_{lb}, v={key}")
+                        checks["03-heisenberg"].fail(f"g={k}, a=e_{la}, b=e_{lb}, v={key}")
         if pair := _tau_failure(sp):
-            fail.setdefault("04-tau-homomorphism", f"g={k}, A={pair[0].matrix}, B={pair[1].matrix}")
+            checks["04-tau-homomorphism"].fail(f"g={k}, A={pair[0].matrix}, B={pair[1].matrix}")
         for _ in range(3):
             a = E_map(sp, _seeded_sym_tensor(sp, rng))
             dev = tau_hat(sp, a) - tau(sp, a)
             if dev != UElement.monomial(sp, [], coeff=a.trace_on_complement() * Fraction(-1, 2)):
-                fail.setdefault("05-tau-hat-deviation", f"g={k}, A={a.matrix}: tau^(A) - tau(A) = {dev}")
+                checks["05-tau-hat-deviation"].fail(f"g={k}, A={a.matrix}: tau^(A) - tau(A) = {dev}")
         a = E_map(sp, _seeded_sym_tensor(sp, rng, f_stable=True))
         if image := rho_apply(tau_hat(sp, a), FockVector.vacuum(sp)):
-            fail.setdefault("06-vacuum-annihilation", f"g={k}, A={a.matrix}: tau^(A) v_o = {image}")
+            checks["06-vacuum-annihilation"].fail(f"g={k}, A={a.matrix}: tau^(A) v_o = {image}")
         s = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
         for i in range(k):
             for j in range(k):
@@ -194,7 +196,7 @@ def suite_fock_basics(g, seed):
                 w[sp.pos(j)] = w[sp.pos(j)] + Fraction(i) * s[i - 1][j - 1]
             complement.append(w)
         if tau_hat_wrt_complement(sp, a, complement) != tau_hat(sp, a):
-            fail.setdefault("07-complement-independence", f"g={k}, A={a.matrix}, F'={complement}")
+            checks["07-complement-independence"].fail(f"g={k}, A={a.matrix}, F'={complement}")
         by_grade = {}
         for key in fock_basis(sp, 4):
             by_grade.setdefault(len(key), []).append(key)
@@ -205,9 +207,8 @@ def suite_fock_basics(g, seed):
             for minor in gram.leading_principal_minors():
                 minor = GaussianRational.coerce(minor)
                 if not (minor.is_real and minor.re > 0):
-                    fail.setdefault("08-positive-definite", f"g={k}, grade {grade}: leading minor {minor}")
-    for check, statement in FOCK_BASICS.items():
-        yield f"fock-basics.{check}", statement, check not in fail, fail.get(check)
+                    checks["08-positive-definite"].fail(f"g={k}, grade {grade}: leading minor {minor}")
+    yield from checks.values()
 
 
 ADJOINT = {
@@ -221,7 +222,7 @@ def suite_adjoint(g, grade, seed):
     if g < 1 or grade < 1:
         raise ValueError(f"g and grade must be at least 1, got g={g}, grade={grade}")
     rng = random.Random(seed)
-    fail = {}  # check -> its first failing case
+    checks = {name: CheckRecord(f"adjoint.{name}", statement) for name, statement in ADJOINT.items()}
     for k in range(1, g + 1):
         sp = standard_space(k)
         keys = fock_basis(sp, grade if k == 1 else min(grade, 3))
@@ -229,7 +230,7 @@ def suite_adjoint(g, grade, seed):
         pairs = [(i, j) for i, kv in enumerate(keys) for j, kw in enumerate(keys) if abs(len(kv) - len(kw)) == 1]
         for a in sp.labels():
             for i, j in adjoint_failures(sp, sp.basis_vector(a), vectors, vectors, pairs):
-                fail.setdefault("01-mode-adjoint", f"g={k}, a=e_{a}, v={keys[i]}, w={keys[j]}")
+                checks["01-mode-adjoint"].fail(f"g={k}, a=e_{a}, v={keys[i]}, w={keys[j]}")
         c = [[0] * k for _ in range(k)]
         for i in range(k):
             for j in range(i, k):
@@ -241,7 +242,7 @@ def suite_adjoint(g, grade, seed):
         for (kv, v), uv in zip(small, images):
             for (kw, w), uw in zip(small, images):
                 if inner_product(uv, w) + inner_product(v, uw):
-                    fail.setdefault("02-skew-hermitian", f"g={k}, s={ExactMatrix(c)}, v={kv}, w={kw}")
+                    checks["02-skew-hermitian"].fail(f"g={k}, s={ExactMatrix(c)}, v={kv}, w={kw}")
         bracket_keys = fock_basis(sp, grade)[:10]
         bracket_probes = [FockVector.basis(sp, key) for key in bracket_keys]
         for _ in range(3):
@@ -250,155 +251,145 @@ def suite_adjoint(g, grade, seed):
             certified = bracket_TT_probes(sp, c1, c2, bracket_probes)[2]
             for key, ok in zip(bracket_keys, certified):
                 if not ok:
-                    fail.setdefault("03-quadratic-bracket", f"g={k}, key={key}")
-    for check, statement in ADJOINT.items():
-        yield f"adjoint.{check}", statement, check not in fail, fail.get(check)
+                    checks["03-quadratic-bracket"].fail(f"g={k}, key={key}")
+    yield from checks.values()
 
 
 def suite_virasoro(kmax, grade):
     if kmax < 1 or grade < 0:
         raise ValueError(f"kmax must be at least 1 and grade at least 0, got kmax={kmax}, grade={grade}")
-    failures = virasoro_sweep(kmax, grade)
-    wit = None
-    if failures:
+    rec = CheckRecord("virasoro.01-cocycle", "[T(D_k), T(D_l)] = (l-k) T(D_{k+l}) + (k^3-k)/12 delta_{k+l,0}")
+    if failures := virasoro_sweep(kmax, grade):
         k, l, key = failures[0]
-        wit = f"Virasoro identity failed for (k,l)=({k},{l}) on {key}; {len(failures)} failing (k,l,probe)"
-    yield "virasoro.01-cocycle", "[T(D_k), T(D_l)] = (l-k) T(D_{k+l}) + (k^3-k)/12 delta_{k+l,0}", not failures, wit
+        rec.fail(f"Virasoro identity failed for (k,l)=({k},{l}) on {key}; {len(failures)} failing (k,l,probe)")
+    yield rec
+    rec = CheckRecord("virasoro.02-spot-central", "central term at (k,l) = (2,-2) equals 1/2")
     try:
         _, central = virasoro_bracket(2, -2, probe_grade=min(grade, 5))
-        wit = str(central)
     except IdentityFailed as exc:
-        central, wit = None, str(exc)
-    yield "virasoro.02-spot-central", "central term at (k,l) = (2,-2) equals 1/2", central == Fraction(1, 2), wit
+        central = str(exc)
+    yield rec if central == Fraction(1, 2) else rec.fail(str(central))
+    rec = CheckRecord("virasoro.03-module-commutator", "[T(D), f] = D(f) on the Fock module")
     ops = {k: tau_hat_Dk(k) for k in range(-4, 5)}
-    comm_failures = module_commutator_sweep(ops, [m for m in range(-4, 5) if m], min(grade, 5))
-    wit = None
-    if comm_failures:
-        k, m, key = comm_failures[0]
-        wit = f"[T(D_{k}), t^{m}] != D_{k}(t^{m}) on {key}; {len(comm_failures)} failing (k,m,probe)"
-    yield "virasoro.03-module-commutator", "[T(D), f] = D(f) on the Fock module", not comm_failures, wit
+    if failures := module_commutator_sweep(ops, [m for m in range(-4, 5) if m], min(grade, 5)):
+        k, m, key = failures[0]
+        rec.fail(f"[T(D_{k}), t^{m}] != D_{k}(t^{m}) on {key}; {len(failures)} failing (k,m,probe)")
+    yield rec
+    rec = CheckRecord("virasoro.04-positive-order-vacuum", "T(D) v_0 = 0 for D of positive order")
     vacuum = OscFockVector.vacuum()
-    images = ((k, tau_hat_Dk(k).apply(vacuum)) for k in range(1, kmax + 1))
-    wit = next((f"T(D_{k}) v_0 = {image}" for k, image in images if image), None)
-    yield "virasoro.04-positive-order-vacuum", "T(D) v_0 = 0 for D of positive order", wit is None, wit
+    for k in range(1, kmax + 1):
+        if image := tau_hat_Dk(k).apply(vacuum):
+            rec.fail(f"T(D_{k}) v_0 = {image}")
+    yield rec
 
 
-def _ft4_verdict(record, name):
-    """(ok, witness) of the FT4 flags certify recorded for derivation name: a
-    False flag fails, a None flag (nothing certified) is skipped, naming it."""
-    names = ("preserves_A", "maps_perp_to_A")
-    flags = [record["ft4"][name][flag] for flag in names]
-    undecided = [flag for flag, value in zip(names, flags) if value is None]
-    if False in flags or not undecided:
-        return False not in flags, None
-    return "skipped", f"FT4 for {name}: nothing certified for {' and '.join(undecided)}"
+def _ft4(rec, record, name):
+    """rec, failed on the FT4 flags of derivation name that certify found
+    False and skipped on those it left None (nothing certified), naming them."""
+    flags = record["ft4"][name]
+    for value, verdict, why in ((False, rec.fail, "certified false"), (None, rec.skip, "nothing certified")):
+        if named := [flag for flag in ("preserves_A", "maps_perp_to_A") if flags[flag] is value]:
+            verdict(f"FT4 for {name}: {why} for {' and '.join(named)}")
+    return rec
 
 
 def suite_fock_type(window, bound):
     sub = genus0_subalgebra(window=window, degree_bound=bound)
     perp = compute_perp(sub, -bound, bound + 1)
-    yield (
-        "fock-type.01-genus0-perp",
-        "for the one-point rational model, A-perp/A has rank 0",
-        sub.quotient_rank() == 0 and all(sub.member(f) is True for f in perp),
-    )
+    rec = CheckRecord("fock-type.01-genus0-perp", "for the one-point rational model, A-perp/A has rank 0")
+    if rank := sub.quotient_rank():
+        rec.fail(f"A-perp/A has rank {rank}")
+    elif (f := next((f for f in perp if sub.member(f) is not True), None)) is not None:
+        rec.fail(f"perp representative {format_series(f)} is not certified in A")
+    yield rec
     record = sub.certify(derivations={"D1": Derivation.D(1)}, perp_reps=perp)
-    yield (
-        "fock-type.02-certificates",
-        "FT2 (A cap O = R, finite corank) and FT3 (isotropy) hold exactly",
-        record["ft2"]["A_cap_O_is_R"] and record["ft3"],
-    )
-    yield "fock-type.03-ft4", "D_1 preserves A and maps A-perp into A", *_ft4_verdict(record, "D1")
+    rec = CheckRecord("fock-type.02-certificates", "FT2 (A cap O = R, finite corank) and FT3 (isotropy) hold exactly")
+    ok = record["ft2"]["A_cap_O_is_R"] and record["ft3"]
+    yield rec if ok else rec.fail(json.dumps({"ft2": record["ft2"], "ft3": record["ft3"]}))
+    yield _ft4(CheckRecord("fock-type.03-ft4", "D_1 preserves A and maps A-perp into A"), record, "D1")
     lam = scalar_action(Derivation.D(1), build_quotient(sub), [KMinusVector.vacuum()])
-    yield (
-        "fock-type.04-scalar-action",
-        "the induced action on the rank-0 covariant space is the scalar 0",
-        lam == 0,
-        str(lam),
-    )
+    rec = CheckRecord("fock-type.04-scalar-action", "the induced action on the rank-0 covariant space is the scalar 0")
+    yield rec if lam == 0 else rec.fail(str(lam))
 
 
 def suite_hyperelliptic(f, g, N):
     if g < 1:
         raise ValueError(f"g must be at least 1, got {g}")
-    check = "hyperelliptic.01-model", "y(t)^2 = f(x(t)) and u(0) = 1 within the window"
+    rec = CheckRecord("hyperelliptic.01-model", "y(t)^2 = f(x(t)) and u(0) = 1 within the window")
     try:
         model = build_model(f, g, N)
         data = curve_fock_data(model, degree_bound=4 * g + 4)
     except IdentityFailed as exc:
-        yield *check, False, str(exc)
+        yield rec.fail(str(exc))
         return
-    yield *check, True
+    yield rec
     sub = data.subalgebra()
     record = sub.certify(
         derivations={"tangent": model.tangent_field()},
         perp_reps=list(data.phis.values()),
     )
-    ft4, undecided = _ft4_verdict(record, "tangent")
-    ok = bool(
+    rec = CheckRecord(
+        "hyperelliptic.02-fock-type",
+        "A_p passes the FT certificates (rank g corank, isotropy, FT4 for the tangent field)",
+        record,
+    )
+    if not (
         record["ft1_surrogate"]["products_in_A"]
         and record["ft2"]["A_cap_O_is_R"]
         and record["ft2"]["quotient_rank"] == g
         and record["ft3"]
-    ) and ft4
-    yield (
-        "hyperelliptic.02-fock-type",
-        "A_p passes the FT certificates (rank g corank, isotropy, FT4 for the tangent field)",
-        ok,
-        undecided if ok == "skipped" else json.dumps(record, default=str),
-        record,
-    )
+        and False not in (record["ft4"]["tangent"][flag] for flag in ("preserves_A", "maps_perp_to_A"))
+    ):
+        rec.fail(json.dumps(record, default=str))
+    yield _ft4(rec, record, "tangent")
     rg = data.residue_gram_mod_A()
     phis = sorted(data.phis)
-    iso = all(
-        not rg[i, j]
-        for i, ki in enumerate(phis)
-        for j, kj in enumerate(phis)
-        if ki >= 1 and kj >= 1
-    )
-    yield (
+    rec = CheckRecord(
         "hyperelliptic.04-residue-gram",
         "the residue Gram on B_p/A_p is nondegenerate with isotropic holomorphic part",
-        bool(rg.det()) and (rg + rg.transpose()).is_zero() and iso,
     )
-    witness = closure_falsifier(model, data)
-    if witness is None:
-        yield (
-            "hyperelliptic.05-nonclosure",
-            "K^- is not multiplicatively closed (bounded search)",
-            "skipped",
-            "no witness within the search bound",
-        )
+    if not rg.det():
+        rec.fail(f"det = 0 for the Gram {rg}")
+    for i, ki in enumerate(phis):
+        for j, kj in enumerate(phis):
+            if rg[i, j] + rg[j, i]:
+                rec.fail(f"not antisymmetric at (phi_{ki}, phi_{kj}): {rg[i, j]} and {rg[j, i]}")
+            elif ki >= 1 and kj >= 1 and rg[i, j]:
+                rec.fail(f"holomorphic part not isotropic at (phi_{ki}, phi_{kj}): {rg[i, j]}")
+    yield rec
+    rec = CheckRecord("hyperelliptic.05-nonclosure", "K^- is not multiplicatively closed (bounded search)")
+    if (witness := closure_falsifier(model, data)) is None:
+        yield rec.skip("no witness within the search bound")
     else:
+        rec.statement = "K^- is not multiplicatively closed; the witness survives window growth N -> N+10"
         witness2 = closure_falsifier(build_model(f, g, N + 10))
         keys = ("left", "right", "remainder_order", "remainder_leading")
-        yield (
-            "hyperelliptic.05-nonclosure",
-            "K^- is not multiplicatively closed; the witness survives window growth N -> N+10",
-            witness2 is not None and all(witness2[k] == witness[k] for k in keys),
-            json.dumps(witness, default=str),
-        )
+        survives = witness2 is not None and all(witness2[k] == witness[k] for k in keys)
+        yield rec if survives else rec.fail(json.dumps(witness, default=str))
     # 03 and 06 read the quotient: a failed quotient certificate ends the run after 04 and 05
     q = build_quotient(sub)
     gram = q.gram()
     idx = list(range(-g, 0)) + list(range(1, g + 1))
-    yield "hyperelliptic.03-quotient", "A-perp/A is free of rank 2g with Gram i delta_{i+j,0}", q.g == g and all(
-        gram.rows[a][b] == (i if i + j == 0 else 0) for a, i in enumerate(idx) for b, j in enumerate(idx)
-    )
+    rec = CheckRecord("hyperelliptic.03-quotient", "A-perp/A is free of rank 2g with Gram i delta_{i+j,0}")
+    if q.g != g:
+        rec.fail(f"A-perp/A has rank {2 * q.g}")
+    for a, i in enumerate(idx if q.g == g else ()):
+        for b, j in enumerate(idx):
+            if gram.rows[a][b] != (i if i + j == 0 else 0):
+                rec.fail(f"Gram entry ({i},{j}) is {gram.rows[a][b]}")
+    yield rec
     probes = [KMinusVector.vacuum(), KMinusVector({(("q", 1),): 1}), KMinusVector({(("q", 1), ("q", 1)): 1})]
     if g >= 2:
         probes.append(KMinusVector({(("q", 2),): 1}))
-    try:
-        scalar_action(model.tangent_field(), q, probes)
-        witness = None
-    except NotScalar as exc:
-        witness = str(exc)
-    yield (
+    rec = CheckRecord(
         "hyperelliptic.06-covariant-scalar",
         "a vertical derivation preserving A_p acts on covariants by a probe-independent scalar",
-        witness is None,
-        witness,
     )
+    try:
+        scalar_action(model.tangent_field(), q, probes)
+    except NotScalar as exc:
+        rec.fail(str(exc))
+    yield rec
 
 
 def suite_connection(grade):
@@ -410,9 +401,10 @@ def suite_connection(grade):
     ):
         try:
             for check, holds, witness in theorem31_checks(fam, gr):
-                yield f"connection.{name}.{check}", f"[{name}] {THEOREM31_STATEMENTS[check]}", holds, witness
+                rec = CheckRecord(f"connection.{name}.{check}", f"[{name}] {THEOREM31_STATEMENTS[check]}")
+                yield rec if holds else rec.fail(witness)
         except IdentityFailed as exc:  # a certificate below the curvature statement failed
-            yield f"connection.{name}.identity", f"[{name}] curvature identities", False, str(exc)
+            yield CheckRecord(f"connection.{name}.identity", f"[{name}] curvature identities").fail(str(exc))
 
 
 WZW_GRAM = {
@@ -434,18 +426,17 @@ def suite_wzw_gram(f, g, N, seed):
             LaurentSeries.from_terms({k: rng.randint(-3, 3) for k in range(-2, 7)}, N - 6)
         ),
     }
-    fail = {}  # check -> its first failing case
+    checks = {name: CheckRecord(f"wzw-gram.{name}", statement) for name, statement in WZW_GRAM.items()}
     for name, d in derivations.items():
         m, sign = wzw_gram_entries(model, d)
         for i, j in ((i, j) for i in range(g) for j in range(i + 1, g) if m[i, j] != m[j, i]):
-            fail.setdefault("01-symmetric", f"{name}: M[{i + 1},{j + 1}] = {m[i, j]} != M[{j + 1},{i + 1}] = {m[j, i]}")
+            checks["01-symmetric"].fail(f"{name}: M[{i + 1},{j + 1}] = {m[i, j]} != M[{j + 1},{i + 1}] = {m[j, i]}")
         if sign is not None:
-            fail.setdefault("02-sign-identity", f"{name}: {sign}")
+            checks["02-sign-identity"].fail(f"{name}: {sign}")
     m, _ = wzw_gram_entries(model, Derivation.from_series(LaurentSeries.zero(N)))
     if not m.is_zero():
-        fail["03-zero"] = f"M = {m}"
-    for check, statement in WZW_GRAM.items():
-        yield f"wzw-gram.{check}", statement, check not in fail, fail.get(check)
+        checks["03-zero"].fail(f"M = {m}")
+    yield from checks.values()
 
 
 # name -> (suite, {parameter: default}); a default's type is the parameter's.
@@ -513,13 +504,15 @@ def run_suite(name: str, params: dict | None = None) -> SuiteReport:
     start = time.monotonic()
     for sub, kwargs, suffix in runs:
         try:
-            for check, statement, *verdict in SUITES[sub][0](**kwargs):
-                rep.add(check + suffix, statement, *verdict)
+            for rec in SUITES[sub][0](**kwargs):
+                rec.id += suffix
+                rep.checks.append(rec)
         except (PrecisionExhausted, *FAILURES) as exc:
             # an undecided window is skipped; a false identity fails
-            status = "skipped" if isinstance(exc, PrecisionExhausted) else False
             statement = "every identity certified while the suite runs holds within its window"
-            rep.add(f"{sub}.run{suffix}", statement, status, f"{type(exc).__name__}: {exc}")
+            rec = CheckRecord(f"{sub}.run{suffix}", statement)
+            verdict = rec.skip if isinstance(exc, PrecisionExhausted) else rec.fail
+            rep.checks.append(verdict(f"{type(exc).__name__}: {exc}"))
     rep.wall_time = time.monotonic() - start
     return rep
 

@@ -1,10 +1,13 @@
 """Deterministic suite reports: JSON for tooling, text for humans.
 
 A check record carries an id, the verified mathematical statement, a
-pass/fail/skipped status and, on failure, a minimal exact witness (never a
-float).  The JSON serialization is byte-stable across runs with the same
-parameters and seed: records are sorted by id, keys are sorted, and timing
-lives only in the text rendering.
+pass/fail/skipped status and, unless it passes, a minimal exact witness
+(never a float).  A record starts as `pass`; `fail(witness)` and
+`skip(witness)` give its verdict by one rule: a failure outranks a skip,
+the record keeps the first witness of its final status, and a passing
+record carries none.  The JSON serialization is byte-stable across runs
+with the same parameters and seed: records are sorted by id, keys are
+sorted, and timing lives only in the text rendering.
 """
 
 from __future__ import annotations
@@ -18,13 +21,22 @@ SCHEMA = "fock-lab/1"
 class CheckRecord:
     __slots__ = ("id", "statement", "status", "witness", "detail")
 
-    def __init__(self, id: str, statement: str, status: str, witness: str | None = None,
-                 detail: dict | None = None):
+    def __init__(self, id: str, statement: str, detail: dict | None = None):
         self.id = id
         self.statement = statement
-        self.status = status  # pass | fail | skipped
-        self.witness = witness
+        self.status = "pass"  # pass | fail | skipped
+        self.witness = None
         self.detail = detail  # always serialized, e.g. certification records
+
+    def fail(self, witness: str) -> CheckRecord:
+        if self.status != "fail":
+            self.status, self.witness = "fail", witness
+        return self
+
+    def skip(self, witness: str) -> CheckRecord:
+        if self.status == "pass":
+            self.status, self.witness = "skipped", witness
+        return self
 
     def to_json(self) -> dict:
         out = {"id": self.id, "statement": self.statement, "status": self.status}
@@ -41,14 +53,6 @@ class SuiteReport:
         self.params = params
         self.checks = []
         self.wall_time = 0.0  # text rendering only; excluded from JSON
-
-    def add(self, id: str, statement: str, ok, witness=None, detail=None):
-        status = ok if isinstance(ok, str) else ("pass" if ok else "fail")
-        self.checks.append(
-            CheckRecord(
-                id, statement, status, None if status == "pass" else witness, detail
-            )
-        )
 
     @property
     def failed(self):

@@ -697,6 +697,7 @@ def test_ft4_with_every_membership_undecided_fails(monkeypatch, capsys):
     monkeypatch.setattr(subalgebra, "span_membership", lambda f, by_ord: None)
     rep = run_suite("fock-type", {})
     assert [c.id for c in rep.failed] == ["fock-type.01-genus0-perp", "fock-type.03-ft4"]
+    assert all(c.witness is not None for c in rep.failed)
     assert main(["--suite", "fock-type"]) == 1
 
 
@@ -719,4 +720,113 @@ def test_each_fock_type_mutation_fails_exactly_its_ids(monkeypatch, capsys, muta
     rep = run_suite("fock-type", {})
     assert len(rep.checks) == 4
     assert [c.id for c in rep.failed] == ids
+    assert all(c.witness is not None for c in rep.failed)
     assert main(["--suite", "fock-type"]) == 1
+
+
+# Defects that only the hyperelliptic checks 03 and 04 read, each with the
+# witness of its failed record (and, for 04, the curve parameters).
+QUOTIENT_BREAKS = {"Gram doubled": "Gram entry (-1,1) is -2", "rank grown": "A-perp/A has rank 4"}
+RESIDUE_GRAM_BREAKS = {
+    "zero": ({}, "det = 0 for the Gram [0, 0; 0, 0]"),
+    "symmetrized": ({}, "not antisymmetric at (phi_-1, phi_1): 1 and 1"),
+    "holomorphic pair": (
+        {"f": [0, -1, 0, 0, 0, 1], "g": 2, "N": 60}, "holomorphic part not isotropic at (phi_1, phi_3): 1"),
+}
+
+
+@pytest.mark.parametrize("defect", list(QUOTIENT_BREAKS))
+def test_a_wrong_quotient_fails_hyperelliptic_03_with_its_witness(monkeypatch, defect):
+    """A quotient whose Gram or rank is not the one certified when it was
+    built fails hyperelliptic.03 alone, naming the entry or the rank."""
+    from focklab import cli
+
+    real = cli.build_quotient
+
+    def broken(sub):
+        q = real(sub)
+        if defect == "Gram doubled":
+            gram = q.gram()
+            q.gram = lambda: gram * 2
+        else:
+            q.g += 1
+        return q
+
+    monkeypatch.setattr(cli, "build_quotient", broken)
+    rep = run_suite("hyperelliptic", {})
+    assert [(c.id, c.witness) for c in rep.failed] == [("hyperelliptic.03-quotient", QUOTIENT_BREAKS[defect])]
+    assert main(["--suite", "hyperelliptic"]) == 1
+
+
+@pytest.mark.parametrize("defect", list(RESIDUE_GRAM_BREAKS))
+def test_a_wrong_residue_gram_fails_hyperelliptic_04_with_its_witness(monkeypatch, defect):
+    """A residue Gram that is singular, not antisymmetric, or pairs two
+    holomorphic classes fails hyperelliptic.04 alone, and the witness says
+    which of the three and at which entry."""
+    from focklab import geometry
+    from focklab.linalg import ExactMatrix
+
+    params, witness = RESIDUE_GRAM_BREAKS[defect]
+    real = geometry.CurveFockData.residue_gram_mod_A
+
+    def broken(data):
+        rows = [list(row) for row in real(data).rows]
+        if defect == "zero":
+            rows = [[0] * len(row) for row in rows]
+        elif defect == "symmetrized":
+            rows = [[abs(x) for x in row] for row in rows]
+        else:
+            rows[2][3], rows[3][2] = rows[2][3] + 1, rows[3][2] - 1
+        return ExactMatrix(rows)
+
+    monkeypatch.setattr(geometry.CurveFockData, "residue_gram_mod_A", broken)
+    rep = run_suite("hyperelliptic", params)
+    assert [(c.id, c.witness) for c in rep.failed] == [("hyperelliptic.04-residue-gram", witness)]
+    assert main(["--suite", "hyperelliptic", *(a for k, v in params.items() for a in ("--param", f"{k}={v}"))]) == 1
+
+
+def test_a_second_failure_keeps_the_first_witness():
+    from focklab.reports import CheckRecord
+
+    rec = CheckRecord("x.01", "s").fail("first")
+    assert rec.fail("second") is rec
+    assert (rec.status, rec.witness) == ("fail", "first")
+    rec = CheckRecord("x.02", "s").skip("first").skip("second")
+    assert (rec.status, rec.witness) == ("skipped", "first")
+
+
+@pytest.mark.parametrize("order", ["fail-then-skip", "skip-then-fail"])
+def test_a_failure_outranks_a_skip(order):
+    from focklab.reports import CheckRecord
+
+    rec = CheckRecord("x.01", "s")
+    verdicts = [rec.fail, rec.skip] if order == "fail-then-skip" else [rec.skip, rec.fail]
+    for verdict in verdicts:
+        verdict(verdict.__name__)
+    assert (rec.status, rec.witness) == ("fail", "fail")
+
+
+def test_a_passing_record_carries_no_witness():
+    from focklab.reports import CheckRecord, SuiteReport
+
+    rec = CheckRecord("x.01", "s", {"n": 1})
+    assert (rec.status, rec.witness) == ("pass", None)
+    assert rec.to_json() == {"id": "x.01", "statement": "s", "status": "pass", "detail": {"n": 1}}
+    rep = SuiteReport("x", {})
+    rep.checks.append(rec)
+    assert "witness" not in rep.render_text()
+    rep.checks.append(CheckRecord("x.02", "t").fail("w"))
+    assert "         witness: w" in rep.render_text().splitlines()
+
+
+def test_every_run_of_all_yields_only_its_own_records():
+    """Each suite run of --suite all yields CheckRecords whose ids start
+    with the suite's name, and the ids of the whole report are unique."""
+    from focklab import cli
+    from focklab.reports import CheckRecord
+
+    for sub, fixed, _ in cli.ALL:
+        records = list(cli.SUITES[sub][0](**cli._resolve(cli.SUITES[sub][1], fixed)))
+        assert records and all(type(c) is CheckRecord and c.id.startswith(f"{sub}.") for c in records)
+    ids = [c.id for c in run_suite("all", {}).checks]
+    assert len(ids) == len(set(ids)) == 61

@@ -10,7 +10,9 @@
   kernel's private integer accumulator whose reader drops the zeros, so no
   hand-written loop can store a zero in a vector again;
 * in cli.py, no `SuiteReport(...)` and no `.add(...)` call outside
-  `run_suite` -- a suite yields checks, and only the runner makes records;
+  `run_suite` -- a suite yields records; only the runner writes the report;
+* in cli.py, no `<name>.setdefault(<string literal>, ...)` call -- the
+  hand-kept first-witness idiom: a `CheckRecord` keeps its own first witness;
 * no import of `re` outside `scalars.py` -- `scalars.parse_expression` is
   the one tokenizer and grammar of exact values, so no second one can grow;
 * no import inside a function body -- a module's dependencies are the
@@ -351,6 +353,42 @@ def test_the_report_rule_catches_each_pattern():
     assert report_writers(ast.parse(src)) == [
         (5, "report written outside run_suite"), (6, "report written outside run_suite")
     ]
+
+
+def first_witness_setdefaults(tree):
+    """(line, rule) for every `<name>.setdefault(<key>, ...)` call whose key
+    is a string literal, plain or formatted."""
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "setdefault"
+            and isinstance(node.func.value, ast.Name)
+            and node.args
+            and (isinstance(node.args[0], ast.JoinedStr) or (
+                isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)))
+        ):
+            found.append((node.lineno, "first witness kept by hand"))
+    return sorted(found)
+
+
+def test_the_witness_rule_catches_each_pattern():
+    src = (
+        "fail = {}\nfail.setdefault('01-a', 'w')\nfail.setdefault(f'{c}', w)\n"
+        "groups.setdefault(key, []).append(1)\nby_grade.setdefault(len(k), [])\n"
+        "self.fail.setdefault('02-b', w)\nfail.setdefault(3, w)\nrec['01-a'].fail('w')\n"
+    )
+    assert first_witness_setdefaults(ast.parse(src)) == [
+        (2, "first witness kept by hand"), (3, "first witness kept by hand")
+    ]
+
+
+def test_no_suite_keeps_its_first_witness_by_hand_in_cli():
+    path = os.path.join(PACKAGE, "cli.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    assert first_witness_setdefaults(tree) == []
 
 
 def test_only_the_runner_writes_reports_in_cli():
