@@ -2,7 +2,9 @@
 
 A suite is a generator of ``CheckRecord``s.  A record passes until
 ``fail(witness)`` or ``skip(witness)``: a failure outranks a skip, and the
-record keeps the first witness of its final status.  Only ``run_suite``
+record keeps the first witness of its final status.  The connection suite
+yields the records of ``hodge.theorem31_checks`` with the family prefixed
+to each id and statement.  Only ``run_suite``
 resolves parameters (the ``SUITES`` table), suffixes the ids of ``ALL``,
 writes the report and times the run.  Every suite is deterministic given
 its parameters and seed.
@@ -58,7 +60,7 @@ from .geometry import (
     wzw_gram,
     wzw_gram_entries,
 )
-from .hodge import THEOREM31_STATEMENTS, modular_family, siegel_family, theorem31_checks
+from .hodge import modular_family, siegel_family, theorem31_checks
 from .laurent import Derivation, LaurentSeries, PrecisionExhausted, format_series
 from .linalg import ExactMatrix
 from .oscillator import OscFockVector, module_commutator_sweep, tau_hat_Dk, virasoro_bracket, virasoro_sweep
@@ -400,9 +402,9 @@ def suite_connection(grade):
         ("siegel-block", siegel_family(), min(grade, 4)),
     ):
         try:
-            for check, holds, witness in theorem31_checks(fam, gr):
-                rec = CheckRecord(f"connection.{name}.{check}", f"[{name}] {THEOREM31_STATEMENTS[check]}")
-                yield rec if holds else rec.fail(witness)
+            for rec in theorem31_checks(fam, gr):
+                rec.id, rec.statement = f"connection.{name}.{rec.id}", f"[{name}] {rec.statement}"
+                yield rec
         except IdentityFailed as exc:  # a certificate below the curvature statement failed
             yield CheckRecord(f"connection.{name}.identity", f"[{name}] curvature identities").fail(str(exc))
 

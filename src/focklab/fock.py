@@ -331,19 +331,6 @@ class SpElement:
             if not (matrix.transpose() * j + j * matrix).is_zero():
                 raise ValueError("matrix does not lie in sp(H)")
 
-    def __add__(self, other):
-        return SpElement(self.space, self.matrix + other.matrix, check=False)
-
-    def __sub__(self, other):
-        return SpElement(self.space, self.matrix - other.matrix, check=False)
-
-    def scale(self, c):
-        return SpElement(self.space, self.matrix * c, check=False)
-
-    def bracket(self, other):
-        a, b = self.matrix, other.matrix
-        return SpElement(self.space, a * b - b * a, check=False)
-
     def trace_on_complement(self):
         """trace(A^{F'}): restriction to F' followed by projection onto F'."""
         g = self.space.g

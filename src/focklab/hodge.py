@@ -45,6 +45,7 @@ from .fock import (
 )
 from .linalg import ExactMatrix
 from .ratfunc import DifferentialField, RationalFunction
+from .reports import CheckRecord
 from .scalars import GaussianRational, IdentityFailed
 from .sparse import add_term
 
@@ -267,12 +268,12 @@ THEOREM31_STATEMENTS = {
 
 
 def theorem31_checks(fam: HodgeFamily, probe_grade: int = 4):
-    """Certify the curvature statement exactly: yield (name, holds, witness)
-    once per identity of THEOREM31_STATEMENTS, in its order.  A false
-    identity is a False record whose witness is its first failure: the first
-    wedge direction where two forms differ, the first (direction pair, probe
-    key) or (direction, probe key) of a probe identity, or the first
-    (direction, v, w) of the skew-Hermitian test.
+    """Certify the curvature statement exactly: yield one CheckRecord per
+    identity of THEOREM31_STATEMENTS, in its order, with the identity's name
+    as its id.  A false identity is a failed record whose witness is its
+    first failure: the first wedge direction where two forms differ, the
+    first (direction pair, probe key) or (direction, probe key) of a probe
+    identity, or the first (direction, v, w) of the skew-Hermitian test.
 
     The probe identities run on every key of grade <= probe_grade, the
     vacuum (the empty key) among them: scalarity of Omega(nabla^FF), whose
@@ -284,12 +285,13 @@ def theorem31_checks(fam: HodgeFamily, probe_grade: int = 4):
     conn = ConnectionData(fam)
     field, g, params = fam.field, fam.g, fam.field.params
     a_bar, s_bar = conn.a_f_bar, conn.sigma_bar
+    records = {name: CheckRecord(name, statement) for name, statement in THEOREM31_STATEMENTS.items()}
 
-    def agree(lhs: Form, rhs: Form | None = None):
+    def agree(name: str, lhs: Form, rhs: Form | None = None) -> CheckRecord:
         rhs = Form.zero(field, lhs.degree, lhs.shape) if rhs is None else rhs
         keys = sorted(set(lhs.terms) | set(rhs.terms))
         bad = next((k for k in keys if lhs.coefficient(k) != rhs.coefficient(k)), None)
-        return bad is None, None if bad is None else str(tuple(params[k] for k in bad))
+        return records[name] if bad is None else records[name].fail(str(tuple(params[k] for k in bad)))
 
     # the full moving-frame connection matrix [[A^F, conj sigma], [sigma, conj A^F]]
     blocks = {
@@ -300,28 +302,24 @@ def theorem31_checks(fam: HodgeFamily, probe_grade: int = 4):
         ])
         for key in set(conn.a_f.terms) | set(conn.sigma.terms)
     }
-    yield "flatness", *agree(curvature(Form(field, 1, (2 * g, 2 * g), blocks)))
+    yield agree("flatness", curvature(Form(field, 1, (2 * g, 2 * g), blocks)))
     sigma_sigma_bar = conn.sigma.wedge(s_bar)
-    yield "dagger1", *agree(a_bar.exterior_derivative() + a_bar.wedge(a_bar) + sigma_sigma_bar)
-    yield "dagger2", *agree(s_bar.exterior_derivative() + conn.a_f.wedge(s_bar) + s_bar.wedge(a_bar))
+    yield agree("dagger1", a_bar.exterior_derivative() + a_bar.wedge(a_bar) + sigma_sigma_bar)
+    yield agree("dagger2", s_bar.exterior_derivative() + conn.a_f.wedge(s_bar) + s_bar.wedge(a_bar))
     tr_sbs = s_bar.wedge(conn.sigma).trace()
-    yield "trace_anticommutation", *agree(sigma_sigma_bar.trace(), -tr_sbs)
+    yield agree("trace_anticommutation", sigma_sigma_bar.trace(), -tr_sbs)
     omega_det_f = curvature(conn.a_f).trace()
-    yield "det_curvature_is_minus_trace", *agree(omega_det_f, -tr_sbs)
+    yield agree("det_curvature_is_minus_trace", omega_det_f, -tr_sbs)
 
     space = conn._space
     keys = fock_basis(space, probe_grade)
-    first, extracted = _probe_identities(conn, keys, sigma_sigma_bar, tr_sbs)
-
-    def found(name):
-        return name not in first, None if name not in first else str(first[name])
-
-    yield "fock_curvature_scalar", *found("fock_curvature_scalar")
+    extracted = _probe_identities(conn, keys, sigma_sigma_bar, tr_sbs, records)
+    yield records["fock_curvature_scalar"]
     scalar = Form(field, 2, (1, 1), {pair: ExactMatrix([[c]]) for pair, c in extracted.items()})
-    yield "scalar_equals_half_det_curvature", *agree(scalar, omega_det_f * field.const(Fraction(1, 2)))
-    yield "scalar_equals_minus_half_trace", *agree(scalar, tr_sbs * field.const(Fraction(-1, 2)))
-    yield "endomorphism_lemma", *found("endomorphism_lemma")
-    yield "covariant_s_lemma", *found("covariant_s_lemma")
+    yield agree("scalar_equals_half_det_curvature", scalar, omega_det_f * field.const(Fraction(1, 2)))
+    yield agree("scalar_equals_minus_half_trace", scalar, tr_sbs * field.const(Fraction(-1, 2)))
+    yield records["endomorphism_lemma"]
+    yield records["covariant_s_lemma"]
 
     for k in range(field.nvars):
         # nabla^H(vbar_j) in moving-frame coordinates: column j of [conj sigma; conj A^F]
@@ -333,17 +331,17 @@ def theorem31_checks(fam: HodgeFamily, probe_grade: int = 4):
                 v = rho_vector(space, nabla_h[-key[slot] - 1], FockVector.basis(space, key[slot + 1:]))
                 rhs = rhs + v._like({tuple(sorted(kk + key[:slot])): c for kk, c in v.terms.items()})
             if conn.nabla_ff(k, FockVector.basis(space, key)) != rhs:
-                first.setdefault("nabla_h_insertion", (params[k], key))
-    yield "nabla_h_insertion", *found("nabla_h_insertion")
-    yield "skew_hermitian_at_sample", *_skew_hermitian_at_sample(fam, conn, min(probe_grade, 3))
+                records["nabla_h_insertion"].fail(str((params[k], key)))
+    yield records["nabla_h_insertion"]
+    yield _skew_hermitian_at_sample(fam, conn, min(probe_grade, 3), records["skew_hermitian_at_sample"])
 
 
-def _probe_identities(conn: ConnectionData, keys, sigma_sigma_bar: Form, tr_sbs: Form):
-    """(first, extracted) of the three probe identities on the basis keys,
-    vacuum first: each identity's first failing (x1, x2, key), and per pair
-    (k1, k2) the scalar of Omega(nabla^FF) read off the vacuum."""
+def _probe_identities(conn: ConnectionData, keys, sigma_sigma_bar: Form, tr_sbs: Form, records: dict) -> dict:
+    """The three probe identities on the basis keys, vacuum first: each
+    fails its record in records at its first failing (x1, x2, key).  Returns,
+    per pair (k1, k2), the scalar of Omega(nabla^FF) read off the vacuum."""
     space, params = conn._space, conn.fam.field.params
-    first, extracted = {}, {}
+    extracted = {}
     for k1 in range(len(params)):
         for k2 in range(k1 + 1, len(params)):
             where = (params[k1], params[k2])
@@ -357,12 +355,12 @@ def _probe_identities(conn: ConnectionData, keys, sigma_sigma_bar: Form, tr_sbs:
                 if not key:
                     extracted[(k1, k2)] = c = curv.get((), 0)
                 if curv != probe.scale(c).terms:
-                    first.setdefault("fock_curvature_scalar", (*where, key))
+                    records["fock_curvature_scalar"].fail(str((*where, key)))
                 if probe._like(lemma) - endomorphism_action(space, ssb, probe) != probe.scale(lemma_scalar):
-                    first.setdefault("endomorphism_lemma", (*where, key))
+                    records["endomorphism_lemma"].fail(str((*where, key)))
                 if covariant["s"] or covariant["sbar"]:
-                    first.setdefault("covariant_s_lemma", (*where, key))
-    return first, extracted
+                    records["covariant_s_lemma"].fail(str((*where, key)))
+    return extracted
 
 
 def _probe_pass(conn: ConnectionData, k1: int, k2: int, key):
@@ -401,11 +399,11 @@ def _probe_pass(conn: ConnectionData, k1: int, k2: int, key):
 
 def verify_theorem31(fam: HodgeFamily, probe_grade: int = 4) -> dict:
     """The verdicts of theorem31_checks, by identity."""
-    return {name: holds for name, holds, _ in theorem31_checks(fam, probe_grade)}
+    return {rec.id: rec.status == "pass" for rec in theorem31_checks(fam, probe_grade)}
 
 
-def _skew_hermitian_at_sample(fam, conn, grade):
-    """(holds, witness): rho(s + s_bar), evaluated at the sample point, is
+def _skew_hermitian_at_sample(fam, conn, grade, rec: CheckRecord) -> CheckRecord:
+    """rec, failed if rho(s + s_bar), evaluated at the sample point, is not
     skew-Hermitian on the probes of grade <= grade; the witness is the first
     failing (direction, v, w)."""
     space = fam.space_at_sample()
@@ -419,8 +417,8 @@ def _skew_hermitian_at_sample(fam, conn, grade):
         for kv, v, uv in zip(keys, probes, images):
             for kw, w, uw in zip(keys, probes, images):
                 if inner_product(uv, w) + inner_product(v, uw):
-                    return False, str((fam.field.params[k], kv, kw))
-    return True, None
+                    return rec.fail(str((fam.field.params[k], kv, kw)))
+    return rec
 
 
 # -- the u-section -----------------------------------------------------------------

@@ -87,14 +87,6 @@ class SparseVector:
     __mul__ = scale
     __rmul__ = scale
 
-    def map_coefficients(self, fn):
-        terms = {}
-        for k, c in self.terms.items():
-            v = fn(c)
-            if v:
-                terms[k] = v
-        return self._like(terms)
-
     def __bool__(self):
         return bool(self.terms)
 

@@ -1,9 +1,10 @@
 """Reference routines that only the tests use: an exact solve and the rank of
 an ExactMatrix, a Hodge family whose frame does not depend on its parameters
 (sigma = 0 and every curvature vanishes), the coefficientwise derivative of a
-Fock vector over a family, and the quasi-symplectic check with the
-consequence loop that its Gram condition makes redundant."""
+Fock vector over a family, the bracket of sp(H), and the quasi-symplectic
+check with the consequence loop that its Gram condition makes redundant."""
 
+from focklab.fock import SpElement
 from focklab.hodge import HodgeFamily
 from focklab.laurent import residue_gram
 from focklab.linalg import ExactMatrix, _back_substitute, _domain_of_all
@@ -56,7 +57,14 @@ def d_param(conn, k: int, vec):
     flat part of nabla^Fbar (a constant coefficient has derivative 0).  As a
     ConnectionData method it is nabla^Fbar with A^F-bar dropped."""
     p = conn.fam.field.params[k]
-    return vec.map_coefficients(lambda c: c.derivative(p) if isinstance(c, RationalFunction) else 0)
+    return vec._like({
+        key: d for key, c in vec.terms.items() if isinstance(c, RationalFunction) and (d := c.derivative(p))
+    })
+
+
+def sp_bracket(a: SpElement, b: SpElement) -> SpElement:
+    """The bracket of sp(H), the commutator A B - B A of the matrices."""
+    return SpElement(a.space, a.matrix * b.matrix - b.matrix * a.matrix, check=False)
 
 
 def check_quasi_symplectic(basis: dict, consequence_depth: int = 3) -> bool:

@@ -7,6 +7,7 @@ import pytest
 
 from focklab.cli import compute, main, run_suite
 from focklab.reports import SCHEMA
+from oracles import sp_bracket
 
 
 def test_run_suite_unknown_name():
@@ -195,7 +196,7 @@ def _tau_witness_by_pairs(g):
         span = _tau_span(sp)
         for x in span:
             for y in span:
-                if cli.tau(sp, x).bracket(cli.tau(sp, y)) != cli.tau(sp, x.bracket(y)):
+                if cli.tau(sp, x).bracket(cli.tau(sp, y)) != cli.tau(sp, sp_bracket(x, y)):
                     return f"g={k}, A={x.matrix}, B={y.matrix}"
     return None
 
@@ -203,8 +204,8 @@ def _tau_witness_by_pairs(g):
 def test_tau_groups_from_nonzero_entries_are_the_matrix_brackets():
     """Check 04's groups, keyed by _bracket_entries on each spanning
     matrix's nonzero entries, are the groups keyed by the nonzero entries of
-    SpElement.bracket: the same keys with the same pair lists, in the same
-    order (155 groups of 441 pairs at g = 3)."""
+    the matrix bracket sp_bracket: the same keys with the same pair lists,
+    in the same order (155 groups of 441 pairs at g = 3)."""
     from focklab import cli
 
     for g in (1, 2, 3):
@@ -215,7 +216,7 @@ def test_tau_groups_from_nonzero_entries_are_the_matrix_brackets():
         for i, x in enumerate(span):
             for j, y in enumerate(span):
                 by_entries.setdefault(cli._bracket_entries(support[i], support[j], n), []).append((i, j))
-                rows = x.bracket(y).matrix.rows
+                rows = sp_bracket(x, y).matrix.rows
                 key = tuple((r * n + c, v) for r, row in enumerate(rows) for c, v in enumerate(row) if v)
                 by_matrix.setdefault(key, []).append((i, j))
         assert list(by_entries.items()) == list(by_matrix.items())
@@ -241,7 +242,7 @@ def test_grouped_tau_check_reports_the_first_failing_pair(monkeypatch):
     pairs_of = {}  # bracket matrix (as text) -> its ordered pairs, row-major
     for x in span:
         for y in span:
-            z = x.bracket(y).matrix
+            z = sp_bracket(x, y).matrix
             if not z.is_zero():
                 pairs_of.setdefault(str(z), (z, []))[1].append((x, y))
     wrong_on = [z for z, pairs in pairs_of.values() if len(pairs) > 2][1]
@@ -290,7 +291,7 @@ def test_finite_fock_suites_build_each_image_once(monkeypatch):
     distinct bracket (207 over g = 1..3) brings that to 250 (E_inverse 277),
     and the one-pass bracket needs no product.  Check 04 keys its groups by
     brackets formed from the spanning matrices' nonzero entries, with no
-    SpElement.bracket call (550 when each pair formed a matrix commutator).
+    matrix commutator.
     Adjoint's inner products meet 181 distinct key pairs, 35 of them with a
     nonzero pairing: it computed a nonzero permanent 324 times when no space
     kept its pairings, and 1,281 permanents when a space kept only nonzero
@@ -298,7 +299,7 @@ def test_finite_fock_suites_build_each_image_once(monkeypatch):
     from focklab import cli, fock
 
     calls = dict.fromkeys(
-        ["rho_vector", "from_tensor", "E_inverse", "permanent", "nonzero_permanent", "tau", "mul", "sp_bracket"], 0)
+        ["rho_vector", "from_tensor", "E_inverse", "permanent", "nonzero_permanent", "tau", "mul"], 0)
 
     def counted(name, inner):
         def wrapper(*args, **kwargs):
@@ -322,7 +323,6 @@ def test_finite_fock_suites_build_each_image_once(monkeypatch):
     monkeypatch.setattr(fock, "_grouped_permanent", counted_permanent)
     monkeypatch.setattr(cli, "tau", counted("tau", cli.tau))
     monkeypatch.setattr(fock.UElement, "__mul__", counted("mul", fock.UElement.__mul__))
-    monkeypatch.setattr(fock.SpElement, "bracket", counted("sp_bracket", fock.SpElement.bracket))
     rep = run_suite("adjoint", {"g": 3, "grade": 4, "seed": 64})
     assert not rep.failed and len(rep.checks) == 3
     assert calls["rho_vector"] <= 340 and calls["from_tensor"] <= 24, calls
@@ -331,19 +331,27 @@ def test_finite_fock_suites_build_each_image_once(monkeypatch):
     rep = run_suite("fock-basics", {"g": 3, "seed": 64})
     assert not rep.failed and len(rep.checks) == 8
     assert calls["rho_vector"] <= 1026 and calls["tau"] <= 250 and calls["E_inverse"] <= 277, calls
-    assert calls["mul"] == 0 and calls["sp_bracket"] == 0 and calls["permanent"] <= 431, calls
+    assert calls["mul"] == 0 and calls["permanent"] <= 431, calls
 
 
 @pytest.mark.parametrize("family", ["modular_family", "constant_family"])
 def test_connection_statements_are_the_identities_verified(family):
-    """The certificate yields one record per statement, in the order of the
-    statements, and no statement lacks its record."""
+    """The certificate yields one CheckRecord per statement, in the order of
+    the statements, with the identity's name as its id and the statement as
+    its own, and no statement lacks its record; verify_theorem31 gives one
+    bool per identity, under the same names in the same order."""
     from focklab import hodge
+    from focklab.reports import CheckRecord
     from oracles import constant_family
 
     make = {"modular_family": hodge.modular_family, "constant_family": constant_family}[family]
-    checks = hodge.theorem31_checks(make(), probe_grade=2)
-    assert [name for name, _, _ in checks] == list(hodge.THEOREM31_STATEMENTS)
+    checks = list(hodge.theorem31_checks(make(), probe_grade=2))
+    assert all(type(rec) is CheckRecord for rec in checks), checks
+    assert [rec.id for rec in checks] == list(hodge.THEOREM31_STATEMENTS)
+    assert [rec.statement for rec in checks] == list(hodge.THEOREM31_STATEMENTS.values())
+    verdicts = hodge.verify_theorem31(make(), probe_grade=2)
+    assert list(verdicts) == list(hodge.THEOREM31_STATEMENTS)
+    assert all(type(v) is bool for v in verdicts.values()), verdicts
 
 
 def test_an_exhausted_window_is_a_skipped_record(capsys):
@@ -518,6 +526,21 @@ def test_json_params_read_back_through_param(tmp_path):
     args = [arg for key, value in params.items() for arg in ("--param", f"{key}={value}")]
     assert main(["--suite", "wzw-gram", *args, "--json", str(second)]) == 0
     assert second.read_bytes() == first.read_bytes()
+
+
+def test_a_curve_with_a_negative_lead_runs_through_the_gaussian_root(monkeypatch, capsys):
+    """f = x - x^3 has lead -1, so the model's square root takes the root of
+    -1 in Q(i) (laurent._scalar_sqrt through GaussianRational.sqrt): each
+    run passes every record and main exits 0."""
+    from focklab.scalars import GaussianRational
+
+    roots, sqrt = [], GaussianRational.sqrt
+    monkeypatch.setattr(GaussianRational, "sqrt", lambda self: roots.append(self) or sqrt(self))
+    for suite, n in (("hyperelliptic", 6), ("wzw-gram", 3)):
+        roots.clear()
+        assert main(["--suite", suite, "--param", "f=[0,1,0,-1]"]) == 0
+        assert f"{n} passed, 0 failed, 0 skipped" in capsys.readouterr().out
+        assert GaussianRational(-1) in roots, roots
 
 
 def test_a_param_of_the_wrong_shape_is_invalid(capsys):

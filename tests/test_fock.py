@@ -36,6 +36,7 @@ from focklab.fock import (
 )
 from focklab.linalg import ExactMatrix
 from focklab.scalars import GaussianRational, I, conj
+from oracles import sp_bracket
 
 
 def sym_pair_tensor(space, a, b):
@@ -204,7 +205,7 @@ def test_tau_lie_homomorphism_spanning_set():
         for x in elems:
             for y in elems:
                 lhs = tau(sp, x).bracket(tau(sp, y))
-                rhs = tau(sp, x.bracket(y))
+                rhs = tau(sp, sp_bracket(x, y))
                 assert lhs == rhs
 
 
@@ -279,7 +280,7 @@ def test_tau_bracket_example_pair():
     bvec = [Fraction(1), Fraction(1)]  # e_1 + e_{-1}
     c = [[bvec[i] * bvec[j] for j in range(2)] for i in range(2)]
     b = E_map(sp, ExactMatrix(c))
-    assert tau(sp, a).bracket(tau(sp, b)) == tau(sp, a.bracket(b))
+    assert tau(sp, a).bracket(tau(sp, b)) == tau(sp, sp_bracket(a, b))
 
 
 def test_tau_hat_bracket_cocycle_bookkeeping():
@@ -291,14 +292,14 @@ def test_tau_hat_bracket_cocycle_bookkeeping():
         sp = standard_space(g)
         for _ in range(3):
             a, b = random_sp(sp, rng), random_sp(sp, rng)
-            dev = tau_hat(sp, a).bracket(tau_hat(sp, b)) - tau_hat(sp, a.bracket(b))
+            dev = tau_hat(sp, a).bracket(tau_hat(sp, b)) - tau_hat(sp, sp_bracket(a, b))
             expected = UElement.monomial(
-                sp, [], coeff=a.bracket(b).trace_on_complement() * Fraction(1, 2)
+                sp, [], coeff=sp_bracket(a, b).trace_on_complement() * Fraction(1, 2)
             )
             assert dev == expected
         for _ in range(3):
             a, b = f_stable_sp(sp, rng), f_stable_sp(sp, rng)
-            assert tau_hat(sp, a).bracket(tau_hat(sp, b)) == tau_hat(sp, a.bracket(b))
+            assert tau_hat(sp, a).bracket(tau_hat(sp, b)) == tau_hat(sp, sp_bracket(a, b))
 
 
 def _second_complement(sp, rng):

@@ -6,6 +6,7 @@ from focklab import hodge
 from focklab.fock import FockVector, UElement, endomorphism_action, fock_basis, rho_apply
 from focklab.forms import Form
 from focklab.hodge import (
+    THEOREM31_STATEMENTS,
     ConnectionData,
     DegenerateFrame,
     HodgeFamily,
@@ -21,6 +22,7 @@ from focklab.hodge import (
 )
 from focklab.linalg import ExactMatrix
 from focklab.ratfunc import DifferentialField, Polynomial
+from focklab.reports import CheckRecord
 from focklab.scalars import GaussianRational
 from oracles import Inconsistent, constant_family, d_param, solve
 
@@ -178,7 +180,8 @@ def test_a_wrong_rho_s_fails_the_certificate(monkeypatch, mutation, family):
     _mutate(monkeypatch, mutation)
     report = verify_theorem31(fam, probe_grade=3)
     assert report["fock_curvature_scalar"] is False and report["skew_hermitian_at_sample"] is False, report
-    assert hodge._skew_hermitian_at_sample(fam, ConnectionData(fam), 3)[0] is False
+    rec = CheckRecord("skew_hermitian_at_sample", THEOREM31_STATEMENTS["skew_hermitian_at_sample"])
+    assert hodge._skew_hermitian_at_sample(fam, ConnectionData(fam), 3, rec) is rec and rec.status == "fail"
 
 
 def test_verify_theorem31_applies_each_operator_to_a_key_once(monkeypatch):
@@ -255,7 +258,8 @@ PROBE_IDENTITIES = ("fock_curvature_scalar", "endomorphism_lemma", "covariant_s_
         "modular-s-doubled", "siegel(1)-s-doubled", "modular-abar-dropped", "siegel(1)-abar-dropped"])
 def test_one_pass_matches_the_three_identity_loop(monkeypatch, family, grade, mutation):
     """The one-pass probe identities give the reference loop's verdicts,
-    first witnesses and extracted scalars, and theorem31_checks yields them."""
+    first witnesses and extracted scalars, and theorem31_checks yields them
+    as its records."""
     fam = family()
     if mutation:
         _mutate(monkeypatch, mutation)
@@ -264,13 +268,16 @@ def test_one_pass_matches_the_three_identity_loop(monkeypatch, family, grade, mu
     tr_sbs = conn.sigma_bar.wedge(conn.sigma).trace()
     keys = fock_basis(conn._space, grade)
     want = _reference_probe_identities(conn, keys, sigma_sigma_bar, tr_sbs)
-    first = want[0]
+    first, extracted = want
     assert bool(first) == bool(mutation), first
-    assert hodge._probe_identities(conn, keys, sigma_sigma_bar, tr_sbs) == want
-    records = {name: (holds, witness) for name, holds, witness in theorem31_checks(fam, grade)}
-    assert {name: records[name] for name in PROBE_IDENTITIES} == {
-        name: (name not in first, str(first[name]) if name in first else None) for name in PROBE_IDENTITIES
+    expected = {
+        name: ("fail", str(first[name])) if name in first else ("pass", None) for name in PROBE_IDENTITIES
     }
+    records = {name: CheckRecord(name, THEOREM31_STATEMENTS[name]) for name in PROBE_IDENTITIES}
+    assert hodge._probe_identities(conn, keys, sigma_sigma_bar, tr_sbs, records) == extracted
+    assert {name: (rec.status, rec.witness) for name, rec in records.items()} == expected
+    records = {rec.id: (rec.status, rec.witness) for rec in theorem31_checks(fam, grade)}
+    assert {name: records[name] for name in PROBE_IDENTITIES} == expected
 
 
 def test_theorem31_composes_nabla_ff_once(monkeypatch):
@@ -294,36 +301,28 @@ def test_theorem31_composes_nabla_ff_once(monkeypatch):
 
     monkeypatch.setattr(RationalFunction, "__mul__", counted_mul)
     monkeypatch.setattr(RationalFunction, "derivative", counted_derivative)
-    checks = list(theorem31_checks(fam, 4))
-    assert all(holds for _, holds, _ in checks), checks
+    checks = [(rec.id, rec.status, rec.witness) for rec in theorem31_checks(fam, 4)]
+    assert all(status == "pass" for _, status, _ in checks), checks
     assert calls["products"] <= 1520 and calls["derivative"] <= 760, calls
 
 
 def test_theorem31_stays_in_one_field_and_one_dictionary(monkeypatch):
     """A counting guard (calls, not time): theorem31_checks(siegel_family(1), 4)
-    made 600 map_coefficients calls (one d_param vector per nabla^Fbar) and
-    about 3,500 DifferentialField.__eq__ calls when every rational-function
-    operation coerced its operand; nabla^Fbar writing one dictionary and
-    same-field operands dispatching first need 0 and about 800."""
-    from focklab.sparse import SparseVector
-
+    made about 3,500 DifferentialField.__eq__ calls when every
+    rational-function operation coerced its operand; same-field operands
+    dispatching first need about 800."""
     fam = siegel_family(1)
-    calls = {"map_coefficients": 0, "field_eq": 0}
-    map_coefficients, field_eq = SparseVector.map_coefficients, DifferentialField.__eq__
-
-    def counted_map(vec, fn):
-        calls["map_coefficients"] += 1
-        return map_coefficients(vec, fn)
+    calls = {"field_eq": 0}
+    field_eq = DifferentialField.__eq__
 
     def counted_eq(a, b):
         calls["field_eq"] += 1
         return field_eq(a, b)
 
-    monkeypatch.setattr(SparseVector, "map_coefficients", counted_map)
     monkeypatch.setattr(DifferentialField, "__eq__", counted_eq)
-    checks = list(theorem31_checks(fam, 4))
-    assert all(holds for _, holds, _ in checks), checks
-    assert calls["map_coefficients"] == 0 and calls["field_eq"] <= 1000, calls
+    checks = [(rec.id, rec.status, rec.witness) for rec in theorem31_checks(fam, 4)]
+    assert all(status == "pass" for _, status, _ in checks), checks
+    assert calls["field_eq"] <= 1000, calls
 
 
 def test_theorem31_makes_no_curvature_on_probe_call(monkeypatch):
@@ -509,8 +508,8 @@ def test_nabla_h_insertion_identity():
     certificate's own record, in the families that carry s_bar and in the
     one that does not."""
     for fam in (modular_family(), siegel_family(1), constant_family()):
-        checks = {name: (holds, witness) for name, holds, witness in theorem31_checks(fam)}
-        assert checks["nabla_h_insertion"] == (True, None)
+        checks = {rec.id: (rec.status, rec.witness) for rec in theorem31_checks(fam)}
+        assert checks["nabla_h_insertion"] == ("pass", None)
 
 
 def test_curvature_witness_is_the_first_failing_probe(monkeypatch):
@@ -518,8 +517,8 @@ def test_curvature_witness_is_the_first_failing_probe(monkeypatch):
     1..4; the witness is the first of them in fock_basis order, and the
     certificate yields it as a false record instead of raising."""
     monkeypatch.setattr(ConnectionData, "rho_sbar", lambda self, k: UElement.zero(self._space))
-    checks = {name: (holds, witness) for name, holds, witness in theorem31_checks(modular_family())}
-    assert checks["fock_curvature_scalar"] == (False, "('x', 'y', (-1,))")
+    checks = {rec.id: (rec.status, rec.witness) for rec in theorem31_checks(modular_family())}
+    assert checks["fock_curvature_scalar"] == ("fail", "('x', 'y', (-1,))")
 
 
 def test_curvature_failure_is_a_fail_record_and_exit_1(monkeypatch):

@@ -833,7 +833,6 @@ def test_no_entry_is_stored_as_zero():
         "+": (v + OscFockVector({(-1,): -2}), (-1,)),
         "-": (v - OscFockVector({(-2, -1): Fraction(1, 2)}), (-2, -1)),
         "scale": (v.scale(0), (-1,)),
-        "map_coefficients": (v.map_coefficients(lambda c: c - 2), (-1,)),
         "apply_mode": (apply_mode(0, v), (-1,)),
     }
     ops = {
