@@ -385,6 +385,13 @@ def test_the_witness_rule_catches_each_pattern():
     ]
 
 
+def test_no_suite_keeps_its_first_witness_by_hand_in_cli():
+    path = os.path.join(PACKAGE, "cli.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    assert first_witness_setdefaults(tree) == []
+
+
 def test_only_the_runner_writes_reports_in_cli():
     path = os.path.join(PACKAGE, "cli.py")
     with open(path, encoding="utf-8") as fh:
