@@ -14,7 +14,7 @@ Layout:
   cli         verification suites with deterministic JSON reports
 """
 
-from .scalars import GaussianRational, I, NotASquare, conj, parse_gaussian
+from .scalars import GaussianRational, I, InvalidParameters, NotASquare, conj, parse_gaussian
 from .ratfunc import DifferentialField, Polynomial, RationalFunction
 from .linalg import ExactMatrix
 from .forms import DegreeOverflow, Form, exterior_derivative

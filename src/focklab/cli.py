@@ -9,17 +9,16 @@ resolves parameters (the ``SUITES`` table), suffixes the ids of ``ALL``,
 writes the report and times the run.  Every suite is deterministic given
 its parameters and seed.
 
-Exit codes: 0 all non-skipped checks pass, 1 a check fails, 2 usage error or
-invalid parameters, among them a ``--param`` key that no run reads, a
-``--seed`` (``--prec``) where no run reads ``seed`` (``N``), one parameter
-given two values, and a genus, grade or ``kmax`` that leaves a suite nothing
-to check (a suite raises ValueError before its first check).  A suite
-that raises one of ``FAILURES`` (IdentityFailed, NoIsotropicLift, NotScalar,
-NotSymmetric) ends with a failed ``<suite>.run`` record; one whose window
-cannot determine a coefficient (PrecisionExhausted) ends with a skipped one
-naming the window.
-``--suite all`` goes on with the next suite.  ``--compute`` exits 0 with its
-result printed, 1 with the exception of ``FAILURES`` it raised, 2 as above.
+Exit codes, one rule: 0 every check that is not skipped passes, 1 a check
+fails, 2 bad input: a usage error, or InvalidParameters, raised only where
+the caller's input is read (an unread ``--param`` key, ``--seed`` or
+``--prec``, a parameter given twice or of the wrong type, a range that leaves
+a suite nothing to check, a curve with no model).  Any other ValueError,
+ArithmeticError or AssertionError a run raises ends it with one
+``<suite>.run`` record, witness ``Type: message``: skipped if the window
+cannot determine a coefficient (PrecisionExhausted), else failed; ``--suite
+all`` goes on with the next run.  ``--compute`` exits 0 with its result, 2
+on bad input or a window too short, and 1 with ``Type: message`` otherwise.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .fock import (
     E_inverse,
     E_map,
     FockVector,
-    NotSymmetric,
     SpElement,
     UElement,
     adjoint_failures,
@@ -65,10 +63,9 @@ from .laurent import Derivation, LaurentSeries, PrecisionExhausted, format_serie
 from .linalg import ExactMatrix
 from .oscillator import OscFockVector, module_commutator_sweep, tau_hat_Dk, virasoro_bracket, virasoro_sweep
 from .reports import CheckRecord, SuiteReport
-from .scalars import GaussianRational, IdentityFailed
+from .scalars import GaussianRational, IdentityFailed, InvalidParameters
 from .subalgebra import (
     KMinusVector,
-    NoIsotropicLift,
     NotScalar,
     build_quotient,
     compute_perp,
@@ -154,7 +151,7 @@ FOCK_BASICS = {
 
 def suite_fock_basics(g, seed):
     if g < 1:
-        raise ValueError(f"g must be at least 1, got {g}")
+        raise InvalidParameters(f"g must be at least 1, got {g}")
     rng = random.Random(seed)
     checks = {name: CheckRecord(f"fock-basics.{name}", statement) for name, statement in FOCK_BASICS.items()}
     for k in range(1, g + 1):
@@ -222,7 +219,7 @@ ADJOINT = {
 
 def suite_adjoint(g, grade, seed):
     if g < 1 or grade < 1:
-        raise ValueError(f"g and grade must be at least 1, got g={g}, grade={grade}")
+        raise InvalidParameters(f"g and grade must be at least 1, got g={g}, grade={grade}")
     rng = random.Random(seed)
     checks = {name: CheckRecord(f"adjoint.{name}", statement) for name, statement in ADJOINT.items()}
     for k in range(1, g + 1):
@@ -259,7 +256,7 @@ def suite_adjoint(g, grade, seed):
 
 def suite_virasoro(kmax, grade):
     if kmax < 1 or grade < 0:
-        raise ValueError(f"kmax must be at least 1 and grade at least 0, got kmax={kmax}, grade={grade}")
+        raise InvalidParameters(f"kmax must be at least 1 and grade at least 0, got kmax={kmax}, grade={grade}")
     rec = CheckRecord("virasoro.01-cocycle", "[T(D_k), T(D_l)] = (l-k) T(D_{k+l}) + (k^3-k)/12 delta_{k+l,0}")
     if failures := virasoro_sweep(kmax, grade):
         k, l, key = failures[0]
@@ -295,8 +292,10 @@ def _ft4(rec, record, name):
     return rec
 
 
-def suite_fock_type(window, bound):
-    sub = genus0_subalgebra(window=window, degree_bound=bound)
+def suite_fock_type(bound):
+    if bound < 0:
+        raise InvalidParameters(f"bound must be at least 0, got {bound}")
+    sub = genus0_subalgebra(window=bound + 1, degree_bound=bound)
     perp = compute_perp(sub, -bound, bound + 1)
     rec = CheckRecord("fock-type.01-genus0-perp", "for the one-point rational model, A-perp/A has rank 0")
     if rank := sub.quotient_rank():
@@ -316,7 +315,7 @@ def suite_fock_type(window, bound):
 
 def suite_hyperelliptic(f, g, N):
     if g < 1:
-        raise ValueError(f"g must be at least 1, got {g}")
+        raise InvalidParameters(f"g must be at least 1, got {g}")
     rec = CheckRecord("hyperelliptic.01-model", "y(t)^2 = f(x(t)) and u(0) = 1 within the window")
     try:
         model = build_model(f, g, N)
@@ -396,7 +395,7 @@ def suite_hyperelliptic(f, g, N):
 
 def suite_connection(grade):
     if grade < 0:
-        raise ValueError(f"grade must be at least 0, got {grade}")
+        raise InvalidParameters(f"grade must be at least 0, got {grade}")
     for name, fam, gr in (
         ("modular", modular_family(), grade),
         ("siegel-block", siegel_family(), min(grade, 4)),
@@ -418,7 +417,7 @@ WZW_GRAM = {
 
 def suite_wzw_gram(f, g, N, seed):
     if g < 1:
-        raise ValueError(f"g must be at least 1, got {g}")
+        raise InvalidParameters(f"g must be at least 1, got {g}")
     model = build_model(f, g, N)
     rng = random.Random(seed)
     derivations = {
@@ -446,7 +445,7 @@ SUITES = {
     "fock-basics": (suite_fock_basics, {"g": 3, "seed": DEFAULT_SEED}),
     "adjoint": (suite_adjoint, {"g": 3, "grade": 4, "seed": DEFAULT_SEED}),
     "virasoro": (suite_virasoro, {"kmax": 6, "grade": 8}),
-    "fock-type": (suite_fock_type, {"window": 24, "bound": 10}),
+    "fock-type": (suite_fock_type, {"bound": 10}),
     "hyperelliptic": (suite_hyperelliptic, {"f": CURVE, "g": 1, "N": 44}),
     "connection": (suite_connection, {"grade": 4}),
     "wzw-gram": (suite_wzw_gram, {"f": CURVE, "g": 1, "N": 44, "seed": DEFAULT_SEED}),
@@ -462,10 +461,6 @@ ALL = [(name, {}, "") for name in SUITES if name != "hyperelliptic"] + [
 ]
 
 
-# A suite or computation that raises one of these has found a false identity.
-FAILURES = (IdentityFailed, NoIsotropicLift, NotScalar, NotSymmetric)
-
-
 def _exact(c) -> Fraction:
     """A curve coefficient: an int, a Fraction or a string that Fraction reads
     exactly ("1/2"); a float or a bool is not exact and is a TypeError."""
@@ -478,7 +473,7 @@ def _resolve(defaults: dict, params: dict) -> dict:
     """The table's parameters, each the caller's value or its default.  A
     value must have its default's type (a bool is not an int, nor is a float);
     a list (the curve f) becomes a list of Fractions, one per exact
-    coefficient.  Any other value is a ValueError."""
+    coefficient.  Any other value is InvalidParameters."""
     out = {}
     for key, default in defaults.items():
         value = params.get(key, default)
@@ -489,14 +484,15 @@ def _resolve(defaults: dict, params: dict) -> dict:
                 out[key] = value
             else:
                 raise TypeError
-        except (TypeError, ValueError):
-            raise ValueError(f"parameter {key} cannot take the value {value!r}") from None
+        except (TypeError, ValueError, ArithmeticError):  # "1/0" is a ZeroDivisionError
+            raise InvalidParameters(f"parameter {key} cannot take the value {value!r}") from None
     return out
 
 
 def run_suite(name: str, params: dict | None = None) -> SuiteReport:
     """Run one suite of SUITES (KeyError for a name not there), or every run
-    of ALL for "all", and turn its checks into the records of one report."""
+    of ALL for "all", into one report; InvalidParameters propagates, and any
+    other exception of the module's rule ends its run with one record."""
     params = dict(params or {})
     runs = [
         (sub, _resolve(SUITES[sub][1], {**params, **fixed}), suffix)
@@ -509,8 +505,10 @@ def run_suite(name: str, params: dict | None = None) -> SuiteReport:
             for rec in SUITES[sub][0](**kwargs):
                 rec.id += suffix
                 rep.checks.append(rec)
-        except (PrecisionExhausted, *FAILURES) as exc:
-            # an undecided window is skipped; a false identity fails
+        except InvalidParameters:
+            raise
+        except (ValueError, ArithmeticError, AssertionError) as exc:
+            # an undecided window is skipped; any other certificate that raises fails
             statement = "every identity certified while the suite runs holds within its window"
             rec = CheckRecord(f"{sub}.run{suffix}", statement)
             verdict = rec.skip if isinstance(exc, PrecisionExhausted) else rec.fail
@@ -523,22 +521,21 @@ def run_suite(name: str, params: dict | None = None) -> SuiteReport:
 
 
 def _parse_ebar_monomial(space, text: str):
-    if space.g < 1:
-        raise ValueError(f"g must be at least 1, got {space.g}")
     indices = []
     for tok in text.replace(",", " ").split():
-        for prefix in ("ē", "ebar", "eb"):
-            if tok.startswith(prefix):
-                indices.append(int(tok[len(prefix):]))
-                break
-        else:
-            raise ValueError(f"cannot parse generator {tok!r}; use ē1 / ebar1 / eb1")
+        prefix = next((p for p in ("ē", "ebar", "eb") if tok.startswith(p)), tok)  # none: int("") refuses
+        try:
+            indices.append(int(tok[len(prefix):]))
+        except ValueError:
+            raise InvalidParameters(f"cannot parse generator {tok!r}; use ē1 / ebar1 / eb1") from None
         if not 1 <= indices[-1] <= space.g:
-            raise ValueError(f"generator {tok!r} is not one of ē1 .. ē{space.g}")
+            raise InvalidParameters(f"generator {tok!r} is not one of ē1 .. ē{space.g}")
     return ebar_monomial(space, indices)
 
 
 def compute_inner_product(g, v, w):
+    if g < 1:
+        raise InvalidParameters(f"g must be at least 1, got {g}")
     sp = standard_space(g)
     return str(inner_product(_parse_ebar_monomial(sp, v), _parse_ebar_monomial(sp, w)))
 
@@ -586,18 +583,18 @@ def compute(name: str, params: dict | None = None) -> str:
 
 def _parse_params(pairs, seed, prec):
     """The run parameters of --param, --seed (seed) and --prec (N); a
-    parameter given a value by two of them is a ValueError naming both."""
+    parameter given a value by two of them is InvalidParameters naming both."""
     params, source = {}, {}
 
     def put(key, value, flag):
         if key in source:
-            raise ValueError(f"parameter {key} is given twice: {source[key]} and {flag}")
+            raise InvalidParameters(f"parameter {key} is given twice: {source[key]} and {flag}")
         params[key], source[key] = value, flag
 
     for pair in pairs or ():
         key, _, value = pair.partition("=")
         if not _ or not key:
-            raise ValueError(f"--param expects key=value, got {pair!r}")
+            raise InvalidParameters(f"--param expects key=value, got {pair!r}")
         try:
             value = json.loads(value)
         except json.JSONDecodeError:
@@ -627,7 +624,7 @@ def main(argv=None) -> int:
 
     try:
         params = _parse_params(args.param, args.seed, args.prec)
-    except ValueError as exc:
+    except InvalidParameters as exc:
         parser.error(str(exc))  # exits 2
 
     name = args.compute or args.suite
@@ -647,12 +644,12 @@ def main(argv=None) -> int:
             print(compute(args.compute, params))
             return 0
         report = run_suite(args.suite, params)
-    except FAILURES as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError) as exc:
+    except (InvalidParameters, PrecisionExhausted) as exc:  # only --compute lets a window escape
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, ArithmeticError, AssertionError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
     print(report.render_text())
     if args.json:

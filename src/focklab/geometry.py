@@ -32,15 +32,15 @@ from .laurent import (
     residue_form,
 )
 from .linalg import ExactMatrix
-from .scalars import QQ, GaussianRational, IdentityFailed
+from .scalars import QQ, GaussianRational, IdentityFailed, InvalidParameters, NotASquare
 from .subalgebra import FockSubalgebra, echelon_reduce, echelonize
 
 
-class WrongDegree(ValueError):
+class WrongDegree(InvalidParameters):
     pass
 
 
-class RepeatedRoots(ValueError):
+class RepeatedRoots(InvalidParameters):
     pass
 
 
@@ -64,9 +64,13 @@ class HyperellipticModel:
         self.f = {k: convert(c) for k, c in enumerate(f_coeffs) if c}
         self.g = genus
         self.window = window
-        deg = max(self.f, default=-1)
+        deg = max(self.f, default=None)  # the zero polynomial has none
         if deg != 2 * genus + 1:
             raise WrongDegree(f"deg f = {deg}, expected {2 * genus + 1}")
+        try:
+            GaussianRational.coerce(self.f[deg]).sqrt()
+        except NotASquare:
+            raise InvalidParameters(f"the leading coefficient {self.f[deg]} of f is not an exact square") from None
         # f and f' share a root exactly when their resultant vanishes
         if not _resultant(self.f, {k - 1: c * k for k, c in self.f.items() if k}):
             raise RepeatedRoots("gcd(f, f') is not constant")

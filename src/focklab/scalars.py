@@ -8,8 +8,8 @@ This lowest layer also holds the one text grammar of exact values,
 `parse_expression`: `parse_gaussian` reads it over Q(sqrt(-1)),
 `DifferentialField.parse` over a rational-function field and `parse_series`
 over Laurent polynomials in t, so whatever one of them prints the others read.
-It also holds IdentityFailed, which every layer raises when an identity it
-certifies comes out false.
+It also holds IdentityFailed, raised by every layer when an identity it
+certifies comes out false, and InvalidParameters, for a caller's bad input.
 """
 
 from __future__ import annotations
@@ -27,6 +27,10 @@ class NotASquare(ValueError):
 class IdentityFailed(AssertionError):
     """An exact identity the construction certifies came out false; carries
     the witness."""
+
+
+class InvalidParameters(ValueError):
+    """The caller's input names nothing to compute; carries the reason."""
 
 
 def _as_fraction(x) -> Fraction:

@@ -853,3 +853,102 @@ def test_every_run_of_all_yields_only_its_own_records():
         assert records and all(type(c) is CheckRecord and c.id.startswith(f"{sub}.") for c in records)
     ids = [c.id for c in run_suite("all", {}).checks]
     assert len(ids) == len(set(ids)) == 61
+
+
+# Inputs only a read of the caller's input can refuse, each with the text its
+# refusal names; a run of the library must never see them.
+BAD_INPUT = {
+    "hyperelliptic lead not a square": (
+        ["--suite", "hyperelliptic", "--param", "f=[0,-1,0,2]"], "the leading coefficient 2 of f is not an exact square"),
+    "wzw-gram lead not a square": (
+        ["--suite", "wzw-gram", "--param", "f=[0,-1,0,2]"], "the leading coefficient 2 of f is not an exact square"),
+    "phi-basis lead not a square": (
+        ["--compute", "phi-basis", "--param", "f=[0,-1,0,2]"], "the leading coefficient 2 of f is not an exact square"),
+    "fock-type negative bound": (["--suite", "fock-type", "--param", "bound=-1"], "bound must be at least 0, got -1"),
+    "fock-type window": (["--suite", "fock-type", "--param", "window=24"], "no run of fock-type reads --param window"),
+    "inner-product index not an integer": (
+        ["--compute", "inner-product", "--param", "v=ebx"], "cannot parse generator 'ebx'"),
+    "quotient-basis window too short": (["--compute", "quotient-basis", "--prec", "10"], "not determined"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUT))
+def test_bad_input_exits_2_and_prints_no_report(capsys, case):
+    argv, why = BAD_INPUT[case]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("invalid parameters: ") and "Traceback" not in out.err
+    assert why in out.err
+
+
+def _involution_broken(monkeypatch):
+    from focklab import fock
+
+    real = fock.SymplecticSpace.__init__
+    monkeypatch.setattr(fock.SymplecticSpace, "__init__",
+                        lambda self, g, gram, cm, **kw: real(self, g, gram, cm.map(lambda c: c * 2), **kw))
+
+
+def _inverse_singular(monkeypatch):
+    from focklab import linalg
+
+    def singular(self):
+        raise ZeroDivisionError("matrix is singular")
+
+    monkeypatch.setattr(linalg.ExactMatrix, "inverse", singular)
+
+
+def _frame_degenerate(monkeypatch):
+    from focklab import hodge
+
+    def degenerate(self):
+        raise hodge.DegenerateFrame("F + conj(F) does not span at the generic point")
+
+    monkeypatch.setattr(hodge.HodgeFamily, "_certify", degenerate)
+
+
+# One internal certificate broken at a time: (break, the witness of each
+# failed run record, the runs it ends).  No parameter reaches any of them.
+INTERNAL_BREAKS = {
+    "conjugation not an involution": (
+        _involution_broken, "ValueError: conjugation is not an involution",
+        ["adjoint.run", "connection.run", "fock-basics.run", "fock-type.run",
+         "hyperelliptic.run.g1", "hyperelliptic.run.g2"]),
+    "singular inverse": (
+        _inverse_singular, "ZeroDivisionError: matrix is singular",
+        ["connection.run", "fock-basics.run", "hyperelliptic.run.g1", "hyperelliptic.run.g2"]),
+    "degenerate frame": (
+        _frame_degenerate, "DegenerateFrame: F + conj(F) does not span at the generic point", ["connection.run"]),
+}
+
+
+def _run_of(record_id):
+    """The run of --suite all that yields a record: its suite and id suffix."""
+    suffix = record_id[-3:] if record_id.endswith((".g1", ".g2")) else ""
+    return record_id.split(".")[0] + suffix
+
+
+@pytest.mark.parametrize("case", list(INTERNAL_BREAKS))
+def test_a_broken_internal_certificate_is_a_failed_run_record(monkeypatch, capsys, case):
+    """A library certificate that raises is a false identity, not bad input:
+    --suite all fails the runs it ends with one .run record each, keeps every
+    other run's records and exits 1; it never reports invalid parameters."""
+    breaks, witness, ended = INTERNAL_BREAKS[case]
+    before = [c.id for c in run_suite("all", {}).checks]
+    breaks(monkeypatch)
+    rep = run_suite("all", {})
+    assert sorted((c.id, c.witness) for c in rep.failed) == [(run, witness) for run in ended]
+    assert main(["--suite", "all"]) == 1
+    out = capsys.readouterr()
+    assert "invalid parameters" not in out.err
+    lines = out.out.splitlines()
+    for run in ended:
+        assert f"  [FAIL] {run}: every identity certified while the suite runs holds within its window" in lines
+    kept = [i for i in before if _run_of(i) not in {_run_of(run) for run in ended}]
+    assert kept and all(any(line.startswith(f"  [PASS] {i}: ") for line in lines) for i in kept)
+
+
+def test_a_computation_under_a_singular_inverse_exits_1(monkeypatch, capsys):
+    _inverse_singular(monkeypatch)
+    assert main(["--compute", "quotient-basis"]) == 1
+    assert capsys.readouterr().err == "ZeroDivisionError: matrix is singular\n"

@@ -17,7 +17,7 @@ from focklab.geometry import (
 )
 from focklab.laurent import Derivation, LaurentSeries, residue_form
 from focklab.linalg import ExactMatrix
-from focklab.scalars import GaussianRational
+from focklab.scalars import GaussianRational, InvalidParameters
 
 F = Fraction
 
@@ -46,6 +46,17 @@ def test_build_model_rejects_bad_input():
     model = build_model(CURVE_G1, 1, 40)
     fx = LaurentSeries.polynomial({-6: 1, -2: -1})
     assert (model.y * model.y - fx).is_zero()
+
+
+@pytest.mark.parametrize("lead", [2, -2, F(1, 2), GaussianRational(0, 1)])
+def test_a_lead_with_no_exact_square_root_is_refused_before_any_series(monkeypatch, lead):
+    """A leading coefficient with no square root in Q(sqrt(-1)) names no
+    model: InvalidParameters, raised before any series is built, as the
+    degree and repeated-root refusals are."""
+    monkeypatch.setattr(LaurentSeries, "polynomial", lambda *a, **k: pytest.fail("a series was built"))
+    with pytest.raises(InvalidParameters, match=f"the leading coefficient {lead} of f is not an exact square"):
+        build_model([0, -1, 0, lead], 1, 20)
+    assert issubclass(WrongDegree, InvalidParameters) and issubclass(RepeatedRoots, InvalidParameters)
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,9 @@
 * no import of `dataclasses` -- it loads `inspect`, `ast`, `dis` and
   `tokenize` into every `import focklab`, about 10 ms and 1 MB of resident
   memory, for records that plain classes serve as well;
+* in cli.py, no `raise ValueError` -- the cli's bad input is
+  `InvalidParameters`, so any other ValueError a run raises is a failed
+  check, never "invalid parameters";
 * no class attribute `staticmethod(<imported name>)` -- it binds the
   imported function when the class is made, so a test that patches the
   module's name (a mutation row) never reaches the code that calls it; a
@@ -50,7 +53,7 @@ SOURCE_LINE_GATE = 5602
 PUBLIC_SURFACE = """
     BasisNotQuasiSymplectic ConnectionData CurveFockData DegenerateFrame DegreeOverflow
     Derivation DifferentialField E_inverse E_map ExactMatrix FockSubalgebra FockVector Form
-    GaussianRational HodgeFamily HyperellipticModel I KMinusVector LaurentSeries
+    GaussianRational HodgeFamily HyperellipticModel I InvalidParameters KMinusVector LaurentSeries
     NoIsotropicLift NonzeroResidue NotASquare NotInvertible NotReduced NotScalar
     NotSymplecticFrame OscFockVector Polynomial PrecisionExhausted QuadraticOperator
     QuotientSymplectic RationalFunction RepeatedRoots SpElement SymplecticSpace UElement
@@ -159,6 +162,17 @@ def generator_raises(tree):
     return sorted(found)
 
 
+def bare_value_errors(tree):
+    """(line, rule) for every `raise ValueError`, called or not."""
+    found = []
+    for node in ast.walk(tree):
+        exc = node.exc if isinstance(node, ast.Raise) else None
+        exc = exc.func if isinstance(exc, ast.Call) else exc
+        if isinstance(exc, ast.Name) and exc.id == "ValueError":
+            found.append((node.lineno, "bare ValueError raised"))
+    return sorted(found)
+
+
 def imported_staticmethods(tree):
     """(line, rule) for every class attribute `staticmethod(x)` where x, or
     the root of a dotted x, is a name a module-level import binds."""
@@ -256,6 +270,11 @@ def test_the_rules_catch_each_pattern():
     assert generator_raises(ast.parse(raises)) == [
         (3, "IdentityFailed raised in a generator"), (6, "IdentityFailed raised in a generator")
     ]
+    values = (
+        "raise ValueError('a')\nraise ValueError\nraise InvalidParameters('b')\n"
+        "try:\n    pass\nexcept ValueError:\n    raise\nx = ValueError('c')\nraise WrongDegree('d') from None\n"
+    )
+    assert [line for line, _ in bare_value_errors(ast.parse(values))] == [1, 2]
     bindings = (
         "import laurent\nfrom .laurent import residue_form as rf\ndef local(f, g):\n    pass\n"
         "class A:\n    _pairing = staticmethod(rf)\n    _form = staticmethod(laurent.residue_form)\n"
@@ -397,3 +416,10 @@ def test_only_the_runner_writes_reports_in_cli():
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), filename=path)
     assert report_writers(tree) == []
+
+
+def test_cli_raises_no_bare_value_error():
+    path = os.path.join(PACKAGE, "cli.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    assert bare_value_errors(tree) == []
